@@ -3,16 +3,14 @@
 //!
 //! [`ExactBackend`] evaluates everything in software with exact arithmetic
 //! (the algorithmic reference, fast enough for the paper's 10⁵-iteration
-//! runs via local fields). [`CrossbarBackend`] routes the same queries
-//! through the simulated DG FeFET crossbar, picking up quantization,
-//! device variation and activity statistics — the device-in-the-loop mode.
-//! [`TiledBackend`] does the same through the fixed-size-tile composition
-//! (`fecim_crossbar::TiledCrossbar`), which is how instances larger than
-//! one physical array run device-in-the-loop.
+//! runs via local fields). [`TiledBackend`] routes the same queries
+//! through the simulated DG FeFET crossbar
+//! (`fecim_crossbar::TiledCrossbar`), picking up quantization, device
+//! variation and activity statistics — the device-in-the-loop mode. One
+//! tile of `n` rows is the monolithic array; smaller tiles are how
+//! instances larger than one physical array run device-in-the-loop.
 
-use fecim_crossbar::{
-    ActivityStats, BatchInstance, Crossbar, CrossbarConfig, InSituArray, TiledCrossbar,
-};
+use fecim_crossbar::{ActivityStats, BatchInstance, CrossbarConfig, InSituArray, TiledCrossbar};
 use fecim_ising::{CsrCoupling, FlipMask, LocalFieldState, SpinVector};
 
 /// Source of energies for the annealing engines.
@@ -95,11 +93,11 @@ impl EnergyBackend for ExactBackend<'_> {
 }
 
 /// Device-in-the-loop backend: all energy-form measurements go through a
-/// simulated array (monolithic [`Crossbar`] or [`TiledCrossbar`], via the
-/// [`InSituArray`] read interface); an exact shadow state tracks true
-/// energies for reporting.
+/// simulated array ([`TiledCrossbar`] or a shared-grid [`BatchInstance`],
+/// via the [`InSituArray`] read interface); an exact shadow state tracks
+/// true energies for reporting.
 ///
-/// Use the [`CrossbarBackend`] / [`TiledBackend`] aliases and their
+/// Use the [`TiledBackend`] / [`BatchedBackend`] aliases and their
 /// constructors.
 #[derive(Debug)]
 pub struct DeviceBackend<'a, A: InSituArray> {
@@ -113,11 +111,9 @@ pub struct DeviceBackend<'a, A: InSituArray> {
     pending_measured: Option<f64>,
 }
 
-/// Device-in-the-loop backend over the monolithic `n × (n·k)` array.
-pub type CrossbarBackend<'a> = DeviceBackend<'a, Crossbar>;
-
 /// Device-in-the-loop backend over the tiled fixed-size-array
-/// composition — the backend that lets G-set-scale instances run through
+/// composition — the monolithic `n × (n·k)` array with `tile_rows = n`,
+/// and the backend that lets G-set-scale instances run through
 /// physically plausible tiles.
 pub type TiledBackend<'a> = DeviceBackend<'a, TiledCrossbar>;
 
@@ -151,26 +147,10 @@ impl<'a, A: InSituArray> DeviceBackend<'a, A> {
     }
 }
 
-impl<'a> CrossbarBackend<'a> {
-    /// Program `coupling` into a monolithic crossbar and start from
-    /// `initial`.
-    pub fn new(
-        coupling: &'a CsrCoupling,
-        initial: SpinVector,
-        config: CrossbarConfig,
-    ) -> CrossbarBackend<'a> {
-        DeviceBackend::from_array(Crossbar::program(coupling, config), coupling, initial)
-    }
-
-    /// The underlying crossbar (e.g. to inspect configuration or wires).
-    pub fn crossbar(&self) -> &Crossbar {
-        &self.array
-    }
-}
-
 impl<'a> TiledBackend<'a> {
-    /// Program `coupling` onto a grid of `tile_rows`-row tiles and start
-    /// from `initial`.
+    /// Program `coupling` onto a grid of `tile_rows`-row tiles
+    /// (`coupling.dimension()` for the monolithic array) and start from
+    /// `initial`.
     pub fn new(
         coupling: &'a CsrCoupling,
         initial: SpinVector,
@@ -287,7 +267,7 @@ mod tests {
         let mut cfg = CrossbarConfig::paper_defaults();
         cfg.quant_bits = 8;
         cfg.adc_bits = 14;
-        let mut b = CrossbarBackend::new(&j, init.clone(), cfg);
+        let mut b = TiledBackend::new(&j, init.clone(), cfg, 16);
         for _ in 0..5 {
             let mask = FlipMask::random(2, 16, &mut rng);
             let exact = {
@@ -313,7 +293,7 @@ mod tests {
         let mut cfg = CrossbarConfig::paper_defaults();
         cfg.quant_bits = 8;
         cfg.adc_bits = 14;
-        let mut b = CrossbarBackend::new(&j, init, cfg);
+        let mut b = TiledBackend::new(&j, init, cfg, 20);
         let mask = FlipMask::random(2, 20, &mut rng);
         let exact_form = {
             let new = b.spins().flipped_by(&mask);
@@ -328,14 +308,15 @@ mod tests {
 
     #[test]
     fn tiled_backend_matches_crossbar_backend_in_ideal_mode() {
-        // Ideal-fidelity tiled reads are bit-identical to the monolithic
-        // array, so the two backends must agree measurement for
-        // measurement.
+        // Ideal-fidelity reads are bit-identical at every tile size, so a
+        // 7-row tiling must agree with the one-tile (monolithic) backend
+        // measurement for measurement.
         let j = coupling(24, 9);
         let mut rng = StdRng::seed_from_u64(10);
         let init = SpinVector::random(24, &mut rng);
         let cfg = CrossbarConfig::paper_defaults();
-        let mut mono = CrossbarBackend::new(&j, init.clone(), cfg.clone());
+        let mut mono = TiledBackend::new(&j, init.clone(), cfg.clone(), 24);
+        assert_eq!(mono.tiled().tile_count(), 1);
         let mut tiled = TiledBackend::new(&j, init, cfg, 7);
         assert_eq!(tiled.tiled().tile_grid(), (4, 4));
         for _ in 0..5 {
@@ -357,7 +338,7 @@ mod tests {
     fn apply_without_pending_keeps_measured_energy() {
         let j = coupling(12, 7);
         let init = SpinVector::all_up(12);
-        let mut b = CrossbarBackend::new(&j, init, CrossbarConfig::paper_defaults());
+        let mut b = TiledBackend::new(&j, init, CrossbarConfig::paper_defaults(), 12);
         let mask = FlipMask::single(3, 12);
         // In-situ flow never calls direct_delta; apply must not corrupt the
         // (unused) measured energy.

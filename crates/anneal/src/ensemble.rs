@@ -143,6 +143,21 @@ impl Ensemble {
     }
 }
 
+/// Fraction of `values` meeting-or-exceeding `target`: the paper's
+/// success rate over an ensemble's outcomes (Fig. 10: success = reaching
+/// 90 % of the optimal cut). Use `maximize = false` for minimization
+/// objectives.
+pub fn success_rate(values: &[f64], target: f64, maximize: bool) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let hits = values
+        .iter()
+        .filter(|&&v| if maximize { v >= target } else { v <= target })
+        .count();
+    hits as f64 / values.len() as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,5 +203,13 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
         let _ = Ensemble::new(4, 0).with_max_threads(0);
+    }
+
+    #[test]
+    fn success_rate_directions() {
+        let vals = [0.5, 0.95, 0.99, 0.8];
+        assert!((success_rate(&vals, 0.9, true) - 0.5).abs() < 1e-12);
+        assert!((success_rate(&vals, 0.9, false) - 0.5).abs() < 1e-12);
+        assert_eq!(success_rate(&[], 0.9, true), 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Temperature schedules.
 //!
-//! The baselines use classical geometric/linear cooling; the in-situ
+//! The baselines use classical geometric cooling; the in-situ
 //! annealer uses the paper's stepped descent (Sec. 3.4): the temperature
 //! maps onto the back-gate voltage grid (0.7 V → 0 V in 0.01 V steps), is
 //! held for a pre-set number of iterations per level, and pins to zero at
@@ -64,42 +64,6 @@ impl Schedule for GeometricSchedule {
     }
 }
 
-/// Linear cooling from `t0` to `t_end` over a fixed horizon, clamped at
-/// `t_end` afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinearSchedule {
-    t0: f64,
-    t_end: f64,
-    iterations: usize,
-}
-
-impl LinearSchedule {
-    /// Build a linear ramp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t0 <= t_end` or `iterations == 0`.
-    pub fn new(t0: f64, t_end: f64, iterations: usize) -> LinearSchedule {
-        assert!(t0 > t_end, "t0 must exceed t_end");
-        assert!(iterations > 0, "need at least one iteration");
-        LinearSchedule {
-            t0,
-            t_end,
-            iterations,
-        }
-    }
-}
-
-impl Schedule for LinearSchedule {
-    fn temperature(&self, iteration: usize) -> f64 {
-        if iteration >= self.iterations {
-            return self.t_end;
-        }
-        let frac = iteration as f64 / self.iterations as f64;
-        self.t0 + (self.t_end - self.t0) * frac
-    }
-}
-
 /// The paper's stepped back-gate descent: `levels + 1` discrete
 /// temperature plateaus from `t_max` down to exactly `0`, each held for
 /// `iterations / (levels + 1)` iterations (the "pre-set number of
@@ -153,16 +117,6 @@ impl Schedule for SteppedSchedule {
     }
 }
 
-/// A constant temperature (degenerate schedule for tests/ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConstantSchedule(pub f64);
-
-impl Schedule for ConstantSchedule {
-    fn temperature(&self, _iteration: usize) -> f64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,15 +135,6 @@ mod tests {
         for k in 0..100 {
             assert!(s.temperature(k + 1) < s.temperature(k));
         }
-    }
-
-    #[test]
-    fn linear_ramps_and_clamps() {
-        let s = LinearSchedule::new(8.0, 2.0, 6);
-        assert_eq!(s.temperature(0), 8.0);
-        assert_eq!(s.temperature(3), 5.0);
-        assert_eq!(s.temperature(6), 2.0);
-        assert_eq!(s.temperature(100), 2.0);
     }
 
     #[test]
@@ -219,12 +164,5 @@ mod tests {
         // 700-iteration run (the paper's 800-node budget) with 70 levels.
         let s = SteppedSchedule::paper(700);
         assert!(s.temperature(699) <= 10.0 + 1e-9);
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        let s = ConstantSchedule(3.5);
-        assert_eq!(s.temperature(0), 3.5);
-        assert_eq!(s.temperature(1000), 3.5);
     }
 }

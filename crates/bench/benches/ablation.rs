@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fecim_crossbar::{Crossbar, CrossbarConfig, MuxAssignment};
+use fecim_crossbar::{CrossbarConfig, MuxAssignment, TiledCrossbar};
 use fecim_device::{AnnealFactor, DeviceFactor, FractionalFactor};
 use fecim_ising::{CsrCoupling, DenseCoupling, FlipMask, SpinVector};
 
@@ -41,7 +41,7 @@ fn bench_quant_bits(c: &mut Criterion) {
     for &bits in &[1u8, 2, 4, 8] {
         let mut cfg = CrossbarConfig::paper_defaults();
         cfg.quant_bits = bits;
-        let mut xb = Crossbar::program(&coupling, cfg);
+        let mut xb = TiledCrossbar::program(&coupling, cfg, n);
         group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |b, _| {
             b.iter(|| xb.incremental_form(&r, &cvec, 0.7))
         });

@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fecim_anneal::{
-    run_direct, run_in_situ, suggest_einc_scale, Acceptance, AnnealConfig, CrossbarBackend,
-    ExactBackend, GeometricSchedule, SteppedSchedule,
+    run_direct, run_in_situ, suggest_einc_scale, Acceptance, AnnealConfig, ExactBackend,
+    GeometricSchedule, SteppedSchedule, TiledBackend,
 };
 use fecim_crossbar::CrossbarConfig;
 use fecim_device::FractionalFactor;
@@ -78,10 +78,11 @@ fn bench_crossbar_engine(c: &mut Criterion) {
     group.bench_function("in_situ_device_in_loop", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(2);
-            let mut backend = CrossbarBackend::new(
+            let mut backend = TiledBackend::new(
                 &j,
                 SpinVector::random(n, &mut rng),
                 CrossbarConfig::paper_defaults(),
+                n,
             );
             run_in_situ(
                 &mut backend,

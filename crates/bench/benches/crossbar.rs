@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fecim_crossbar::{Crossbar, CrossbarConfig, Fidelity, SensingMode, TiledCrossbar};
+use fecim_crossbar::{CrossbarConfig, Fidelity, SensingMode, TiledCrossbar};
 use fecim_ising::{CsrCoupling, DenseCoupling, FlipMask, SpinVector};
 
 fn instance(n: usize, seed: u64) -> (CsrCoupling, SpinVector, FlipMask) {
@@ -26,7 +26,7 @@ fn bench_reads(c: &mut Criterion) {
         let new_spins = spins.flipped_by(&mask);
         let r = new_spins.rest_vector(&mask);
         let cvec = new_spins.changed_vector(&mask);
-        let mut xb = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
+        let mut xb = TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), n);
         group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, _| {
             b.iter(|| xb.incremental_form(&r, &cvec, 0.7))
         });
@@ -51,7 +51,7 @@ fn bench_fidelity(c: &mut Criterion) {
     ] {
         let mut cfg = CrossbarConfig::paper_defaults();
         cfg.fidelity = fidelity;
-        let mut xb = Crossbar::program(&coupling, cfg);
+        let mut xb = TiledCrossbar::program(&coupling, cfg, n);
         group.bench_function(BenchmarkId::new("incremental", label), |b| {
             b.iter(|| xb.incremental_form(&r, &cvec, 0.7))
         });
@@ -60,9 +60,9 @@ fn bench_fidelity(c: &mut Criterion) {
 }
 
 fn bench_tiled_reads(c: &mut Criterion) {
-    // The tiled composition against the monolithic array at a
-    // beyond-array-size instance (n = 1024 on 256-row tiles): same reads,
-    // per-tile bookkeeping on top.
+    // 256-row tiles against the one-tile monolithic array at a
+    // beyond-array-size instance (n = 1024): same reads, per-tile
+    // bookkeeping on top.
     let mut group = c.benchmark_group("tiled_reads_1024");
     group.sample_size(20);
     let n = 1024;
@@ -70,7 +70,7 @@ fn bench_tiled_reads(c: &mut Criterion) {
     let new_spins = spins.flipped_by(&mask);
     let r = new_spins.rest_vector(&mask);
     let cvec = new_spins.changed_vector(&mask);
-    let mut mono = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
+    let mut mono = TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), n);
     let mut tiled = TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), 256);
     group.bench_function("incremental/monolithic", |b| {
         b.iter(|| mono.incremental_form(&r, &cvec, 0.7))
@@ -132,7 +132,7 @@ fn bench_programming(c: &mut Criterion) {
     for &n in &[256usize, 1024] {
         let (coupling, _, _) = instance(n, n as u64 + 1);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| Crossbar::program(&coupling, CrossbarConfig::paper_defaults()))
+            b.iter(|| TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), n))
         });
     }
     group.finish();

@@ -39,27 +39,57 @@ pub fn fail_exit(message: &dyn std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// Look up `--flag V` or `--flag=V` in an argument list: `None` when the
+/// flag is absent, `Some(None)` when it is the last argument with no
+/// value. The first occurrence wins.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<Option<&'a str>> {
+    args.iter().enumerate().find_map(|(i, a)| {
+        if a == flag {
+            Some(args.get(i + 1).map(String::as_str))
+        } else {
+            a.strip_prefix(flag)
+                .and_then(|rest| rest.strip_prefix('='))
+                .map(Some)
+        }
+    })
+}
+
+/// Parse a flag value as a positive integer.
+fn positive_integer(flag: &str, value: Option<&str>) -> Result<usize, String> {
+    match value.and_then(|s| s.parse::<usize>().ok()) {
+        Some(n) if n > 0 => Ok(n),
+        _ => Err(format!("usage: {flag} <positive integer> (got {value:?})")),
+    }
+}
+
+/// Parse a flag value as a non-empty comma-separated list of positive
+/// integers.
+fn positive_integers(flag: &str, value: Option<&str>) -> Result<Vec<usize>, String> {
+    let usage = || format!("usage: {flag} <comma-separated positive integers> (got {value:?})");
+    let list: Vec<usize> = value
+        .ok_or_else(usage)?
+        .split(',')
+        .map(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0))
+        .collect::<Option<_>>()
+        .ok_or_else(usage)?;
+    if list.is_empty() {
+        return Err(usage());
+    }
+    Ok(list)
+}
+
 /// Parse `--scale quick|paper` from an argument list (default quick).
 ///
 /// # Errors
 ///
 /// Returns a usage message on an unknown scale value.
 pub fn scale_from_args(args: &[String]) -> Result<HarnessScale, String> {
-    for (i, a) in args.iter().enumerate() {
-        let value = if a == "--scale" {
-            Some(args.get(i + 1).map(String::as_str))
-        } else {
-            a.strip_prefix("--scale=").map(Some)
-        };
-        if let Some(value) = value {
-            return match value {
-                Some("quick") => Ok(HarnessScale::Quick),
-                Some("paper") => Ok(HarnessScale::Paper),
-                other => Err(format!("usage: --scale quick|paper (got {other:?})")),
-            };
-        }
+    match flag_value(args, "--scale") {
+        None => Ok(HarnessScale::Quick),
+        Some(Some("quick")) => Ok(HarnessScale::Quick),
+        Some(Some("paper")) => Ok(HarnessScale::Paper),
+        Some(other) => Err(format!("usage: --scale quick|paper (got {other:?})")),
     }
-    Ok(HarnessScale::Quick)
 }
 
 /// Parse `--scale quick|paper` from `std::env::args` (default quick);
@@ -83,21 +113,9 @@ pub fn has_flag(flag: &str) -> bool {
 ///
 /// Returns a usage message on a missing or non-positive value.
 pub fn tile_rows_from_args(args: &[String]) -> Result<Option<usize>, String> {
-    let parse = |v: Option<&str>| -> Result<usize, String> {
-        match v.and_then(|s| s.parse::<usize>().ok()) {
-            Some(n) if n > 0 => Ok(n),
-            _ => Err(format!("usage: --tile-rows <positive integer> (got {v:?})")),
-        }
-    };
-    for (i, a) in args.iter().enumerate() {
-        if a == "--tile-rows" {
-            return parse(args.get(i + 1).map(String::as_str)).map(Some);
-        }
-        if let Some(rest) = a.strip_prefix("--tile-rows=") {
-            return parse(Some(rest)).map(Some);
-        }
-    }
-    Ok(None)
+    flag_value(args, "--tile-rows")
+        .map(|v| positive_integer("--tile-rows", v))
+        .transpose()
 }
 
 /// Parse `--tile-rows N` from `std::env::args`; prints usage to stderr
@@ -116,29 +134,9 @@ pub fn parse_tile_rows() -> Option<usize> {
 ///
 /// Returns a usage message on an empty list or a non-positive entry.
 pub fn batch_sizes_from_args(args: &[String]) -> Result<Vec<usize>, String> {
-    let parse = |v: Option<&str>| -> Result<Vec<usize>, String> {
-        let usage =
-            || format!("usage: --batch-sizes <comma-separated positive integers> (got {v:?})");
-        let list = v.ok_or_else(usage)?;
-        let sizes: Vec<usize> = list
-            .split(',')
-            .map(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0))
-            .collect::<Option<_>>()
-            .ok_or_else(usage)?;
-        if sizes.is_empty() {
-            return Err(usage());
-        }
-        Ok(sizes)
-    };
-    for (i, a) in args.iter().enumerate() {
-        if a == "--batch-sizes" {
-            return parse(args.get(i + 1).map(String::as_str));
-        }
-        if let Some(rest) = a.strip_prefix("--batch-sizes=") {
-            return parse(Some(rest));
-        }
-    }
-    Ok(vec![1, 2, 4, 8])
+    flag_value(args, "--batch-sizes").map_or(Ok(vec![1, 2, 4, 8]), |v| {
+        positive_integers("--batch-sizes", v)
+    })
 }
 
 /// Parse `--batch-sizes` from `std::env::args`; prints usage to stderr
@@ -156,28 +154,7 @@ pub fn parse_batch_sizes() -> Vec<usize> {
 ///
 /// Returns a usage message on an empty or non-positive list.
 pub fn workers_from_args(args: &[String]) -> Result<Vec<usize>, String> {
-    let parse = |v: Option<&str>| -> Result<Vec<usize>, String> {
-        let usage = || format!("usage: --workers <comma-separated positive integers> (got {v:?})");
-        let list = v.ok_or_else(usage)?;
-        let workers: Vec<usize> = list
-            .split(',')
-            .map(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0))
-            .collect::<Option<_>>()
-            .ok_or_else(usage)?;
-        if workers.is_empty() {
-            return Err(usage());
-        }
-        Ok(workers)
-    };
-    for (i, a) in args.iter().enumerate() {
-        if a == "--workers" {
-            return parse(args.get(i + 1).map(String::as_str));
-        }
-        if let Some(rest) = a.strip_prefix("--workers=") {
-            return parse(Some(rest));
-        }
-    }
-    Ok(vec![1, 2])
+    flag_value(args, "--workers").map_or(Ok(vec![1, 2]), |v| positive_integers("--workers", v))
 }
 
 /// Parse `--repeat N` (or `--repeat=N`) from an argument list: how many
@@ -188,21 +165,7 @@ pub fn workers_from_args(args: &[String]) -> Result<Vec<usize>, String> {
 ///
 /// Returns a usage message on a missing or non-positive value.
 pub fn repeat_from_args(args: &[String]) -> Result<usize, String> {
-    let parse = |v: Option<&str>| -> Result<usize, String> {
-        match v.and_then(|s| s.parse::<usize>().ok()) {
-            Some(n) if n > 0 => Ok(n),
-            _ => Err(format!("usage: --repeat <positive integer> (got {v:?})")),
-        }
-    };
-    for (i, a) in args.iter().enumerate() {
-        if a == "--repeat" {
-            return parse(args.get(i + 1).map(String::as_str));
-        }
-        if let Some(rest) = a.strip_prefix("--repeat=") {
-            return parse(Some(rest));
-        }
-    }
-    Ok(1)
+    flag_value(args, "--repeat").map_or(Ok(1), |v| positive_integer("--repeat", v))
 }
 
 /// Parse `--repeat N` from `std::env::args`; prints usage to stderr and

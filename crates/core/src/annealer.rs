@@ -6,8 +6,8 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::{
-    run_in_situ, suggest_einc_scale, AnnealConfig, CrossbarBackend, ExactBackend, RunResult,
-    SteppedSchedule, TiledBackend,
+    run_in_situ, suggest_einc_scale, AnnealConfig, ExactBackend, RunResult, SteppedSchedule,
+    TiledBackend,
 };
 use fecim_crossbar::CrossbarConfig;
 use fecim_device::{AnnealFactor, DeviceFactor, FractionalFactor, TableFactor};
@@ -153,7 +153,8 @@ impl CimAnnealer {
     }
 
     /// Route all energy measurements through the simulated DG FeFET
-    /// crossbar (quantization, ADC, variation, activity statistics).
+    /// crossbar (quantization, ADC, variation, activity statistics): one
+    /// monolithic `n`-row array, priced with whole-array wire geometry.
     pub fn with_device_in_loop(mut self, config: CrossbarConfig) -> CimAnnealer {
         self.quant_bits = config.quant_bits;
         self.mux_ratio = config.mux_ratio;
@@ -285,16 +286,13 @@ impl Solver for CimAnnealer {
     }
 
     fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
-        match (&self.device_in_loop, self.tile_rows) {
-            (None, _) => {
+        match &self.device_in_loop {
+            None => {
                 let mut backend = ExactBackend::new(coupling, initial);
                 self.anneal_with_backend(coupling, &mut backend, seed)
             }
-            (Some(xb_config), None) => {
-                let mut backend = CrossbarBackend::new(coupling, initial, xb_config.clone());
-                self.anneal_with_backend(coupling, &mut backend, seed)
-            }
-            (Some(xb_config), Some(tile_rows)) => {
+            Some(xb_config) => {
+                let tile_rows = self.tile_rows.unwrap_or(coupling.dimension());
                 let mut backend =
                     TiledBackend::new(coupling, initial, xb_config.clone(), tile_rows);
                 self.anneal_with_backend(coupling, &mut backend, seed)

@@ -5,8 +5,8 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::{
-    run_direct, suggest_einc_scale, Acceptance, AnnealConfig, CrossbarBackend, ExactBackend,
-    GeometricSchedule, RunResult, TiledBackend,
+    run_direct, suggest_einc_scale, Acceptance, AnnealConfig, ExactBackend, GeometricSchedule,
+    RunResult, TiledBackend,
 };
 use fecim_crossbar::CrossbarConfig;
 use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, ExpUnit, IterationProfile, TimeReport};
@@ -206,16 +206,13 @@ impl Solver for DirectAnnealer {
         if let Some(target) = self.target_energy {
             config = config.with_target_energy(target);
         }
-        match (&self.device_in_loop, self.tile_rows) {
-            (None, _) => {
+        match &self.device_in_loop {
+            None => {
                 let mut backend = ExactBackend::new(coupling, initial);
                 run_direct(&mut backend, &schedule, self.acceptance, config)
             }
-            (Some(xb_config), None) => {
-                let mut backend = CrossbarBackend::new(coupling, initial, xb_config.clone());
-                run_direct(&mut backend, &schedule, self.acceptance, config)
-            }
-            (Some(xb_config), Some(tile_rows)) => {
+            Some(xb_config) => {
+                let tile_rows = self.tile_rows.unwrap_or(n);
                 let mut backend =
                     TiledBackend::new(coupling, initial, xb_config.clone(), tile_rows);
                 run_direct(&mut backend, &schedule, self.acceptance, config)

@@ -6,7 +6,7 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::RunResult;
-use fecim_crossbar::{BatchInstance, Crossbar, CrossbarConfig, TiledCrossbar};
+use fecim_crossbar::{BatchInstance, CrossbarConfig, TiledCrossbar};
 use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
 use fecim_ising::{CopProblem, CsrCoupling, IsingError, IsingModel, SpinVector};
 use fecim_sb::{DeviceMvm, ExactMvm, PressureSchedule, SbEngine, SbVariant};
@@ -296,17 +296,13 @@ impl Solver for SbAnnealer {
 
     fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
         let engine = self.engine();
-        match (&self.device_in_loop, self.tile_rows) {
-            (None, _) => {
+        match &self.device_in_loop {
+            None => {
                 let mut source = ExactMvm::new(coupling);
                 engine.run(coupling, &mut source, &initial, seed)
             }
-            (Some(xb_config), None) => {
-                let mut source =
-                    DeviceMvm::new(Crossbar::program(coupling, xb_config.clone()), self.in_bits);
-                engine.run(coupling, &mut source, &initial, seed)
-            }
-            (Some(xb_config), Some(tile_rows)) => {
+            Some(xb_config) => {
+                let tile_rows = self.tile_rows.unwrap_or(initial.len());
                 let mut source = DeviceMvm::new(
                     TiledCrossbar::program(coupling, xb_config.clone(), tile_rows),
                     self.in_bits,

@@ -1,55 +1,41 @@
-//! The CiM crossbar array simulator (paper Fig. 6d).
+//! Crossbar configuration, the common read interface, and the cell
+//! physics every array shares.
 //!
-//! One [`Crossbar`] instance models an `n × (n·k)` array per polarity
-//! plane: each coupling `J_ij` occupies a 1×k bit-sliced subarray of DG
-//! FeFET cells. Two read operations are provided:
-//!
-//! * [`Crossbar::incremental_form`] — the proposed in-situ computation
-//!   `σ_rᵀ J σ_c · f(T)`: rows carrying `σ_r` on the front gates, columns
-//!   selected by `σ_c` on the drain lines, and the annealing factor applied
-//!   through the shared back gate. Only the `|F|` column groups of flipped
-//!   spins are activated.
-//! * [`Crossbar::vmv`] — the conventional direct-E read `σᵀJσ` used by the
-//!   baseline annealers (whole array activated, ref [7] style).
-//!
-//! Both reads run the signal chain of the paper: positive/negative input
-//! phases (the crossbar accepts non-negative inputs only), per-bit-slice
-//! column currents, multiplexed SAR ADC conversion, digital
-//! shift-and-add, and sign recombination — while recording
-//! [`ActivityStats`] for the hardware cost model.
+//! The array itself is [`TiledCrossbar`](crate::TiledCrossbar): the
+//! paper's monolithic `n × (n·k)` array (Fig. 6d) is its one-tile case.
+//! [`InSituArray`] is the read interface solvers hold it through, shared
+//! with the per-instance handles of a batched grid
+//! ([`BatchInstance`](crate::BatchInstance)).
 
 use serde::{Deserialize, Serialize};
 
-use fecim_device::{
-    DgFefet, DgFefetParams, ReadNoise, StoredBit, VariationConfig, VariationSampler,
-};
-use fecim_ising::Coupling;
+use fecim_device::{DgFefet, DgFefetParams, VariationConfig};
 
-use crate::adc::{MuxAssignment, SarAdc};
-use crate::parasitics::{ArrayWires, WireParams};
-use crate::quant::QuantizedCoupling;
+use crate::parasitics::WireParams;
 use crate::stats::ActivityStats;
 
-/// Common read interface of the physical array simulators: the monolithic
-/// [`Crossbar`] and the [`TiledCrossbar`](crate::TiledCrossbar) expose the
-/// same two measurements, so energy backends and solvers can hold either
+/// Common read interface of the physical array simulators: a
+/// [`TiledCrossbar`](crate::TiledCrossbar) and a
+/// [`BatchInstance`](crate::BatchInstance) on a shared grid expose the
+/// same measurements, so energy backends and solvers can hold either
 /// behind one generic parameter.
 pub trait InSituArray {
     /// Matrix dimension `n` (spins).
     fn dimension(&self) -> usize;
 
     /// The in-situ incremental-E read `σ_rᵀ J σ_c · factor` (see
-    /// [`Crossbar::incremental_form`]).
+    /// [`TiledCrossbar::incremental_form`](crate::TiledCrossbar::incremental_form)).
     fn incremental_form(&mut self, sigma_r: &[i8], sigma_c: &[i8], factor: f64) -> f64;
 
-    /// The conventional direct-E read `σᵀJσ` (see [`Crossbar::vmv`]).
+    /// The conventional direct-E read `σᵀJσ` (see
+    /// [`TiledCrossbar::vmv`](crate::TiledCrossbar::vmv)).
     fn vmv(&mut self, sigma: &[i8]) -> f64;
 
     /// The full matrix-vector read: drive every row with `σ` and return
     /// the per-column digital outputs `(Jσ)_j` in coupling units (see
-    /// [`Crossbar::mvm`]). One array read regardless of `n` — the
-    /// synchronous update primitive of the simulated-bifurcation
-    /// engines.
+    /// [`TiledCrossbar::mvm`](crate::TiledCrossbar::mvm)). One array read
+    /// regardless of `n` — the synchronous update primitive of the
+    /// simulated-bifurcation engines.
     fn mvm(&mut self, sigma: &[i8]) -> Vec<f64>;
 
     /// Accumulated hardware activity.
@@ -59,13 +45,13 @@ pub trait InSituArray {
     fn reset_stats(&mut self);
 
     /// Normalized per-cell current at back-gate voltage `vbg` (the
-    /// hardware annealing factor, see [`Crossbar::cell_factor`]).
+    /// hardware annealing factor, see
+    /// [`TiledCrossbar::cell_factor`](crate::TiledCrossbar::cell_factor)).
     fn cell_factor(&self, vbg: f64) -> f64;
 }
 
 /// Normalized current of an ideal stored-'1' cell at back-gate voltage
-/// `vbg`: the hardware annealing factor `f` (paper Fig. 6c). Shared by the
-/// monolithic and tiled arrays so both read identical cell physics.
+/// `vbg`: the hardware annealing factor `f` (paper Fig. 6c).
 pub(crate) fn ideal_cell_factor(cell: &DgFefet, full_scale_current: f64, vbg: f64) -> f64 {
     let i = cell.sl_current(true, true, cell.quantize_vbg(vbg));
     let leak = cell.params().front.i_leak;
@@ -96,8 +82,8 @@ pub(crate) fn vbg_for_factor(cell: &DgFefet, full_scale_current: f64, factor: f6
 }
 
 /// The key of an array's counter-based read-noise stream, derived from
-/// its programming seed. One place so the monolithic and tiled arrays
-/// (and reseeded batched instances) share the identical derivation.
+/// its programming seed. One place so freshly programmed and reseeded
+/// arrays share the identical derivation.
 pub(crate) fn read_noise_key(seed: u64) -> u64 {
     seed ^ 0x9E37_79B9_7F4A_7C15
 }
@@ -105,9 +91,9 @@ pub(crate) fn read_noise_key(seed: u64) -> u64 {
 /// Device-accurate current of one conducting cell: programmed threshold
 /// offset, back-gate bias, source-line IR attenuation and multiplicative
 /// read noise. `noise_gain` is the counter-derived factor
-/// `1 + rel·N(0,1)` from [`ReadNoise::gain`] (exactly `1.0` in the
-/// noiseless case), applied branch-free so noisy and silent reads share
-/// one code path.
+/// `1 + rel·N(0,1)` from [`fecim_device::ReadNoise::gain`] (exactly
+/// `1.0` in the noiseless case), applied branch-free so noisy and silent
+/// reads share one code path.
 pub(crate) fn device_cell_current(
     cell: &DgFefet,
     vth_offset: f64,
@@ -182,374 +168,10 @@ impl Default for CrossbarConfig {
     }
 }
 
-/// A programmed DG FeFET crossbar holding one coupling matrix.
-#[derive(Debug, Clone)]
-pub struct Crossbar {
-    config: CrossbarConfig,
-    quant: QuantizedCoupling,
-    adc: SarAdc,
-    mux: MuxAssignment,
-    wires: ArrayWires,
-    /// Per-column, per-entry threshold offsets (device-accurate mode).
-    vth_offsets: Vec<Vec<f32>>,
-    /// Reference cell for current evaluation.
-    cell: DgFefet,
-    full_scale_current: f64,
-    /// Counter-based multiplicative read noise, keyed per array.
-    noise: ReadNoise,
-    /// Monotonic read counter: one bump per `read_columns`, addressing
-    /// the noise draws of that read.
-    read_ordinal: u64,
-    stats: ActivityStats,
-}
-
-impl Crossbar {
-    /// Program a coupling matrix into a new crossbar.
-    ///
-    /// Programming samples the per-cell threshold variation once (the
-    /// device-to-device map plus one cycle-to-cycle draw), mirroring a real
-    /// write-verify pass.
-    pub fn program<C: Coupling>(coupling: &C, config: CrossbarConfig) -> Crossbar {
-        let n = coupling.dimension();
-        assert!(n > 0, "empty coupling matrix");
-        let quant = QuantizedCoupling::from_coupling(coupling, config.quant_bits);
-        let adc = SarAdc::new(config.adc_bits, n as f64);
-        let mux = if config.interleaved_mux {
-            MuxAssignment::interleaved(n, config.mux_ratio)
-        } else {
-            MuxAssignment::blocked(n, config.mux_ratio)
-        };
-        let wires = ArrayWires::new(n, quant.physical_columns(), config.wires);
-        let mut sampler = VariationSampler::new(config.variation, config.seed);
-        let vth_offsets: Vec<Vec<f32>> = (0..n)
-            .map(|j| {
-                quant
-                    .column(j)
-                    .iter()
-                    .map(|_| (sampler.d2d_vth_offset() + sampler.c2c_vth_offset()) as f32)
-                    .collect()
-            })
-            .collect();
-        let mut cell = DgFefet::new(config.device);
-        cell.program(StoredBit::One);
-        let full_scale_current = cell.full_scale_current();
-        let noise = ReadNoise::new(read_noise_key(config.seed), config.variation.read_noise_rel);
-        Crossbar {
-            config,
-            quant,
-            adc,
-            mux,
-            wires,
-            vth_offsets,
-            cell,
-            full_scale_current,
-            noise,
-            read_ordinal: 0,
-            stats: ActivityStats::new(),
-        }
-    }
-
-    /// Matrix dimension `n` (spins).
-    pub fn dimension(&self) -> usize {
-        self.quant.dimension()
-    }
-
-    /// The quantized coupling view.
-    pub fn quantized(&self) -> &QuantizedCoupling {
-        &self.quant
-    }
-
-    /// The configuration used to build this crossbar.
-    pub fn config(&self) -> &CrossbarConfig {
-        &self.config
-    }
-
-    /// Wire parasitics of the physical array.
-    pub fn wires(&self) -> &ArrayWires {
-        &self.wires
-    }
-
-    /// Accumulated activity since construction or the last
-    /// [`Crossbar::reset_stats`].
-    pub fn stats(&self) -> &ActivityStats {
-        &self.stats
-    }
-
-    /// Clear the activity counters.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Upper bound on `|σ_rᵀJσ_c|` (or `|σᵀJσ|`) representable by the
-    /// array: `n · max|J|`. Useful for normalizing `E_inc` against
-    /// `rand(0,1)` in the annealing flow.
-    pub fn value_scale(&self) -> f64 {
-        self.dimension() as f64 * self.quant.scale() * ((1u32 << self.config.quant_bits) - 1) as f64
-    }
-
-    /// Normalized per-cell current at back-gate voltage `vbg` for an ideal
-    /// stored-'1' cell — the hardware annealing factor `f` (paper Fig. 6c).
-    pub fn cell_factor(&self, vbg: f64) -> f64 {
-        ideal_cell_factor(&self.cell, self.full_scale_current, vbg)
-    }
-
-    /// The in-situ incremental-E read: returns the de-quantized estimate of
-    /// `σ_rᵀ J σ_c · factor` in coupling units, where `factor` is the
-    /// normalized back-gate current scale (pass `1.0` for a plain bilinear
-    /// form, or [`Crossbar::cell_factor`] of the temperature's `V_BG` for
-    /// the paper's flow).
-    ///
-    /// `sigma_r` and `sigma_c` are the rest/changed vectors of Sec. 3.2:
-    /// entries in `{-1, 0, +1}` with disjoint supports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector lengths differ from the array dimension.
-    pub fn incremental_form(&mut self, sigma_r: &[i8], sigma_c: &[i8], factor: f64) -> f64 {
-        let n = self.dimension();
-        assert_eq!(sigma_r.len(), n, "sigma_r length mismatch");
-        assert_eq!(sigma_c.len(), n, "sigma_c length mismatch");
-        let active: Vec<usize> = (0..n).filter(|&j| sigma_c[j] != 0).collect();
-        self.stats.array_ops += 1;
-        self.stats.bg_updates += 1;
-        // The whole array is one tile; it participates only when a column
-        // group is selected AND a row is driven (matching the tiled
-        // accounting of `TiledCrossbar`).
-        self.stats.tiles_activated +=
-            u64::from(!active.is_empty() && sigma_r.iter().any(|&r| r != 0));
-        self.read_columns(sigma_r, Some(sigma_c), &active, factor)
-    }
-
-    /// The conventional direct-E read `σᵀJσ` (baseline annealers): the
-    /// whole array is activated and every column group is converted; the
-    /// per-column results are combined with `σ` digitally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma.len()` differs from the array dimension.
-    pub fn vmv(&mut self, sigma: &[i8]) -> f64 {
-        let n = self.dimension();
-        assert_eq!(sigma.len(), n, "sigma length mismatch");
-        let active: Vec<usize> = (0..n).collect();
-        self.stats.array_ops += 1;
-        self.stats.tiles_activated += 1;
-        self.read_columns(sigma, None, &active, 1.0)
-    }
-
-    /// The full matrix-vector read `Jσ`: every row carries its `σ` entry
-    /// through the positive/negative input phases, every column group is
-    /// converted, and — unlike [`Crossbar::vmv`], which folds the column
-    /// outputs into one scalar — the per-column digital values are
-    /// returned individually in coupling units. Because the programmed
-    /// matrix is symmetric, column `j`'s output is `(Jσ)_j`.
-    ///
-    /// One read ordinal covers the whole product (each driven cell
-    /// conducts in exactly one sign pass), so device-accurate noise
-    /// draws are addressed by `(ordinal, row, column)` exactly as in the
-    /// scalar reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma.len()` differs from the array dimension.
-    pub fn mvm(&mut self, sigma: &[i8]) -> Vec<f64> {
-        let n = self.dimension();
-        assert_eq!(sigma.len(), n, "sigma length mismatch");
-        let k = self.config.quant_bits as usize;
-        let active: Vec<usize> = (0..n).collect();
-        self.stats.array_ops += 1;
-        self.stats.tiles_activated += 1;
-        let vbg = if self.config.fidelity == Fidelity::DeviceAccurate {
-            self.vbg_for_factor(1.0)
-        } else {
-            0.0
-        };
-        let ordinal = self.read_ordinal;
-        self.read_ordinal += 1;
-        let mut out = vec![0.0f64; n];
-        for &sign in &[1i8, -1i8] {
-            self.stats.row_passes += 1;
-            let driven: Vec<bool> = sigma.iter().map(|&r| r == sign).collect();
-            let driven_count = driven.iter().filter(|&&d| d).count() as u64;
-            self.stats.rows_driven += driven_count;
-            self.stats.columns_driven += active.len() as u64;
-            self.stats.adc_conversions += (active.len() * 2 * k) as u64;
-            self.stats.adc_slots += self.mux.slots_for(&active, k) as u64;
-            self.stats.shift_add_ops += (active.len() * 2 * k) as u64;
-            for &j in &active {
-                let (pos_val, neg_val) = self.sense_column(j, &driven, 1.0, vbg, ordinal);
-                out[j] += f64::from(sign) * (pos_val - neg_val);
-            }
-        }
-        // One buffer write per column output (the vector leaves the
-        // array digitally, column by column).
-        self.stats.buffer_writes += n as u64;
-        let scale = self.quant.scale();
-        for value in &mut out {
-            *value *= scale;
-        }
-        out
-    }
-
-    /// Shared signal chain. When `column_select` is `Some(σ_c)`, column `j`
-    /// contributes with sign `σ_c[j]` (incremental mode); when `None`, the
-    /// row vector itself provides the digital column weights (direct mode).
-    fn read_columns(
-        &mut self,
-        rows: &[i8],
-        column_select: Option<&[i8]>,
-        active: &[usize],
-        factor: f64,
-    ) -> f64 {
-        let k = self.config.quant_bits as usize;
-        // The back-gate bias implied by `factor` depends only on the read,
-        // not the column: invert the current curve once (the tiled path
-        // does the same).
-        let vbg = if self.config.fidelity == Fidelity::DeviceAccurate {
-            self.vbg_for_factor(factor)
-        } else {
-            0.0
-        };
-        // Every read gets its own noise-counter ordinal; within one read
-        // each driven cell is sensed exactly once (a row conducts in only
-        // one sign pass), so `(ordinal, row, col)` addresses every draw.
-        let ordinal = self.read_ordinal;
-        self.read_ordinal += 1;
-        let mut total_codes = 0.0f64;
-        for &sign in &[1i8, -1i8] {
-            self.stats.row_passes += 1;
-            let driven: Vec<bool> = rows.iter().map(|&r| r == sign).collect();
-            let driven_count = driven.iter().filter(|&&d| d).count() as u64;
-            self.stats.rows_driven += driven_count;
-            self.stats.columns_driven += active.len() as u64;
-            // Conversions: every active group, both polarity planes, k bit
-            // slices. Polarity planes have independent ADCs, so time slots
-            // count one plane.
-            self.stats.adc_conversions += (active.len() * 2 * k) as u64;
-            self.stats.adc_slots += self.mux.slots_for(active, k) as u64;
-            self.stats.shift_add_ops += (active.len() * 2 * k) as u64;
-
-            for &j in active {
-                let col_sign = match column_select {
-                    Some(sel) => sel[j] as f64,
-                    None => rows[j] as f64,
-                };
-                if col_sign == 0.0 {
-                    continue;
-                }
-                let (pos_val, neg_val) = self.sense_column(j, &driven, factor, vbg, ordinal);
-                total_codes += sign as f64 * col_sign * (pos_val - neg_val);
-            }
-        }
-        self.stats.buffer_writes += 1;
-        self.quant.scale() * total_codes
-    }
-
-    /// Sense one column group: per-bit-slice analog sums, ADC conversion,
-    /// shift-and-add. Returns de-quantized (code-unit) values for the
-    /// positive and negative polarity planes. `vbg` is the back-gate bias
-    /// implied by `factor` (per-cell deviations enter through the
-    /// threshold offsets), precomputed once per read; `ordinal` addresses
-    /// this read's counter-based noise draws.
-    ///
-    /// The accumulation is branch-free over bit slices: stack-resident
-    /// `[f64; 8]` lane buffers (`quant_bits ≤ 8`) with a mask-multiply
-    /// per lane, so the hot loop auto-vectorizes instead of branching on
-    /// every bit of every code.
-    fn sense_column(
-        &mut self,
-        j: usize,
-        driven: &[bool],
-        factor: f64,
-        vbg: f64,
-        ordinal: u64,
-    ) -> (f64, f64) {
-        let k = self.config.quant_bits as usize;
-        let entries = self.quant.column(j);
-        let offsets = &self.vth_offsets[j];
-        let mut pos_bit_sums = [0.0f64; 8];
-        let mut neg_bit_sums = [0.0f64; 8];
-        let device_mode = self.config.fidelity == Fidelity::DeviceAccurate;
-
-        let mut activated = 0u64;
-        for (idx, &(row, pos, neg)) in entries.iter().enumerate() {
-            let row = row as usize;
-            if !driven[row] {
-                continue;
-            }
-            let (code, sums) = if pos > 0 {
-                (pos, &mut pos_bit_sums)
-            } else {
-                (neg, &mut neg_bit_sums)
-            };
-            let cell_current = if device_mode {
-                device_cell_current(
-                    &self.cell,
-                    offsets[idx] as f64,
-                    vbg,
-                    self.full_scale_current,
-                    self.wires.ir_attenuation(row),
-                    self.noise.gain(ordinal, row, j),
-                )
-            } else {
-                factor
-            };
-            for (b, sum) in sums.iter_mut().take(k).enumerate() {
-                *sum += cell_current * f64::from((code >> b) & 1);
-            }
-            activated += u64::from(code.count_ones());
-        }
-        self.stats.cells_activated += activated;
-
-        let mut pos_val = 0.0;
-        let mut neg_val = 0.0;
-        for b in 0..k {
-            let weight = (1u64 << b) as f64;
-            pos_val += weight * self.adc.quantize(pos_bit_sums[b]);
-            neg_val += weight * self.adc.quantize(neg_bit_sums[b]);
-        }
-        (pos_val, neg_val)
-    }
-
-    /// Invert the normalized-current curve to find the `V_BG` whose ideal
-    /// cell factor equals `factor` (bisection over the DAC range).
-    fn vbg_for_factor(&self, factor: f64) -> f64 {
-        vbg_for_factor(&self.cell, self.full_scale_current, factor)
-    }
-}
-
-impl InSituArray for Crossbar {
-    fn dimension(&self) -> usize {
-        Crossbar::dimension(self)
-    }
-
-    fn incremental_form(&mut self, sigma_r: &[i8], sigma_c: &[i8], factor: f64) -> f64 {
-        Crossbar::incremental_form(self, sigma_r, sigma_c, factor)
-    }
-
-    fn vmv(&mut self, sigma: &[i8]) -> f64 {
-        Crossbar::vmv(self, sigma)
-    }
-
-    fn mvm(&mut self, sigma: &[i8]) -> Vec<f64> {
-        Crossbar::mvm(self, sigma)
-    }
-
-    fn stats(&self) -> &ActivityStats {
-        Crossbar::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        Crossbar::reset_stats(self);
-    }
-
-    fn cell_factor(&self, vbg: f64) -> f64 {
-        Crossbar::cell_factor(self, vbg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TiledCrossbar;
     use fecim_ising::{Coupling, DenseCoupling, FlipMask, SpinVector};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -557,6 +179,11 @@ mod tests {
     fn dense(n: usize, seed: u64) -> DenseCoupling {
         let mut rng = StdRng::seed_from_u64(seed);
         DenseCoupling::random(n, 0.4, 1.0, &mut rng)
+    }
+
+    /// The monolithic array: one tile spanning every row.
+    fn monolithic(m: &DenseCoupling, config: CrossbarConfig) -> TiledCrossbar {
+        TiledCrossbar::program(m, config, m.dimension())
     }
 
     fn unit_config(bits: u8) -> CrossbarConfig {
@@ -570,7 +197,7 @@ mod tests {
     #[test]
     fn vmv_matches_exact_energy_with_high_precision() {
         let m = dense(20, 5);
-        let mut xb = Crossbar::program(&m, unit_config(8));
+        let mut xb = monolithic(&m, unit_config(8));
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..10 {
             let s = SpinVector::random(20, &mut rng);
@@ -588,7 +215,7 @@ mod tests {
     #[test]
     fn incremental_matches_exact_bilinear_form() {
         let m = dense(24, 7);
-        let mut xb = Crossbar::program(&m, unit_config(8));
+        let mut xb = monolithic(&m, unit_config(8));
         let mut rng = StdRng::seed_from_u64(8);
         for t in [1usize, 2, 4] {
             let s = SpinVector::random(24, &mut rng);
@@ -609,7 +236,7 @@ mod tests {
     #[test]
     fn factor_scales_incremental_output() {
         let m = dense(16, 9);
-        let mut xb = Crossbar::program(&m, unit_config(8));
+        let mut xb = monolithic(&m, unit_config(8));
         let mut rng = StdRng::seed_from_u64(10);
         let s = SpinVector::random(16, &mut rng);
         let mask = FlipMask::random(2, 16, &mut rng);
@@ -627,7 +254,7 @@ mod tests {
     #[test]
     fn incremental_activates_only_flipped_columns() {
         let m = dense(64, 11);
-        let mut xb = Crossbar::program(&m, unit_config(4));
+        let mut xb = monolithic(&m, unit_config(4));
         let mut rng = StdRng::seed_from_u64(12);
         let s = SpinVector::random(64, &mut rng);
         let mask = FlipMask::random(2, 64, &mut rng);
@@ -652,7 +279,7 @@ mod tests {
         // groups < ADC count, the in-situ read converts in k slots per pass
         // while the full read needs mux_ratio × k.
         let m = dense(128, 13);
-        let mut xb = Crossbar::program(&m, unit_config(4));
+        let mut xb = monolithic(&m, unit_config(4));
         let s = SpinVector::all_up(128);
         let mask = FlipMask::new(vec![3, 77], 128);
         let s_new = s.flipped_by(&mask);
@@ -670,8 +297,8 @@ mod tests {
         let ideal_cfg = unit_config(8);
         let mut device_cfg = ideal_cfg.clone();
         device_cfg.fidelity = Fidelity::DeviceAccurate;
-        let mut ideal = Crossbar::program(&m, ideal_cfg);
-        let mut device = Crossbar::program(&m, device_cfg);
+        let mut ideal = monolithic(&m, ideal_cfg);
+        let mut device = monolithic(&m, device_cfg);
         let mut rng = StdRng::seed_from_u64(15);
         let s = SpinVector::random(16, &mut rng);
         let mask = FlipMask::random(2, 16, &mut rng);
@@ -693,8 +320,8 @@ mod tests {
         let mut cfg = unit_config(8);
         cfg.fidelity = Fidelity::DeviceAccurate;
         cfg.variation = VariationConfig::typical();
-        let mut noisy = Crossbar::program(&m, cfg);
-        let mut ideal = Crossbar::program(&m, unit_config(8));
+        let mut noisy = monolithic(&m, cfg);
+        let mut ideal = monolithic(&m, unit_config(8));
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..5 {
             let s = SpinVector::random(16, &mut rng);
@@ -713,9 +340,10 @@ mod tests {
     #[test]
     fn value_scale_bounds_outputs() {
         let m = dense(20, 18);
-        let mut xb = Crossbar::program(&m, unit_config(6));
+        let mut xb = monolithic(&m, unit_config(6));
         let mut rng = StdRng::seed_from_u64(19);
-        let bound = xb.value_scale();
+        // n · max|J|: every row at full code in the same polarity.
+        let bound = 20.0 * xb.quant_scale() * ((1u32 << 6) - 1) as f64;
         for _ in 0..5 {
             let s = SpinVector::random(20, &mut rng);
             let v = xb.vmv(s.as_slice());
@@ -726,7 +354,7 @@ mod tests {
     #[test]
     fn mvm_matches_exact_coupling_product_and_vmv_contraction() {
         let m = dense(24, 21);
-        let mut xb = Crossbar::program(&m, unit_config(8));
+        let mut xb = monolithic(&m, unit_config(8));
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..5 {
             let s = SpinVector::random(24, &mut rng);
@@ -760,7 +388,7 @@ mod tests {
     #[test]
     fn mvm_accounts_one_array_read() {
         let m = dense(32, 23);
-        let mut xb = Crossbar::program(&m, unit_config(4));
+        let mut xb = monolithic(&m, unit_config(4));
         let s = SpinVector::all_up(32);
         let _ = xb.mvm(s.as_slice());
         let stats = *xb.stats();
@@ -773,15 +401,5 @@ mod tests {
         // keeping the per-column outputs digital.
         assert_eq!(stats.adc_conversions, xb.stats().adc_conversions);
         assert_eq!(stats.adc_slots, xb.stats().adc_slots);
-    }
-
-    #[test]
-    fn zero_flip_mask_returns_zero() {
-        let m = dense(10, 20);
-        let mut xb = Crossbar::program(&m, unit_config(4));
-        let zeros = vec![0i8; 10];
-        let s = SpinVector::all_up(10);
-        assert_eq!(xb.incremental_form(s.as_slice(), &zeros, 1.0), 0.0);
-        assert_eq!(xb.stats().tiles_activated, 0, "no column selected");
     }
 }

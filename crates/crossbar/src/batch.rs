@@ -17,8 +17,8 @@
 //! * **Exact equivalence** — each instance's block behaves exactly like a
 //!   standalone [`TiledCrossbar`] over the same coupling; in
 //!   [`Fidelity::Ideal`](crate::Fidelity::Ideal) mode a batched read is
-//!   bit-identical to the per-instance monolithic
-//!   [`Crossbar`](crate::Crossbar) read.
+//!   bit-identical to the per-instance read of a standalone array of any
+//!   tile size, the one-tile monolithic array included.
 //! * **Determinism** — [`BatchedTiledCrossbar::read_batch`] fans
 //!   instances out across threads, but instances are independent
 //!   sub-arrays with their own seeds and noise streams, so results do not
@@ -793,7 +793,7 @@ impl InSituArray for BatchInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::{Crossbar, Fidelity};
+    use crate::array::Fidelity;
     use fecim_device::VariationConfig;
     use fecim_ising::{DenseCoupling, FlipMask, SpinVector};
     use rand::rngs::StdRng;
@@ -806,6 +806,11 @@ mod tests {
 
     fn config() -> CrossbarConfig {
         CrossbarConfig::paper_defaults()
+    }
+
+    /// The standalone monolithic array: one tile spanning every row.
+    fn monolithic(m: &DenseCoupling) -> TiledCrossbar {
+        TiledCrossbar::program(m, config(), m.dimension())
     }
 
     #[test]
@@ -844,7 +849,7 @@ mod tests {
             .collect();
         let batched = grid.read_batch(&reads);
         for i in 0..3 {
-            let mut mono = Crossbar::program(&problems[i], config());
+            let mut mono = monolithic(&problems[i]);
             let expected = mono.incremental_form(&rests[i], &changed[i], 0.7);
             assert_eq!(batched[i], expected, "instance {i}");
         }
@@ -941,7 +946,7 @@ mod tests {
         let mut handles = BatchedTiledCrossbar::handles(&shared);
         assert_eq!(handles.len(), 3);
         let s = SpinVector::all_up(n);
-        let mut mono = Crossbar::program(&p, config());
+        let mut mono = monolithic(&p);
         let expected = mono.vmv(s.as_slice());
         for h in &mut handles {
             assert_eq!(h.dimension(), n);
@@ -971,13 +976,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let s = SpinVector::random(n, &mut rng);
         for (i, p) in problems.iter().enumerate() {
-            let mut mono = Crossbar::program(p, config());
+            let mut mono = monolithic(p);
             assert_eq!(grid.mvm(i, s.as_slice()), mono.mvm(s.as_slice()));
         }
         let shared = grid.into_shared();
         let mut handles = BatchedTiledCrossbar::handles(&shared);
         for (i, p) in problems.iter().enumerate() {
-            let mut mono = Crossbar::program(p, config());
+            let mut mono = monolithic(p);
             assert_eq!(handles[i].mvm(s.as_slice()), mono.mvm(s.as_slice()));
             assert_eq!(handles[i].stats().array_ops, 2);
         }

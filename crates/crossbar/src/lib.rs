@@ -8,14 +8,17 @@
 //! Two read modes mirror the paper's comparison: the proposed *in-situ
 //! incremental-E* read (only flipped-spin columns activate) and the
 //! conventional *direct VMV* read (whole array) used by the baseline
-//! annealers.
+//! annealers. [`TiledCrossbar`] is the one array type: a grid of
+//! fixed-size tiles, whose one-tile case (`tile_rows = n`) is the
+//! monolithic array of the paper.
 //!
 //! ```
-//! use fecim_crossbar::{Crossbar, CrossbarConfig};
+//! use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
 //! use fecim_ising::{CsrCoupling, SpinVector};
 //!
 //! let j = CsrCoupling::from_triplets(4, &[(0, 1, 0.25), (2, 3, -0.25)])?;
-//! let mut xb = Crossbar::program(&j, CrossbarConfig::paper_defaults());
+//! // One 4-row tile: the monolithic array.
+//! let mut xb = TiledCrossbar::program(&j, CrossbarConfig::paper_defaults(), 4);
 //! let sigma = SpinVector::all_up(4);
 //! let e = xb.vmv(sigma.as_slice());
 //! assert!((e - 0.0).abs() < 0.5); // 2·(0.25) + 2·(−0.25) = 0
@@ -36,7 +39,7 @@ mod stats;
 mod tiled;
 
 pub use adc::{MuxAssignment, SarAdc};
-pub use array::{Crossbar, CrossbarConfig, Fidelity, InSituArray};
+pub use array::{CrossbarConfig, Fidelity, InSituArray};
 pub use batch::{BatchInstance, BatchRead, BatchStats, BatchedTiledCrossbar};
 pub use parasitics::{ArrayWires, WireParams};
 pub use periphery::{split_input_phases, ShiftAdd, SpinEncoder, TemperatureEncoder};

@@ -3,7 +3,7 @@
 //! and the shift-and-add pipeline that recombines bit-slice ADC codes
 //! into the signed `E_inc` value.
 //!
-//! The analog array in [`crate::Crossbar`] consumes these as pure
+//! The analog array in [`crate::TiledCrossbar`] consumes these as pure
 //! functions; they are factored out here so their behaviour (two's
 //! complement handling, pos/neg pass splitting, bit weights) is unit
 //! tested independently of the analog path.

@@ -1,37 +1,51 @@
-//! Tiled crossbar composition for beyond-array-size instances.
+//! The programmed DG FeFET crossbar (paper Fig. 6d), composed of
+//! fixed-size tiles.
 //!
 //! Real FeFET arrays are fixed-size: the experimental FeCiM annealer
 //! demonstrates small arrays only, and scaled systems compose fixed
 //! in-memory tiles (LIMO-style). [`TiledCrossbar`] maps an `n × n`
 //! coupling matrix onto a grid of `R × R`-block physical tiles of
 //! `tile_rows` rows × `tile_rows` column groups each (`tile_rows · k`
-//! physical columns per polarity plane):
+//! physical columns per polarity plane). Each coupling `J_ij` occupies a
+//! 1×k bit-sliced subarray of cells. The monolithic `n × (n·k)` array of
+//! the paper is the one-tile case, `TiledCrossbar::program(c, cfg, n)`.
 //!
 //! * **Column stripes** partition the column groups. Each stripe owns its
 //!   own bank of `mux_ratio`-to-1 SAR ADCs, so stripes convert in
 //!   parallel and their de-quantized partial sums are aggregated
-//!   digitally — exactly the digital per-column combination the
-//!   monolithic array already performs.
+//!   digitally — exactly the digital per-column combination a single
+//!   array already performs.
 //! * **Row bands** partition the rows. Tiles stacked in one stripe abut
 //!   vertically and chain their bit lines: the partial currents of the
 //!   activated row bands sum in analog on the shared line before the
 //!   stripe ADC converts once. The ADC full scale therefore spans the
-//!   full chained column (the monolithic full scale, partitioned
+//!   full chained column (the one-tile full scale, partitioned
 //!   consistently across the stripes' banks).
 //!
-//! That composition makes the tiled read **bit-identical** to the
-//! monolithic [`Crossbar`](crate::Crossbar) in [`Fidelity::Ideal`] mode —
-//! same global quantization, same per-column analog sums in the same
-//! accumulation order, same single ADC quantization point — for *any*
-//! tile size, including sizes that do not divide `n`. That exact
-//! equivalence is the adversarial test surface of the whole subsystem
-//! (see the `tiled_equivalence` proptests).
+//! That composition makes [`Fidelity::Ideal`] reads **bit-identical for
+//! any tile size**, including sizes that do not divide `n` and the single
+//! tile — same global quantization, same per-column analog sums in the
+//! same accumulation order, same single ADC quantization point. The
+//! `tiled_equivalence` proptests pin every tile size against an
+//! independent signal-chain oracle.
+//!
+//! Three reads share one signal chain — positive/negative input phases,
+//! per-bit-slice column currents, multiplexed SAR ADC conversion, digital
+//! shift-and-add, sign recombination — and one private sense driver:
+//!
+//! * [`TiledCrossbar::incremental_form`] — the proposed in-situ read
+//!   `σ_rᵀ J σ_c · f(T)`: only the column groups of flipped spins convert,
+//!   and the annealing factor enters through the shared back gate;
+//! * [`TiledCrossbar::vmv`] — the conventional direct-E read `σᵀJσ` of
+//!   the baseline annealers (whole array);
+//! * [`TiledCrossbar::mvm`] — the full product `Jσ`, one output per
+//!   column (the simulated-bifurcation step).
 //!
 //! In [`Fidelity::DeviceAccurate`] mode each tile owns its own device
 //! story: a variation map drawn from a per-tile seed derived
 //! deterministically from the config seed, and tile-local wire
-//! parasitics (shorter lines than the monolithic array — the classic
-//! tiling benefit of bounded IR drop).
+//! parasitics (shorter lines than one big array — the classic tiling
+//! benefit of bounded IR drop).
 //!
 //! Activity accounting reflects the physical partition: only tiles whose
 //! row range holds a driven row *and* whose stripe holds a selected
@@ -51,10 +65,9 @@
 //! every chunk's per-column terms are computed independently and then
 //! accumulated on the calling thread in exactly the sequential order
 //! (sign pass, then stripe-ascending, then column-ascending), so results
-//! are **bit-identical at any thread count** and still bit-identical to
-//! the monolithic [`Crossbar`](crate::Crossbar) in [`Fidelity::Ideal`]
-//! mode. Activity counters are likewise accumulated after the join on the
-//! owner thread — no locks or atomics serialize the hot sensing loop.
+//! are **bit-identical at any thread count**. Activity counters are
+//! likewise accumulated on the owner thread — no locks or atomics
+//! serialize the hot sensing loop.
 //!
 //! Read noise parallelizes too: the multiplicative noise of
 //! [`Fidelity::DeviceAccurate`] reads comes from a counter-based
@@ -92,7 +105,7 @@ const AUTO_PARALLEL_MIN_COLUMNS: usize = 64;
 /// Floor on columns per parallel work chunk: small enough to
 /// load-balance stripes of uneven occupancy, large enough that a chunk
 /// amortizes its dispatch. The actual chunk adapts upward so a read
-/// produces only a few chunks per worker (see `read_columns`).
+/// produces only a few chunks per worker (see `TiledCrossbar::sense`).
 const PARALLEL_COLUMN_CHUNK: usize = 32;
 
 /// How [`TiledCrossbar`] schedules per-stripe sensing across threads.
@@ -131,11 +144,11 @@ struct Tile {
     wires: ArrayWires,
 }
 
-/// A coupling matrix mapped onto a grid of fixed-size DG FeFET tiles.
+/// A coupling matrix mapped onto a grid of fixed-size DG FeFET tiles —
+/// one tile of `n` rows for the monolithic array.
 ///
-/// Construction, configuration and the two read operations mirror
-/// [`Crossbar`](crate::Crossbar); see the module docs for the
-/// composition rules and the equivalence guarantee.
+/// See the module docs for the composition rules and the equivalence
+/// guarantee.
 #[derive(Debug, Clone)]
 pub struct TiledCrossbar {
     config: CrossbarConfig,
@@ -158,8 +171,8 @@ pub struct TiledCrossbar {
     full_scale_current: f64,
     /// Counter-based multiplicative read noise, keyed per array.
     noise: ReadNoise,
-    /// Monotonic read counter: one bump per `read_columns`, addressing
-    /// the noise draws of that read.
+    /// Monotonic read counter: one bump per read, addressing the noise
+    /// draws of that read.
     read_ordinal: u64,
     sensing: SensingMode,
     stats: ActivityStats,
@@ -174,6 +187,33 @@ struct SenseContext {
     vbg: f64,
     device_mode: bool,
     ordinal: u64,
+}
+
+/// The row drive of the two sign passes every read makes: the crossbar
+/// accepts non-negative inputs only, so `+1` rows conduct first, then
+/// `−1` rows.
+const SIGNS: [i8; 2] = [1, -1];
+
+/// One read as the sense driver sees it: the row drive, the column
+/// groups that convert, the digital weight each column's output
+/// carries, and the read's digital-side accounting.
+#[derive(Debug, Clone, Copy)]
+struct Read<'a> {
+    /// Row drive (`σ_r` or `σ`).
+    rows: &'a [i8],
+    /// Converted column groups, ascending.
+    active: &'a [usize],
+    /// Per-column digital weight (`σ_c` or `σ`); `None` weights every
+    /// column by 1 (the MVM keeps each output).
+    weights: Option<&'a [i8]>,
+    /// Back-gate annealing factor.
+    factor: f64,
+    /// Whether the stripes' partial sums meet in one cross-stripe
+    /// digital adder (the scalar reads).
+    cross_stripe_sum: bool,
+    /// Digital outputs leaving the array: 1 for a scalar, `n` for the
+    /// MVM.
+    buffer_writes: u64,
 }
 
 /// The splitmix64 finalizer: the one bit-mixing primitive behind every
@@ -404,7 +444,8 @@ impl TiledCrossbar {
 
     /// The in-situ incremental-E read `σ_rᵀ J σ_c · factor`: only the
     /// stripes holding flipped-spin column groups and the row bands
-    /// holding driven rows activate.
+    /// holding driven rows activate, and each selected column's output
+    /// carries the digital weight `σ_c[j]`.
     ///
     /// # Panics
     ///
@@ -414,20 +455,27 @@ impl TiledCrossbar {
         assert_eq!(sigma_r.len(), n, "sigma_r length mismatch");
         assert_eq!(sigma_c.len(), n, "sigma_c length mismatch");
         let active: Vec<usize> = (0..n).filter(|&j| sigma_c[j] != 0).collect();
-        let stripes = self.stripe_partition(&active);
-        self.stats.array_ops += 1;
-        // Tiles that participate: stripes holding a selected column group
-        // × row bands holding a driven row.
-        let activated = stripes.len() as u64 * self.driven_band_count(sigma_r);
-        self.stats.tiles_activated += activated;
+        let mut total = 0.0f64;
+        let activated = self.sense(
+            Read {
+                rows: sigma_r,
+                active: &active,
+                weights: Some(sigma_c),
+                factor,
+                cross_stripe_sum: true,
+                buffer_writes: 1,
+            },
+            |_, term| total += term,
+        );
         // The BG DAC refresh reaches each activated tile's back-gate
-        // plane (one update for the monolithic/degenerate case).
+        // plane (one update when the read activates nothing).
         self.stats.bg_updates += activated.max(1);
-        self.read_columns(sigma_r, Some(sigma_c), &active, &stripes, factor)
+        self.scale * total
     }
 
     /// The conventional direct-E read `σᵀJσ`: every stripe activates and
-    /// converts on its own ADC bank.
+    /// converts on its own ADC bank, and column `j`'s output carries the
+    /// digital weight `σ[j]`.
     ///
     /// # Panics
     ///
@@ -436,10 +484,19 @@ impl TiledCrossbar {
         let n = self.dimension();
         assert_eq!(sigma.len(), n, "sigma length mismatch");
         let active: Vec<usize> = (0..n).collect();
-        let stripes = self.stripe_partition(&active);
-        self.stats.array_ops += 1;
-        self.stats.tiles_activated += stripes.len() as u64 * self.driven_band_count(sigma);
-        self.read_columns(sigma, None, &active, &stripes, 1.0)
+        let mut total = 0.0f64;
+        self.sense(
+            Read {
+                rows: sigma,
+                active: &active,
+                weights: Some(sigma),
+                factor: 1.0,
+                cross_stripe_sum: true,
+                buffer_writes: 1,
+            },
+            |_, term| total += term,
+        );
+        self.scale * total
     }
 
     /// The full matrix-vector read: drive every row with `σ` and return
@@ -450,11 +507,10 @@ impl TiledCrossbar {
     /// Every stripe activates and converts on its own ADC bank; each
     /// chained column quantizes once per (plane, bit slice) exactly as
     /// in [`TiledCrossbar::vmv`], so Ideal-mode outputs are
-    /// **bit-identical per column** to the monolithic
-    /// [`Crossbar::mvm`](crate::Crossbar::mvm) for any tile size and
-    /// any [`SensingMode`]. Unlike `vmv` there is no cross-stripe
-    /// digital aggregation — each output column lives in exactly one
-    /// stripe — and the whole vector leaves the array digitally
+    /// **bit-identical per column** for any tile size and any
+    /// [`SensingMode`]. Unlike `vmv` there is no cross-stripe digital
+    /// aggregation — each output column lives in exactly one stripe —
+    /// and the whole vector leaves the array digitally
     /// (`buffer_writes += n`).
     ///
     /// # Panics
@@ -464,120 +520,18 @@ impl TiledCrossbar {
         let n = self.dimension();
         assert_eq!(sigma.len(), n, "sigma length mismatch");
         let active: Vec<usize> = (0..n).collect();
-        let stripes = self.stripe_partition(&active);
-        self.stats.array_ops += 1;
-        self.stats.tiles_activated += stripes.len() as u64 * self.driven_band_count(sigma);
-
-        let k = self.config.quant_bits as usize;
-        let device_mode = self.config.fidelity == Fidelity::DeviceAccurate;
-        // One noise-counter ordinal per product: every driven cell is
-        // sensed exactly once, so `(ordinal, row, col)` addresses every
-        // draw no matter which thread evaluates it.
-        let ordinal = self.read_ordinal;
-        self.read_ordinal += 1;
-        let ctx = SenseContext {
-            factor: 1.0,
-            vbg: if device_mode {
-                vbg_for_factor(&self.cell, self.full_scale_current, 1.0)
-            } else {
-                0.0
-            },
-            device_mode,
-            ordinal,
-        };
-
-        let signs = [1i8, -1i8];
-        let driven_maps: Vec<Vec<bool>> = signs
-            .iter()
-            .map(|&sign| sigma.iter().map(|&r| r == sign).collect())
-            .collect();
-
-        let mut local_scratch: Vec<usize> = Vec::new();
-        for driven in &driven_maps {
-            self.stats.row_passes += 1;
-            let driven_count = driven.iter().filter(|&&d| d).count() as u64;
-            self.stats.rows_driven += driven_count * stripes.len() as u64;
-            self.stats.columns_driven += n as u64;
-            self.stats.adc_conversions += (n * 2 * k) as u64;
-            let mut slots = 0usize;
-            for (s, range) in &stripes {
-                local_scratch.clear();
-                local_scratch.extend(
-                    active[range.clone()]
-                        .iter()
-                        .map(|&j| j - s * self.tile_rows),
-                );
-                slots = slots.max(self.stripe_mux[*s].slots_for(&local_scratch, k));
-            }
-            self.stats.adc_slots += slots as u64;
-            self.stats.shift_add_ops += (n * 2 * k) as u64;
-        }
-
-        let fan_out = match self.sensing {
-            SensingMode::Sequential => false,
-            SensingMode::Auto => n >= AUTO_PARALLEL_MIN_COLUMNS,
-            SensingMode::Parallel => n > 0,
-        } && rayon::current_num_threads() > 1;
-
         let mut out = vec![0.0f64; n];
-        let mut cells_activated = 0u64;
-        if fan_out {
-            let chunk_cols =
-                PARALLEL_COLUMN_CHUNK.max(n.div_ceil(4 * rayon::current_num_threads()));
-            let mut items: Vec<(usize, usize, std::ops::Range<usize>)> = Vec::new();
-            for sign_idx in 0..signs.len() {
-                for (stripe, range) in &stripes {
-                    let mut start = range.start;
-                    while start < range.end {
-                        let end = (start + chunk_cols).min(range.end);
-                        items.push((sign_idx, *stripe, start..end));
-                        start = end;
-                    }
-                }
-            }
-            let this: &TiledCrossbar = self;
-            let chunks: Vec<(usize, Vec<f64>, u64)> = items
-                .into_par_iter()
-                .map(|(sign_idx, stripe, cols)| {
-                    let driven = &driven_maps[sign_idx];
-                    let start = cols.start;
-                    let mut terms = Vec::with_capacity(cols.len());
-                    let mut activated = 0u64;
-                    for &j in &active[cols] {
-                        let (pos_val, neg_val, cells) =
-                            this.sense_chained_column(stripe, j, driven, ctx);
-                        activated += cells;
-                        terms.push(f64::from(signs[sign_idx]) * (pos_val - neg_val));
-                    }
-                    (start, terms, activated)
-                })
-                .collect();
-            // Per-column accumulation in item order replays the serial
-            // sign-pass order exactly, so the sum of the two pass terms
-            // is bit-identical at any thread count.
-            for (start, terms, activated) in chunks {
-                for (offset, term) in terms.into_iter().enumerate() {
-                    out[active[start + offset]] += term;
-                }
-                cells_activated += activated;
-            }
-        } else {
-            for (sign_idx, &sign) in signs.iter().enumerate() {
-                let driven = &driven_maps[sign_idx];
-                for (stripe, range) in &stripes {
-                    for &j in &active[range.clone()] {
-                        let (pos_val, neg_val, cells) =
-                            self.sense_chained_column(*stripe, j, driven, ctx);
-                        cells_activated += cells;
-                        out[j] += f64::from(sign) * (pos_val - neg_val);
-                    }
-                }
-            }
-        }
-        self.stats.cells_activated += cells_activated;
-        // One buffer write per column output (the vector leaves the
-        // array digitally, column by column).
-        self.stats.buffer_writes += n as u64;
+        self.sense(
+            Read {
+                rows: sigma,
+                active: &active,
+                weights: None,
+                factor: 1.0,
+                cross_stripe_sum: false,
+                buffer_writes: n as u64,
+            },
+            |j, term| out[j] += term,
+        );
         for value in &mut out {
             *value *= self.scale;
         }
@@ -606,25 +560,34 @@ impl TiledCrossbar {
             .count() as u64
     }
 
-    /// Shared signal chain, mirroring the monolithic
-    /// [`Crossbar::read_columns`](crate::Crossbar) step for step so that
-    /// Ideal-mode outputs are bit-identical; only the *accounting*
-    /// differs (per-stripe ADC banks, per-tile row segments).
+    /// The one sense driver behind every read: two sign passes over the
+    /// active column groups, each column sensed through its stripe's
+    /// chained bit lines, its output weighted digitally and handed to
+    /// `sink(column, term)` in the sequential order (sign pass, then
+    /// stripe-ascending, then column-ascending) — whichever
+    /// [`SensingMode`] ran it. Columns of weight 0 are not sensed.
     ///
     /// Large reads fan the sensing out across threads per
     /// (sign pass, stripe, column chunk); see the module docs for the
     /// determinism argument. Counter accumulation happens on the calling
-    /// thread after the join, so [`ActivityStats`] stays a plain struct
-    /// and no lock sits inside the sensing loop.
-    fn read_columns(
-        &mut self,
-        rows: &[i8],
-        column_select: Option<&[i8]>,
-        active: &[usize],
-        stripes: &[(usize, std::ops::Range<usize>)],
-        factor: f64,
-    ) -> f64 {
+    /// thread, so [`ActivityStats`] stays a plain struct and no lock sits
+    /// inside the sensing loop.
+    ///
+    /// Returns the number of tiles the read activated: tiles whose
+    /// stripe holds an active column group *and* whose row band holds a
+    /// driven row.
+    fn sense(&mut self, read: Read<'_>, mut sink: impl FnMut(usize, f64)) -> u64 {
+        let Read {
+            rows,
+            active,
+            weights,
+            factor,
+            cross_stripe_sum,
+            buffer_writes,
+        } = read;
         let k = self.config.quant_bits as usize;
+        let stripes = self.stripe_partition(active);
+        let activated = stripes.len() as u64 * self.driven_band_count(rows);
         let device_mode = self.config.fidelity == Fidelity::DeviceAccurate;
         // Every read gets its own noise-counter ordinal; within one read
         // each driven cell is sensed exactly once (a row conducts in only
@@ -642,29 +605,28 @@ impl TiledCrossbar {
             device_mode,
             ordinal,
         };
+        // Per-sign row-drive maps, shared by the stats prologue and the
+        // (possibly parallel) sensing.
+        let driven_maps = SIGNS.map(|sign| rows.iter().map(|&r| r == sign).collect::<Vec<bool>>());
+
+        self.stats.array_ops += 1;
+        self.stats.tiles_activated += activated;
         // One scratch buffer for per-stripe local indices, reused across
         // stripes and sign passes.
         let mut local_scratch: Vec<usize> = Vec::new();
-
-        // Per-sign row-drive maps, computed up front so both the stats
-        // prologue and the (possibly parallel) sensing share them.
-        let signs = [1i8, -1i8];
-        let driven_maps: Vec<Vec<bool>> = signs
-            .iter()
-            .map(|&sign| rows.iter().map(|&r| r == sign).collect())
-            .collect();
-
         for driven in &driven_maps {
             self.stats.row_passes += 1;
             let driven_count = driven.iter().filter(|&&d| d).count() as u64;
             // Row segments toggle once per activated stripe.
             self.stats.rows_driven += driven_count * stripes.len() as u64;
             self.stats.columns_driven += active.len() as u64;
+            // Conversions: every active group, both polarity planes, k bit
+            // slices. Polarity planes have independent ADCs, and stripe
+            // banks convert in parallel, so the pass serializes on the
+            // busiest stripe's slots.
             self.stats.adc_conversions += (active.len() * 2 * k) as u64;
-            // Stripe banks convert in parallel; the pass serializes on
-            // the busiest stripe.
             let mut slots = 0usize;
-            for (s, range) in stripes {
+            for (s, range) in &stripes {
                 local_scratch.clear();
                 local_scratch.extend(
                     active[range.clone()]
@@ -675,8 +637,10 @@ impl TiledCrossbar {
             }
             self.stats.adc_slots += slots as u64;
             self.stats.shift_add_ops += (active.len() * 2 * k) as u64;
-            // Cross-stripe digital aggregation of the partial sums.
-            self.stats.shift_add_ops += stripes.len().saturating_sub(1) as u64;
+            if cross_stripe_sum {
+                // Cross-stripe digital aggregation of the partial sums.
+                self.stats.shift_add_ops += stripes.len().saturating_sub(1) as u64;
+            }
         }
 
         // Noise draws are counter-addressed, so every fidelity — noisy
@@ -687,8 +651,9 @@ impl TiledCrossbar {
             SensingMode::Auto => active.len() >= AUTO_PARALLEL_MIN_COLUMNS,
             SensingMode::Parallel => !active.is_empty(),
         } && rayon::current_num_threads() > 1;
+        let weight = |j: usize| weights.map_or(1.0, |w| f64::from(w[j]));
 
-        let mut total_codes = 0.0f64;
+        let this: &TiledCrossbar = self;
         let mut cells_activated = 0u64;
         if fan_out {
             // One work item per (sign pass, stripe, column chunk), in the
@@ -699,8 +664,8 @@ impl TiledCrossbar {
             let chunk_cols =
                 PARALLEL_COLUMN_CHUNK.max(active.len().div_ceil(4 * rayon::current_num_threads()));
             let mut items: Vec<(usize, usize, std::ops::Range<usize>)> = Vec::new();
-            for sign_idx in 0..signs.len() {
-                for (stripe, range) in stripes {
+            for sign_idx in 0..SIGNS.len() {
+                for (stripe, range) in &stripes {
                     let mut start = range.start;
                     while start < range.end {
                         let end = (start + chunk_cols).min(range.end);
@@ -709,68 +674,60 @@ impl TiledCrossbar {
                     }
                 }
             }
-            let this: &TiledCrossbar = self;
             // Chunk outputs come back in item order (the shim preserves
-            // input order); each is the chunk's sensed per-column terms
+            // input order); each is the chunk's `(column, term)` pairs
             // plus its activated-cell count.
-            let chunks: Vec<(Vec<f64>, u64)> = items
+            let chunks: Vec<(Vec<(usize, f64)>, u64)> = items
                 .into_par_iter()
                 .map(|(sign_idx, stripe, cols)| {
-                    let sign = signs[sign_idx];
-                    let driven = &driven_maps[sign_idx];
+                    let sign = f64::from(SIGNS[sign_idx]);
                     let mut terms = Vec::with_capacity(cols.len());
-                    let mut activated = 0u64;
+                    let mut cells = 0u64;
                     for &j in &active[cols] {
-                        let col_sign = match column_select {
-                            Some(sel) => sel[j] as f64,
-                            None => rows[j] as f64,
-                        };
-                        if col_sign == 0.0 {
+                        let w = weight(j);
+                        if w == 0.0 {
                             continue;
                         }
-                        let (pos_val, neg_val, cells) =
-                            this.sense_chained_column(stripe, j, driven, ctx);
-                        activated += cells;
-                        terms.push(sign as f64 * col_sign * (pos_val - neg_val));
+                        let (pos_val, neg_val, activated_cells) =
+                            this.sense_chained_column(stripe, j, &driven_maps[sign_idx], ctx);
+                        cells += activated_cells;
+                        terms.push((j, sign * w * (pos_val - neg_val)));
                     }
-                    (terms, activated)
+                    (terms, cells)
                 })
                 .collect();
-            // Deterministic reduction: replay the sequential accumulation
-            // order term by term (sign pass, stripe-ascending,
-            // column-ascending) so the sum is bit-identical to the serial
-            // path at any thread count.
-            for (terms, activated) in chunks {
-                for term in terms {
-                    total_codes += term;
+            // Deterministic reduction: replay the sequential order term by
+            // term, so the sink sees the serial path's exact sequence at
+            // any thread count.
+            for (terms, cells) in chunks {
+                for (j, term) in terms {
+                    sink(j, term);
                 }
-                cells_activated += activated;
+                cells_activated += cells;
             }
         } else {
             // Serial path: same visiting order, same counter-addressed
-            // noise draws — merely evaluated on the calling thread.
-            for (sign_idx, &sign) in signs.iter().enumerate() {
-                let driven = &driven_maps[sign_idx];
-                for (stripe, range) in stripes {
+            // noise draws — evaluated on the calling thread without any
+            // per-column allocation.
+            for (sign_idx, driven) in driven_maps.iter().enumerate() {
+                let sign = f64::from(SIGNS[sign_idx]);
+                for (stripe, range) in &stripes {
                     for &j in &active[range.clone()] {
-                        let col_sign = match column_select {
-                            Some(sel) => sel[j] as f64,
-                            None => rows[j] as f64,
-                        };
-                        if col_sign == 0.0 {
+                        let w = weight(j);
+                        if w == 0.0 {
                             continue;
                         }
                         let (pos_val, neg_val, cells) =
-                            self.sense_chained_column(*stripe, j, driven, ctx);
+                            this.sense_chained_column(*stripe, j, driven, ctx);
                         cells_activated += cells;
-                        total_codes += sign as f64 * col_sign * (pos_val - neg_val);
+                        sink(j, sign * w * (pos_val - neg_val));
                     }
                 }
             }
         }
         self.stats.cells_activated += cells_activated;
-        self.stats.buffer_writes += 1;
-        self.scale * total_codes
+        self.stats.buffer_writes += buffer_writes;
+        activated
     }
 
     /// Sense one column group through the stripe's chained bit lines:
@@ -876,7 +833,6 @@ impl InSituArray for TiledCrossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::Crossbar;
     use fecim_device::VariationConfig;
     use fecim_ising::{DenseCoupling, FlipMask, SpinVector};
     use rand::rngs::StdRng;
@@ -895,11 +851,16 @@ mod tests {
         }
     }
 
+    /// The monolithic array: one tile spanning every row.
+    fn monolithic(m: &DenseCoupling, config: CrossbarConfig) -> TiledCrossbar {
+        TiledCrossbar::program(m, config, m.dimension())
+    }
+
     #[test]
     fn ideal_vmv_is_bit_identical_for_dividing_and_non_dividing_tiles() {
         let n = 24;
         let m = dense(n, 3);
-        let mut mono = Crossbar::program(&m, config(4));
+        let mut mono = monolithic(&m, config(4));
         let mut rng = StdRng::seed_from_u64(4);
         for tile_rows in [3usize, 4, 5, 7, 8, 24, 100] {
             let mut tiled = TiledCrossbar::program(&m, config(4), tile_rows);
@@ -916,7 +877,7 @@ mod tests {
     fn ideal_incremental_is_bit_identical_including_scaled_factor() {
         let n = 20;
         let m = dense(n, 7);
-        let mut mono = Crossbar::program(&m, config(6));
+        let mut mono = monolithic(&m, config(6));
         let mut rng = StdRng::seed_from_u64(8);
         for tile_rows in [4usize, 6, 7, 20] {
             let mut tiled = TiledCrossbar::program(&m, config(6), tile_rows);
@@ -937,10 +898,12 @@ mod tests {
 
     #[test]
     fn single_tile_degenerates_to_monolithic_stats() {
-        let n = 16;
+        // One tile is the monolithic array: a single interleaved mux
+        // bank over all n groups, no cross-stripe adder, one tile and
+        // one back-gate refresh per read.
+        let (n, k) = (16, 4);
         let m = dense(n, 11);
-        let mut mono = Crossbar::program(&m, config(4));
-        let mut tiled = TiledCrossbar::program(&m, config(4), n);
+        let mut tiled = monolithic(&m, config(4));
         assert_eq!(tiled.tile_count(), 1);
         let mut rng = StdRng::seed_from_u64(12);
         let s = SpinVector::random(n, &mut rng);
@@ -948,11 +911,25 @@ mod tests {
         let s_new = s.flipped_by(&mask);
         let r = s_new.rest_vector(&mask);
         let c = s_new.changed_vector(&mask);
-        let _ = mono.incremental_form(&r, &c, 1.0);
-        let _ = mono.vmv(s.as_slice());
         let _ = tiled.incremental_form(&r, &c, 1.0);
         let _ = tiled.vmv(s.as_slice());
-        assert_eq!(mono.stats(), tiled.stats());
+        let mux = MuxAssignment::interleaved(n, 8);
+        let all: Vec<usize> = (0..n).collect();
+        let slots = 2 * mux.slots_for(mask.indices(), k) + 2 * mux.slots_for(&all, k);
+        let stats = tiled.stats();
+        assert_eq!(stats.array_ops, 2);
+        assert_eq!(stats.tiles_activated, 2);
+        assert_eq!(stats.bg_updates, 1);
+        assert_eq!(stats.row_passes, 4);
+        assert_eq!(stats.rows_driven, (n - 2 + n) as u64);
+        assert_eq!(stats.columns_driven, (2 * 2 + 2 * n) as u64);
+        assert_eq!(
+            stats.adc_conversions,
+            (2 * 2 * 2 * k + 2 * n * 2 * k) as u64
+        );
+        assert_eq!(stats.shift_add_ops, stats.adc_conversions);
+        assert_eq!(stats.adc_slots, slots as u64);
+        assert_eq!(stats.buffer_writes, 2);
     }
 
     #[test]
@@ -991,7 +968,7 @@ mod tests {
         // equal: the banks partition the same total ADC count.
         let n = 64;
         let m = dense(n, 15);
-        let mut mono = Crossbar::program(&m, config(4));
+        let mut mono = monolithic(&m, config(4));
         let mut tiled = TiledCrossbar::program(&m, config(4), 16);
         let s = SpinVector::all_up(n);
         let mask = FlipMask::new(vec![0, 16], n);
@@ -1066,7 +1043,7 @@ mod tests {
     fn parallel_sensing_is_bit_identical_to_sequential_and_monolithic() {
         let n = 96;
         let m = dense(n, 23);
-        let mut mono = Crossbar::program(&m, config(4));
+        let mut mono = monolithic(&m, config(4));
         let mut seq =
             TiledCrossbar::program(&m, config(4), 16).with_sensing_mode(SensingMode::Sequential);
         let mut par =
@@ -1192,7 +1169,7 @@ mod tests {
     fn ideal_mvm_is_bit_identical_to_monolithic_per_column() {
         let n = 24;
         let m = dense(n, 33);
-        let mut mono = Crossbar::program(&m, config(4));
+        let mut mono = monolithic(&m, config(4));
         let mut rng = StdRng::seed_from_u64(34);
         for tile_rows in [3usize, 5, 7, 24, 100] {
             let mut tiled = TiledCrossbar::program(&m, config(4), tile_rows);
@@ -1235,12 +1212,14 @@ mod tests {
     #[test]
     fn mvm_handles_zero_entries_and_single_tile_matches_monolithic_stats() {
         // Bit-plane drives carry zeros for absent bits: a zero row must
-        // conduct in neither sign pass, and a single-tile grid must
-        // account exactly like the monolithic array.
-        let n = 16;
+        // conduct in neither sign pass, every tiling must read the same
+        // columns, and a single-tile grid accounts like the monolithic
+        // array — one tile, every group converted in both passes, n
+        // buffered outputs.
+        let (n, k) = (16, 4);
         let m = dense(n, 37);
-        let mut mono = Crossbar::program(&m, config(4));
-        let mut tiled = TiledCrossbar::program(&m, config(4), n);
+        let mut mono = monolithic(&m, config(4));
+        let mut tiled = TiledCrossbar::program(&m, config(4), 5);
         let mut sigma = vec![0i8; n];
         for (i, v) in sigma.iter_mut().enumerate() {
             *v = match i % 3 {
@@ -1252,7 +1231,23 @@ mod tests {
         let a = mono.mvm(&sigma);
         let b = tiled.mvm(&sigma);
         assert_eq!(a, b);
-        assert_eq!(mono.stats(), tiled.stats());
+        let all: Vec<usize> = (0..n).collect();
+        let stats = mono.stats();
+        assert_eq!(stats.array_ops, 1);
+        assert_eq!(stats.tiles_activated, 1);
+        assert_eq!(stats.row_passes, 2);
+        assert_eq!(
+            stats.rows_driven,
+            sigma.iter().filter(|&&v| v != 0).count() as u64
+        );
+        assert_eq!(stats.columns_driven, 2 * n as u64);
+        assert_eq!(stats.adc_conversions, (2 * n * 2 * k) as u64);
+        assert_eq!(stats.shift_add_ops, stats.adc_conversions);
+        assert_eq!(
+            stats.adc_slots,
+            2 * MuxAssignment::interleaved(n, 8).slots_for(&all, k) as u64
+        );
+        assert_eq!(stats.buffer_writes, n as u64);
         // Zero rows contribute nothing: the exact product over the
         // nonzero rows bounds the quantized read.
         for (j, value) in a.iter().enumerate() {
@@ -1264,13 +1259,28 @@ mod tests {
 
     #[test]
     fn zero_flip_mask_returns_zero_and_activates_nothing() {
+        // A tile with no driven row or no selected column does not
+        // activate — also on the one-tile (monolithic) array. Two drives
+        // hit that rule: an empty σ_c incremental read converts nothing
+        // and drives no row segment, and an all-zero MVM/VMV plane (bSB's
+        // bit-serial drive issues them) converts but activates no tile.
         let n = 10;
         let m = dense(n, 21);
-        let mut tiled = TiledCrossbar::program(&m, config(4), 4);
-        let zeros = vec![0i8; n];
-        let s = SpinVector::all_up(n);
-        assert_eq!(tiled.incremental_form(s.as_slice(), &zeros, 1.0), 0.0);
-        assert_eq!(tiled.stats().tiles_activated, 0);
-        assert_eq!(tiled.stats().adc_conversions, 0);
+        for tile_rows in [4, n] {
+            let mut tiled = TiledCrossbar::program(&m, config(4), tile_rows);
+            let zeros = vec![0i8; n];
+            let s = SpinVector::all_up(n);
+            assert_eq!(tiled.incremental_form(s.as_slice(), &zeros, 1.0), 0.0);
+            assert_eq!(tiled.stats().tiles_activated, 0);
+            assert_eq!(tiled.stats().adc_conversions, 0);
+            assert_eq!(tiled.stats().rows_driven, 0);
+            assert_eq!(tiled.stats().bg_updates, 1);
+            tiled.reset_stats();
+            assert_eq!(tiled.mvm(&zeros), vec![0.0; n]);
+            assert_eq!(tiled.vmv(&zeros), 0.0);
+            assert_eq!(tiled.stats().tiles_activated, 0, "tile_rows={tile_rows}");
+            assert_eq!(tiled.stats().rows_driven, 0);
+            assert_eq!(tiled.stats().cells_activated, 0);
+        }
     }
 }

@@ -380,7 +380,7 @@ fn update_first_hit(
 mod tests {
     use super::*;
     use crate::mvm::{DeviceMvm, ExactMvm};
-    use fecim_crossbar::{Crossbar, CrossbarConfig, TiledCrossbar};
+    use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
     use fecim_ising::{CopProblem, CsrCoupling, MaxCut};
 
     fn ring_max_cut(n: usize) -> (MaxCut, CsrCoupling) {
@@ -439,14 +439,17 @@ mod tests {
     #[test]
     fn device_run_is_bit_identical_monolithic_vs_tiled() {
         // The device force path goes through `InSituArray::mvm`, whose
-        // Ideal-mode tiled read is bit-identical to the monolithic one —
-        // so the whole SB trajectory is placement-invariant.
+        // Ideal-mode read is bit-identical at every tile size — so the
+        // whole SB trajectory matches between the one-tile (monolithic)
+        // array and an 8-row tiling.
         let (_, j) = ring_max_cut(24);
         let initial = SpinVector::all_up(24);
         for variant in [SbVariant::Ballistic, SbVariant::Discrete] {
             let engine = SbEngine::new(variant, 200);
-            let mut mono =
-                DeviceMvm::new(Crossbar::program(&j, CrossbarConfig::paper_defaults()), 4);
+            let mut mono = DeviceMvm::new(
+                TiledCrossbar::program(&j, CrossbarConfig::paper_defaults(), 24),
+                4,
+            );
             let mut tiled = DeviceMvm::new(
                 TiledCrossbar::program(&j, CrossbarConfig::paper_defaults(), 8),
                 4,
@@ -467,8 +470,10 @@ mod tests {
         let steps = 50;
         let reads = |variant: SbVariant| {
             let engine = SbEngine::new(variant, steps);
-            let mut source =
-                DeviceMvm::new(Crossbar::program(&j, CrossbarConfig::paper_defaults()), 4);
+            let mut source = DeviceMvm::new(
+                TiledCrossbar::program(&j, CrossbarConfig::paper_defaults(), 12),
+                4,
+            );
             let run = engine.run(&j, &mut source, &initial, 3);
             run.activity.expect("device runs record stats").array_ops
         };

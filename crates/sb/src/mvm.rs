@@ -94,8 +94,8 @@ impl<C: Coupling + ?Sized> MvmSource for ExactMvm<'_, C> {
 }
 
 /// Crossbar-backed coupling product: every product is an
-/// [`InSituArray::mvm`] read of a programmed array (monolithic, tiled,
-/// or a shared-grid batch instance), so quantization, ADC behaviour,
+/// [`InSituArray::mvm`] read of a programmed array (a tiled array —
+/// one tile for the monolithic case — or a shared-grid batch instance), so quantization, ADC behaviour,
 /// fidelity modes and activity accounting all come from the simulated
 /// hardware.
 #[derive(Debug)]
@@ -181,10 +181,15 @@ impl<A: InSituArray> MvmSource for DeviceMvm<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fecim_crossbar::{Crossbar, CrossbarConfig};
+    use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
     use fecim_ising::{CsrCoupling, DenseCoupling};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// `j` programmed as the monolithic array (one `n`-row tile).
+    fn monolithic(j: &CsrCoupling) -> TiledCrossbar {
+        TiledCrossbar::program(j, CrossbarConfig::paper_defaults(), j.dimension())
+    }
 
     fn random_coupling(n: usize, seed: u64) -> CsrCoupling {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -244,7 +249,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let x: Vec<f64> = (0..n).map(|_| 2.0 * rng.gen::<f64>() - 1.0).collect();
         let exact = ExactMvm::new(&j).mvm_continuous(&x);
-        let mut device = DeviceMvm::new(Crossbar::program(&j, CrossbarConfig::paper_defaults()), 8);
+        let mut device = DeviceMvm::new(monolithic(&j), 8);
         let got = device.mvm_continuous(&x);
         // Error budget: 4-bit weight quantization (LSB n·max|J|/(2^4−1)
         // per column in the worst case) plus the 8-bit input code.
@@ -267,8 +272,7 @@ mod tests {
         let j = random_coupling(n, 9);
         let sigma: Vec<i8> = (0..n).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
         let run = || {
-            let mut device =
-                DeviceMvm::new(Crossbar::program(&j, CrossbarConfig::paper_defaults()), 4);
+            let mut device = DeviceMvm::new(monolithic(&j), 4);
             let out = device.mvm_signs(&sigma);
             (out, device.activity().unwrap().array_ops)
         };
@@ -283,6 +287,6 @@ mod tests {
     #[should_panic(expected = "at least one bit")]
     fn zero_input_bits_are_rejected() {
         let j = random_coupling(4, 1);
-        let _ = DeviceMvm::new(Crossbar::program(&j, CrossbarConfig::paper_defaults()), 0);
+        let _ = DeviceMvm::new(monolithic(&j), 0);
     }
 }

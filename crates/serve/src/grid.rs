@@ -61,7 +61,11 @@ pub struct LiveGridStats {
     pub reads: u64,
     /// Fraction of offered tile slots that activated.
     pub grid_utilization: f64,
-    /// Largest number of distinct instances served by one cycle.
+    /// Largest number of distinct instances served by one grid *cycle*.
+    /// The scheduler only issues single-instance reads (one cycle per
+    /// read), so this is 1 by construction once anything has run: it
+    /// does not measure how many instances share the grid over time and
+    /// is not a contention signal (see `live_instances` for that).
     pub peak_concurrent_instances: usize,
     /// Jobs currently parked waiting for stripes.
     pub waiting_jobs: usize,

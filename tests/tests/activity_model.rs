@@ -1,8 +1,9 @@
 //! Pins the analytic per-iteration activity model (`fecim-hwcost`) to the
 //! cycle-level crossbar simulator (`fecim-crossbar`): the Fig. 8/9 cost
 //! accounting is only valid if both agree on what one iteration does.
+//! The simulator side is the monolithic array: one `n`-row tile.
 
-use fecim_crossbar::{Crossbar, CrossbarConfig};
+use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
 use fecim_hwcost::{AnnealerKind, IterationProfile};
 use fecim_ising::{CsrCoupling, DenseCoupling, FlipMask, SpinVector};
 use rand::rngs::StdRng;
@@ -17,7 +18,7 @@ fn dense_coupling(n: usize, seed: u64) -> CsrCoupling {
 fn simulated_incremental_activity_matches_analytic_profile() {
     let n = 64;
     let coupling = dense_coupling(n, 1);
-    let mut xb = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
+    let mut xb = TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), n);
     let profile = IterationProfile::paper(n);
     let expected = profile.activity(AnnealerKind::InSitu);
 
@@ -56,7 +57,7 @@ fn simulated_incremental_activity_matches_analytic_profile() {
 fn simulated_vmv_activity_matches_analytic_profile() {
     let n = 64;
     let coupling = dense_coupling(n, 3);
-    let mut xb = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
+    let mut xb = TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), n);
     let profile = IterationProfile::paper(n);
     let expected = profile.activity(AnnealerKind::CimAsic);
 
@@ -76,7 +77,7 @@ fn conversion_ratio_equals_n_over_t_across_sizes() {
     // The headline Fig. 8 scaling law, measured from the simulator.
     for n in [32usize, 64, 128] {
         let coupling = dense_coupling(n, n as u64);
-        let mut xb = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
+        let mut xb = TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), n);
         let mut rng = StdRng::seed_from_u64(7);
         let spins = SpinVector::random(n, &mut rng);
         let mask = FlipMask::random(2, n, &mut rng);

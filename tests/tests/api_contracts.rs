@@ -3,7 +3,7 @@
 //! implement the common traits, and errors behave as `std::error::Error`.
 
 use fecim::{CimAnnealer, DirectAnnealer, MesaAnnealer, SolveReport, Solver};
-use fecim_crossbar::{ActivityStats, Crossbar, CrossbarConfig};
+use fecim_crossbar::{ActivityStats, CrossbarConfig, TiledCrossbar};
 use fecim_device::{DgFefet, Fefet, FractionalFactor, PreisachFefet};
 use fecim_gset::{Graph, GraphError, SuiteInstance};
 use fecim_ising::{
@@ -19,7 +19,7 @@ fn core_types_are_send_and_sync() {
     assert_send_sync::<DirectAnnealer>();
     assert_send_sync::<MesaAnnealer>();
     assert_send_sync::<SolveReport>();
-    assert_send_sync::<Crossbar>();
+    assert_send_sync::<TiledCrossbar>();
     assert_send_sync::<CrossbarConfig>();
     assert_send_sync::<ActivityStats>();
     assert_send_sync::<Fefet>();

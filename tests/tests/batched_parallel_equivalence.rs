@@ -2,12 +2,13 @@
 //!
 //! 1. **Parallel per-stripe sensing** is bit-identical across
 //!    `RAYON_NUM_THREADS` ∈ {1, 2, 8} and across sensing modes, and in
-//!    Ideal fidelity still bit-identical to the monolithic `Crossbar` —
-//!    the parallel reduction replays the serial accumulation order, so
-//!    scheduling must never leak into results.
+//!    Ideal fidelity still bit-identical to the independent signal-chain
+//!    oracle (`oracle/mod.rs`) — the parallel reduction replays the
+//!    serial accumulation order, so scheduling must never leak into
+//!    results.
 //! 2. **Multi-problem batching**: reads against a shared
-//!    `BatchedTiledCrossbar` grid match per-instance monolithic reads in
-//!    Ideal fidelity, and a batched device-in-the-loop ensemble solve
+//!    `BatchedTiledCrossbar` grid match the oracle's per-instance reads
+//!    in Ideal fidelity, and a batched device-in-the-loop ensemble solve
 //!    matches the unbatched tiled solver trial for trial.
 //! 3. **Counter-based read noise**: DeviceAccurate sensing with
 //!    `read_noise_rel > 0` takes the same parallel fan-out and stays
@@ -22,6 +23,8 @@
 //! mutators and readers alike, with the inherited value (CI pins it to
 //! 1 or 8) restored on drop even when an assertion fails mid-case.
 
+mod oracle;
+
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
@@ -31,10 +34,11 @@ use fecim::{
     SolverSpec,
 };
 use fecim_crossbar::{
-    BatchRead, BatchedTiledCrossbar, Crossbar, CrossbarConfig, Fidelity, SensingMode, TiledCrossbar,
+    BatchRead, BatchedTiledCrossbar, CrossbarConfig, Fidelity, SensingMode, TiledCrossbar,
 };
 use fecim_device::VariationConfig;
 use fecim_ising::{CsrCoupling, FlipMask, SpinVector};
+use oracle::Oracle;
 
 /// The paper crossbar in DeviceAccurate fidelity with typical variation
 /// (`read_noise_rel = 0.02`): the configuration that used to force the
@@ -107,7 +111,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Parallel sensing is bit-identical to sequential sensing and to the
-    /// monolithic array at every tested thread count.
+    /// oracle at every tested thread count.
     #[test]
     fn parallel_sensing_is_thread_count_invariant(
         (n, triplets) in coupling_strategy(48),
@@ -124,9 +128,10 @@ proptest! {
         let r = s_new.rest_vector(&mask);
         let c = s_new.changed_vector(&mask);
 
-        let mut mono = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
-        let vmv_expected = mono.vmv(spins.as_slice());
-        let inc_expected = mono.incremental_form(&r, &c, 0.41);
+        let reference = Oracle::program(&coupling, &CrossbarConfig::paper_defaults());
+        let vmv_expected = reference.vmv(spins.as_slice());
+        let inc_expected = reference.incremental_form(&r, &c, 0.41);
+        let mvm_expected = reference.mvm(spins.as_slice());
 
         let tile_rows = (n / 3).max(1);
         let mut sequential =
@@ -134,6 +139,7 @@ proptest! {
                 .with_sensing_mode(SensingMode::Sequential);
         prop_assert_eq!(sequential.vmv(spins.as_slice()), vmv_expected);
         prop_assert_eq!(sequential.incremental_form(&r, &c, 0.41), inc_expected);
+        prop_assert_eq!(sequential.mvm(spins.as_slice()), mvm_expected.clone());
 
         for threads in ["1", "2", "8"] {
             env.set_threads(threads);
@@ -148,10 +154,14 @@ proptest! {
                 parallel.incremental_form(&r, &c, 0.41), inc_expected,
                 "incremental drifted at RAYON_NUM_THREADS={}", threads
             );
+            prop_assert_eq!(
+                parallel.mvm(spins.as_slice()), mvm_expected.clone(),
+                "mvm drifted at RAYON_NUM_THREADS={}", threads
+            );
         }
     }
 
-    /// Batched multi-instance reads match per-instance monolithic reads
+    /// Batched multi-instance reads match the oracle's per-instance reads
     /// in Ideal fidelity, whatever the thread count driving the batch.
     #[test]
     fn batched_reads_match_monolithic_reads(
@@ -165,8 +175,8 @@ proptest! {
         let instances = 3usize;
         let spins: Vec<SpinVector> =
             (0..instances).map(|_| SpinVector::random(n, &mut rng)).collect();
-        let mut mono = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
-        let expected: Vec<f64> = spins.iter().map(|s| mono.vmv(s.as_slice())).collect();
+        let reference = Oracle::program(&coupling, &CrossbarConfig::paper_defaults());
+        let expected: Vec<f64> = spins.iter().map(|s| reference.vmv(s.as_slice())).collect();
 
         for threads in ["1", "8"] {
             env.set_threads(threads);

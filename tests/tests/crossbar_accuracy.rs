@@ -1,8 +1,9 @@
 //! Crossbar-vs-exact numerical accuracy across the public API: the
 //! simulated analog path must reproduce software energies within the
 //! quantization error budget, including under device non-idealities.
+//! Every array here is the monolithic one: a single `n`-row tile.
 
-use fecim_crossbar::{Crossbar, CrossbarConfig, Fidelity};
+use fecim_crossbar::{CrossbarConfig, Fidelity, QuantizedCoupling, TiledCrossbar};
 use fecim_device::VariationConfig;
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{CopProblem, Coupling, FlipMask, SpinVector};
@@ -24,12 +25,13 @@ fn vmv_error_is_within_quantization_budget_on_gset_instances() {
     let mut cfg = CrossbarConfig::paper_defaults();
     cfg.quant_bits = 4;
     cfg.adc_bits = 13;
-    let mut xb = Crossbar::program(&coupling, cfg);
+    let scale = QuantizedCoupling::from_coupling(&coupling, cfg.quant_bits).scale();
+    let mut xb = TiledCrossbar::program(&coupling, cfg, n);
     let mut rng = StdRng::seed_from_u64(2);
     // Error budget: ±1 weights are exact at any k; ADC adds at most one
     // LSB per bit-slice conversion per active column group.
     let adc_lsb = n as f64 / (1 << 13) as f64;
-    let budget = 2.0 * n as f64 * 4.0 * adc_lsb * xb.quantized().scale() * 20.0 + 1.0;
+    let budget = 2.0 * n as f64 * 4.0 * adc_lsb * scale * 20.0 + 1.0;
     for _ in 0..10 {
         let s = SpinVector::random(n, &mut rng);
         let exact = coupling.energy(&s);
@@ -45,7 +47,7 @@ fn vmv_error_is_within_quantization_budget_on_gset_instances() {
 fn incremental_error_is_small_for_unit_weights() {
     let n = 120;
     let coupling = gset_coupling(n, 3);
-    let mut xb = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
+    let mut xb = TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), n);
     let mut rng = StdRng::seed_from_u64(4);
     for _ in 0..20 {
         let s = SpinVector::random(n, &mut rng);
@@ -67,7 +69,7 @@ fn incremental_error_is_small_for_unit_weights() {
 fn factor_scaling_survives_the_analog_path() {
     let n = 80;
     let coupling = gset_coupling(n, 5);
-    let mut xb = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
+    let mut xb = TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), n);
     let mut rng = StdRng::seed_from_u64(6);
     let s = SpinVector::random(n, &mut rng);
     let mask = FlipMask::random(2, n, &mut rng);
@@ -96,7 +98,7 @@ fn typical_variation_keeps_decisions_mostly_correct() {
     let mut cfg = CrossbarConfig::paper_defaults();
     cfg.fidelity = Fidelity::DeviceAccurate;
     cfg.variation = VariationConfig::typical();
-    let mut noisy = Crossbar::program(&coupling, cfg);
+    let mut noisy = TiledCrossbar::program(&coupling, cfg, n);
     let mut rng = StdRng::seed_from_u64(8);
     let mut agree = 0;
     let mut total = 0;

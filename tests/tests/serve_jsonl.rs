@@ -250,15 +250,29 @@ fn unknown_cancel_and_duplicate_ids_fail_per_line() {
 
 #[test]
 fn malformed_lines_are_a_stream_error_with_position() {
-    let err = run_jsonl(
-        BufReader::new("{\"Submit\":{\"id\":oops\n".as_bytes()),
-        Vec::new(),
-        SchedulerConfig::workers(1),
-    )
-    .expect_err("malformed line");
-    match err {
-        JsonlError::Parse { line, .. } => assert_eq!(line, 1),
-        other => panic!("expected Parse, got {other}"),
+    // The second input is one line of 200k `[`, which used to overflow
+    // the JSON parser's stack and abort the process; the parser's
+    // nesting limit makes it an ordinary positioned parse error.
+    let valid = serde_json::to_string(&RequestLine::Submit {
+        id: "before".into(),
+        request: ring_request(8, 100),
+        options: SubmitOptions::default(),
+    })
+    .unwrap();
+    for (input, bad_line) in [
+        ("{\"Submit\":{\"id\":oops\n".to_string(), 1),
+        (format!("{valid}\n{}\n", "[".repeat(200_000)), 2),
+    ] {
+        let err = run_jsonl(
+            BufReader::new(input.as_bytes()),
+            Vec::new(),
+            SchedulerConfig::workers(1),
+        )
+        .expect_err("malformed line");
+        match err {
+            JsonlError::Parse { line, .. } => assert_eq!(line, bad_line),
+            other => panic!("expected Parse, got {other}"),
+        }
     }
 }
 

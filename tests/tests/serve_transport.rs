@@ -297,8 +297,12 @@ fn tcp_isolates_bad_lines_and_duplicate_ids() {
         },
     )
     .expect("server binds");
+    // Line 2 is 200k `[`, which used to overflow the JSON parser's stack
+    // and abort the whole server; the nesting limit makes it one more
+    // unparsable line, and the lines after it are still served.
     let requests = format!(
-        "this is not json\n{}\n{}\n",
+        "this is not json\n{}\n{}\n{}\n",
+        "[".repeat(200_000),
         json(&RequestLine::Submit {
             id: "a".into(),
             request: ensemble(8, 100, 1, 0),
@@ -323,11 +327,14 @@ fn tcp_isolates_bad_lines_and_duplicate_ids() {
         .map(|l| serde_json::from_str(&l.expect("read")).expect("parses"))
         .collect();
     lines.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    assert_eq!(lines.len(), 3);
-    // The unparsable line gets a synthesized position id instead of
+    assert_eq!(lines.len(), 4);
+    // Each unparsable line gets a synthesized position id instead of
     // killing the stream (a streaming server cannot abort peers' jobs).
     assert!(lines.iter().any(
         |l| matches!(l, ResponseLine::Failed { id, error } if id == "line-1" && error.starts_with("unparsable")),
+    ));
+    assert!(lines.iter().any(
+        |l| matches!(l, ResponseLine::Failed { id, error } if id == "line-2" && error.contains("depth limit")),
     ));
     assert!(lines.iter().any(
         |l| matches!(l, ResponseLine::Failed { id, error } if id == "a" && error == "duplicate submission id `a`"),

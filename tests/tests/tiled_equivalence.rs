@@ -1,16 +1,20 @@
 //! Adversarial contract of the tiled crossbar: in `Fidelity::Ideal` mode
-//! the tiled composition must be **bit-identical** to the monolithic
-//! array — same global quantization, one ADC quantization point per
+//! every tiling must be **bit-identical** to the independent signal-chain
+//! [`Oracle`] — same global quantization, one ADC quantization point per
 //! column/bit-slice on the chained stripe lines — for any tile size,
-//! whether or not it divides `n`. Plus the G-set-scale acceptance run:
-//! an `n ≥ 800` instance device-in-the-loop through 256-row tiles.
+//! whether or not it divides `n`, the one-tile monolithic array included.
+//! Plus the G-set-scale acceptance run: an `n ≥ 800` instance
+//! device-in-the-loop through 256-row tiles.
+
+mod oracle;
 
 use proptest::prelude::*;
 
 use fecim::CimAnnealer;
-use fecim_crossbar::{Crossbar, CrossbarConfig, TiledCrossbar};
+use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{CsrCoupling, FlipMask, SpinVector};
+use oracle::Oracle;
 
 /// Strategy: a random symmetric coupling (as triplets) over `n` spins.
 fn coupling_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
@@ -47,8 +51,8 @@ fn tile_sizes(n: usize) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// TiledCrossbar::vmv equals Crossbar::vmv exactly in Ideal fidelity,
-    /// for dividing and non-dividing tile sizes.
+    /// TiledCrossbar::vmv and ::mvm equal the oracle exactly in Ideal
+    /// fidelity, for dividing and non-dividing tile sizes.
     #[test]
     fn tiled_vmv_is_exactly_monolithic(
         (n, triplets) in coupling_strategy(24),
@@ -58,8 +62,9 @@ proptest! {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let spins = SpinVector::random(n, &mut rng);
-        let mut mono = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
-        let expected = mono.vmv(spins.as_slice());
+        let reference = Oracle::program(&coupling, &CrossbarConfig::paper_defaults());
+        let expected = reference.vmv(spins.as_slice());
+        let expected_mvm = reference.mvm(spins.as_slice());
         for tile_rows in tile_sizes(n) {
             let mut tiled =
                 TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), tile_rows);
@@ -68,12 +73,15 @@ proptest! {
                 got, expected,
                 "tile_rows={} n={}: {} != {}", tile_rows, n, got, expected
             );
+            prop_assert_eq!(
+                tiled.mvm(spins.as_slice()), expected_mvm.clone(),
+                "mvm tile_rows={} n={}", tile_rows, n
+            );
         }
     }
 
-    /// TiledCrossbar::incremental_form equals the monolithic read exactly
-    /// in Ideal fidelity, for random flip masks and a scaled annealing
-    /// factor.
+    /// TiledCrossbar::incremental_form equals the oracle exactly in Ideal
+    /// fidelity, for random flip masks and a scaled annealing factor.
     #[test]
     fn tiled_incremental_is_exactly_monolithic(
         (n, triplets) in coupling_strategy(24),
@@ -88,12 +96,12 @@ proptest! {
         let s_new = spins.flipped_by(&mask);
         let r = s_new.rest_vector(&mask);
         let c = s_new.changed_vector(&mask);
-        let mut mono = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
+        let reference = Oracle::program(&coupling, &CrossbarConfig::paper_defaults());
         for tile_rows in tile_sizes(n) {
             let mut tiled =
                 TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), tile_rows);
             for factor in [1.0f64, 0.41] {
-                let expected = mono.incremental_form(&r, &c, factor);
+                let expected = reference.incremental_form(&r, &c, factor);
                 let got = tiled.incremental_form(&r, &c, factor);
                 prop_assert_eq!(
                     got, expected,
@@ -138,7 +146,8 @@ fn gset_scale_instance_runs_through_256_row_tiles() {
 fn non_divisible_gset_scale_tiling_matches_monolithic_solve() {
     // 900 spins on 256-row tiles (remainder band of 132 rows): the whole
     // Ideal-fidelity solve trajectory must equal the monolithic
-    // device-in-the-loop run bit for bit.
+    // device-in-the-loop run (`tile_rows: None`, one 900-row tile) bit
+    // for bit.
     let n = 900;
     let graph = GeneratorConfig::new(n, 0x6E58)
         .with_family(GsetFamily::RandomUnit)
