@@ -10,7 +10,7 @@
 //! tile of `n` rows is the monolithic array; smaller tiles are how
 //! instances larger than one physical array run device-in-the-loop.
 
-use fecim_crossbar::{ActivityStats, BatchInstance, CrossbarConfig, InSituArray, TiledCrossbar};
+use fecim_crossbar::{ActivityStats, CrossbarConfig, TiledCrossbar};
 use fecim_ising::{CsrCoupling, FlipMask, LocalFieldState, SpinVector};
 
 /// Source of energies for the annealing engines.
@@ -93,15 +93,12 @@ impl EnergyBackend for ExactBackend<'_> {
 }
 
 /// Device-in-the-loop backend: all energy-form measurements go through a
-/// simulated array ([`TiledCrossbar`] or a shared-grid [`BatchInstance`],
-/// via the [`InSituArray`] read interface); an exact shadow state tracks
-/// true energies for reporting.
-///
-/// Use the [`TiledBackend`] / [`BatchedBackend`] aliases and their
-/// constructors.
+/// simulated [`TiledCrossbar`] — one tile of `n` rows for the monolithic
+/// `n × (n·k)` array, smaller tiles for G-set-scale instances — while an
+/// exact shadow state tracks true energies for reporting.
 #[derive(Debug)]
-pub struct DeviceBackend<'a, A: InSituArray> {
-    array: A,
+pub struct TiledBackend<'a> {
+    array: TiledCrossbar,
     shadow: LocalFieldState<'a, CsrCoupling>,
     /// Measured (quantized) energy of the current state, as the baseline
     /// hardware would hold it in its digital accumulator.
@@ -109,42 +106,6 @@ pub struct DeviceBackend<'a, A: InSituArray> {
     /// Measurement of the last `direct_delta` proposal, committed by
     /// `apply`.
     pending_measured: Option<f64>,
-}
-
-/// Device-in-the-loop backend over the tiled fixed-size-array
-/// composition — the monolithic `n × (n·k)` array with `tile_rows = n`,
-/// and the backend that lets G-set-scale instances run through
-/// physically plausible tiles.
-pub type TiledBackend<'a> = DeviceBackend<'a, TiledCrossbar>;
-
-/// Device-in-the-loop backend over one instance of a *shared*
-/// [`BatchedTiledCrossbar`](fecim_crossbar::BatchedTiledCrossbar) grid:
-/// the solver drives its own replica while sibling replicas occupy the
-/// same physical tiles from other threads — the multi-problem batching
-/// mode of [`Ensemble::run_batched`](crate::Ensemble::run_batched).
-pub type BatchedBackend<'a> = DeviceBackend<'a, BatchInstance>;
-
-impl<'a, A: InSituArray> DeviceBackend<'a, A> {
-    fn from_array(
-        mut array: A,
-        coupling: &'a CsrCoupling,
-        initial: SpinVector,
-    ) -> DeviceBackend<'a, A> {
-        let measured_energy = array.vmv(initial.as_slice());
-        let shadow = LocalFieldState::new(coupling, initial);
-        DeviceBackend {
-            array,
-            shadow,
-            measured_energy,
-            pending_measured: None,
-        }
-    }
-
-    /// Hardware annealing factor for a back-gate voltage (forwarded from
-    /// the array's reference cell).
-    pub fn cell_factor(&self, vbg: f64) -> f64 {
-        self.array.cell_factor(vbg)
-    }
 }
 
 impl<'a> TiledBackend<'a> {
@@ -157,11 +118,14 @@ impl<'a> TiledBackend<'a> {
         config: CrossbarConfig,
         tile_rows: usize,
     ) -> TiledBackend<'a> {
-        DeviceBackend::from_array(
-            TiledCrossbar::program(coupling, config, tile_rows),
-            coupling,
-            initial,
-        )
+        let mut array = TiledCrossbar::program(coupling, config, tile_rows);
+        let measured_energy = array.vmv(initial.as_slice());
+        TiledBackend {
+            array,
+            shadow: LocalFieldState::new(coupling, initial),
+            measured_energy,
+            pending_measured: None,
+        }
     }
 
     /// The underlying tiled array (tile grid, activity, configuration).
@@ -170,27 +134,7 @@ impl<'a> TiledBackend<'a> {
     }
 }
 
-impl<'a> BatchedBackend<'a> {
-    /// Drive the grid instance behind `handle`, starting from `initial`.
-    ///
-    /// The handle's instance must have been programmed with `coupling`
-    /// (the caller built the grid); `initial.len()` must equal the
-    /// instance dimension.
-    pub fn new(
-        coupling: &'a CsrCoupling,
-        initial: SpinVector,
-        handle: BatchInstance,
-    ) -> BatchedBackend<'a> {
-        DeviceBackend::from_array(handle, coupling, initial)
-    }
-
-    /// The shared-grid handle this backend reads through.
-    pub fn handle(&self) -> &BatchInstance {
-        &self.array
-    }
-}
-
-impl<A: InSituArray> EnergyBackend for DeviceBackend<'_, A> {
+impl EnergyBackend for TiledBackend<'_> {
     fn dimension(&self) -> usize {
         self.shadow.spins().len()
     }

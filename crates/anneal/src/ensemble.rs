@@ -8,12 +8,8 @@
 //! at any thread count** (including `RAYON_NUM_THREADS=1` or
 //! [`Ensemble::with_max_threads`]`(1)`).
 
-use std::sync::{Arc, Mutex, PoisonError};
-
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-use fecim_crossbar::{BatchInstance, BatchedTiledCrossbar};
 
 /// A plan for `trials` independent seeded runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,41 +101,6 @@ impl Ensemble {
     {
         let base = self.base_seed;
         self.run(move |seed| run_fn(seed.wrapping_sub(base) as usize, seed))
-    }
-
-    /// The batched device-in-the-loop mode: every trial drives its own
-    /// instance of ONE shared physical tile grid, so an ensemble of
-    /// replicas amortizes a single array instead of fabricating
-    /// `trials` of them. Trial `i` receives `(i, base_seed + i, handle)`
-    /// where `handle` is the grid's
-    /// [`BatchInstance`](fecim_crossbar::BatchInstance) for instance `i`
-    /// (wrap it in a [`BatchedBackend`](crate::BatchedBackend)).
-    ///
-    /// The determinism contract of [`Ensemble::run`] carries over:
-    /// instances occupy disjoint stripes with their own seeds and noise
-    /// streams, so outcomes are bit-identical at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid's instance count differs from the planned
-    /// trial count.
-    pub fn run_batched<T, F>(&self, grid: &Arc<Mutex<BatchedTiledCrossbar>>, run_fn: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, u64, BatchInstance) -> T + Sync,
-    {
-        let instances = grid
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .instance_count();
-        assert_eq!(
-            instances, self.trials,
-            "shared grid holds {instances} instances but the ensemble plans {} trials",
-            self.trials
-        );
-        self.run_indexed(move |index, seed| {
-            run_fn(index, seed, BatchInstance::new(Arc::clone(grid), index))
-        })
     }
 }
 

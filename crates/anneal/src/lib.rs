@@ -37,15 +37,13 @@ mod local_search;
 mod mesa;
 mod result;
 mod schedule;
-mod tabu;
 mod trace;
 
-pub use backend::{BatchedBackend, DeviceBackend, EnergyBackend, ExactBackend, TiledBackend};
+pub use backend::{EnergyBackend, ExactBackend, TiledBackend};
 pub use engine::{run_direct, run_in_situ, suggest_einc_scale, Acceptance, AnnealConfig};
 pub use ensemble::{success_rate, Ensemble};
 pub use local_search::{local_search, multi_start_local_search};
 pub use mesa::{run_mesa, MesaConfig};
 pub use result::{Aggregate, RunResult};
 pub use schedule::{GeometricSchedule, Schedule, SteppedSchedule};
-pub use tabu::{multi_start_tabu, tabu_search, tabu_search_from, TabuConfig};
 pub use trace::{Trace, TraceMode, TracePoint};

@@ -1,7 +1,7 @@
 //! Multi-problem batching sweep: solve throughput vs batch size when an
 //! ensemble of device-in-the-loop replicas shares ONE physical tile grid
 //! (block-diagonal placement, concurrent conversion on disjoint ADC
-//! banks — see `fecim_crossbar::BatchedTiledCrossbar`).
+//! banks — see `fecim_crossbar::TileGrid`).
 //!
 //! For every batch size the sweep reports simulated-hardware solves/sec
 //! (batch finishes with its slowest replica), the serial-vs-batched
@@ -13,8 +13,8 @@
 //!
 //! With `--noisy` the grid runs in `Fidelity::DeviceAccurate` with
 //! typical variation and read noise: the bit-identity check then pins
-//! trial 0 across batch sizes (each trial reseeds its grid instance
-//! from the trial seed, so chunking must not change results).
+//! trial 0 across batch sizes (each trial programs its own array from
+//! the trial seed, so chunking must not change results).
 //!
 //! `cargo run --release -p fecim-bench --bin batch_sweep \
 //!     [--scale quick|paper] [--batch-sizes 1,2,4,8] [--tile-rows N] [--noisy]`
@@ -57,7 +57,7 @@ fn main() {
 
     // Bit-identity reference. Ideal: the first trial solved unbatched
     // through the same tiles. Noisy: the first batch size's trial 0 —
-    // per-trial reseeding makes it chunking-invariant, so later batch
+    // per-trial silicon makes it chunking-invariant, so later batch
     // sizes must reproduce it exactly.
     let mut baseline = if noisy {
         None

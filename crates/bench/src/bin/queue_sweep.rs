@@ -16,7 +16,7 @@
 //!   paper's array-level parallelism, now across *heterogeneous* jobs).
 //!
 //! Priorities only reorder work, they never change per-job results —
-//! in any fidelity (counter-based read noise plus per-trial reseeding
+//! in any fidelity (counter-based read noise plus per-trial silicon
 //! keep device-accurate trials placement-independent). The completion
 //! order column is where the priority distribution shows up, and the
 //! sweep asserts per-job best energies are identical at every worker

@@ -231,9 +231,9 @@ impl CimAnnealer {
     }
 
     /// Run the in-situ flow against a caller-supplied energy backend —
-    /// the hook behind shared-grid batching (the
-    /// [`BackendPlan::Batched`](crate::BackendPlan::Batched) route builds
-    /// one [`fecim_anneal::BatchedBackend`] per ensemble replica), and
+    /// the hook behind batched trials (each
+    /// [`BackendPlan::Batched`](crate::BackendPlan::Batched) replica
+    /// anneals through its own [`fecim_anneal::TiledBackend`]), and
     /// useful for any custom array model implementing
     /// [`fecim_anneal::EnergyBackend`]. Schedule, annealing factor and
     /// `E_inc` normalization come from this solver's configuration,

@@ -6,12 +6,13 @@
 //! [`SolveRequest`](crate::SolveRequest) with
 //! [`BackendPlan::Batched`](crate::BackendPlan::Batched) through
 //! [`Session::run`](crate::Session::run)) turns that slack into
-//! throughput: the ensemble's replicas are packed
-//! side by side onto one [`BatchedTiledCrossbar`] (block-diagonal along
-//! the stripe axis), every replica anneals against its own
-//! [`BatchedBackend`] handle, and replicas convert concurrently on
-//! disjoint ADC banks — the grid serves `trials` solves in the hardware
-//! time of roughly one.
+//! throughput: the ensemble's replicas are placed side by side on one
+//! [`TileGrid`] (block-diagonal along the stripe axis) and convert
+//! concurrently on disjoint ADC banks — the grid serves `trials` solves
+//! in the hardware time of roughly one. Nothing physical is shared, so
+//! every replica programs and anneals against its own
+//! [`TiledCrossbar`](fecim_crossbar::TiledCrossbar), through the same
+//! backends an unbatched tiled solve uses.
 //!
 //! In [`Fidelity::Ideal`](fecim_crossbar::Fidelity::Ideal) mode each
 //! replica's trajectory is bit-identical to the same trial run unbatched
@@ -19,13 +20,10 @@
 //! placement change, not an algorithm change — which is exactly what the
 //! equivalence tests pin.
 
-use std::sync::PoisonError;
-
 use serde::{Deserialize, Serialize};
 
-use fecim_anneal::BatchedBackend;
-use fecim_anneal::Ensemble;
-use fecim_crossbar::{BatchInstance, BatchedTiledCrossbar, CrossbarConfig};
+use fecim_anneal::{Ensemble, TiledBackend};
+use fecim_crossbar::{CrossbarConfig, TileGrid};
 use fecim_hwcost::{energy_of, time_of, CostModel, ExpUnit};
 #[cfg(test)]
 use fecim_ising::IsingError;
@@ -34,20 +32,19 @@ use fecim_ising::{CopProblem, Coupling, IsingModel, SpinVector};
 use crate::annealer::{CimAnnealer, SolveReport};
 use crate::solver::{Solver, INIT_SEED_SALT};
 
-/// A solver that can anneal one replica against a shared-grid instance
-/// handle — the hook that lets the batched route serve both the CiM
-/// in-situ annealer (incremental-E sensing through a [`BatchedBackend`])
-/// and the SB family (full-vector MVM reads on the same grid block)
-/// through one code path.
+/// A solver that can anneal one batched replica on its own array — the
+/// hook that lets the batched route serve both the CiM in-situ annealer
+/// (incremental-E sensing through a [`TiledBackend`]) and the SB family
+/// (full-vector MVM reads) through one code path.
 pub(crate) trait BatchedSolve: Solver {
-    /// Run one trial against the instance's grid block. The handle has
-    /// already been reseeded for the trial; `initial` is the embedded
-    /// start configuration.
+    /// Program the trial's array from `array = (config, tile_rows)` and
+    /// run one trial on it; `initial` is the embedded start
+    /// configuration.
     fn anneal_batched(
         &self,
         coupling: &fecim_ising::CsrCoupling,
         initial: SpinVector,
-        handle: BatchInstance,
+        array: (CrossbarConfig, usize),
         seed: u64,
     ) -> fecim_anneal::RunResult;
 }
@@ -57,10 +54,10 @@ impl BatchedSolve for CimAnnealer {
         &self,
         coupling: &fecim_ising::CsrCoupling,
         initial: SpinVector,
-        handle: BatchInstance,
+        (config, tile_rows): (CrossbarConfig, usize),
         seed: u64,
     ) -> fecim_anneal::RunResult {
-        let mut backend = BatchedBackend::new(coupling, initial, handle);
+        let mut backend = TiledBackend::new(coupling, initial, config, tile_rows);
         self.anneal_with_backend(coupling, &mut backend, seed)
     }
 }
@@ -77,9 +74,9 @@ pub struct BatchGridSummary {
     /// Physical tiles the shared grid instantiates.
     pub physical_tiles: usize,
     /// Fraction of the grid's tile-cycles activated when every replica
-    /// iterates concurrently (lockstep estimate: summed per-instance
+    /// iterates concurrently (lockstep estimate: the replicas' summed
     /// activations over the grid's capacity for the longest replica's
-    /// cycle count).
+    /// read count).
     pub concurrent_utilization: f64,
     /// Total hardware energy across all replicas, joules (attributed
     /// per replica in the individual [`SolveReport`]s).
@@ -153,50 +150,57 @@ pub(crate) fn batched_ensemble_prepared(
 ) -> BatchedEnsembleOutcome {
     assert!(ensemble.trials() > 0, "need at least one trial");
     let cost_model = CostModel::paper_22nm_tiled(model.dimension(), config.quant_bits, tile_rows);
-
-    let grid = BatchedTiledCrossbar::replicate(
-        quadratic.couplings(),
-        ensemble.trials(),
-        config,
-        tile_rows,
-    )
-    .into_shared();
-    let reports: Vec<SolveReport> = ensemble.run_batched(&grid, |_, seed, handle| {
+    let reports: Vec<SolveReport> = ensemble.run(|seed| {
         batched_trial_report(
             solver,
             problem,
             model,
             quadratic,
+            (&config, tile_rows),
             &cost_model,
             seed,
-            handle,
             start,
         )
     });
 
+    // The replicas' placement: side by side on one grid.
+    let mut grid = TileGrid::new(tile_rows);
+    for _ in 0..ensemble.trials() {
+        grid.try_admit(quadratic.dimension(), usize::MAX);
+    }
     let mut total_energy = 0.0f64;
     let mut batch_time = 0.0f64;
     let mut serial_time = 0.0f64;
+    let mut activated = 0u64;
+    let mut worst_reads = 0u64;
     for report in &reports {
         total_energy += report.energy.total();
         batch_time = batch_time.max(report.time.total());
         serial_time += report.time.total();
+        if let Some(stats) = &report.run.activity {
+            activated += stats.tiles_activated;
+            worst_reads = worst_reads.max(stats.array_ops);
+        }
     }
-
-    let grid = grid.lock().unwrap_or_else(PoisonError::into_inner);
-    let (bands, stripes) = grid.grid();
-    let physical_tiles = grid.physical_tiles();
+    // Lockstep estimate: replicas iterate concurrently, so the grid runs
+    // for the busiest replica's read count and every replica's activated
+    // tiles land inside that window.
+    let capacity = worst_reads * grid.physical_tiles() as u64;
     let summary = BatchGridSummary {
-        instances: grid.instance_count(),
+        instances: ensemble.trials(),
         tile_rows,
-        grid: (bands, stripes),
-        physical_tiles,
-        concurrent_utilization: concurrent_utilization(&grid),
+        grid: grid.grid(),
+        physical_tiles: grid.physical_tiles(),
+        concurrent_utilization: if capacity == 0 {
+            0.0
+        } else {
+            activated as f64 / capacity as f64
+        },
         total_energy,
         batch_time,
         serial_time,
         instances_per_second: if batch_time > 0.0 {
-            grid.instance_count() as f64 / batch_time
+            ensemble.trials() as f64 / batch_time
         } else {
             0.0
         },
@@ -207,36 +211,32 @@ pub(crate) fn batched_ensemble_prepared(
     }
 }
 
-/// One device-in-the-loop trial of `problem` on a shared-grid instance:
-/// the inner unit behind [`batched_ensemble`] *and* the scheduler's
-/// live-grid admission (`fecim-serve`), so both execute replicas
-/// identically. Per-trial seeding and the initial-configuration draw
-/// match [`Solver::anneal_model`](crate::Solver::anneal_model); in Ideal
+/// One device-in-the-loop trial of `problem` as a batched replica: the
+/// inner unit behind [`batched_ensemble_prepared`] *and* the scheduler's
+/// live-grid trials (`fecim-serve`, through
+/// [`PreparedJob::run_trial`](crate::PreparedJob::run_trial)), so both
+/// execute replicas identically. The replica programs its own array from
+/// [`CrossbarConfig::for_trial`], so device-accurate results are a pure
+/// function of `(request, trial seed)` — invariant to chunking,
+/// live-grid admission order, and scheduler worker count. Per-trial
+/// seeding and the initial-configuration draw match
+/// [`Solver::anneal_model`](crate::Solver::anneal_model); in Ideal
 /// fidelity the trial is bit-identical to
 /// `solver.with_tiled_device_in_loop(config, tile_rows)` solving the
-/// same problem with the same seed. In device-accurate fidelity the
-/// instance is first reseeded from the trial seed, so trial results are
-/// a pure function of `(request, trial seed)` — invariant to chunking,
-/// live-grid admission order, and scheduler worker count. The replica
-/// is priced at tile-scale geometry from its own measured activity,
-/// regardless of who else shares the grid.
+/// same problem with the same seed. The replica is priced at tile-scale
+/// geometry from its own measured activity.
 #[allow(clippy::too_many_arguments)] // pub(crate) plumbing shared by two call sites
 pub(crate) fn batched_trial_report(
     solver: &dyn BatchedSolve,
     problem: &dyn CopProblem,
     model: &IsingModel,
     quadratic: &IsingModel,
+    (config, tile_rows): (&CrossbarConfig, usize),
     cost_model: &CostModel,
     seed: u64,
-    mut handle: BatchInstance,
     start: Option<&SpinVector>,
 ) -> SolveReport {
     use rand::SeedableRng;
-    // Re-program the instance's stochastic state from the trial seed
-    // (a write-verify pass for the new tenant) so device-accurate
-    // results are invariant to slot placement, chunking, admission
-    // order, and scheduler worker count. No-op in Ideal variation.
-    handle.reseed_for_trial(seed);
     let coupling = quadratic.couplings();
     let initial = match start {
         // Warm start: every replica anneals from the request's supplied
@@ -247,7 +247,7 @@ pub(crate) fn batched_trial_report(
             SpinVector::random(coupling.dimension(), &mut rng)
         }
     };
-    let run = solver.anneal_batched(coupling, initial, handle, seed);
+    let run = solver.anneal_batched(coupling, initial, (config.for_trial(seed), tile_rows), seed);
 
     let spins = if model.is_quadratic_only() {
         run.best_spins.clone()
@@ -258,7 +258,7 @@ pub(crate) fn batched_trial_report(
     let feasible = problem.is_feasible(&spins);
     let stats = run
         .activity
-        // audit:allow(panic-path): this path only runs trials through batched crossbar backends, which always populate `activity`; a None is a backend bug that must abort, not report zero cost
+        // audit:allow(panic-path): batched trials always run on a crossbar backend, which always populates `activity`; a None is a backend bug that must abort, not report zero cost
         .expect("batched backends always record activity");
     let energy = energy_of(&stats, cost_model, ExpUnit::Asic);
     let time = time_of(&stats, cost_model, ExpUnit::Asic);
@@ -272,24 +272,6 @@ pub(crate) fn batched_trial_report(
         time,
         run,
     }
-}
-
-/// Lockstep utilization estimate: replicas iterate concurrently, so the
-/// grid runs for the busiest replica's cycle count and every instance's
-/// activated tiles land inside that window.
-fn concurrent_utilization(grid: &BatchedTiledCrossbar) -> f64 {
-    let mut activated = 0u64;
-    let mut worst_cycles = 0u64;
-    for i in 0..grid.instance_count() {
-        let stats = grid.instance_stats(i);
-        activated += stats.tiles_activated;
-        worst_cycles = worst_cycles.max(stats.array_ops);
-    }
-    let capacity = worst_cycles * grid.physical_tiles() as u64;
-    if capacity == 0 {
-        return 0.0;
-    }
-    activated as f64 / capacity as f64
 }
 
 #[cfg(test)]

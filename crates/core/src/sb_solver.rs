@@ -6,10 +6,10 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::RunResult;
-use fecim_crossbar::{BatchInstance, CrossbarConfig, TiledCrossbar};
+use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
 use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
 use fecim_ising::{CopProblem, CsrCoupling, IsingError, IsingModel, SpinVector};
-use fecim_sb::{DeviceMvm, ExactMvm, PressureSchedule, SbEngine, SbVariant};
+use fecim_sb::{DeviceMvm, ExactMvm, PressureSchedule, SbEngine, SbVariant, MAX_IN_BITS};
 
 use crate::annealer::SolveReport;
 use crate::solver::Solver;
@@ -120,9 +120,12 @@ impl SbAnnealer {
     ///
     /// # Panics
     ///
-    /// Panics if `in_bits == 0`.
+    /// Panics if `in_bits` is 0 or above [`fecim_sb::MAX_IN_BITS`].
     pub fn with_in_bits(mut self, in_bits: u8) -> SbAnnealer {
-        assert!(in_bits > 0, "the input DAC needs at least one bit");
+        assert!(
+            (1..=MAX_IN_BITS).contains(&in_bits),
+            "the input DAC needs 1..={MAX_IN_BITS} bits (got {in_bits})"
+        );
         self.in_bits = in_bits;
         self
     }
@@ -211,7 +214,8 @@ impl SbAnnealer {
     ///
     /// Returns a description when `steps` is zero, `dt` is not finite
     /// and positive, the pressure schedule is invalid, the input DAC has
-    /// zero bits, or a fixed coupling strength is not finite and
+    /// zero bits or more than [`fecim_sb::MAX_IN_BITS`], or a fixed
+    /// coupling strength is not finite and
     /// positive. (Zero-step warm-start echoes remain an engine-level
     /// contract — [`fecim_sb::SbEngine::run`] supports them — but a
     /// *request* for zero SB steps is a misconfiguration.)
@@ -226,8 +230,11 @@ impl SbAnnealer {
             ));
         }
         self.pressure_schedule.validate()?;
-        if self.in_bits == 0 {
-            return Err("SB input DAC needs at least one bit".to_string());
+        if !(1..=MAX_IN_BITS).contains(&self.in_bits) {
+            return Err(format!(
+                "SB input DAC needs 1..={MAX_IN_BITS} bits (got {})",
+                self.in_bits
+            ));
         }
         if let Some(c0) = self.coupling_strength {
             if !c0.is_finite() || c0 <= 0.0 {
@@ -346,14 +353,16 @@ impl crate::batch::BatchedSolve for SbAnnealer {
         &self,
         coupling: &CsrCoupling,
         initial: SpinVector,
-        handle: BatchInstance,
+        (config, tile_rows): (CrossbarConfig, usize),
         seed: u64,
     ) -> RunResult {
-        // The grid instance IS the MVM source: SB steps read the
-        // replica's block-diagonal slice of the shared grid, so batched
-        // SB trials are bit-identical to monolithic device runs in Ideal
-        // fidelity (same per-column read, different placement).
-        let mut source = DeviceMvm::new(handle, self.in_bits);
+        // The replica's own array IS the MVM source, programmed exactly
+        // as `run_engine` programs it, so batched SB trials are
+        // bit-identical to tiled device runs in Ideal fidelity.
+        let mut source = DeviceMvm::new(
+            TiledCrossbar::program(coupling, config, tile_rows),
+            self.in_bits,
+        );
         self.engine().run(coupling, &mut source, &initial, seed)
     }
 }
@@ -447,8 +456,12 @@ mod tests {
         bad_schedule.pressure_schedule = PressureSchedule::Linear { end: f64::INFINITY };
         assert!(bad_schedule.validate().is_err());
         let mut bad_bits = SbAnnealer::ballistic(10);
-        bad_bits.in_bits = 0;
-        assert!(bad_bits.validate().is_err());
+        for in_bits in [0u8, 32, 40, 255] {
+            bad_bits.in_bits = in_bits;
+            assert!(bad_bits.validate().is_err(), "in_bits {in_bits} rejected");
+        }
+        bad_bits.in_bits = MAX_IN_BITS;
+        assert!(bad_bits.validate().is_ok());
         let mut bad_c0 = SbAnnealer::ballistic(10);
         bad_c0.coupling_strength = Some(-1.0);
         assert!(bad_c0.validate().is_err());

@@ -16,9 +16,10 @@
 //!
 //! Every route is bit-identical to the legacy entry point it subsumes —
 //! pinned by the `session_api` equivalence tests. This holds in noisy
-//! `DeviceAccurate` fidelity too: read noise is counter-based and
-//! batched trials reseed their grid instance from the trial seed, so
-//! results are a pure function of the request.
+//! `DeviceAccurate` fidelity too: read noise is counter-based and each
+//! batched trial programs its own array from
+//! [`CrossbarConfig::for_trial`], so results are a pure function of the
+//! request.
 //!
 //! ## Trial-level execution: [`PreparedJob`]
 //!
@@ -28,9 +29,8 @@
 //! interleaved with other requests' trials. [`Session::prepare`] splits
 //! the pipeline at exactly that joint: it performs all validation and
 //! problem building up front and returns a [`PreparedJob`] whose
-//! [`run_trial`](PreparedJob::run_trial) /
-//! [`run_batched_trial`](PreparedJob::run_batched_trial) produce the
-//! same per-trial [`SolveReport`]s `Session::run` would, and whose
+//! [`run_trial`](PreparedJob::run_trial) produces the same per-trial
+//! [`SolveReport`]s `Session::run` would, on every route, and whose
 //! [`finish`](PreparedJob::finish) applies the same normalization and
 //! summarization. `Session::run` itself is a thin loop over this API.
 
@@ -38,7 +38,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use fecim_crossbar::{BatchInstance, CrossbarConfig, Fidelity};
+use fecim_crossbar::{CrossbarConfig, Fidelity};
 use fecim_device::VariationConfig;
 use fecim_ising::{CopProblem, CsrCoupling, IsingError, IsingModel, ObjectiveSense, SpinVector};
 
@@ -217,10 +217,9 @@ impl Session {
     /// (quantization/ADC bits, variation, wire technology, …). For
     /// [`BackendPlan::DeviceInLoop`] the plan's fidelity still wins over
     /// `config.fidelity`; a [`BackendPlan::Batched`] grid programs this
-    /// config verbatim (including its fidelity). In non-`Ideal`
-    /// fidelity every batched trial reseeds its grid instance from the
-    /// trial seed before annealing, so results do not depend on
-    /// `instances` chunking or grid placement.
+    /// config verbatim (including its fidelity). Every batched trial
+    /// programs its own array from [`CrossbarConfig::for_trial`], so
+    /// results do not depend on `instances` chunking or grid placement.
     pub fn with_crossbar(mut self, config: CrossbarConfig) -> Session {
         self.crossbar = Some(config);
         self
@@ -358,8 +357,8 @@ impl Session {
                 // override verbatim (paper defaults otherwise): the
                 // Batched plan carries no fidelity of its own. Chunk
                 // boundaries are not observable in any fidelity — each
-                // non-Ideal trial reseeds its instance from the trial
-                // seed — see `Session::with_crossbar`.
+                // trial programs its own array from the trial seed —
+                // see `Session::with_crossbar`.
                 let config = self
                     .crossbar
                     .clone()
@@ -528,8 +527,8 @@ enum PreparedRoute {
         solver: Box<dyn Solver>,
         model: IsingModel,
     },
-    /// Shared-grid batching: trials run as replicas on a
-    /// [`BatchedTiledCrossbar`](fecim_crossbar::BatchedTiledCrossbar)
+    /// Shared-grid batching: trials run as replicas placed on a
+    /// [`TileGrid`](fecim_crossbar::TileGrid), each on its own array
     /// (chunked grids under [`Session::run`]; live admission under the
     /// `fecim-serve` scheduler).
     Batched {
@@ -548,10 +547,9 @@ enum PreparedRoute {
 ///
 /// Produced by [`Session::prepare`]. Each trial is seed-deterministic
 /// (trial `i` gets `base_seed + i`), so *when* and *where* a trial runs
-/// cannot change its result in Ideal fidelity:
-/// [`run_trial`](PreparedJob::run_trial) on any worker, or
-/// [`run_batched_trial`](PreparedJob::run_batched_trial) on any live
-/// grid slot, reproduce what [`Session::run`] computes bit for bit.
+/// cannot change its result: [`run_trial`](PreparedJob::run_trial) on
+/// any worker, for any route, reproduces what [`Session::run`] computes
+/// bit for bit.
 pub struct PreparedJob {
     problem: Box<dyn CopProblem + Send + Sync>,
     route: PreparedRoute,
@@ -625,23 +623,13 @@ impl PreparedJob {
         }
     }
 
-    /// The crossbar configuration a batched grid programs (`None` for
-    /// solver routes).
-    pub fn crossbar_config(&self) -> Option<&CrossbarConfig> {
-        match &self.route {
-            PreparedRoute::Batched { config, .. } => Some(config),
-            PreparedRoute::Solver { .. } => None,
-        }
-    }
-
-    /// Run one trial of a solver-route job.
+    /// Run one trial. A batched trial programs and owns its own array;
+    /// the caller places it on a grid (see `fecim-serve`'s live grids),
+    /// which cannot change the result.
     ///
     /// # Errors
     ///
-    /// [`SessionError::InvalidRequest`] when `trial` is out of range or
-    /// the job is batched (its trials need a grid slot — use
-    /// [`run_batched_trial`](PreparedJob::run_batched_trial));
-    /// [`SessionError::Problem`] when the solve itself fails.
+    /// [`SessionError::InvalidRequest`] when `trial` is out of range.
     pub fn run_trial(&self, trial: usize) -> Result<SolveReport, SessionError> {
         if trial >= self.trials() {
             return Err(invalid(format!(
@@ -676,54 +664,25 @@ impl PreparedJob {
                     run,
                 })
             }
-            PreparedRoute::Batched { .. } => Err(invalid(
-                "batched trials run on a shared grid; use run_batched_trial with a grid handle",
+            PreparedRoute::Batched {
+                solver,
+                config,
+                tile_rows,
+                model,
+                quadratic,
+                cost_model,
+                ..
+            } => Ok(batched_trial_report(
+                solver.as_ref(),
+                self.problem.as_ref(),
+                model,
+                quadratic,
+                (config, *tile_rows),
+                cost_model,
+                seed,
+                self.initial.as_ref(),
             )),
         }
-    }
-
-    /// Run one trial of a batched-route job as a replica on `handle`'s
-    /// shared-grid slot. In Ideal fidelity the report is bit-identical
-    /// to the same trial under [`Session::run`], whatever else occupies
-    /// the grid.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::InvalidRequest`] when `trial` is out of range or
-    /// the job is not batched.
-    pub fn run_batched_trial(
-        &self,
-        trial: usize,
-        handle: BatchInstance,
-    ) -> Result<SolveReport, SessionError> {
-        if trial >= self.trials() {
-            return Err(invalid(format!(
-                "trial {trial} out of range for {} trials",
-                self.trials()
-            )));
-        }
-        let PreparedRoute::Batched {
-            solver,
-            model,
-            quadratic,
-            cost_model,
-            ..
-        } = &self.route
-        else {
-            return Err(invalid(
-                "solver-route trials run without a grid; use run_trial",
-            ));
-        };
-        Ok(batched_trial_report(
-            solver.as_ref(),
-            self.problem.as_ref(),
-            model,
-            quadratic,
-            cost_model,
-            self.seed(trial),
-            handle,
-            self.initial.as_ref(),
-        ))
     }
 
     /// Normalize and summarize finished trials into the job's

@@ -1,54 +1,13 @@
-//! Crossbar configuration, the common read interface, and the cell
-//! physics every array shares.
+//! Crossbar configuration and the cell physics every array shares.
 //!
 //! The array itself is [`TiledCrossbar`](crate::TiledCrossbar): the
 //! paper's monolithic `n × (n·k)` array (Fig. 6d) is its one-tile case.
-//! [`InSituArray`] is the read interface solvers hold it through, shared
-//! with the per-instance handles of a batched grid
-//! ([`BatchInstance`](crate::BatchInstance)).
 
 use serde::{Deserialize, Serialize};
 
 use fecim_device::{DgFefet, DgFefetParams, VariationConfig};
 
 use crate::parasitics::WireParams;
-use crate::stats::ActivityStats;
-
-/// Common read interface of the physical array simulators: a
-/// [`TiledCrossbar`](crate::TiledCrossbar) and a
-/// [`BatchInstance`](crate::BatchInstance) on a shared grid expose the
-/// same measurements, so energy backends and solvers can hold either
-/// behind one generic parameter.
-pub trait InSituArray {
-    /// Matrix dimension `n` (spins).
-    fn dimension(&self) -> usize;
-
-    /// The in-situ incremental-E read `σ_rᵀ J σ_c · factor` (see
-    /// [`TiledCrossbar::incremental_form`](crate::TiledCrossbar::incremental_form)).
-    fn incremental_form(&mut self, sigma_r: &[i8], sigma_c: &[i8], factor: f64) -> f64;
-
-    /// The conventional direct-E read `σᵀJσ` (see
-    /// [`TiledCrossbar::vmv`](crate::TiledCrossbar::vmv)).
-    fn vmv(&mut self, sigma: &[i8]) -> f64;
-
-    /// The full matrix-vector read: drive every row with `σ` and return
-    /// the per-column digital outputs `(Jσ)_j` in coupling units (see
-    /// [`TiledCrossbar::mvm`](crate::TiledCrossbar::mvm)). One array read
-    /// regardless of `n` — the synchronous update primitive of the
-    /// simulated-bifurcation engines.
-    fn mvm(&mut self, sigma: &[i8]) -> Vec<f64>;
-
-    /// Accumulated hardware activity.
-    fn stats(&self) -> &ActivityStats;
-
-    /// Clear the activity counters.
-    fn reset_stats(&mut self);
-
-    /// Normalized per-cell current at back-gate voltage `vbg` (the
-    /// hardware annealing factor, see
-    /// [`TiledCrossbar::cell_factor`](crate::TiledCrossbar::cell_factor)).
-    fn cell_factor(&self, vbg: f64) -> f64;
-}
 
 /// Normalized current of an ideal stored-'1' cell at back-gate voltage
 /// `vbg`: the hardware annealing factor `f` (paper Fig. 6c).
@@ -79,13 +38,6 @@ pub(crate) fn vbg_for_factor(cell: &DgFefet, full_scale_current: f64, factor: f6
         }
     }
     0.5 * (lo + hi)
-}
-
-/// The key of an array's counter-based read-noise stream, derived from
-/// its programming seed. One place so freshly programmed and reseeded
-/// arrays share the identical derivation.
-pub(crate) fn read_noise_key(seed: u64) -> u64 {
-    seed ^ 0x9E37_79B9_7F4A_7C15
 }
 
 /// Device-accurate current of one conducting cell: programmed threshold

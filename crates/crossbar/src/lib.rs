@@ -10,7 +10,9 @@
 //! conventional *direct VMV* read (whole array) used by the baseline
 //! annealers. [`TiledCrossbar`] is the one array type: a grid of
 //! fixed-size tiles, whose one-tile case (`tile_rows = n`) is the
-//! monolithic array of the paper.
+//! monolithic array of the paper. [`TileGrid`] is the stripe-span
+//! allocator of a grid shared by several batched instances, each of
+//! which owns its own array.
 //!
 //! ```
 //! use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
@@ -39,8 +41,8 @@ mod stats;
 mod tiled;
 
 pub use adc::{MuxAssignment, SarAdc};
-pub use array::{CrossbarConfig, Fidelity, InSituArray};
-pub use batch::{BatchInstance, BatchRead, BatchStats, BatchedTiledCrossbar};
+pub use array::{CrossbarConfig, Fidelity};
+pub use batch::{BatchStats, TileGrid};
 pub use parasitics::{ArrayWires, WireParams};
 pub use periphery::{split_input_phases, ShiftAdd, SpinEncoder, TemperatureEncoder};
 pub use quant::QuantizedCoupling;

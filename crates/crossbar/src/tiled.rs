@@ -85,8 +85,7 @@ use fecim_ising::Coupling;
 
 use crate::adc::{MuxAssignment, SarAdc};
 use crate::array::{
-    device_cell_current, ideal_cell_factor, read_noise_key, vbg_for_factor, CrossbarConfig,
-    Fidelity, InSituArray,
+    device_cell_current, ideal_cell_factor, vbg_for_factor, CrossbarConfig, Fidelity,
 };
 use crate::parasitics::ArrayWires;
 use crate::quant::QuantizedCoupling;
@@ -217,8 +216,8 @@ struct Read<'a> {
 }
 
 /// The splitmix64 finalizer: the one bit-mixing primitive behind every
-/// derived seed in this crate (per-tile variation maps here, per-batch
-/// instance seeds in `batch`), so the avalanche behavior can only ever
+/// derived seed in this crate (per-tile variation maps here, per-trial
+/// silicon seeds in `batch`), so the avalanche behavior can only ever
 /// change in one place.
 pub(crate) fn splitmix64_finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -323,7 +322,10 @@ impl TiledCrossbar {
         let mut cell = DgFefet::new(config.device);
         cell.program(StoredBit::One);
         let full_scale_current = cell.full_scale_current();
-        let noise = ReadNoise::new(read_noise_key(config.seed), config.variation.read_noise_rel);
+        let noise = ReadNoise::new(
+            config.seed ^ 0x9E37_79B9_7F4A_7C15,
+            config.variation.read_noise_rel,
+        );
         TiledCrossbar {
             config,
             tile_rows,
@@ -342,55 +344,11 @@ impl TiledCrossbar {
         }
     }
 
-    /// Re-program the array's stochastic state from `seed` as a
-    /// write-verify pass would for a new tenant: every tile redraws its
-    /// variation map from the seed-derived per-tile streams, the read
-    /// noise re-keys, and the read ordinal restarts. After `reseed(s)`
-    /// the array reads bit-identically to a freshly
-    /// [`program`](TiledCrossbar::program)med one whose config carries
-    /// seed `s` — which is what makes batched trials placement- and
-    /// admission-order-independent (the trial, not the slot, owns the
-    /// silicon).
-    ///
-    /// The quantized couplings, tile layout, activity counters and
-    /// sensing mode are untouched.
-    pub fn reseed(&mut self, seed: u64) {
-        self.config.seed = seed;
-        for band_r in 0..self.bands {
-            for band_c in 0..self.bands {
-                let tile = &mut self.tiles[band_r * self.bands + band_c];
-                let mut sampler =
-                    VariationSampler::new(self.config.variation, tile_seed(seed, band_r, band_c));
-                tile.vth_offsets = tile
-                    .columns
-                    .iter()
-                    .map(|col| {
-                        col.iter()
-                            .map(|_| (sampler.d2d_vth_offset() + sampler.c2c_vth_offset()) as f32)
-                            .collect()
-                    })
-                    .collect();
-            }
-        }
-        self.noise = ReadNoise::new(read_noise_key(seed), self.config.variation.read_noise_rel);
-        self.read_ordinal = 0;
-    }
-
     /// Override how sensing work is scheduled across threads (results are
     /// bit-identical in every mode; see [`SensingMode`]).
     pub fn with_sensing_mode(mut self, mode: SensingMode) -> TiledCrossbar {
         self.sensing = mode;
         self
-    }
-
-    /// Set the sensing schedule in place (see [`SensingMode`]).
-    pub fn set_sensing_mode(&mut self, mode: SensingMode) {
-        self.sensing = mode;
-    }
-
-    /// The configured sensing schedule.
-    pub fn sensing_mode(&self) -> SensingMode {
-        self.sensing
     }
 
     /// Matrix dimension `n` (spins).
@@ -800,36 +758,6 @@ impl TiledCrossbar {
     }
 }
 
-impl InSituArray for TiledCrossbar {
-    fn dimension(&self) -> usize {
-        TiledCrossbar::dimension(self)
-    }
-
-    fn incremental_form(&mut self, sigma_r: &[i8], sigma_c: &[i8], factor: f64) -> f64 {
-        TiledCrossbar::incremental_form(self, sigma_r, sigma_c, factor)
-    }
-
-    fn vmv(&mut self, sigma: &[i8]) -> f64 {
-        TiledCrossbar::vmv(self, sigma)
-    }
-
-    fn mvm(&mut self, sigma: &[i8]) -> Vec<f64> {
-        TiledCrossbar::mvm(self, sigma)
-    }
-
-    fn stats(&self) -> &ActivityStats {
-        TiledCrossbar::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        TiledCrossbar::reset_stats(self);
-    }
-
-    fn cell_factor(&self, vbg: f64) -> f64 {
-        TiledCrossbar::cell_factor(self, vbg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1114,34 +1042,6 @@ mod tests {
         let first = tiled.vmv(s.as_slice());
         let second = tiled.vmv(s.as_slice());
         assert_ne!(first, second, "noise must vary across reads");
-    }
-
-    #[test]
-    fn reseed_matches_a_freshly_programmed_array() {
-        // reseed(s) re-draws the variation maps, re-keys the noise and
-        // restarts the ordinal — the array must read bit-identically to
-        // one freshly programmed with seed s, including the noise stream.
-        let n = 20;
-        let mut cfg = config(6);
-        cfg.fidelity = Fidelity::DeviceAccurate;
-        cfg.variation = VariationConfig::typical();
-        let m = dense(n, 31);
-        let mut cfg_b = cfg.clone();
-        cfg_b.seed = 0xBEE5;
-        let mut fresh = TiledCrossbar::program(&m, cfg_b, 6);
-        let mut reseeded = TiledCrossbar::program(&m, cfg, 6);
-        let mut rng = StdRng::seed_from_u64(32);
-        // Consume some reads first so the ordinal is mid-stream.
-        for _ in 0..3 {
-            let s = SpinVector::random(n, &mut rng);
-            let _ = reseeded.vmv(s.as_slice());
-        }
-        reseeded.reseed(0xBEE5);
-        for _ in 0..4 {
-            let s = SpinVector::random(n, &mut rng);
-            assert_eq!(reseeded.vmv(s.as_slice()), fresh.vmv(s.as_slice()));
-        }
-        assert_eq!(reseeded.config().seed, 0xBEE5);
     }
 
     #[test]

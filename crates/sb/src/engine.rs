@@ -438,7 +438,7 @@ mod tests {
 
     #[test]
     fn device_run_is_bit_identical_monolithic_vs_tiled() {
-        // The device force path goes through `InSituArray::mvm`, whose
+        // The device force path goes through `TiledCrossbar::mvm`, whose
         // Ideal-mode read is bit-identical at every tile size — so the
         // whole SB trajectory matches between the one-tile (monolithic)
         // array and an 8-row tiling.

@@ -10,10 +10,9 @@
 //! read of the same crossbar, replacing `n` spin-serial reads. That is
 //! where SB's parallelism advantage shows up on this hardware, and why
 //! the engine talks to the array through the
-//! [`InSituArray::mvm`](fecim_crossbar::InSituArray::mvm) primitive:
-//! Ideal/DeviceAccurate fidelities, [`TiledCrossbar`](fecim_crossbar::TiledCrossbar)
-//! composition and [`BatchedTiledCrossbar`](fecim_crossbar::BatchedTiledCrossbar)
-//! shared grids all work unchanged.
+//! [`TiledCrossbar::mvm`](fecim_crossbar::TiledCrossbar::mvm) primitive:
+//! Ideal/DeviceAccurate fidelities, any tiling, and batched trials (each
+//! of which owns its array) all work unchanged.
 //!
 //! The crate has two layers:
 //!
@@ -39,4 +38,4 @@ mod engine;
 mod mvm;
 
 pub use engine::{suggest_coupling_strength, PressureSchedule, SbEngine, SbVariant};
-pub use mvm::{DeviceMvm, ExactMvm, MvmSource};
+pub use mvm::{DeviceMvm, ExactMvm, MvmSource, MAX_IN_BITS};

@@ -3,7 +3,7 @@
 //!
 //! Both SB variants consume one matrix-vector product per step. The
 //! discrete variant drives a plain sign vector — one
-//! [`InSituArray::mvm`] read. The ballistic variant needs `J·x` for
+//! [`TiledCrossbar::mvm`] read. The ballistic variant needs `J·x` for
 //! continuous `x ∈ [−1, 1]ⁿ`, which the crossbar serves *bit-serially*:
 //! the input DAC quantizes `x` to a signed fixed-point code and drives
 //! one sign-vector plane per input bit (entries `{−1, 0, +1}`; zero
@@ -13,7 +13,7 @@
 //! the hardware-cost differentiator between bSB and dSB that
 //! `fecim-hwcost` prices.
 
-use fecim_crossbar::{ActivityStats, InSituArray};
+use fecim_crossbar::{ActivityStats, TiledCrossbar};
 use fecim_ising::Coupling;
 
 /// Where the per-step SB coupling product comes from.
@@ -93,37 +93,38 @@ impl<C: Coupling + ?Sized> MvmSource for ExactMvm<'_, C> {
     }
 }
 
-/// Crossbar-backed coupling product: every product is an
-/// [`InSituArray::mvm`] read of a programmed array (a tiled array —
-/// one tile for the monolithic case — or a shared-grid batch instance), so quantization, ADC behaviour,
-/// fidelity modes and activity accounting all come from the simulated
-/// hardware.
+/// Crossbar-backed coupling product: every product is a
+/// [`TiledCrossbar::mvm`] read of a programmed array (one tile for the
+/// monolithic case), so quantization, ADC behaviour, fidelity modes and
+/// activity accounting all come from the simulated hardware.
 #[derive(Debug)]
-pub struct DeviceMvm<A: InSituArray> {
-    array: A,
+pub struct DeviceMvm {
+    array: TiledCrossbar,
     in_bits: u8,
 }
 
-impl<A: InSituArray> DeviceMvm<A> {
+/// Widest input-DAC code the bit-serial drive supports: the full-scale
+/// code `2^in_bits − 1` must fit the signed 32-bit code path.
+pub const MAX_IN_BITS: u8 = 31;
+
+impl DeviceMvm {
     /// Wrap a programmed array. `in_bits` is the input-DAC resolution of
     /// the bit-serial continuous drive: a bSB step issues `in_bits`
     /// sign-plane reads, while the dSB sign drive always costs one.
     ///
     /// # Panics
     ///
-    /// Panics if `in_bits == 0`.
-    pub fn new(array: A, in_bits: u8) -> DeviceMvm<A> {
-        assert!(in_bits > 0, "the input DAC needs at least one bit");
+    /// Panics if `in_bits` is 0 or above [`MAX_IN_BITS`].
+    pub fn new(array: TiledCrossbar, in_bits: u8) -> DeviceMvm {
+        assert!(
+            (1..=MAX_IN_BITS).contains(&in_bits),
+            "the input DAC needs 1..={MAX_IN_BITS} bits (got {in_bits})"
+        );
         DeviceMvm { array, in_bits }
-    }
-
-    /// The wrapped array (configuration, wires, statistics).
-    pub fn array(&self) -> &A {
-        &self.array
     }
 }
 
-impl<A: InSituArray> MvmSource for DeviceMvm<A> {
+impl MvmSource for DeviceMvm {
     fn dimension(&self) -> usize {
         self.array.dimension()
     }
@@ -284,9 +285,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one bit")]
+    #[should_panic(expected = "needs 1..=31 bits")]
     fn zero_input_bits_are_rejected() {
         let j = random_coupling(4, 1);
         let _ = DeviceMvm::new(monolithic(&j), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs 1..=31 bits")]
+    fn input_codes_wider_than_31_bits_are_rejected() {
+        let j = random_coupling(4, 1);
+        let _ = DeviceMvm::new(monolithic(&j), 32);
     }
 }

@@ -3,8 +3,8 @@
 //! The next-generation execution API of the fecim workspace: a
 //! [`Scheduler`] that queues many [`SolveRequest`](fecim::SolveRequest)s,
 //! runs them on a worker pool at trial granularity, and keeps shared
-//! [`BatchedTiledCrossbar`](fecim_crossbar::BatchedTiledCrossbar) grids
-//! saturated by admitting queued jobs into freed stripe slots as
+//! [`TileGrid`](fecim_crossbar::TileGrid)s saturated by admitting queued
+//! jobs into freed stripe spans as
 //! replicas finish — the software half of the paper's array-parallelism
 //! co-design, applied to heterogeneous traffic.
 //!

@@ -11,10 +11,10 @@
 //! when, or what else is running. That is the determinism contract:
 //! with any fixed worker count, scheduled results are bit-identical to
 //! `Session::run` of the same requests (pinned by the `scheduler_api`
-//! tests at 1 and 8 workers). It holds in *every* fidelity: batched
-//! device-accurate trials reseed their grid instance from the trial
-//! seed before annealing, so live-grid placement and admission order
-//! never leak into results.
+//! tests at 1 and 8 workers). It holds in *every* fidelity: each
+//! batched trial programs its own array from the trial seed
+//! ([`CrossbarConfig::for_trial`]), so live-grid placement and
+//! admission order never leak into results.
 //!
 //! Trial granularity is also what makes priorities responsive: a
 //! higher-priority submission preempts a long ensemble at its next
@@ -35,14 +35,16 @@
 //! ## Live-grid admission
 //!
 //! Trials of [`BackendPlan::Batched`](fecim::BackendPlan::Batched)
-//! jobs run as replicas on shared [`BatchedTiledCrossbar`] grids (one
-//! per tile height). Each trial admits its instance right before
-//! annealing and retires it right after, so heterogeneous jobs pack
+//! jobs run as replicas on shared grids (one [`TileGrid`] per tile
+//! height). Each trial reserves its stripe span right before annealing
+//! and retires it right after, so heterogeneous jobs pack
 //! block-diagonally onto one grid and queued jobs slide into freed
 //! stripe spans as replicas finish — the grid stays saturated instead
-//! of waiting for cohort barriers.
+//! of waiting for cohort barriers. The grid only allocates spans: the
+//! trial programs and reads its own array on the worker with no lock
+//! held, and hands its activity back at retirement.
 //!
-//! [`BatchedTiledCrossbar`]: fecim_crossbar::BatchedTiledCrossbar
+//! [`TileGrid`]: fecim_crossbar::TileGrid
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -52,7 +54,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use fecim::{PreparedJob, Session, SessionError, SolveReport, SolveRequest};
-use fecim_crossbar::CrossbarConfig;
+use fecim_crossbar::{ActivityStats, CrossbarConfig};
 
 use crate::grid::{Admission, GridPool, LiveGridStats};
 use crate::job::{Job, JobHandle, JobState, JobStatus, SchedulerError, SubmitOptions};
@@ -367,7 +369,7 @@ impl Core {
             // arm locks the pool again.
             let attempt = { lock(&self.grids).admit(&job, &prepared) };
             match attempt {
-                Admission::Granted(handle) => Some(handle),
+                Admission::Granted(slot) => Some(slot),
                 Admission::Parked => return,
                 Admission::Impossible { needed } => {
                     let mut st = lock(&job.state);
@@ -423,21 +425,24 @@ impl Core {
         let Some(trial) = claimed else {
             // Nothing to run: release the unused grid slot and, if a
             // cancellation or deadline raced in, settle it.
-            if let Some(handle) = admission {
-                self.retire(&prepared, &handle);
+            if let Some(slot) = admission {
+                self.retire(&prepared, slot, &ActivityStats::new());
             }
             let mut st = lock(&job.state);
             self.settle_stopped(&job, &mut st);
             return;
         };
 
-        // Run the trial with no scheduler locks held.
-        let result = match &admission {
-            Some(handle) => prepared.run_batched_trial(trial, handle.clone()),
-            None => prepared.run_trial(trial),
-        };
-        if let Some(handle) = admission {
-            self.retire(&prepared, &handle);
+        // Run the trial with no scheduler locks held; a batched trial
+        // programs and owns its array here, on the worker.
+        let result = prepared.run_trial(trial);
+        if let Some(slot) = admission {
+            let activity = result
+                .as_ref()
+                .ok()
+                .and_then(|report| report.run.activity)
+                .unwrap_or_default();
+            self.retire(&prepared, slot, &activity);
         }
 
         // Record the outcome and finalize when the job is settled.
@@ -491,11 +496,12 @@ impl Core {
         }
     }
 
-    /// Retire a trial's grid instance and wake every parked job.
-    fn retire(&self, prepared: &PreparedJob, handle: &fecim_crossbar::BatchInstance) {
-        // audit:allow(panic-path): retire is only reached with an admission handle, which exists only for batched jobs, and batched jobs always carry tile rows
+    /// Retire a trial's grid slot with the trial's activity and wake
+    /// every parked job.
+    fn retire(&self, prepared: &PreparedJob, slot: usize, activity: &ActivityStats) {
+        // audit:allow(panic-path): retire is only reached with an admitted slot, which exists only for batched jobs, and batched jobs always carry tile rows
         let tile_rows = prepared.tile_rows().expect("batched trials have tiles");
-        let waiters = lock(&self.grids).retire(tile_rows, handle.index());
+        let waiters = lock(&self.grids).retire(tile_rows, slot, activity);
         for job in waiters {
             self.requeue(job);
         }
@@ -603,10 +609,6 @@ impl Scheduler {
             Some(crossbar) => Session::new().with_crossbar(crossbar.clone()),
             None => Session::new(),
         };
-        let grid_config = config
-            .crossbar
-            .clone()
-            .unwrap_or_else(CrossbarConfig::paper_defaults);
         let core = Arc::new(Core {
             session,
             queue: Mutex::new(QueueState {
@@ -616,7 +618,7 @@ impl Scheduler {
                 mode: Mode::Running,
             }),
             work_cv: Condvar::new(),
-            grids: Mutex::new(GridPool::new(grid_config, config.grid_stripes)),
+            grids: Mutex::new(GridPool::new(config.grid_stripes)),
             next_id: AtomicU64::new(0),
             events: AtomicU64::new(0),
             jobs: Mutex::new(BTreeMap::new()),

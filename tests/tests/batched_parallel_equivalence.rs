@@ -6,15 +6,15 @@
 //!    oracle (`oracle/mod.rs`) — the parallel reduction replays the
 //!    serial accumulation order, so scheduling must never leak into
 //!    results.
-//! 2. **Multi-problem batching**: reads against a shared
-//!    `BatchedTiledCrossbar` grid match the oracle's per-instance reads
-//!    in Ideal fidelity, and a batched device-in-the-loop ensemble solve
-//!    matches the unbatched tiled solver trial for trial.
+//! 2. **Multi-problem batching**: every batched replica programs its own
+//!    array from `CrossbarConfig::for_trial`, whose reads match the
+//!    oracle's in Ideal fidelity, and a batched device-in-the-loop
+//!    ensemble solve matches the unbatched tiled solver trial for trial.
 //! 3. **Counter-based read noise**: DeviceAccurate sensing with
 //!    `read_noise_rel > 0` takes the same parallel fan-out and stays
 //!    bit-identical across thread counts, and batched device-accurate
 //!    ensembles are invariant to how trials are chunked onto grids —
-//!    every trial reseeds its instance from the trial seed alone.
+//!    every trial's silicon derives from the trial seed alone.
 //!
 //! The thread-count loop mutates `RAYON_NUM_THREADS` (read per dispatch
 //! by the rayon shim). Mutating the environment while another thread
@@ -33,9 +33,8 @@ use fecim::{
     BackendPlan, CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, SolveResponse,
     SolverSpec,
 };
-use fecim_crossbar::{
-    BatchRead, BatchedTiledCrossbar, CrossbarConfig, Fidelity, SensingMode, TiledCrossbar,
-};
+use fecim_anneal::Ensemble;
+use fecim_crossbar::{CrossbarConfig, Fidelity, SensingMode, TiledCrossbar};
 use fecim_device::VariationConfig;
 use fecim_ising::{CsrCoupling, FlipMask, SpinVector};
 use oracle::Oracle;
@@ -161,8 +160,9 @@ proptest! {
         }
     }
 
-    /// Batched multi-instance reads match the oracle's per-instance reads
-    /// in Ideal fidelity, whatever the thread count driving the batch.
+    /// Batched replicas, each on its own per-trial array, match the
+    /// oracle's reads in Ideal fidelity, whatever the thread count
+    /// driving the ensemble.
     #[test]
     fn batched_reads_match_monolithic_reads(
         (n, triplets) in coupling_strategy(32),
@@ -180,21 +180,10 @@ proptest! {
 
         for threads in ["1", "8"] {
             env.set_threads(threads);
-            let mut grid = BatchedTiledCrossbar::replicate(
-                &coupling,
-                instances,
-                CrossbarConfig::paper_defaults(),
-                (n / 2).max(1),
-            );
-            let reads: Vec<BatchRead> = (0..instances)
-                .map(|i| BatchRead {
-                    instance: i,
-                    sigma_r: spins[i].as_slice(),
-                    sigma_c: None,
-                    factor: 1.0,
-                })
-                .collect();
-            let got = grid.read_batch(&reads);
+            let got = Ensemble::new(instances, seed).run_indexed(|i, trial_seed| {
+                let config = CrossbarConfig::paper_defaults().for_trial(trial_seed);
+                TiledCrossbar::program(&coupling, config, (n / 2).max(1)).vmv(spins[i].as_slice())
+            });
             prop_assert_eq!(
                 &got, &expected,
                 "batched reads drifted at RAYON_NUM_THREADS={}", threads
@@ -252,7 +241,7 @@ proptest! {
 
 #[test]
 fn noisy_batched_session_is_chunk_and_thread_invariant() {
-    // Solve-level pin of trial reseeding: a device-accurate batched
+    // Solve-level pin of per-trial silicon: a device-accurate batched
     // ensemble must give the same per-trial results whether five trials
     // share one five-instance grid or pack 2+2+1 onto three successive
     // grids, at any thread count. Before counter-based noise, silicon

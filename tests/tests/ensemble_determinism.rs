@@ -147,7 +147,7 @@ fn sb_device_accurate_tiled_backend_is_ensemble_deterministic() {
     // device-accurate tiled crossbar in the MVM loop — per-tile
     // variation maps and counter-based read noise per MVM ordinal —
     // must stay bit-identical across thread counts because every trial
-    // programs and reseeds its own array from its own seed.
+    // programs its own array from its own seed.
     let problem = test_problem();
     let mut cfg = CrossbarConfig::paper_defaults();
     cfg.fidelity = Fidelity::DeviceAccurate;

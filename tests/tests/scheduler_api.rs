@@ -5,7 +5,7 @@
 //! scheduled results **bit-identical** to `Session::run` of the same
 //! requests, at any worker count and submission order, in Ideal *and*
 //! noisy DeviceAccurate fidelity (counter-based read noise plus
-//! per-trial reseeding make device-accurate trials a pure function of
+//! per-trial silicon make device-accurate trials a pure function of
 //! the request and trial seed).
 
 use std::time::Duration;
@@ -164,7 +164,7 @@ fn sb_jobs_bit_identical_to_session_at_1_and_8_workers() {
     // family: scheduled SB results must match `Session::run` bit for
     // bit at any worker count, in Ideal and noisy DeviceAccurate
     // fidelity (counter-based read noise per MVM ordinal plus per-trial
-    // reseeding make each trial a pure function of the request and
+    // silicon make each trial a pure function of the request and
     // trial seed).
     let session = Session::new();
     let expected: Vec<String> = sb_requests()
@@ -237,7 +237,7 @@ fn sb_batched_placement_matches_monolithic_tiling_trial_for_trial() {
 #[test]
 fn noisy_device_accurate_scheduling_is_bit_identical_and_order_invariant() {
     // The determinism contract now extends to DeviceAccurate fidelity
-    // with read noise: counter-based noise plus per-trial reseeding make
+    // with read noise: counter-based noise plus per-trial silicon make
     // scheduled results a pure function of (request, trial seed), so
     // they must match `Session::run` at any worker count — and be
     // invariant to submission order, which permutes live-grid placement.
@@ -458,6 +458,51 @@ fn heterogeneous_jobs_share_one_live_grid() {
     assert_eq!(stats[0].live_instances, 0);
     assert_eq!(stats[0].stripes_in_use, 0);
     scheduler.join();
+}
+
+#[test]
+fn grid_reads_equal_the_trials_array_ops_at_1_and_2_workers() {
+    // The retire-time accounting rule: every batched trial owns its
+    // array and hands its activity back when it retires, so the grid's
+    // read counter is the sum of the reports' `array_ops` at any worker
+    // count, and the responses stay bit-identical to `Session::run`.
+    let request = SolveRequest::new(ring_spec(24), cim(200))
+        .with_backend(BackendPlan::Batched {
+            tile_rows: 8,
+            instances: 2,
+        })
+        .with_run(RunPlan::Ensemble {
+            trials: 4,
+            base_seed: 61,
+            threads: None,
+        });
+    let expected = result_fingerprint(&Session::new().run(&request).expect("session runs"));
+    for workers in [1, 2] {
+        let scheduler = Scheduler::with_config(SchedulerConfig::workers(workers));
+        let response = scheduler
+            .submit(request.clone(), SubmitOptions::default())
+            .wait()
+            .expect("job completes");
+        assert_eq!(result_fingerprint(&response), expected, "{workers} workers");
+        let array_ops: u64 = response
+            .reports
+            .iter()
+            .map(|r| {
+                r.run
+                    .activity
+                    .expect("device trials record activity")
+                    .array_ops
+            })
+            .sum();
+        let stats = scheduler.grid_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].reads, array_ops, "{workers} workers");
+        assert_eq!(stats[0].grid_cycles, array_ops);
+        assert_eq!(stats[0].retirements, 4);
+        assert_eq!(stats[0].peak_concurrent_instances, 1);
+        assert!(stats[0].grid_utilization > 0.0 && stats[0].grid_utilization <= 1.0);
+        scheduler.join();
+    }
 }
 
 #[test]

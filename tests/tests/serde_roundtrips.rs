@@ -245,14 +245,22 @@ fn sb_solve_request_roundtrips_and_replays_bit_identically() {
 
 #[test]
 fn wire_deserialized_sb_misconfigurations_are_rejected_as_invalid_requests() {
-    use fecim::{ProblemSpec, SbAnnealer, Session, SessionError, SolveRequest, SolverSpec};
+    use fecim::{
+        BackendPlan, ProblemSpec, SbAnnealer, Session, SessionError, SolveRequest, SolverSpec,
+    };
+    // Device-in-the-loop, so the input-DAC width reaches the bit-serial
+    // drive if validation lets it through.
     let valid = SolveRequest::new(
         ProblemSpec::MaxCut {
             vertices: 6,
             edges: (0..6).map(|i| (i, (i + 1) % 6, 1.0)).collect(),
         },
         SolverSpec::Sb(SbAnnealer::ballistic(50)),
-    );
+    )
+    .with_backend(BackendPlan::DeviceInLoop {
+        fidelity: fecim_crossbar::Fidelity::Ideal,
+        tile_rows: None,
+    });
     // Navigate the parsed map tree to a named field (the shim's `Value`
     // has no JSON-pointer helpers).
     fn field_mut<'a>(value: &'a mut serde_json::Value, path: &[&str]) -> &'a mut serde_json::Value {
@@ -282,6 +290,10 @@ fn wire_deserialized_sb_misconfigurations_are_rejected_as_invalid_requests() {
         (&["solver", "Sb", "steps"], serde_json::json!(0u64)),
         (&["solver", "Sb", "dt"], serde_json::json!(-0.5f64)),
         (&["solver", "Sb", "in_bits"], serde_json::json!(0u64)),
+        // Wider than the 31-bit input code: `1 << in_bits` would wrap.
+        (&["solver", "Sb", "in_bits"], serde_json::json!(32u64)),
+        (&["solver", "Sb", "in_bits"], serde_json::json!(40u64)),
+        (&["solver", "Sb", "in_bits"], serde_json::json!(255u64)),
         (
             &["solver", "Sb", "coupling_strength"],
             serde_json::json!(-2.0f64),

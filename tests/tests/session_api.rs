@@ -502,7 +502,7 @@ fn prepared_trials_reproduce_session_run_one_by_one() {
     }
     assert_eq!(whole.summary, rebuilt.summary);
     assert_eq!(whole.normalized, rebuilt.normalized);
-    // Out-of-range trials and wrong-route calls are errors, not panics.
+    // Out-of-range trials are errors, not panics.
     assert!(matches!(
         job.run_trial(3),
         Err(SessionError::InvalidRequest(_))
@@ -527,11 +527,20 @@ fn prepared_batched_trials_expose_grid_requirements() {
     assert_eq!(job.tile_rows(), Some(8));
     use fecim_ising::Coupling;
     assert_eq!(job.batch_coupling().unwrap().dimension(), 24);
-    assert!(job.crossbar_config().is_some());
     assert_eq!(job.seed(1), 6);
-    // Solver-route execution is refused for batched jobs.
+    // Each batched trial programs its own array: run one at a time, in
+    // any order, they reproduce `Session::run` bit for bit.
+    let whole = session.run(&request).expect("valid request");
+    for trial in [1usize, 0] {
+        let report = job.run_trial(trial).expect("trial runs");
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&whole.reports[trial]).unwrap(),
+            "trial {trial}"
+        );
+    }
     assert!(matches!(
-        job.run_trial(0),
+        job.run_trial(2),
         Err(SessionError::InvalidRequest(_))
     ));
 }

@@ -1,10 +1,9 @@
 //! Integration tests for the extended solver features: time-to-target
-//! tracking, the MESA baseline, tabu-search references, the full set of
+//! tracking, the MESA baseline, the full set of
 //! `ising::problems` encodings (TSP, knapsack, coloring, spin glass,
 //! vertex cover), and the area model.
 
 use fecim::{CimAnnealer, DirectAnnealer, MesaAnnealer, SbAnnealer};
-use fecim_anneal::{multi_start_local_search, multi_start_tabu};
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_hwcost::{annealer_area, AreaModel};
 use fecim_ising::{
@@ -124,16 +123,6 @@ fn mesa_beats_plain_baseline_on_average() {
         mesa_total >= plain_total * 0.95,
         "mesa {mesa_total} vs plain {plain_total}"
     );
-}
-
-#[test]
-fn tabu_reference_is_at_least_as_good_as_local_search() {
-    let graph = unit_graph(150, 13);
-    let problem = graph.to_max_cut();
-    let j = problem.to_ising().unwrap().couplings().clone();
-    let (_, ls_energy) = multi_start_local_search(&j, 6, 7);
-    let (_, tabu_energy) = multi_start_tabu(&j, 2, 7);
-    assert!(tabu_energy <= ls_energy + 1e-9);
 }
 
 #[test]
