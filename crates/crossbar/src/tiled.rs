@@ -41,33 +41,57 @@
 //! * [`TiledCrossbar::mvm`] — the full product `Jσ`, one output per
 //!   column (the simulated-bifurcation step).
 //!
-//! In [`Fidelity::DeviceAccurate`] mode each tile owns its own device
-//! story: a variation map drawn from a per-tile seed derived
-//! deterministically from the config seed, and tile-local wire
-//! parasitics (shorter lines than one big array — the classic tiling
-//! benefit of bounded IR drop).
-//!
 //! Activity accounting reflects the physical partition: only tiles whose
 //! row range holds a driven row *and* whose stripe holds a selected
 //! column group activate ([`ActivityStats::tiles_activated`]), row
 //! segments toggle per activated tile, and ADC serialization is the
 //! worst stripe rather than the whole-array bank.
 //!
+//! ## Cell store and the single sweep
+//!
+//! The cells live in one column-major store over global rows: per column
+//! group, its nonzero entries (row, magnitude code, polarity plane)
+//! ascending by row, plus each entry's programmed threshold offset. A
+//! tile holds no cells; it is the model of its own wires. In
+//! [`Fidelity::DeviceAccurate`] mode each tile owns its device story: a
+//! variation map drawn from a per-tile seed derived deterministically
+//! from the config seed (drawn tile-major, then by local column, then by
+//! row, and scattered into the store), and tile-local wire parasitics
+//! (shorter lines than one big array — the classic tiling benefit of
+//! bounded IR drop).
+//!
+//! A read visits each sensed column's entries once: every driven entry
+//! goes to its sign pass's per-(plane, bit slice) line, and a row
+//! conducts in at most one pass, so one sweep serves both passes.
+//!
+//! * **Ideal mode counts.** Every conducting cell carries the same
+//!   current, the annealing factor, so a line current is an integer
+//!   count of conducting cells times that factor. One table add per
+//!   entry counts it into all of its bit slices, and the ADC output per
+//!   count comes from a table: `adc.quantize(c)` for `c ∈ 0..=n` at
+//!   factor 1, built at programming time, or `factor` added to itself
+//!   `c` times for a scaled factor, built per read. That is exactly the
+//!   sum the per-cell accumulation forms, since each of its addends is
+//!   `factor` or `+0.0`.
+//! * **Device-accurate mode sums currents.** Each driven entry's own
+//!   DG FeFET current is accumulated per line in row order.
+//!
 //! ## Parallel sensing
 //!
 //! Column stripes convert on physically independent SAR ADC banks, so the
 //! simulator mirrors that independence in wall-clock: large reads fan the
 //! per-stripe sensing work out across threads ([`SensingMode`]). The unit
-//! of parallel work is a *(sign pass, stripe, column chunk)* — a chained
-//! column sense spans every row-band tile of its stripe as one analog sum
-//! with a single quantization point, so it cannot be split further without
+//! of parallel work is a *(stripe, column chunk)* — a chained column
+//! sense spans every row-band tile of its stripe as one analog sum with a
+//! single quantization point, so it cannot be split further without
 //! changing the physics. Determinism is by construction, not by luck:
-//! every chunk's per-column terms are computed independently and then
-//! accumulated on the calling thread in exactly the sequential order
+//! every chunk's per-column term pairs are computed independently and
+//! then handed out on the calling thread in exactly the sequential order
 //! (sign pass, then stripe-ascending, then column-ascending), so results
 //! are **bit-identical at any thread count**. Activity counters are
 //! likewise accumulated on the owner thread — no locks or atomics
-//! serialize the hot sensing loop.
+//! serialize the hot sensing loop. [`SensingMode::Auto`] fans out only
+//! reads whose sensed entries repay the thread spawn.
 //!
 //! Read noise parallelizes too: the multiplicative noise of
 //! [`Fidelity::DeviceAccurate`] reads comes from a counter-based
@@ -95,11 +119,19 @@ use crate::stats::ActivityStats;
 /// sizes.
 pub const DEFAULT_TILE_ROWS: usize = 256;
 
-/// Smallest sensed-column count for which [`SensingMode::Auto`] fans out:
-/// below this the thread-dispatch overhead dwarfs the sensing work (the
-/// in-situ incremental read touches only `t ≈ 2` columns and must stay on
-/// the calling thread).
-const AUTO_PARALLEL_MIN_COLUMNS: usize = 64;
+/// Smallest sensing work, in Ideal entries, for which
+/// [`SensingMode::Auto`] fans a read out. Each fan-out pays the rayon
+/// shim's per-call thread spawn (~0.1 ms on a 2-CPU host); the count
+/// kernel senses an Ideal entry in 2–3 ns. Measured there on Ideal MVMs,
+/// the sequential read won at 76k entries and the parallel one won by
+/// 1.5× at 236k, so the break-even lies near this threshold. The in-situ
+/// incremental read (`t ≈ 2` columns) and the sparse G-set MVMs stay on
+/// the calling thread.
+const AUTO_PARALLEL_MIN_WORK: usize = 1 << 17;
+
+/// Sensing cost of one device-accurate entry in Ideal entries: the
+/// per-cell DG FeFET evaluation and noise draw take ~150 ns.
+const DEVICE_ENTRY_WORK: usize = 64;
 
 /// Floor on columns per parallel work chunk: small enough to
 /// load-balance stripes of uneven occupancy, large enough that a chunk
@@ -116,8 +148,8 @@ const PARALLEL_COLUMN_CHUNK: usize = 32;
 pub enum SensingMode {
     /// Sense every stripe on the calling thread, in stripe order.
     Sequential,
-    /// Fan out across threads when the read senses enough columns to
-    /// amortize the dispatch cost (the default).
+    /// Fan out across threads when the read senses enough stored entries
+    /// to amortize the dispatch cost (the default).
     #[default]
     Auto,
     /// Fan out for every parallelizable read regardless of size
@@ -125,22 +157,26 @@ pub enum SensingMode {
     Parallel,
 }
 
-/// One fixed-size physical tile: the block of couplings with rows in
-/// `[row_start, row_start + row_count)` and column groups in its stripe.
+/// One fixed-size physical tile, kept for its wire model: the block of
+/// couplings with rows in `[row_start, row_start + tile_rows)` and column
+/// groups in its stripe sees IR drop along its own, tile-local lines. The
+/// cells themselves live in the array's column-major store.
 #[derive(Debug, Clone)]
 struct Tile {
     /// First global row held by this tile.
     row_start: usize,
-    /// Rows held by this tile (`tile_rows`, or the remainder band).
-    row_count: usize,
-    /// Per *local* column group: sorted `(local_row, pos_code, neg_code)`
-    /// entries — the tile's own quantized cells.
-    columns: Vec<Vec<(u32, u8, u8)>>,
-    /// Per-cell programmed threshold offsets, aligned with `columns`
-    /// (device-accurate mode; drawn from this tile's own seed).
-    vth_offsets: Vec<Vec<f32>>,
     /// Tile-local wire parasitics (lines span only the tile).
     wires: ArrayWires,
+}
+
+/// One stored coupling entry: the nonzero magnitude code of `J_ij`, the
+/// polarity plane that holds it, and its global row `i`.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    row: u32,
+    code: u8,
+    /// `0` for the positive plane, `1` for the negative plane.
+    plane: u8,
 }
 
 /// A coupling matrix mapped onto a grid of fixed-size DG FeFET tiles —
@@ -154,18 +190,29 @@ pub struct TiledCrossbar {
     tile_rows: usize,
     /// Bands per axis: `ceil(n / tile_rows)`.
     bands: usize,
-    /// Matrix dimension `n` (the cells themselves live in the tiles; the
-    /// global [`QuantizedCoupling`] is only a programming-time artifact,
-    /// so the array does not hold every code twice).
+    /// Matrix dimension `n` (the global [`QuantizedCoupling`] is only a
+    /// programming-time artifact, so the array does not hold every code
+    /// twice).
     n: usize,
     /// Global quantization step (J units per code LSB), shared by every
     /// tile.
     scale: f64,
     adc: SarAdc,
+    /// ADC output of one (plane, bit slice) line carrying `c` unit cell
+    /// currents, for every `c ∈ 0..=n`: the Ideal conversion at factor 1.
+    unit_levels: Vec<f64>,
     /// Per column stripe: the stripe's own multiplexed ADC bank.
     stripe_mux: Vec<MuxAssignment>,
     /// Tiles in row-band-major order: `tiles[band_r * bands + band_c]`.
     tiles: Vec<Tile>,
+    /// Column-major cell store over global rows: column group `j` holds
+    /// `cells[col_start[j]..col_start[j + 1]]`, ascending by row.
+    col_start: Vec<usize>,
+    cells: Vec<Cell>,
+    /// Programmed threshold offset per entry of `cells`, drawn per tile
+    /// (device-accurate mode; empty for Ideal arrays, which never read
+    /// them).
+    vth_offsets: Vec<f32>,
     cell: DgFefet,
     full_scale_current: f64,
     /// Counter-based multiplicative read noise, keyed per array.
@@ -177,14 +224,19 @@ pub struct TiledCrossbar {
     stats: ActivityStats,
 }
 
-/// Read-level sensing context shared by every column sense of one read:
-/// the annealing factor, the back-gate bias it implies, the fidelity
-/// switch, and the read's noise-counter ordinal.
+/// Read-level sensing context shared by every column sense of one read.
 #[derive(Debug, Clone, Copy)]
-struct SenseContext {
-    factor: f64,
+struct SenseContext<'a> {
+    /// Per row: the sign pass it conducts in (index into [`SIGNS`]), or
+    /// [`UNDRIVEN`].
+    drive: &'a [u8],
+    /// Ideal mode: the ADC output per conducting-cell count at this
+    /// read's annealing factor.
+    levels: &'a [f64],
+    /// Device mode: the back-gate bias the annealing factor implies.
     vbg: f64,
     device_mode: bool,
+    /// The read's noise-counter ordinal.
     ordinal: u64,
 }
 
@@ -192,6 +244,61 @@ struct SenseContext {
 /// accepts non-negative inputs only, so `+1` rows conduct first, then
 /// `−1` rows.
 const SIGNS: [i8; 2] = [1, -1];
+
+/// Drive code of a row that conducts in neither sign pass.
+const UNDRIVEN: u8 = 2;
+
+/// Entries counted in 16-bit lanes before the lanes drain into the
+/// per-slice counters, so no lane can overflow.
+const LANE_CAPACITY: usize = u16::MAX as usize;
+
+/// Per magnitude code: bit slice `b` of the code in 16-bit lane `b`, so
+/// one add counts a cell into all of its conducting bit lines at once.
+static SLICE_LANES: [u128; 256] = slice_lanes();
+
+const fn slice_lanes() -> [u128; 256] {
+    let mut table = [0u128; 256];
+    let mut code = 0;
+    while code < 256 {
+        let mut b = 0;
+        while b < 8 {
+            table[code] |= (((code >> b) & 1) as u128) << (16 * b);
+            b += 1;
+        }
+        code += 1;
+    }
+    table
+}
+
+/// Convert the first `k` bit-slice lines of every (sign pass, plane).
+fn convert_lines<T: Copy>(
+    lines: &[[[T; 8]; 2]; 2],
+    k: usize,
+    mut convert: impl FnMut(T) -> f64,
+) -> ColumnLevels {
+    let mut levels = [[[0.0; 8]; 2]; 2];
+    for (pass_levels, pass_lines) in levels.iter_mut().zip(lines) {
+        for (plane_levels, plane_lines) in pass_levels.iter_mut().zip(pass_lines) {
+            for (level, &line) in plane_levels.iter_mut().zip(plane_lines).take(k) {
+                *level = convert(line);
+            }
+        }
+    }
+    levels
+}
+
+/// One sensed column group: its weighted output `sign · w · (pos − neg)`
+/// per sign pass and the cells it activated.
+#[derive(Debug, Clone, Copy)]
+struct SensedColumn {
+    j: usize,
+    terms: [f64; 2],
+    cells: u64,
+}
+
+/// Converted line outputs of one column: per (sign pass, plane, bit
+/// slice), the ADC's reconstruction of that line's current.
+type ColumnLevels = [[[f64; 8]; 2]; 2];
 
 /// One read as the sense driver sees it: the row drive, the column
 /// groups that convert, the digital weight each column's output
@@ -236,9 +343,10 @@ impl TiledCrossbar {
     /// Program a coupling matrix onto a grid of `tile_rows`-row tiles.
     ///
     /// Quantization is global (one `max|J|` full scale shared by every
-    /// tile — the same codes the monolithic array would hold), then each
-    /// tile receives its block of cells and samples its own variation
-    /// map from a seed derived from `config.seed` and its grid position.
+    /// tile — the same codes the monolithic array would hold). The codes
+    /// go to one column-major store; in device-accurate mode each tile
+    /// then samples the variation of its own block of cells from a seed
+    /// derived from `config.seed` and its grid position.
     ///
     /// # Panics
     ///
@@ -258,64 +366,64 @@ impl TiledCrossbar {
         // reads bit-identical.
         let adc = SarAdc::new(config.adc_bits, n as f64);
         let k = config.quant_bits as usize;
+        let band = |b: usize| b * tile_rows..((b + 1) * tile_rows).min(n);
 
-        let mut stripe_mux = Vec::with_capacity(bands);
-        let mut tiles = vec![
-            Tile {
-                row_start: 0,
-                row_count: 0,
-                columns: Vec::new(),
-                vth_offsets: Vec::new(),
-                wires: ArrayWires::new(1, 1, config.wires),
-            };
-            bands * bands
-        ];
-        for band_c in 0..bands {
-            let col_start = band_c * tile_rows;
-            let col_count = tile_rows.min(n - col_start);
-            stripe_mux.push(if config.interleaved_mux {
-                MuxAssignment::interleaved(col_count, config.mux_ratio)
-            } else {
-                MuxAssignment::blocked(col_count, config.mux_ratio)
-            });
-            for band_r in 0..bands {
-                let row_start = band_r * tile_rows;
-                let row_count = tile_rows.min(n - row_start);
-                let tile = &mut tiles[band_r * bands + band_c];
-                tile.row_start = row_start;
-                tile.row_count = row_count;
-                tile.columns = vec![Vec::new(); col_count];
-                tile.wires =
-                    ArrayWires::new(row_count.max(1), (col_count * k).max(1), config.wires);
-            }
-            // Distribute the stripe's cells across its row bands; entries
-            // stay sorted by global row, so per-tile local order equals
-            // the monolithic accumulation order.
-            for local_j in 0..col_count {
-                let j = col_start + local_j;
-                for &(row, pos, neg) in quant.column(j) {
-                    let band_r = row as usize / tile_rows;
-                    let tile = &mut tiles[band_r * bands + band_c];
-                    let local_row = row - (tile.row_start as u32);
-                    tile.columns[local_j].push((local_row, pos, neg));
-                }
-            }
+        let mut col_start = Vec::with_capacity(n + 1);
+        let mut cells = Vec::with_capacity(quant.nonzero_cell_count());
+        col_start.push(0);
+        for j in 0..n {
+            cells.extend(quant.column(j).iter().map(|&(row, pos, neg)| {
+                let (code, plane) = if pos > 0 { (pos, 0) } else { (neg, 1) };
+                Cell { row, code, plane }
+            }));
+            col_start.push(cells.len());
         }
-        // Per-tile variation maps (write-verify pass per tile).
+
+        let stripe_mux = (0..bands)
+            .map(|band_c| {
+                let col_count = band(band_c).len();
+                if config.interleaved_mux {
+                    MuxAssignment::interleaved(col_count, config.mux_ratio)
+                } else {
+                    MuxAssignment::blocked(col_count, config.mux_ratio)
+                }
+            })
+            .collect();
+        let mut tiles = Vec::with_capacity(bands * bands);
         for band_r in 0..bands {
             for band_c in 0..bands {
-                let tile = &mut tiles[band_r * bands + band_c];
-                let mut sampler =
-                    VariationSampler::new(config.variation, tile_seed(config.seed, band_r, band_c));
-                tile.vth_offsets = tile
-                    .columns
-                    .iter()
-                    .map(|col| {
-                        col.iter()
-                            .map(|_| (sampler.d2d_vth_offset() + sampler.c2c_vth_offset()) as f32)
-                            .collect()
-                    })
-                    .collect();
+                tiles.push(Tile {
+                    row_start: band(band_r).start,
+                    wires: ArrayWires::new(
+                        band(band_r).len(),
+                        band(band_c).len() * k,
+                        config.wires,
+                    ),
+                });
+            }
+        }
+        // Per-tile variation maps (write-verify pass per tile), drawn
+        // tile-major, then local column, then row — each tile's block of
+        // a column is a contiguous row range of that column's entries.
+        let mut vth_offsets = Vec::new();
+        if config.fidelity == Fidelity::DeviceAccurate {
+            vth_offsets = vec![0.0f32; cells.len()];
+            for band_r in 0..bands {
+                let rows = band(band_r);
+                for band_c in 0..bands {
+                    let mut sampler = VariationSampler::new(
+                        config.variation,
+                        tile_seed(config.seed, band_r, band_c),
+                    );
+                    for j in band(band_c) {
+                        let column = &cells[col_start[j]..col_start[j + 1]];
+                        let first = column.partition_point(|c| (c.row as usize) < rows.start);
+                        let last = column.partition_point(|c| (c.row as usize) < rows.end);
+                        for offset in &mut vth_offsets[col_start[j] + first..col_start[j] + last] {
+                            *offset = (sampler.d2d_vth_offset() + sampler.c2c_vth_offset()) as f32;
+                        }
+                    }
+                }
             }
         }
 
@@ -332,9 +440,13 @@ impl TiledCrossbar {
             bands,
             n,
             scale: quant.scale(),
+            unit_levels: (0..=n).map(|c| adc.quantize(c as f64)).collect(),
             adc,
             stripe_mux,
             tiles,
+            col_start,
+            cells,
+            vth_offsets,
             cell,
             full_scale_current,
             noise,
@@ -518,18 +630,39 @@ impl TiledCrossbar {
             .count() as u64
     }
 
-    /// The one sense driver behind every read: two sign passes over the
-    /// active column groups, each column sensed through its stripe's
-    /// chained bit lines, its output weighted digitally and handed to
-    /// `sink(column, term)` in the sequential order (sign pass, then
-    /// stripe-ascending, then column-ascending) — whichever
-    /// [`SensingMode`] ran it. Columns of weight 0 are not sensed.
+    /// Stored entries of column group `j`.
+    fn column(&self, j: usize) -> std::ops::Range<usize> {
+        self.col_start[j]..self.col_start[j + 1]
+    }
+
+    /// Ideal ADC output per conducting-cell count at a scaled annealing
+    /// factor, for counts `0..=longest`. Every conducting cell carries
+    /// exactly `factor`, so a line of `c` cells holds `factor` added to
+    /// itself `c` times — the very sum the per-cell accumulation forms.
+    fn factor_levels(&self, factor: f64, longest: usize) -> Vec<f64> {
+        let mut current = 0.0f64;
+        let mut levels = Vec::with_capacity(longest + 1);
+        levels.push(self.adc.quantize(current));
+        for _ in 0..longest {
+            current += factor;
+            levels.push(self.adc.quantize(current));
+        }
+        levels
+    }
+
+    /// The one sense driver behind every read: one sweep over each active
+    /// column group's stored entries serves both sign passes, each column
+    /// sensed through its stripe's chained bit lines, its outputs
+    /// weighted digitally and handed to `sink(column, term)` in the
+    /// sequential order (sign pass, then stripe-ascending, then
+    /// column-ascending) — whichever [`SensingMode`] ran it. Columns of
+    /// weight 0 are not sensed.
     ///
     /// Large reads fan the sensing out across threads per
-    /// (sign pass, stripe, column chunk); see the module docs for the
-    /// determinism argument. Counter accumulation happens on the calling
-    /// thread, so [`ActivityStats`] stays a plain struct and no lock sits
-    /// inside the sensing loop.
+    /// (stripe, column chunk); see the module docs for the determinism
+    /// argument. Counter accumulation happens on the calling thread, so
+    /// [`ActivityStats`] stays a plain struct and no lock sits inside
+    /// the sensing loop.
     ///
     /// Returns the number of tiles the read activated: tiles whose
     /// stripe holds an active column group *and* whose row band holds a
@@ -553,28 +686,25 @@ impl TiledCrossbar {
         // draw no matter which thread evaluates it.
         let ordinal = self.read_ordinal;
         self.read_ordinal += 1;
-        let ctx = SenseContext {
-            factor,
-            vbg: if device_mode {
-                vbg_for_factor(&self.cell, self.full_scale_current, factor)
-            } else {
-                0.0
-            },
-            device_mode,
-            ordinal,
-        };
-        // Per-sign row-drive maps, shared by the stats prologue and the
-        // (possibly parallel) sensing.
-        let driven_maps = SIGNS.map(|sign| rows.iter().map(|&r| r == sign).collect::<Vec<bool>>());
 
         self.stats.array_ops += 1;
         self.stats.tiles_activated += activated;
-        // One scratch buffer for per-stripe local indices, reused across
-        // stripes and sign passes.
+        // Both sign passes convert the same active groups, so they
+        // serialize on the same busiest stripe's slots.
+        let mut slots = 0usize;
         let mut local_scratch: Vec<usize> = Vec::new();
-        for driven in &driven_maps {
+        for (s, range) in &stripes {
+            local_scratch.clear();
+            local_scratch.extend(
+                active[range.clone()]
+                    .iter()
+                    .map(|&j| j - s * self.tile_rows),
+            );
+            slots = slots.max(self.stripe_mux[*s].slots_for(&local_scratch, k));
+        }
+        for sign in SIGNS {
             self.stats.row_passes += 1;
-            let driven_count = driven.iter().filter(|&&d| d).count() as u64;
+            let driven_count = rows.iter().filter(|&&r| r == sign).count() as u64;
             // Row segments toggle once per activated stripe.
             self.stats.rows_driven += driven_count * stripes.len() as u64;
             self.stats.columns_driven += active.len() as u64;
@@ -583,16 +713,6 @@ impl TiledCrossbar {
             // banks convert in parallel, so the pass serializes on the
             // busiest stripe's slots.
             self.stats.adc_conversions += (active.len() * 2 * k) as u64;
-            let mut slots = 0usize;
-            for (s, range) in &stripes {
-                local_scratch.clear();
-                local_scratch.extend(
-                    active[range.clone()]
-                        .iter()
-                        .map(|&j| j - s * self.tile_rows),
-                );
-                slots = slots.max(self.stripe_mux[*s].slots_for(&local_scratch, k));
-            }
             self.stats.adc_slots += slots as u64;
             self.stats.shift_add_ops += (active.len() * 2 * k) as u64;
             if cross_stripe_sum {
@@ -601,160 +721,225 @@ impl TiledCrossbar {
             }
         }
 
+        let weight = |j: usize| weights.map_or(1.0, |w| f64::from(w[j]));
+        let this: &TiledCrossbar = self;
+        // The stored entries the read senses decide whether a fan-out
+        // pays; the longest sensed column bounds every per-slice count.
+        let (touched, longest) = active
+            .iter()
+            .filter(|&&j| weight(j) != 0.0)
+            .map(|&j| this.column(j).len())
+            .fold((0, 0), |(sum, max), len| (sum + len, max.max(len)));
+        let scaled_levels;
+        let levels: &[f64] = if device_mode {
+            &[]
+        } else if factor == 1.0 {
+            &this.unit_levels
+        } else {
+            scaled_levels = this.factor_levels(factor, longest);
+            &scaled_levels
+        };
+        let drive: Vec<u8> = rows
+            .iter()
+            .map(|&r| {
+                SIGNS
+                    .iter()
+                    .position(|&s| s == r)
+                    .map_or(UNDRIVEN, |p| p as u8)
+            })
+            .collect();
+        let ctx = SenseContext {
+            drive: &drive,
+            levels,
+            vbg: if device_mode {
+                vbg_for_factor(&this.cell, this.full_scale_current, factor)
+            } else {
+                0.0
+            },
+            device_mode,
+            ordinal,
+        };
+
         // Noise draws are counter-addressed, so every fidelity — noisy
         // device-accurate included — may fan out; only the dispatch
         // economics decide.
-        let fan_out = match self.sensing {
+        let fan_out = match this.sensing {
             SensingMode::Sequential => false,
-            SensingMode::Auto => active.len() >= AUTO_PARALLEL_MIN_COLUMNS,
+            SensingMode::Auto => {
+                touched * if device_mode { DEVICE_ENTRY_WORK } else { 1 } >= AUTO_PARALLEL_MIN_WORK
+            }
             SensingMode::Parallel => !active.is_empty(),
         } && rayon::current_num_threads() > 1;
-        let weight = |j: usize| weights.map_or(1.0, |w| f64::from(w[j]));
 
-        let this: &TiledCrossbar = self;
-        let mut cells_activated = 0u64;
-        if fan_out {
-            // One work item per (sign pass, stripe, column chunk), in the
-            // exact sequential visiting order. Chunks grow with the read
-            // so each worker sees only a handful of dispatches (chunk
-            // boundaries never affect results — the reduction below is
-            // order-exact either way).
-            let chunk_cols =
-                PARALLEL_COLUMN_CHUNK.max(active.len().div_ceil(4 * rayon::current_num_threads()));
-            let mut items: Vec<(usize, usize, std::ops::Range<usize>)> = Vec::new();
-            for sign_idx in 0..SIGNS.len() {
-                for (stripe, range) in &stripes {
-                    let mut start = range.start;
-                    while start < range.end {
-                        let end = (start + chunk_cols).min(range.end);
-                        items.push((sign_idx, *stripe, start..end));
-                        start = end;
-                    }
-                }
-            }
-            // Chunk outputs come back in item order (the shim preserves
-            // input order); each is the chunk's `(column, term)` pairs
-            // plus its activated-cell count.
-            let chunks: Vec<(Vec<(usize, f64)>, u64)> = items
-                .into_par_iter()
-                .map(|(sign_idx, stripe, cols)| {
-                    let sign = f64::from(SIGNS[sign_idx]);
-                    let mut terms = Vec::with_capacity(cols.len());
-                    let mut cells = 0u64;
-                    for &j in &active[cols] {
-                        let w = weight(j);
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let (pos_val, neg_val, activated_cells) =
-                            this.sense_chained_column(stripe, j, &driven_maps[sign_idx], ctx);
-                        cells += activated_cells;
-                        terms.push((j, sign * w * (pos_val - neg_val)));
-                    }
-                    (terms, cells)
-                })
-                .collect();
-            // Deterministic reduction: replay the sequential order term by
-            // term, so the sink sees the serial path's exact sequence at
-            // any thread count.
-            for (terms, cells) in chunks {
-                for (j, term) in terms {
-                    sink(j, term);
-                }
-                cells_activated += cells;
-            }
+        // One work item per (stripe, column chunk), in the sequential
+        // visiting order. A fanned-out read splits stripes into chunks
+        // that grow with the read, so each worker sees only a handful of
+        // dispatches; chunk boundaries never affect results, because the
+        // reduction below is order-exact either way.
+        let chunk_cols = if fan_out {
+            PARALLEL_COLUMN_CHUNK.max(active.len().div_ceil(4 * rayon::current_num_threads()))
         } else {
-            // Serial path: same visiting order, same counter-addressed
-            // noise draws — evaluated on the calling thread without any
-            // per-column allocation.
-            for (sign_idx, driven) in driven_maps.iter().enumerate() {
-                let sign = f64::from(SIGNS[sign_idx]);
-                for (stripe, range) in &stripes {
-                    for &j in &active[range.clone()] {
-                        let w = weight(j);
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let (pos_val, neg_val, cells) =
-                            this.sense_chained_column(*stripe, j, driven, ctx);
-                        cells_activated += cells;
-                        sink(j, sign * w * (pos_val - neg_val));
-                    }
-                }
+            active.len()
+        };
+        let mut items: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        for (stripe, range) in &stripes {
+            let mut start = range.start;
+            while start < range.end {
+                let end = (start + chunk_cols).min(range.end);
+                items.push((*stripe, start..end));
+                start = end;
             }
         }
-        self.stats.cells_activated += cells_activated;
+        let sense_chunk = |(stripe, cols): (usize, std::ops::Range<usize>)| {
+            active[cols]
+                .iter()
+                .filter(|&&j| weight(j) != 0.0)
+                .map(|&j| this.sense_chained_column(stripe, j, weight(j), ctx))
+                .collect::<Vec<SensedColumn>>()
+        };
+        // Chunk outputs come back in item order (the shim preserves input
+        // order).
+        let chunks: Vec<Vec<SensedColumn>> = if fan_out {
+            items.into_par_iter().map(sense_chunk).collect()
+        } else {
+            items.into_iter().map(sense_chunk).collect()
+        };
+        // Deterministic reduction: every column's first-pass term, then
+        // every column's second-pass term, so the sink sees the
+        // sign-pass-major order at any thread count.
+        for pass in 0..SIGNS.len() {
+            for column in chunks.iter().flatten() {
+                sink(column.j, column.terms[pass]);
+            }
+        }
+        self.stats.cells_activated += chunks.iter().flatten().map(|c| c.cells).sum::<u64>();
         self.stats.buffer_writes += buffer_writes;
         activated
     }
 
-    /// Sense one column group through the stripe's chained bit lines:
-    /// every row band contributes its cells' currents to the shared
-    /// per-bit-slice analog sums, then the stripe ADC converts each sum
-    /// once and the digital side shift-and-adds — one quantization point
-    /// per (plane, bit slice), exactly like the monolithic array.
+    /// Sense one column group through the stripe's chained bit lines, for
+    /// both sign passes at once: every driven entry adds its current to
+    /// its pass's per-(plane, bit slice) line, the stripe ADC converts
+    /// each line once and the digital side shift-and-adds — one
+    /// quantization point per (pass, plane, bit slice), exactly like the
+    /// monolithic array.
     ///
     /// Takes `&self` so stripe banks can sense concurrently: the noise
     /// draws are counter-addressed through `ctx.ordinal` (no mutable
     /// generator anywhere), and the caller accumulates the returned
     /// activated-cell count into the stats.
-    ///
-    /// The accumulation is branch-free over bit slices: stack-resident
-    /// `[f64; 8]` lane buffers (`quant_bits ≤ 8`) with a mask-multiply
-    /// per lane, so the hot loop auto-vectorizes instead of branching on
-    /// every bit of every code and allocates nothing per column.
     fn sense_chained_column(
         &self,
         stripe: usize,
         j: usize,
-        driven: &[bool],
-        ctx: SenseContext,
-    ) -> (f64, f64, u64) {
+        w: f64,
+        ctx: SenseContext<'_>,
+    ) -> SensedColumn {
         let k = self.config.quant_bits as usize;
-        let local_j = j - stripe * self.tile_rows;
-        let mut pos_bit_sums = [0.0f64; 8];
-        let mut neg_bit_sums = [0.0f64; 8];
-        let mut activated = 0u64;
-        for band_r in 0..self.bands {
-            let tile = &self.tiles[band_r * self.bands + stripe];
-            let offsets = &tile.vth_offsets[local_j];
-            for (idx, &(local_row, pos, neg)) in tile.columns[local_j].iter().enumerate() {
-                let global_row = tile.row_start + local_row as usize;
-                if !driven[global_row] {
-                    continue;
+        let (levels, cells) = if ctx.device_mode {
+            self.device_column_levels(stripe, j, ctx)
+        } else {
+            self.ideal_column_levels(j, ctx)
+        };
+        let mut terms = [0.0; 2];
+        for ((term, [pos, neg]), sign) in terms.iter_mut().zip(&levels).zip(SIGNS) {
+            let mut pos_val = 0.0;
+            let mut neg_val = 0.0;
+            for (b, (p, q)) in pos.iter().zip(neg).take(k).enumerate() {
+                let weight = (1u64 << b) as f64;
+                pos_val += weight * p;
+                neg_val += weight * q;
+            }
+            *term = f64::from(sign) * w * (pos_val - neg_val);
+        }
+        SensedColumn { j, terms, cells }
+    }
+
+    /// Ideal column lines: every conducting cell carries the same
+    /// current, so a line's current is its count of conducting cells.
+    /// One table add per entry counts it into every bit slice of its
+    /// (pass, plane) at once; the conversion is a lookup in `ctx.levels`.
+    fn ideal_column_levels(&self, j: usize, ctx: SenseContext<'_>) -> (ColumnLevels, u64) {
+        let k = self.config.quant_bits as usize;
+        let mut counts = [[[0u32; 8]; 2]; 2];
+        for block in self.cells[self.column(j)].chunks(LANE_CAPACITY) {
+            // Lanes per (drive, plane); undriven entries land in the
+            // spare drive rows and are never read. Two interleaved lane
+            // sets halve the add-to-memory dependency chain.
+            let mut lanes = [[0u128; 2]; 4];
+            let mut odd = [[0u128; 2]; 4];
+            let count_into = |lanes: &mut [[u128; 2]; 4], cell: &Cell| {
+                let drive = usize::from(ctx.drive[cell.row as usize] & 3);
+                lanes[drive][usize::from(cell.plane & 1)] += SLICE_LANES[usize::from(cell.code)];
+            };
+            let pairs = block.chunks_exact(2);
+            let tail = pairs.remainder();
+            for pair in pairs {
+                count_into(&mut lanes, &pair[0]);
+                count_into(&mut odd, &pair[1]);
+            }
+            for cell in tail {
+                count_into(&mut lanes, cell);
+            }
+            for (even, odd) in lanes.iter_mut().flatten().zip(odd.iter().flatten()) {
+                *even += odd;
+            }
+            for (pass_counts, pass_lanes) in counts.iter_mut().zip(&lanes) {
+                for (plane_counts, &lane) in pass_counts.iter_mut().zip(pass_lanes) {
+                    for (b, count) in plane_counts.iter_mut().enumerate().take(k) {
+                        *count += u32::from((lane >> (16 * b)) as u16);
+                    }
                 }
-                let (code, sums) = if pos > 0 {
-                    (pos, &mut pos_bit_sums)
-                } else {
-                    (neg, &mut neg_bit_sums)
-                };
-                let cell_current = if ctx.device_mode {
-                    device_cell_current(
-                        &self.cell,
-                        offsets[idx] as f64,
-                        ctx.vbg,
-                        self.full_scale_current,
-                        tile.wires.ir_attenuation(local_row as usize),
-                        self.noise.gain(ctx.ordinal, global_row, j),
-                    )
-                } else {
-                    ctx.factor
-                };
-                for (b, sum) in sums.iter_mut().take(k).enumerate() {
-                    *sum += cell_current * f64::from((code >> b) & 1);
-                }
-                activated += u64::from(code.count_ones());
             }
         }
+        let mut activated = 0u64;
+        let levels = convert_lines(&counts, k, |count| {
+            activated += u64::from(count);
+            ctx.levels[count as usize]
+        });
+        (levels, activated)
+    }
 
-        let mut pos_val = 0.0;
-        let mut neg_val = 0.0;
-        for b in 0..k {
-            let weight = (1u64 << b) as f64;
-            pos_val += weight * self.adc.quantize(pos_bit_sums[b]);
-            neg_val += weight * self.adc.quantize(neg_bit_sums[b]);
+    /// Device-accurate column lines: each driven entry's own DG FeFET
+    /// current (programmed variation, tile-local IR drop, read noise) is
+    /// accumulated per (pass, plane, bit slice) in row order, then
+    /// converted once.
+    fn device_column_levels(
+        &self,
+        stripe: usize,
+        j: usize,
+        ctx: SenseContext<'_>,
+    ) -> (ColumnLevels, u64) {
+        let k = self.config.quant_bits as usize;
+        let span = self.column(j);
+        let mut sums = [[[0.0f64; 8]; 2]; 2];
+        let mut activated = 0u64;
+        for (cell, &offset) in self.cells[span.clone()].iter().zip(&self.vth_offsets[span]) {
+            let row = cell.row as usize;
+            let pass = ctx.drive[row];
+            if pass == UNDRIVEN {
+                continue;
+            }
+            let tile = &self.tiles[row / self.tile_rows * self.bands + stripe];
+            let cell_current = device_cell_current(
+                &self.cell,
+                f64::from(offset),
+                ctx.vbg,
+                self.full_scale_current,
+                tile.wires.ir_attenuation(row - tile.row_start),
+                self.noise.gain(ctx.ordinal, row, j),
+            );
+            for (b, sum) in sums[usize::from(pass)][usize::from(cell.plane)]
+                .iter_mut()
+                .take(k)
+                .enumerate()
+            {
+                *sum += cell_current * f64::from((cell.code >> b) & 1);
+            }
+            activated += u64::from(cell.code.count_ones());
         }
-        (pos_val, neg_val, activated)
+        let levels = convert_lines(&sums, k, |sum| self.adc.quantize(sum));
+        (levels, activated)
     }
 }
 
@@ -962,9 +1147,11 @@ mod tests {
         let m = dense(n, 19);
         let tiled = TiledCrossbar::program(&m, config(4), 4);
         assert_eq!(tiled.tile_grid(), (3, 3));
-        assert_eq!(tiled.tiles[0].row_count, 4);
-        assert_eq!(tiled.tiles[2 * 3 + 2].row_count, 2);
-        assert_eq!(tiled.tiles[2 * 3 + 2].row_start, 8);
+        // The remainder band's bit lines span its 2 rows, half a full
+        // band's 4.
+        let (full, tail) = (&tiled.tiles[0], &tiled.tiles[2 * 3 + 2]);
+        assert_eq!(tail.row_start, 8);
+        assert_eq!(2.0 * tail.wires.col_length_um(), full.wires.col_length_um());
     }
 
     #[test]

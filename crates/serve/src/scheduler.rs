@@ -237,6 +237,11 @@ impl Core {
         st.status = status;
         st.finished_event = Some(self.next_event());
         st.outcome = Some(outcome);
+        // A terminal job never runs another trial, and handles outlive it
+        // (a TCP connection keeps one per id), so drop the programmed job
+        // now. In-flight sibling trials hold their own `Arc` and still
+        // write `st.reports`, so the reports stay.
+        st.prepared = None;
         job.done_cv.notify_all();
         let mut q = lock(&self.queue);
         q.open_jobs -= 1;
@@ -813,5 +818,49 @@ impl Drop for Scheduler {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fecim::{CimAnnealer, ProblemSpec, RunPlan, SolverSpec};
+
+    fn ring(trials: usize) -> SolveRequest {
+        let vertices = 16;
+        let edges = (0..vertices)
+            .map(|u| (u, (u + 1) % vertices, 1.0))
+            .collect();
+        SolveRequest::new(
+            ProblemSpec::MaxCut { vertices, edges },
+            SolverSpec::Cim(CimAnnealer::new(200)),
+        )
+        .with_run(RunPlan::Ensemble {
+            trials,
+            base_seed: 3,
+            threads: None,
+        })
+    }
+
+    #[test]
+    fn terminal_jobs_hold_no_prepared_job() {
+        let scheduler = Scheduler::with_config(SchedulerConfig::workers(1));
+        let completed = scheduler.submit(ring(3), SubmitOptions::default());
+        assert!(completed.wait().is_ok());
+        // Far more trials than fit in the deadline: the job stops with a
+        // partial response, which needs the prepared job until finalize.
+        let stopped = scheduler.submit(
+            ring(100_000),
+            SubmitOptions::default().with_deadline_ms(100),
+        );
+        match stopped.wait() {
+            Err(SchedulerError::DeadlineExceeded { partial, .. }) => assert!(partial.is_some()),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        for handle in [&completed, &stopped] {
+            assert!(handle.status().is_terminal());
+            assert!(lock(&handle.job.state).prepared.is_none());
+        }
+        scheduler.join();
     }
 }

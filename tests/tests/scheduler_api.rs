@@ -646,17 +646,24 @@ fn deadline_mid_ensemble_keeps_the_completed_prefix() {
             threads: None,
         })
     };
+    // Sized so no plausible host finishes inside the deadline: the
+    // skipped tail costs nothing, and a few hundred trials of this size
+    // fit in 100 ms on a fast release build.
+    let trials = 100_000;
     let scheduler = Scheduler::with_config(SchedulerConfig::workers(1));
-    let handle = scheduler.submit(request(400), SubmitOptions::default().with_deadline_ms(100));
+    let handle = scheduler.submit(
+        request(trials),
+        SubmitOptions::default().with_deadline_ms(100),
+    );
     let (completed, partial) = match handle.wait() {
         Err(SchedulerError::DeadlineExceeded { completed, partial }) => (completed, partial),
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     };
     assert_eq!(handle.status(), JobStatus::DeadlineExceeded);
-    // The first trial is claimed before the deadline, and 400 trials of
-    // this size cannot finish within it.
+    // The first trial is claimed before the deadline, and the whole
+    // ensemble cannot finish within it.
     assert!(completed >= 1, "the in-flight trial runs to completion");
-    assert!(completed < 400, "the deadline must skip the queued tail");
+    assert!(completed < trials, "the deadline must skip the queued tail");
     let partial = *partial.expect("completed trials summarized");
     assert_eq!(partial.reports.len(), completed);
     assert_eq!(partial.summary.trials, completed);

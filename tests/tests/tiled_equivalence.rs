@@ -5,16 +5,23 @@
 //! whether or not it divides `n`, the one-tile monolithic array included.
 //! Plus the G-set-scale acceptance run: an `n ≥ 800` instance
 //! device-in-the-loop through 256-row tiles.
+//!
+//! The Ideal read counts conducting cells per (sign pass, plane, bit
+//! slice) line, so the suite also drives rows from {−1, 0, +1} (bSB's
+//! bit-serial planes), sweeps `quant_bits` over {1, 4, 8} (8 fills every
+//! slice lane), saturates a 2-bit ADC, and reads one dense `n = 896`
+//! array whose line counts exceed 255.
 
 mod oracle;
 
 use proptest::prelude::*;
 
 use fecim::CimAnnealer;
-use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
+use fecim_crossbar::{CrossbarConfig, QuantizedCoupling, TiledCrossbar};
 use fecim_gset::{GeneratorConfig, GsetFamily};
-use fecim_ising::{CsrCoupling, FlipMask, SpinVector};
+use fecim_ising::{CsrCoupling, DenseCoupling, FlipMask, SpinVector};
 use oracle::Oracle;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random symmetric coupling (as triplets) over `n` spins.
 fn coupling_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
@@ -59,7 +66,6 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
-        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let spins = SpinVector::random(n, &mut rng);
         let reference = Oracle::program(&coupling, &CrossbarConfig::paper_defaults());
@@ -89,7 +95,6 @@ proptest! {
         flips in 1usize..8,
     ) {
         let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
-        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let spins = SpinVector::random(n, &mut rng);
         let mask = FlipMask::random(flips.min(n), n, &mut rng);
@@ -109,6 +114,83 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Ternary row drives, every slice width and a saturating 2-bit ADC:
+    /// vmv, mvm and the incremental read (factors below, at and above 1)
+    /// still equal the oracle exactly.
+    #[test]
+    fn ternary_drives_slice_widths_and_saturation_match_the_oracle(
+        (n, triplets) in coupling_strategy(24),
+        seed in 0u64..1000,
+        bits_idx in 0usize..3,
+        adc_idx in 0usize..2,
+    ) {
+        let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
+        let config = CrossbarConfig {
+            quant_bits: [1, 4, 8][bits_idx],
+            adc_bits: [2, 13][adc_idx],
+            ..CrossbarConfig::paper_defaults()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut ternary = || -> Vec<i8> { (0..n).map(|_| rng.gen_range(-1i8..=1)).collect() };
+        let (sigma, sigma_r, sigma_c) = (ternary(), ternary(), ternary());
+        let reference = Oracle::program(&coupling, &config);
+        for tile_rows in tile_sizes(n) {
+            let mut tiled = TiledCrossbar::program(&coupling, config.clone(), tile_rows);
+            prop_assert_eq!(tiled.vmv(&sigma), reference.vmv(&sigma), "vmv tile_rows={}", tile_rows);
+            prop_assert_eq!(tiled.mvm(&sigma), reference.mvm(&sigma), "mvm tile_rows={}", tile_rows);
+            for factor in [1.0f64, 0.41, 3.7] {
+                prop_assert_eq!(
+                    tiled.incremental_form(&sigma_r, &sigma_c, factor),
+                    reference.incremental_form(&sigma_r, &sigma_c, factor),
+                    "incremental tile_rows={} factor={}", tile_rows, factor
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn dense_n896_mvm_with_line_counts_past_255_matches_the_oracle() {
+    // A mostly ferromagnetic dense coupling under a mostly +1 drive puts
+    // hundreds of conducting cells on one (pass, plane, slice) line, so a
+    // counter narrower than the column length would wrap.
+    let n = 896;
+    let mut dense = DenseCoupling::zeros(n);
+    for i in 0..n {
+        for j in i + 1..n {
+            dense.set(i, j, if (i + j) % 7 == 0 { -0.5 } else { 1.0 });
+        }
+    }
+    let coupling = CsrCoupling::from_dense(&dense);
+    let sigma: Vec<i8> = (0..n)
+        .map(|i| match (i % 5, i % 11) {
+            (_, 0) => 0,
+            (0, _) => -1,
+            _ => 1,
+        })
+        .collect();
+    let config = CrossbarConfig::paper_defaults();
+    let quant = QuantizedCoupling::from_coupling(&coupling, config.quant_bits);
+    let longest_line = (0..n)
+        .map(|j| {
+            quant
+                .column(j)
+                .iter()
+                .filter(|&&(row, pos, _)| sigma[row as usize] == 1 && pos & 1 == 1)
+                .count()
+        })
+        .max()
+        .unwrap();
+    assert!(
+        longest_line > 255,
+        "longest line holds {longest_line} cells"
+    );
+    let expected = Oracle::program(&coupling, &config).mvm(&sigma);
+    for tile_rows in [128, n] {
+        let mut tiled = TiledCrossbar::program(&coupling, config.clone(), tile_rows);
+        assert_eq!(tiled.mvm(&sigma), expected, "tile_rows={tile_rows}");
     }
 }
 
