@@ -171,16 +171,17 @@ impl Journal {
         })
     }
 
-    /// Append one record and flush it to the OS — a crash after
-    /// `append` returns never loses the record.
+    /// Append one record, newline included, to the OS in one write — a
+    /// crash after `append` returns never loses the record, and a crash
+    /// mid-append cannot leave a whole record without its newline.
     pub(crate) fn append(&self, record: &JournalRecord) {
         // audit:allow(panic-path): JournalRecord is plain structs/enums of serializable fields — no maps with non-string keys, no NaN-able floats in keys — so serialization is infallible by construction
-        let json = serde_json::to_string(record).expect("journal records serialize");
-        let mut file = lock(&self.file);
+        let mut line = serde_json::to_string(record).expect("journal records serialize");
+        line.push('\n');
         // Journal writes are best-effort durability: an un-writable
         // journal must not take down in-flight solves, so failures are
         // reported on stderr instead of panicking a worker.
-        if let Err(e) = writeln!(file, "{json}").and_then(|()| file.flush()) {
+        if let Err(e) = lock(&self.file).write_all(line.as_bytes()) {
             eprintln!("fecim-serve: journal append failed: {e}");
         }
     }

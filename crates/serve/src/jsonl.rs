@@ -55,7 +55,7 @@
 //! [`JobHandle::wait`]: crate::JobHandle::wait
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read as _, Write};
 
 use serde::{Deserialize, Serialize};
 
@@ -271,6 +271,53 @@ pub struct JsonlSummary {
     pub observations: usize,
 }
 
+/// Longest request line either transport buffers, in bytes, newline
+/// excluded. The largest lines in the benchmark ledger are raw dense
+/// n = 300 QUBO payloads at ~290 KB, and dense lines grow as n², so
+/// 64 MiB leaves room for paper-scale dense payloads while bounding
+/// what one hostile line can make a connection hold.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+
+/// One line read by [`read_capped_line`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum CappedLine {
+    /// The line, without its `\n`.
+    Text(String),
+    /// The line was longer than the cap; the rest of it was skipped up
+    /// to its newline without being buffered.
+    TooLong,
+}
+
+/// Read the next line of `input`, buffering at most `cap + 1` bytes of
+/// it. `Ok(None)` at end of input. Like [`BufRead::lines`], a line that
+/// is not UTF-8 is an [`std::io::ErrorKind::InvalidData`] error.
+pub(crate) fn read_capped_line(
+    input: &mut impl BufRead,
+    cap: usize,
+) -> std::io::Result<Option<CappedLine>> {
+    let mut line = Vec::new();
+    // One byte past the cap tells a `cap`-byte line cut at its newline
+    // from a longer one.
+    let limit = (cap as u64).saturating_add(1);
+    if input.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > cap {
+        input.skip_until(b'\n')?;
+        return Ok(Some(CappedLine::TooLong));
+    }
+    String::from_utf8(line)
+        .map(|text| Some(CappedLine::Text(text)))
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
+/// The error message for a request line over [`MAX_REQUEST_LINE_BYTES`].
+pub(crate) fn too_long_message() -> String {
+    format!("request line exceeds the {MAX_REQUEST_LINE_BYTES}-byte limit")
+}
+
 /// Serve one JSONL stream: stage every line into a paused scheduler,
 /// execute, and emit one response line per submission in submission
 /// order.
@@ -278,11 +325,11 @@ pub struct JsonlSummary {
 /// # Errors
 ///
 /// [`JsonlError::Io`] on read/write failures and [`JsonlError::Parse`]
-/// when an input line is not valid protocol JSON (malformed *requests*
-/// inside a valid line are per-job failures, reported on the job's
-/// response line instead).
+/// when an input line is not valid protocol JSON or is longer than
+/// [`MAX_REQUEST_LINE_BYTES`] (malformed *requests* inside a valid line
+/// are per-job failures, reported on the job's response line instead).
 pub fn run_jsonl(
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     config: SchedulerConfig,
 ) -> Result<JsonlSummary, JsonlError> {
@@ -299,14 +346,21 @@ pub fn run_jsonl(
     // non-deterministically with a running one.
     let mut campaigns: Vec<(String, Option<(CampaignSpec, SubmitOptions)>)> = Vec::new();
     let mut cancels: Vec<String> = Vec::new();
-    for (line_no, line) in input.lines().enumerate() {
-        let line = line?;
+    let mut line_no = 0;
+    while let Some(line) = read_capped_line(&mut input, MAX_REQUEST_LINE_BYTES)? {
+        line_no += 1;
+        let CappedLine::Text(line) = line else {
+            return Err(JsonlError::Parse {
+                line: line_no,
+                message: too_long_message(),
+            });
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
         let parsed: RequestLine = serde_json::from_str(line).map_err(|e| JsonlError::Parse {
-            line: line_no + 1,
+            line: line_no,
             message: e.to_string(),
         })?;
         match parsed {
@@ -649,4 +703,58 @@ fn parse_responses(input: impl BufRead) -> Result<Vec<ResponseLine>, JsonlError>
         lines.push(parsed);
     }
     Ok(lines)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every line of `input` through [`read_capped_line`], read through
+    /// a `capacity`-byte buffer so lines straddle many refills.
+    fn read_all(input: &[u8], capacity: usize, cap: usize) -> Vec<CappedLine> {
+        let mut reader = std::io::BufReader::with_capacity(capacity, input);
+        let mut lines = Vec::new();
+        while let Some(line) = read_capped_line(&mut reader, cap).expect("in-memory read") {
+            lines.push(line);
+        }
+        lines
+    }
+
+    fn text(s: &str) -> CappedLine {
+        CappedLine::Text(s.to_string())
+    }
+
+    #[test]
+    fn capped_reader_discards_only_the_over_long_lines() {
+        let input = b"abcd\nabcde\n\nabcdefghijklmnop\nxy\r\nlast";
+        for capacity in [1, 2, 3, 7, 64] {
+            assert_eq!(
+                read_all(input, capacity, 4),
+                vec![
+                    text("abcd"),
+                    CappedLine::TooLong,
+                    text(""),
+                    CappedLine::TooLong,
+                    text("xy\r"),
+                    text("last"),
+                ],
+                "buffer capacity {capacity}"
+            );
+        }
+    }
+
+    #[test]
+    fn capped_reader_handles_end_of_input_and_bad_utf8() {
+        assert!(read_all(b"", 8, 4).is_empty());
+        assert_eq!(read_all(b"\n", 8, 4), vec![text("")]);
+        assert_eq!(read_all(b"toolong", 2, 4), vec![CappedLine::TooLong]);
+        let mut reader = std::io::BufReader::new(&b"\xff\xfe\nok\n"[..]);
+        let err = read_capped_line(&mut reader, 16).expect_err("not UTF-8");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // The bad line was consumed; the stream goes on.
+        assert_eq!(
+            read_capped_line(&mut reader, 16).expect("next line"),
+            Some(text("ok"))
+        );
+    }
 }

@@ -24,6 +24,16 @@
 //!   arrival; its per-round sub-jobs then enter the queue directly
 //!   (each round keeps at most one window-set in flight).
 //!
+//! On the wire, each response line is one `write_all` of the JSON and
+//! its `\n` together, and every accepted socket has `TCP_NODELAY` set.
+//! Written as two pieces with Nagle on, the newline would wait for the
+//! client's delayed ACK (~40 ms): every closed-loop round trip, a
+//! `Status` query included, would stall that long. Request lines are
+//! read with a byte cap, [`MAX_REQUEST_LINE_BYTES`]; the rest of a
+//! longer line is skipped up to its newline without being buffered,
+//! and the line is answered like an unparsable one, with a `Failed`
+//! line for id `line-N`.
+//!
 //! A connection's jobs keep running after the client stops sending;
 //! the server half-closes only after every job submitted on that
 //! connection has been answered. Combined with a journal
@@ -33,14 +43,16 @@
 //! original (dead) connection.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use crate::campaign;
-use crate::jsonl::{self, JsonlSummary, RequestLine, ResponseLine};
+use crate::jsonl::{
+    self, CappedLine, JsonlSummary, RequestLine, ResponseLine, MAX_REQUEST_LINE_BYTES,
+};
 use crate::scheduler::{lock, Scheduler, SchedulerConfig};
 use crate::JobHandle;
 
@@ -230,6 +242,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Per socket, so the clones below inherit it.
+        let _ = stream.set_nodelay(true);
         next_conn += 1;
         let conn_id = next_conn;
         // Registered before the handler spawns, so shutdown (which runs
@@ -252,9 +266,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
 /// journal, stay replayable).
 fn send(writer: &Arc<Mutex<TcpStream>>, line: &ResponseLine) {
     // audit:allow(panic-path): ResponseLine is plain structs/enums with string keys throughout, so serialization is infallible by construction
-    let json = serde_json::to_string(line).expect("response lines serialize");
-    let mut stream = lock(writer);
-    let _ = writeln!(stream, "{json}").and_then(|()| stream.flush());
+    let mut json = serde_json::to_string(line).expect("response lines serialize");
+    // One write per line: a separate `\n` write would be a second
+    // segment (see the module doc).
+    json.push('\n');
+    let _ = lock(writer).write_all(json.as_bytes());
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
@@ -271,8 +287,26 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
     // One waiter thread per submission delivers its terminal line the
     // moment the job settles — completion order, not submission order.
     let mut waiters: Vec<JoinHandle<()>> = Vec::new();
-    for (line_no, line) in BufReader::new(read_half).lines().enumerate() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    let mut line_no = 0;
+    while let Ok(Some(line)) = jsonl::read_capped_line(&mut reader, MAX_REQUEST_LINE_BYTES) {
+        line_no += 1;
+        // Streaming cannot abort the whole stream on one bad line
+        // (peers' jobs are already running): synthesize an id and keep
+        // serving.
+        let line = match line {
+            CappedLine::Text(line) => line,
+            CappedLine::TooLong => {
+                send(
+                    &writer,
+                    &ResponseLine::Failed {
+                        id: format!("line-{line_no}"),
+                        error: jsonl::too_long_message(),
+                    },
+                );
+                continue;
+            }
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -280,13 +314,10 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
         let parsed: RequestLine = match serde_json::from_str(trimmed) {
             Ok(parsed) => parsed,
             Err(e) => {
-                // Streaming cannot abort the whole stream on one bad
-                // line (peers' jobs are already running): synthesize an
-                // id and keep serving.
                 send(
                     &writer,
                     &ResponseLine::Failed {
-                        id: format!("line-{}", line_no + 1),
+                        id: format!("line-{line_no}"),
                         error: format!("unparsable request line: {e}"),
                     },
                 );
@@ -477,7 +508,8 @@ pub fn drive(
 ) -> std::io::Result<usize> {
     let requests: Vec<String> = input.lines().collect::<Result<_, _>>()?;
     let stream = TcpStream::connect(addr)?;
-    let mut write_half = stream.try_clone()?;
+    stream.set_nodelay(true)?;
+    let mut write_half = BufWriter::new(stream.try_clone()?);
     // Writer thread + reader loop, so a server streaming large
     // responses early can never deadlock against an unread send buffer.
     let sender = std::thread::spawn(move || -> std::io::Result<()> {
@@ -485,7 +517,7 @@ pub fn drive(
             writeln!(write_half, "{request}")?;
         }
         write_half.flush()?;
-        write_half.shutdown(std::net::Shutdown::Write)
+        write_half.get_ref().shutdown(std::net::Shutdown::Write)
     });
     let mut received = 0usize;
     for line in BufReader::new(stream).lines() {

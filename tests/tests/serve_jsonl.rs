@@ -3,13 +3,13 @@
 //! and the end-to-end serve loop semantics — responses in submission
 //! order, deterministic cancellation, per-line failure isolation.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read as _};
 use std::path::{Path, PathBuf};
 
 use fecim::{CimAnnealer, ProblemSpec, RunPlan, SolveRequest, SolverSpec};
 use fecim_serve::{
-    check_responses, check_responses_against, run_jsonl, JsonlError, RequestLine, ResponseLine,
-    SchedulerConfig, SubmitOptions,
+    check_responses, check_responses_against, jsonl::MAX_REQUEST_LINE_BYTES, run_jsonl, JsonlError,
+    RequestLine, ResponseLine, SchedulerConfig, SubmitOptions,
 };
 
 fn ring_request(n: usize, iterations: usize) -> SolveRequest {
@@ -273,6 +273,35 @@ fn malformed_lines_are_a_stream_error_with_position() {
             JsonlError::Parse { line, .. } => assert_eq!(line, bad_line),
             other => panic!("expected Parse, got {other}"),
         }
+    }
+}
+
+#[test]
+fn over_long_lines_are_a_stream_error_with_position() {
+    let valid = serde_json::to_string(&RequestLine::Submit {
+        id: "before".into(),
+        request: ring_request(8, 100),
+        options: SubmitOptions::default(),
+    })
+    .unwrap();
+    // Line 2 is one byte over the cap, streamed rather than held in
+    // memory.
+    let too_long = std::io::repeat(b' ').take((MAX_REQUEST_LINE_BYTES + 1) as u64);
+    let input = std::io::Cursor::new(format!("{valid}\n"))
+        .chain(too_long)
+        .chain(&b"\n"[..]);
+    let err = run_jsonl(
+        BufReader::new(input),
+        Vec::new(),
+        SchedulerConfig::workers(1),
+    )
+    .expect_err("over-long line");
+    match err {
+        JsonlError::Parse { line, message } => {
+            assert_eq!(line, 2);
+            assert!(message.contains("byte limit"), "{message}");
+        }
+        other => panic!("expected Parse, got {other}"),
     }
 }
 

@@ -5,16 +5,16 @@
 //! **bit-identically** to an uncrashed run at 1 and 8 workers, because
 //! every trial is a pure function of (request, base_seed + trial).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fecim::{CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, SolveResponse, SolverSpec};
 use fecim_serve::{
-    check_responses_against, drive, read_journal, run_jsonl, JournalRecord, RequestLine,
-    ResponseLine, Scheduler, SchedulerConfig, SchedulerError, SubmitOptions, TcpServer,
-    TcpServerConfig,
+    check_responses_against, drive, jsonl::MAX_REQUEST_LINE_BYTES, read_journal, run_jsonl,
+    JobStatus, JournalRecord, RequestLine, ResponseLine, Scheduler, SchedulerConfig,
+    SchedulerError, SubmitOptions, TcpServer, TcpServerConfig,
 };
 
 fn ring_request(n: usize, iterations: usize) -> SolveRequest {
@@ -460,6 +460,101 @@ fn shutdown_unblocks_idle_connections_and_delivers_in_flight_responses() {
         0
     );
     assert_eq!(busy_reader.read_line(&mut eof).expect("busy eof"), 0);
+}
+
+#[test]
+fn status_round_trips_do_not_wait_for_delayed_acks() {
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        TcpServerConfig {
+            scheduler: SchedulerConfig::workers(1),
+            max_open_jobs: None,
+        },
+    )
+    .expect("server binds");
+    let stream = TcpStream::connect(server.local_addr()).expect("connects");
+    // The client sends each request as one segment, so any stall
+    // measured below is the server's.
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut round_trip = |line: &RequestLine| {
+        writer
+            .write_all(format!("{}\n", json(line)).as_bytes())
+            .expect("send");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("recv");
+        serde_json::from_str::<ResponseLine>(response.trim()).expect("response parses")
+    };
+    let submit = RequestLine::Submit {
+        id: "quick".into(),
+        request: ensemble(8, 100, 1, 0),
+        options: SubmitOptions::default(),
+    };
+    assert!(matches!(
+        round_trip(&submit),
+        ResponseLine::Completed { .. }
+    ));
+    // A response written as two segments (the JSON, then its newline)
+    // holds the second one until the client's delayed ACK, ~40 ms per
+    // round trip; one segment per line answers in well under 1 ms.
+    let start = std::time::Instant::now();
+    for _ in 0..20 {
+        let status = RequestLine::Status { id: "quick".into() };
+        assert!(matches!(
+            round_trip(&status),
+            ResponseLine::Status {
+                status: JobStatus::Completed,
+                ..
+            }
+        ));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "20 Status round trips took {elapsed:?}"
+    );
+    drop((reader, writer));
+    server.shutdown();
+}
+
+#[test]
+fn over_long_request_line_fails_by_position_and_the_connection_keeps_serving() {
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        TcpServerConfig {
+            scheduler: SchedulerConfig::workers(1),
+            max_open_jobs: None,
+        },
+    )
+    .expect("server binds");
+    let stream = TcpStream::connect(server.local_addr()).expect("connects");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = std::io::BufWriter::new(stream);
+    // One byte over the cap, streamed rather than held in memory.
+    let too_long = (MAX_REQUEST_LINE_BYTES + 1) as u64;
+    std::io::copy(&mut std::io::repeat(b' ').take(too_long), &mut writer).expect("send");
+    writeln!(writer).expect("send");
+    writeln!(writer, "{}", json(&RequestLine::Status { id: "x".into() })).expect("send");
+    writer.flush().expect("flush");
+    writer
+        .get_ref()
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let lines: Vec<ResponseLine> = reader
+        .lines()
+        .map(|l| serde_json::from_str(&l.expect("recv")).expect("response parses"))
+        .collect();
+    server.shutdown();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(matches!(
+        &lines[0],
+        ResponseLine::Failed { id, error } if id == "line-1" && error.contains("byte limit")
+    ));
+    assert!(matches!(
+        &lines[1],
+        ResponseLine::Failed { id, error } if id == "x" && error == "status for unknown id `x`"
+    ));
 }
 
 // ---------------------------------------------------------------------
