@@ -106,6 +106,10 @@ pub struct TiledBackend<'a> {
     /// Measurement of the last `direct_delta` proposal, committed by
     /// `apply`.
     pending_measured: Option<f64>,
+    /// In-situ read scratch: `σ_r` and `σ_c` of the proposal, reused
+    /// across steps. `changed` is all zero between reads.
+    rest: Vec<i8>,
+    changed: Vec<i8>,
 }
 
 impl<'a> TiledBackend<'a> {
@@ -122,6 +126,8 @@ impl<'a> TiledBackend<'a> {
         let measured_energy = array.vmv(initial.as_slice());
         TiledBackend {
             array,
+            rest: vec![0; initial.len()],
+            changed: vec![0; initial.len()],
             shadow: LocalFieldState::new(coupling, initial),
             measured_energy,
             pending_measured: None,
@@ -148,10 +154,16 @@ impl EnergyBackend for TiledBackend<'_> {
     }
 
     fn weighted_increment(&mut self, mask: &FlipMask, factor: f64) -> f64 {
-        let new_spins = self.shadow.spins().flipped_by(mask);
-        let r = new_spins.rest_vector(mask);
-        let c = new_spins.changed_vector(mask);
-        self.array.incremental_form(&r, &c, factor)
+        // σ_r and σ_c of the flipped state (mask indices are distinct):
+        // σ_r keeps the unflipped spins, σ_c holds the flipped ones.
+        let (rest, changed) = (&mut self.rest, &mut self.changed);
+        rest.copy_from_slice(self.shadow.spins().as_slice());
+        for &i in mask.indices() {
+            changed[i] = -std::mem::take(&mut rest[i]);
+        }
+        let e_inc = self.array.incremental_form(rest, changed, factor);
+        mask.indices().iter().for_each(|&i| changed[i] = 0);
+        e_inc
     }
 
     fn direct_delta(&mut self, mask: &FlipMask) -> f64 {
@@ -276,6 +288,33 @@ mod tests {
         }
         let a = tiled.activity().expect("tiled backend records activity");
         assert!(a.tiles_activated > 0, "per-tile activity recorded");
+    }
+
+    #[test]
+    fn reused_read_vectors_match_fresh_ones_step_after_step() {
+        // The in-situ scratch vectors carry over between steps; every read
+        // must equal one driven with freshly built σ_r / σ_c.
+        let j = coupling(24, 11);
+        let mut rng = StdRng::seed_from_u64(12);
+        let init = SpinVector::random(24, &mut rng);
+        let cfg = CrossbarConfig::paper_defaults();
+        let mut b = TiledBackend::new(&j, init.clone(), cfg.clone(), 8);
+        let mut fresh = TiledBackend::new(&j, init, cfg, 8);
+        for step in 0..12 {
+            let mask = FlipMask::random(1 + step % 3, 24, &mut rng);
+            let new = fresh.spins().flipped_by(&mask);
+            let want = fresh.array.incremental_form(
+                &new.rest_vector(&mask),
+                &new.changed_vector(&mask),
+                0.6,
+            );
+            assert_eq!(b.weighted_increment(&mask, 0.6), want, "step {step}");
+            if step % 2 == 0 {
+                b.apply(&mask);
+                fresh.apply(&mask);
+            }
+        }
+        assert_eq!(b.activity(), fresh.activity());
     }
 
     #[test]

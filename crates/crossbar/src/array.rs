@@ -5,16 +5,42 @@
 
 use serde::{Deserialize, Serialize};
 
-use fecim_device::{DgFefet, DgFefetParams, VariationConfig};
+use fecim_device::{ChannelBias, DgFefet, DgFefetParams, VariationConfig};
 
 use crate::parasitics::WireParams;
+
+/// The per-read constants of a device-accurate read at back-gate bias
+/// `vbg`: the shared terminal bias of a stored-'1' cell and the
+/// normalization to the full-scale current. Only the threshold offset
+/// varies from entry to entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellRead {
+    bias: ChannelBias,
+    leak: f64,
+    full_scale_current: f64,
+}
+
+impl CellRead {
+    pub(crate) fn new(cell: &DgFefet, full_scale_current: f64, vbg: f64) -> CellRead {
+        let params = cell.params();
+        CellRead {
+            bias: cell.bias(params.v_read, params.v_drain, vbg),
+            leak: params.front.i_leak,
+            full_scale_current,
+        }
+    }
+
+    /// Normalized current `(I − I_leak)/I_fs ≥ 0` of a conducting cell
+    /// programmed with threshold offset `vth_offset`.
+    pub(crate) fn factor(&self, vth_offset: f64) -> f64 {
+        ((self.bias.current(vth_offset) - self.leak) / self.full_scale_current).max(0.0)
+    }
+}
 
 /// Normalized current of an ideal stored-'1' cell at back-gate voltage
 /// `vbg`: the hardware annealing factor `f` (paper Fig. 6c).
 pub(crate) fn ideal_cell_factor(cell: &DgFefet, full_scale_current: f64, vbg: f64) -> f64 {
-    let i = cell.sl_current(true, true, cell.quantize_vbg(vbg));
-    let leak = cell.params().front.i_leak;
-    ((i - leak) / full_scale_current).max(0.0)
+    CellRead::new(cell, full_scale_current, cell.quantize_vbg(vbg)).factor(0.0)
 }
 
 /// Invert the normalized-current curve: the `V_BG` whose ideal cell factor
@@ -38,28 +64,6 @@ pub(crate) fn vbg_for_factor(cell: &DgFefet, full_scale_current: f64, factor: f6
         }
     }
     0.5 * (lo + hi)
-}
-
-/// Device-accurate current of one conducting cell: programmed threshold
-/// offset, back-gate bias, source-line IR attenuation and multiplicative
-/// read noise. `noise_gain` is the counter-derived factor
-/// `1 + rel·N(0,1)` from [`fecim_device::ReadNoise::gain`] (exactly
-/// `1.0` in the noiseless case), applied branch-free so noisy and silent
-/// reads share one code path.
-pub(crate) fn device_cell_current(
-    cell: &DgFefet,
-    vth_offset: f64,
-    vbg: f64,
-    full_scale_current: f64,
-    attenuation: f64,
-    noise_gain: f64,
-) -> f64 {
-    let mut programmed = cell.clone();
-    programmed.set_vth_offset(vth_offset);
-    let i = programmed.sl_current(true, true, vbg);
-    let leak = cell.params().front.i_leak;
-    let base = ((i - leak) / full_scale_current).max(0.0);
-    base * attenuation * noise_gain
 }
 
 /// Simulation fidelity of the analog path.

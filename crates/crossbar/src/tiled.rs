@@ -74,7 +74,17 @@
 //!   sum the per-cell accumulation forms, since each of its addends is
 //!   `factor` or `+0.0`.
 //! * **Device-accurate mode sums currents.** Each driven entry's own
-//!   DG FeFET current is accumulated per line in row order.
+//!   DG FeFET current is accumulated per line in row order. Everything
+//!   but the entry is fixed per read: the back-gate bias (the bisection
+//!   for the factor, memoized on the factor's bits, since a schedule
+//!   holds each factor for a plateau of reads) and the channel's
+//!   threshold-independent terms. An entry pays only for its own
+//!   threshold offset, IR attenuation and noise draw.
+//!
+//! A read's bookkeeping does not scale with `n` beyond vectorized byte
+//! scans: rows map to their sign pass through a constant drive-code
+//! table, and the incremental read finds its flipped columns 32 at a
+//! time.
 //!
 //! ## Parallel sensing
 //!
@@ -108,9 +118,7 @@ use fecim_device::{DgFefet, ReadNoise, StoredBit, VariationSampler};
 use fecim_ising::Coupling;
 
 use crate::adc::{MuxAssignment, SarAdc};
-use crate::array::{
-    device_cell_current, ideal_cell_factor, vbg_for_factor, CrossbarConfig, Fidelity,
-};
+use crate::array::{ideal_cell_factor, vbg_for_factor, CellRead, CrossbarConfig, Fidelity};
 use crate::parasitics::ArrayWires;
 use crate::quant::QuantizedCoupling;
 use crate::stats::ActivityStats;
@@ -129,9 +137,13 @@ pub const DEFAULT_TILE_ROWS: usize = 256;
 /// the calling thread.
 const AUTO_PARALLEL_MIN_WORK: usize = 1 << 17;
 
-/// Sensing cost of one device-accurate entry in Ideal entries: the
-/// per-cell DG FeFET evaluation and noise draw take ~150 ns.
-const DEVICE_ENTRY_WORK: usize = 64;
+/// Sensing cost of one device-accurate entry in Ideal entries. Measured
+/// sequentially on the dense n = 896 `vmv` (2-CPU host), a noisy entry
+/// (DG FeFET current from the per-read constants plus the noise draw)
+/// takes ~130 ns and an Ideal entry ~2.8 ns. The n = 800 dSB MVM
+/// (~16k entries at degree 20) therefore fans out, while an in-situ read
+/// (`t = 2` columns, ~40 entries) stays on the calling thread.
+const DEVICE_ENTRY_WORK: usize = 48;
 
 /// Floor on columns per parallel work chunk: small enough to
 /// load-balance stripes of uneven occupancy, large enough that a chunk
@@ -220,6 +232,10 @@ pub struct TiledCrossbar {
     /// Monotonic read counter: one bump per read, addressing the noise
     /// draws of that read.
     read_ordinal: u64,
+    /// One-entry memo of [`vbg_for_factor`]: the last device read's
+    /// factor (exact bits; seeded with factor 0) and its back-gate bias.
+    /// An annealing schedule holds each factor for a plateau of reads.
+    vbg_memo: (u64, f64),
     sensing: SensingMode,
     stats: ActivityStats,
 }
@@ -227,15 +243,14 @@ pub struct TiledCrossbar {
 /// Read-level sensing context shared by every column sense of one read.
 #[derive(Debug, Clone, Copy)]
 struct SenseContext<'a> {
-    /// Per row: the sign pass it conducts in (index into [`SIGNS`]), or
-    /// [`UNDRIVEN`].
-    drive: &'a [u8],
+    /// Row drive; [`DRIVE_CODE`] maps each input to its sign pass.
+    rows: &'a [i8],
     /// Ideal mode: the ADC output per conducting-cell count at this
     /// read's annealing factor.
     levels: &'a [f64],
-    /// Device mode: the back-gate bias the annealing factor implies.
-    vbg: f64,
-    device_mode: bool,
+    /// Device mode: the cell bias and normalization the annealing
+    /// factor implies; `None` for Ideal reads.
+    device: Option<CellRead>,
     /// The read's noise-counter ordinal.
     ordinal: u64,
 }
@@ -247,6 +262,46 @@ const SIGNS: [i8; 2] = [1, -1];
 
 /// Drive code of a row that conducts in neither sign pass.
 const UNDRIVEN: u8 = 2;
+
+/// Per row input (as its byte): the sign pass it conducts in (index into
+/// [`SIGNS`]), or [`UNDRIVEN`]. A read looks its rows up in place, so
+/// it never builds an `n`-long drive vector.
+static DRIVE_CODE: [u8; 256] = {
+    let mut table = [UNDRIVEN; 256];
+    table[SIGNS[0] as u8 as usize] = 0;
+    table[SIGNS[1] as u8 as usize] = 1;
+    table
+};
+
+/// The sign pass row `row` conducts in, or [`UNDRIVEN`].
+fn drive(rows: &[i8], row: usize) -> u8 {
+    DRIVE_CODE[usize::from(rows[row] as u8)]
+}
+
+/// Rows driven in each sign pass: branch-free byte-wide counts per
+/// block of 255 rows, which vectorize.
+fn pass_row_counts(rows: &[i8]) -> [u64; 2] {
+    SIGNS.map(|sign| {
+        rows.chunks(u8::MAX as usize)
+            .map(|block| u64::from(block.iter().fold(0u8, |c, &r| c + u8::from(r == sign))))
+            .sum()
+    })
+}
+
+/// Column groups of nonzero digital weight, ascending. The weights are
+/// tested 32 columns (one 256-bit word) at a time, so an in-situ read
+/// pays one test per 32 columns plus its few flipped columns.
+fn nonzero_columns(weights: &[i8]) -> Vec<usize> {
+    let (words, _) = weights.as_chunks::<32>();
+    let mut active = Vec::new();
+    for (w, word) in words.iter().enumerate() {
+        if word.iter().fold(0, |any, &v| any | v) != 0 {
+            active.extend((32 * w..32 * w + 32).filter(|&j| weights[j] != 0));
+        }
+    }
+    active.extend((32 * words.len()..weights.len()).filter(|&j| weights[j] != 0));
+    active
+}
 
 /// Entries counted in 16-bit lanes before the lanes drain into the
 /// per-slice counters, so no lane can overflow.
@@ -320,6 +375,12 @@ struct Read<'a> {
     /// Digital outputs leaving the array: 1 for a scalar, `n` for the
     /// MVM.
     buffer_writes: u64,
+}
+
+/// Whether [`SensingMode::Auto`] fans out a read that senses `touched`
+/// stored entries: only when the sensing work repays the thread spawn.
+fn auto_fans_out(touched: usize, device: bool) -> bool {
+    touched * if device { DEVICE_ENTRY_WORK } else { 1 } >= AUTO_PARALLEL_MIN_WORK
 }
 
 /// The splitmix64 finalizer: the one bit-mixing primitive behind every
@@ -430,6 +491,10 @@ impl TiledCrossbar {
         let mut cell = DgFefet::new(config.device);
         cell.program(StoredBit::One);
         let full_scale_current = cell.full_scale_current();
+        let vbg_memo = (
+            0.0f64.to_bits(),
+            vbg_for_factor(&cell, full_scale_current, 0.0),
+        );
         let noise = ReadNoise::new(
             config.seed ^ 0x9E37_79B9_7F4A_7C15,
             config.variation.read_noise_rel,
@@ -451,6 +516,7 @@ impl TiledCrossbar {
             full_scale_current,
             noise,
             read_ordinal: 0,
+            vbg_memo,
             sensing: SensingMode::default(),
             stats: ActivityStats::new(),
         }
@@ -512,6 +578,17 @@ impl TiledCrossbar {
         ideal_cell_factor(&self.cell, self.full_scale_current, vbg)
     }
 
+    /// The back-gate bias of a device read at annealing `factor`:
+    /// [`vbg_for_factor`] through the one-entry memo, so a read that
+    /// repeats the previous factor skips the bisection.
+    fn vbg_for(&mut self, factor: f64) -> f64 {
+        if self.vbg_memo.0 != factor.to_bits() {
+            let vbg = vbg_for_factor(&self.cell, self.full_scale_current, factor);
+            self.vbg_memo = (factor.to_bits(), vbg);
+        }
+        self.vbg_memo.1
+    }
+
     /// The in-situ incremental-E read `σ_rᵀ J σ_c · factor`: only the
     /// stripes holding flipped-spin column groups and the row bands
     /// holding driven rows activate, and each selected column's output
@@ -524,7 +601,7 @@ impl TiledCrossbar {
         let n = self.dimension();
         assert_eq!(sigma_r.len(), n, "sigma_r length mismatch");
         assert_eq!(sigma_c.len(), n, "sigma_c length mismatch");
-        let active: Vec<usize> = (0..n).filter(|&j| sigma_c[j] != 0).collect();
+        let active = nonzero_columns(sigma_c);
         let mut total = 0.0f64;
         let activated = self.sense(
             Read {
@@ -679,7 +756,9 @@ impl TiledCrossbar {
         let k = self.config.quant_bits as usize;
         let stripes = self.stripe_partition(active);
         let activated = stripes.len() as u64 * self.driven_band_count(rows);
-        let device_mode = self.config.fidelity == Fidelity::DeviceAccurate;
+        let device = (self.config.fidelity == Fidelity::DeviceAccurate)
+            .then(|| self.vbg_for(factor))
+            .map(|vbg| CellRead::new(&self.cell, self.full_scale_current, vbg));
         // Every read gets its own noise-counter ordinal; within one read
         // each driven cell is sensed exactly once (a row conducts in only
         // one sign pass), so `(ordinal, row, col)` addresses every noise
@@ -702,9 +781,8 @@ impl TiledCrossbar {
             );
             slots = slots.max(self.stripe_mux[*s].slots_for(&local_scratch, k));
         }
-        for sign in SIGNS {
+        for driven_count in pass_row_counts(rows) {
             self.stats.row_passes += 1;
-            let driven_count = rows.iter().filter(|&&r| r == sign).count() as u64;
             // Row segments toggle once per activated stripe.
             self.stats.rows_driven += driven_count * stripes.len() as u64;
             self.stats.columns_driven += active.len() as u64;
@@ -731,7 +809,7 @@ impl TiledCrossbar {
             .map(|&j| this.column(j).len())
             .fold((0, 0), |(sum, max), len| (sum + len, max.max(len)));
         let scaled_levels;
-        let levels: &[f64] = if device_mode {
+        let levels: &[f64] = if device.is_some() {
             &[]
         } else if factor == 1.0 {
             &this.unit_levels
@@ -739,24 +817,10 @@ impl TiledCrossbar {
             scaled_levels = this.factor_levels(factor, longest);
             &scaled_levels
         };
-        let drive: Vec<u8> = rows
-            .iter()
-            .map(|&r| {
-                SIGNS
-                    .iter()
-                    .position(|&s| s == r)
-                    .map_or(UNDRIVEN, |p| p as u8)
-            })
-            .collect();
         let ctx = SenseContext {
-            drive: &drive,
+            rows,
             levels,
-            vbg: if device_mode {
-                vbg_for_factor(&this.cell, this.full_scale_current, factor)
-            } else {
-                0.0
-            },
-            device_mode,
+            device,
             ordinal,
         };
 
@@ -765,9 +829,7 @@ impl TiledCrossbar {
         // economics decide.
         let fan_out = match this.sensing {
             SensingMode::Sequential => false,
-            SensingMode::Auto => {
-                touched * if device_mode { DEVICE_ENTRY_WORK } else { 1 } >= AUTO_PARALLEL_MIN_WORK
-            }
+            SensingMode::Auto => auto_fans_out(touched, device.is_some()),
             SensingMode::Parallel => !active.is_empty(),
         } && rayon::current_num_threads() > 1;
 
@@ -836,10 +898,9 @@ impl TiledCrossbar {
         ctx: SenseContext<'_>,
     ) -> SensedColumn {
         let k = self.config.quant_bits as usize;
-        let (levels, cells) = if ctx.device_mode {
-            self.device_column_levels(stripe, j, ctx)
-        } else {
-            self.ideal_column_levels(j, ctx)
+        let (levels, cells) = match ctx.device {
+            Some(read) => self.device_column_levels(stripe, j, read, ctx),
+            None => self.ideal_column_levels(j, ctx),
         };
         let mut terms = [0.0; 2];
         for ((term, [pos, neg]), sign) in terms.iter_mut().zip(&levels).zip(SIGNS) {
@@ -869,7 +930,7 @@ impl TiledCrossbar {
             let mut lanes = [[0u128; 2]; 4];
             let mut odd = [[0u128; 2]; 4];
             let count_into = |lanes: &mut [[u128; 2]; 4], cell: &Cell| {
-                let drive = usize::from(ctx.drive[cell.row as usize] & 3);
+                let drive = usize::from(drive(ctx.rows, cell.row as usize) & 3);
                 lanes[drive][usize::from(cell.plane & 1)] += SLICE_LANES[usize::from(cell.code)];
             };
             let pairs = block.chunks_exact(2);
@@ -908,6 +969,7 @@ impl TiledCrossbar {
         &self,
         stripe: usize,
         j: usize,
+        read: CellRead,
         ctx: SenseContext<'_>,
     ) -> (ColumnLevels, u64) {
         let k = self.config.quant_bits as usize;
@@ -916,19 +978,18 @@ impl TiledCrossbar {
         let mut activated = 0u64;
         for (cell, &offset) in self.cells[span.clone()].iter().zip(&self.vth_offsets[span]) {
             let row = cell.row as usize;
-            let pass = ctx.drive[row];
+            let pass = drive(ctx.rows, row);
             if pass == UNDRIVEN {
                 continue;
             }
             let tile = &self.tiles[row / self.tile_rows * self.bands + stripe];
-            let cell_current = device_cell_current(
-                &self.cell,
-                f64::from(offset),
-                ctx.vbg,
-                self.full_scale_current,
-                tile.wires.ir_attenuation(row - tile.row_start),
-                self.noise.gain(ctx.ordinal, row, j),
-            );
+            // Programmed variation, source-line IR attenuation, then the
+            // counter-derived read-noise gain `1 + rel·N(0,1)` (exactly 1.0
+            // when silent), applied branch-free so every read shares one
+            // path.
+            let cell_current = read.factor(f64::from(offset))
+                * tile.wires.ir_attenuation(row - tile.row_start)
+                * self.noise.gain(ctx.ordinal, row, j);
             for (b, sum) in sums[usize::from(pass)][usize::from(cell.plane)]
                 .iter_mut()
                 .take(k)
@@ -1342,6 +1403,209 @@ mod tests {
             let tol = n as f64 * m.max_abs() / 255.0 + 0.5;
             assert!((value - exact).abs() <= tol, "col {j}: {value} vs {exact}");
         }
+    }
+
+    /// The per-entry device evaluation every read used before the
+    /// per-read constants were hoisted: a fresh DG FeFET per entry,
+    /// programmed with the entry's offset, read through `sl_current`.
+    fn reference_cell_current(
+        xb: &TiledCrossbar,
+        vth_offset: f32,
+        vbg: f64,
+        attenuation: f64,
+        noise_gain: f64,
+    ) -> f64 {
+        let mut programmed = DgFefet::new(xb.config.device);
+        programmed.program(StoredBit::One);
+        programmed.set_vth_offset(f64::from(vth_offset));
+        let i = programmed.sl_current(true, true, vbg);
+        let leak = xb.config.device.front.i_leak;
+        let base = ((i - leak) / xb.full_scale_current).max(0.0);
+        base * attenuation * noise_gain
+    }
+
+    /// Reference device read of the next read ordinal, entry by entry:
+    /// per sensed column (ascending), its weighted term per sign pass.
+    fn reference_terms(
+        xb: &TiledCrossbar,
+        rows: &[i8],
+        weights: Option<&[i8]>,
+        factor: f64,
+    ) -> Vec<(usize, [f64; 2])> {
+        let k = xb.config.quant_bits as usize;
+        let vbg = vbg_for_factor(&xb.cell, xb.full_scale_current, factor);
+        let ordinal = xb.read_ordinal;
+        let mut out = Vec::new();
+        for j in 0..xb.n {
+            let w = weights.map_or(1.0, |w| f64::from(w[j]));
+            if w == 0.0 {
+                continue;
+            }
+            let stripe = j / xb.tile_rows;
+            let mut sums = [[[0.0f64; 8]; 2]; 2];
+            for idx in xb.column(j) {
+                let cell = xb.cells[idx];
+                let row = cell.row as usize;
+                let Some(pass) = SIGNS.iter().position(|&sign| sign == rows[row]) else {
+                    continue;
+                };
+                let tile = &xb.tiles[row / xb.tile_rows * xb.bands + stripe];
+                let current = reference_cell_current(
+                    xb,
+                    xb.vth_offsets[idx],
+                    vbg,
+                    tile.wires.ir_attenuation(row - tile.row_start),
+                    xb.noise.gain(ordinal, row, j),
+                );
+                for (b, sum) in sums[pass][usize::from(cell.plane)]
+                    .iter_mut()
+                    .take(k)
+                    .enumerate()
+                {
+                    *sum += current * f64::from((cell.code >> b) & 1);
+                }
+            }
+            let mut terms = [0.0; 2];
+            for ((term, [pos, neg]), sign) in terms.iter_mut().zip(&sums).zip(SIGNS) {
+                let (mut pos_val, mut neg_val) = (0.0, 0.0);
+                for b in 0..k {
+                    let weight = (1u64 << b) as f64;
+                    pos_val += weight * xb.adc.quantize(pos[b]);
+                    neg_val += weight * xb.adc.quantize(neg[b]);
+                }
+                *term = f64::from(sign) * w * (pos_val - neg_val);
+            }
+            out.push((j, terms));
+        }
+        out
+    }
+
+    /// A scalar read's total: every column's first-pass term, then every
+    /// column's second-pass term.
+    fn reference_scalar(xb: &TiledCrossbar, terms: &[(usize, [f64; 2])]) -> f64 {
+        let mut total = 0.0f64;
+        for pass in 0..SIGNS.len() {
+            for (_, t) in terms {
+                total += t[pass];
+            }
+        }
+        xb.scale * total
+    }
+
+    #[test]
+    fn device_reads_match_the_per_entry_reference_bit_for_bit() {
+        let n = 24;
+        let m = dense(n, 41);
+        let mut rng = StdRng::seed_from_u64(42);
+        for noise in [0.0, VariationConfig::typical().read_noise_rel] {
+            let mut cfg = config(6);
+            cfg.fidelity = Fidelity::DeviceAccurate;
+            cfg.variation = VariationConfig::typical();
+            cfg.variation.read_noise_rel = noise;
+            for tile_rows in [8, 7] {
+                for mode in [SensingMode::Sequential, SensingMode::Parallel] {
+                    let label = format!("noise={noise} tile_rows={tile_rows} {mode:?}");
+                    let mut xb =
+                        TiledCrossbar::program(&m, cfg.clone(), tile_rows).with_sensing_mode(mode);
+                    let s = SpinVector::random(n, &mut rng);
+                    let expected = reference_terms(&xb, s.as_slice(), Some(s.as_slice()), 1.0);
+                    let vmv = xb.vmv(s.as_slice());
+                    assert_eq!(
+                        vmv.to_bits(),
+                        reference_scalar(&xb, &expected).to_bits(),
+                        "{label}"
+                    );
+
+                    let expected = reference_terms(&xb, s.as_slice(), None, 1.0);
+                    let mut columns = vec![0.0f64; n];
+                    for pass in 0..SIGNS.len() {
+                        for (j, t) in &expected {
+                            columns[*j] += t[pass];
+                        }
+                    }
+                    let mvm = xb.mvm(s.as_slice());
+                    for (got, want) in mvm.iter().zip(&columns) {
+                        assert_eq!(got.to_bits(), (want * xb.scale).to_bits(), "{label}");
+                    }
+
+                    let mask = FlipMask::random(3, n, &mut rng);
+                    let s_new = s.flipped_by(&mask);
+                    let r = s_new.rest_vector(&mask);
+                    let c = s_new.changed_vector(&mask);
+                    for factor in [1.0, 0.41, 0.41, 0.0] {
+                        let expected = reference_terms(&xb, &r, Some(&c), factor);
+                        let got = xb.incremental_form(&r, &c, factor);
+                        assert_eq!(
+                            got.to_bits(),
+                            reference_scalar(&xb, &expected).to_bits(),
+                            "{label} factor={factor}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vbg_memo_matches_a_fresh_bisection_and_reads_still_advance_the_noise() {
+        let n = 24;
+        let mut cfg = config(6);
+        cfg.fidelity = Fidelity::DeviceAccurate;
+        cfg.variation = VariationConfig::typical();
+        let m = dense(n, 43);
+        let mut xb = TiledCrossbar::program(&m, cfg, 8);
+        let max = xb.cell_factor(xb.config.device.vbg_max);
+        for factor in [0.41, 0.41, 0.63, 0.41, 0.0, max, 2.0 * max] {
+            let fresh = vbg_for_factor(&xb.cell, xb.full_scale_current, factor);
+            assert_eq!(
+                xb.vbg_for(factor).to_bits(),
+                fresh.to_bits(),
+                "factor={factor}"
+            );
+            assert_eq!(xb.vbg_memo, (factor.to_bits(), fresh));
+        }
+        // A memo hit reads at the same bias but a fresh noise ordinal.
+        let s = SpinVector::all_up(n);
+        let mask = FlipMask::new(vec![2, 13], n);
+        let s_new = s.flipped_by(&mask);
+        let r = s_new.rest_vector(&mask);
+        let c = s_new.changed_vector(&mask);
+        let ordinal = xb.read_ordinal;
+        let first = xb.incremental_form(&r, &c, 0.41);
+        let second = xb.incremental_form(&r, &c, 0.41);
+        assert_eq!(xb.read_ordinal, ordinal + 2);
+        assert_ne!(first, second, "noise must vary across reads at one factor");
+    }
+
+    #[test]
+    fn auto_fan_out_keeps_in_situ_reads_on_the_calling_thread() {
+        // device_noisy shapes: the n = 800, degree-20 dSB MVM senses ~16k
+        // entries, an in-situ read two columns of ~20 entries each.
+        assert!(auto_fans_out(800 * 20, true));
+        assert!(!auto_fans_out(2 * 20, true));
+        // Sparse Ideal G-set MVMs stay sequential.
+        assert!(!auto_fans_out(800 * 48, false));
+    }
+
+    #[test]
+    fn drive_codes_and_counts_follow_the_sign_passes() {
+        let rows: Vec<i8> = (0..600).map(|i| [1, -1, 0, 2, -7][i % 5]).collect();
+        assert_eq!(pass_row_counts(&rows), [120, 120]);
+        for (i, &r) in rows.iter().enumerate() {
+            let expected = SIGNS
+                .iter()
+                .position(|&s| s == r)
+                .map_or(UNDRIVEN, |p| p as u8);
+            assert_eq!(drive(&rows, i), expected, "row input {r}");
+        }
+        // Hits in full 32-column words and in the tail.
+        let hits = [0, 7, 31, 32, 63, 64, 69];
+        let mut weights = vec![0i8; 70];
+        for j in hits {
+            weights[j] = if j % 2 == 0 { 1 } else { -1 };
+        }
+        assert_eq!(nonzero_columns(&weights), hits);
+        assert!(nonzero_columns(&[0; 80]).is_empty());
     }
 
     #[test]

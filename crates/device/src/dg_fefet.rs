@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::fefet::{channel_current, FefetParams, StoredBit};
+use crate::fefet::{ChannelBias, FefetParams, StoredBit};
 
 /// Parameters of the DG FeFET model: a front-gate FeFET plus back-gate
 /// coupling.
@@ -120,23 +120,28 @@ impl DgFefet {
     /// Effective threshold voltage under back-gate bias `v_bg`:
     /// `V_TH,eff = V_TH,FE − γ·V_BG + offset`.
     pub fn effective_vth(&self, v_bg: f64) -> f64 {
+        self.biased_vth(v_bg) + self.vth_offset
+    }
+
+    /// `V_TH,FE − γ·V_BG`: the threshold before the cell's own offset.
+    fn biased_vth(&self, v_bg: f64) -> f64 {
         let base = match self.state {
             StoredBit::One => self.params.front.vth_low,
             StoredBit::Zero => self.params.front.vth_high,
         };
-        base - self.params.bg_coupling * v_bg + self.vth_offset
+        base - self.params.bg_coupling * v_bg
     }
 
     /// Raw drain current for arbitrary terminal voltages (Fig. 2d curves).
     pub fn drain_current(&self, v_fg: f64, v_ds: f64, v_bg: f64) -> f64 {
-        channel_current(
-            v_fg,
-            v_ds,
-            self.effective_vth(v_bg),
-            self.params.front.ideality,
-            self.params.front.i_spec,
-            self.params.front.i_leak,
-        )
+        self.bias(v_fg, v_ds, v_bg).current(self.vth_offset)
+    }
+
+    /// The terminal bias of a read, shared by every cell of this stored
+    /// state that the read drives alike: the per-cell work left is
+    /// [`ChannelBias::current`] at the cell's own threshold offset.
+    pub fn bias(&self, v_fg: f64, v_ds: f64, v_bg: f64) -> ChannelBias {
+        ChannelBias::new(v_fg, v_ds, self.biased_vth(v_bg), &self.params.front)
     }
 
     /// The four-input multiply `I_SL = x·G·y·z` (paper Fig. 6a): binary
@@ -206,6 +211,7 @@ impl DgFefet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fefet::THERMAL_VOLTAGE;
 
     fn cell_storing(bit: StoredBit) -> DgFefet {
         let mut c = DgFefet::new(DgFefetParams::paper_reference());
@@ -294,6 +300,57 @@ mod tests {
         assert!((c.quantize_vbg(0.346) - 0.35).abs() < 1e-12);
         assert_eq!(c.quantize_vbg(-0.3), 0.0);
         assert!((c.quantize_vbg(2.0) - 0.7).abs() < 1e-12);
+    }
+
+    /// The channel equation as a cell evaluates it alone, term by term.
+    fn reference_sl_current(cell: &DgFefet, v_bg: f64) -> (f64, f64) {
+        let p = cell.params();
+        let (v_fg, v_ds) = (p.v_read, p.v_drain);
+        let phi = 2.0 * p.front.ideality * THERMAL_VOLTAGE;
+        let x = (v_fg - cell.effective_vth(v_bg)) / phi;
+        if v_ds <= 0.0 {
+            return (x, p.front.i_leak);
+        }
+        let soft = if x > 30.0 { x } else { x.exp().ln_1p() };
+        let saturation = 1.0 - (-v_ds / THERMAL_VOLTAGE).exp();
+        (
+            x,
+            p.front.i_spec * soft * soft * saturation + p.front.i_leak,
+        )
+    }
+
+    #[test]
+    fn hoisted_bias_matches_per_cell_evaluation_bit_for_bit() {
+        let reference = DgFefetParams::paper_reference();
+        let leak_only = DgFefetParams {
+            v_drain: 0.0,
+            ..reference
+        };
+        let (mut saw_linear, mut saw_deep_off) = (false, false);
+        for params in [reference, leak_only] {
+            for bit in [StoredBit::One, StoredBit::Zero] {
+                for v_bg in [0.0, 0.33, 0.7] {
+                    let mut cell = DgFefet::new(params);
+                    cell.program(bit);
+                    let bias = cell.bias(params.v_read, params.v_drain, v_bg);
+                    // -3 V pushes x past the linear branch (x > 30), +2 V
+                    // deep below threshold (x ≪ 0).
+                    for offset in [-3.0, -0.3, 0.0, 0.02, 0.5, 2.0] {
+                        cell.set_vth_offset(offset);
+                        let (x, want) = reference_sl_current(&cell, v_bg);
+                        saw_linear |= x > 30.0;
+                        saw_deep_off |= x < -20.0;
+                        let got = bias.current(offset);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{bit:?} {v_bg} {offset}");
+                        assert_eq!(got.to_bits(), cell.sl_current(true, true, v_bg).to_bits());
+                        if params.v_drain == 0.0 {
+                            assert_eq!(got, params.front.i_leak);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(saw_linear && saw_deep_off);
     }
 
     #[test]

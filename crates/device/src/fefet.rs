@@ -151,24 +151,21 @@ impl Fefet {
 
     /// Effective threshold voltage of the current state.
     pub fn effective_vth(&self) -> f64 {
-        let base = match self.state {
+        self.programmed_vth() + self.vth_offset
+    }
+
+    /// Threshold voltage of the stored state, before the static offset.
+    fn programmed_vth(&self) -> f64 {
+        match self.state {
             StoredBit::One => self.params.vth_low,
             StoredBit::Zero => self.params.vth_high,
-        };
-        base + self.vth_offset
+        }
     }
 
     /// Drain current at gate voltage `v_g` and drain-source voltage `v_ds`
     /// (both volts), in amperes.
     pub fn drain_current(&self, v_g: f64, v_ds: f64) -> f64 {
-        channel_current(
-            v_g,
-            v_ds,
-            self.effective_vth(),
-            self.params.ideality,
-            self.params.i_spec,
-            self.params.i_leak,
-        )
+        ChannelBias::new(v_g, v_ds, self.programmed_vth(), &self.params).current(self.vth_offset)
     }
 
     /// Sample the `I_D–V_G` transfer curve (paper Fig. 2b) over
@@ -195,25 +192,54 @@ impl Fefet {
     }
 }
 
-/// EKV-interpolated channel current shared by the FeFET and DG FeFET
-/// models.
-pub(crate) fn channel_current(
+/// The EKV channel of one stored state at fixed terminal voltages: every
+/// term of the channel current except the cell's own static threshold
+/// offset, evaluated once, so a read that biases many cells alike pays
+/// per cell only for [`ChannelBias::current`]. This is the one copy of
+/// the channel equation the FeFET and DG FeFET models share.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChannelBias {
     v_g: f64,
-    v_ds: f64,
+    /// Threshold voltage before the static offset (for the DG FeFET,
+    /// `V_TH,FE − γ·V_BG`).
     vth: f64,
-    ideality: f64,
+    /// `V_DS ≤ 0`: without drain bias only leakage flows.
+    leak_only: bool,
+    /// `2 n V_t`, the EKV slope normalization.
+    phi: f64,
+    /// `1 − exp(−V_DS/V_t)`.
+    saturation: f64,
     i_spec: f64,
     i_leak: f64,
-) -> f64 {
-    if v_ds <= 0.0 {
-        return i_leak;
+}
+
+impl ChannelBias {
+    /// Bias point at gate voltage `v_g`, drain-source voltage `v_ds` and
+    /// pre-offset threshold `vth`.
+    pub(crate) fn new(v_g: f64, v_ds: f64, vth: f64, params: &FefetParams) -> ChannelBias {
+        ChannelBias {
+            v_g,
+            vth,
+            leak_only: v_ds <= 0.0,
+            phi: 2.0 * params.ideality * THERMAL_VOLTAGE,
+            saturation: 1.0 - (-v_ds / THERMAL_VOLTAGE).exp(),
+            i_spec: params.i_spec,
+            i_leak: params.i_leak,
+        }
     }
-    let phi = 2.0 * ideality * THERMAL_VOLTAGE;
-    let x = (v_g - vth) / phi;
-    // ln(1+e^x) computed stably for large |x|.
-    let soft = if x > 30.0 { x } else { x.exp().ln_1p() };
-    let saturation = 1.0 - (-v_ds / THERMAL_VOLTAGE).exp();
-    i_spec * soft * soft * saturation + i_leak
+
+    /// Drain current, in amperes, of a cell whose threshold carries the
+    /// static offset `vth_offset`:
+    /// `I_spec · ln²(1 + exp((V_G − V_TH)/(2 n V_t))) · sat(V_DS) + I_leak`.
+    pub fn current(&self, vth_offset: f64) -> f64 {
+        if self.leak_only {
+            return self.i_leak;
+        }
+        let x = (self.v_g - (self.vth + vth_offset)) / self.phi;
+        // ln(1+e^x) computed stably for large |x|.
+        let soft = if x > 30.0 { x } else { x.exp().ln_1p() };
+        self.i_spec * soft * soft * self.saturation + self.i_leak
+    }
 }
 
 #[cfg(test)]
