@@ -1,5 +1,6 @@
 //! Run every figure/table harness in sequence (quick scale by default) —
-//! the one-command reproduction entry point.
+//! the one-command reproduction entry point. Every harness runs even if
+//! an earlier one fails; the exit status is non-zero if any failed.
 //!
 //! `cargo run --release -p fecim-bench --bin run_all [--scale quick|paper]`
 
@@ -28,6 +29,7 @@ fn main() {
         .parent()
         .expect("exe has a parent dir")
         .to_path_buf();
+    let mut failed = Vec::new();
     for (bin, extra) in binaries {
         println!("\n================================================================");
         println!("== {bin}");
@@ -42,9 +44,13 @@ fn main() {
         }
         cmd.args(extra);
         match cmd.status() {
-            Ok(status) if status.success() => {}
-            Ok(status) => eprintln!("warning: {bin} exited with {status}"),
-            Err(e) => eprintln!("warning: could not run {bin}: {e} (build with `cargo build --release -p fecim-bench` first)"),
+            Ok(status) if status.success() => continue,
+            Ok(status) => eprintln!("error: {bin} exited with {status}"),
+            Err(e) => eprintln!("error: could not run {bin}: {e} (build with `cargo build --release -p fecim-bench` first)"),
         }
+        failed.push(bin);
+    }
+    if !failed.is_empty() {
+        fecim_bench::fail_exit(&format!("failed harnesses: {}", failed.join(", ")));
     }
 }

@@ -4,15 +4,16 @@
 //! paper's evaluation (see `DESIGN.md` §3 in the repository root for
 //! the experiment index).
 //!
-//! * Criterion benches (`cargo bench -p fecim-bench`): kernel complexity
-//!   (Fig. 4/5 claim), crossbar reads, device evaluation, engine
-//!   iteration cost, and the ablation suite.
 //! * Figure binaries (`cargo run -p fecim-bench --bin figN_...`): print
 //!   the rows/series of each figure. All accept `--scale quick|paper`.
+//! * Sweep binaries (`tiling_sweep`, `batch_sweep`, `queue_sweep`,
+//!   `campaign_sweep`, `sb_sweep`): system-level experiments beyond the
+//!   paper's figures.
+//!
+//! Simulator wall-clock timing lives in `perfbench/` (see its README),
+//! whose ledger is the committed `BENCH_perfbench.json`.
 
 #![warn(missing_docs)]
-
-use std::fmt::Write as _;
 
 /// Harness CLI scale, shared by the figure binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,8 +25,8 @@ pub enum HarnessScale {
 }
 
 /// Print a usage message to stderr and exit with status 2 (the
-/// conventional bad-arguments code) — criterion/CI logs get one readable
-/// line instead of a panic backtrace.
+/// conventional bad-arguments code) — CI logs get one readable line
+/// instead of a panic backtrace.
 pub fn usage_exit(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
@@ -183,20 +184,9 @@ pub fn parse_noisy() -> bool {
     has_flag("--noisy")
 }
 
-/// Render an ASCII bar series `(x, y)` for terminal figures.
-pub fn render_series(name: &str, series: &[(f64, f64)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{name}:");
-    let y_max = series.iter().map(|p| p.1).fold(f64::MIN_POSITIVE, f64::max);
-    for &(x, y) in series {
-        let bars = ((y / y_max) * 50.0).round() as usize;
-        let _ = writeln!(out, "  {x:>10.1} | {:<50} {y:.3e}", "#".repeat(bars));
-    }
-    out
-}
-
-/// Write a JSON artifact under `target/fecim-artifacts/` (machine-readable
-/// record for EXPERIMENTS.md diffs). Errors are reported, not fatal.
+/// Write a JSON artifact under `target/fecim-artifacts/` (the
+/// machine-readable record of a harness run, next to its printed
+/// table). Errors are reported, not fatal.
 pub fn write_artifact(name: &str, json: &serde_json::Value) {
     let dir = std::path::Path::new("target/fecim-artifacts");
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -219,16 +209,6 @@ pub fn write_artifact(name: &str, json: &serde_json::Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_series_scales_bars() {
-        let s = render_series("test", &[(0.0, 1.0), (1.0, 2.0)]);
-        assert!(s.contains("test:"));
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let hashes = |l: &str| l.matches('#').count();
-        assert!(hashes(lines[2]) > hashes(lines[1]));
-    }
 
     #[test]
     fn flag_detection_default() {

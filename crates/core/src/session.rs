@@ -589,11 +589,6 @@ impl PreparedJob {
         self.run.base_seed().wrapping_add(trial as u64)
     }
 
-    /// The problem's human-readable name.
-    pub fn problem_name(&self) -> &str {
-        self.problem.name()
-    }
-
     /// The solver architecture's human-readable name.
     pub fn solver_name(&self) -> &str {
         &self.solver_name

@@ -47,4 +47,4 @@ pub use parasitics::{ArrayWires, WireParams};
 pub use periphery::{split_input_phases, ShiftAdd, SpinEncoder, TemperatureEncoder};
 pub use quant::QuantizedCoupling;
 pub use stats::ActivityStats;
-pub use tiled::{SensingMode, TiledCrossbar, DEFAULT_TILE_ROWS};
+pub use tiled::{SensingMode, TiledCrossbar};

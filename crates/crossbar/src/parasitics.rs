@@ -81,11 +81,6 @@ impl ArrayWires {
         self.col_length_um() * self.params.cap_per_um
     }
 
-    /// Total resistance of one column line, ohms.
-    pub fn col_resistance(&self) -> f64 {
-        self.col_length_um() * self.params.res_per_um
-    }
-
     /// CV² energy of toggling one row line once, joules.
     pub fn row_drive_energy(&self) -> f64 {
         self.row_capacitance() * self.params.swing_v * self.params.swing_v

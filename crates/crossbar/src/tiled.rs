@@ -123,10 +123,6 @@ use crate::parasitics::ArrayWires;
 use crate::quant::QuantizedCoupling;
 use crate::stats::ActivityStats;
 
-/// Default physical tile height (rows), matching common FeFET macro
-/// sizes.
-pub const DEFAULT_TILE_ROWS: usize = 256;
-
 /// Smallest sensing work, in Ideal entries, for which
 /// [`SensingMode::Auto`] fans a read out. Each fan-out pays the rayon
 /// shim's per-call thread spawn (~0.1 ms on a 2-CPU host); the count

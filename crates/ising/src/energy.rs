@@ -1,72 +1,13 @@
-//! Energy computation kernels: the direct `O(n²)` VMV form, the paper's
-//! `O(n)` incremental-E form, and a local-field cache for fast software
-//! annealing.
+//! A local-field cache for fast exact software annealing.
 //!
-//! These kernels back the Fig. 4/5 complexity claim of the paper: the
-//! `complexity` Criterion bench sweeps `n` and shows the direct kernel
-//! scaling quadratically while [`incremental_e`] scales linearly for a
-//! constant flip count `|F|`.
+//! The paper's Fig. 4/5 complexity claim — incremental-E senses
+//! `(n − |F|)·|F|` cells per iteration where the direct VMV senses `n²` —
+//! is pinned deterministically against the crossbar simulator by
+//! `tests/tests/activity_model.rs`; the bilinear form itself is
+//! [`Coupling::incremental_form`].
 
 use crate::coupling::Coupling;
 use crate::spin::{FlipMask, SpinVector};
-
-/// Direct Ising energy `E = σᵀJσ` over a dense row-major matrix, written as
-/// the explicit `n²`-term double loop the paper ascribes to direct-E
-/// transformation annealers.
-///
-/// # Panics
-///
-/// Panics if `matrix.len() != spins.len()²`.
-pub fn direct_vmv(matrix: &[f64], spins: &SpinVector) -> f64 {
-    let n = spins.len();
-    assert_eq!(matrix.len(), n * n, "matrix must be n×n");
-    let s = spins.as_slice();
-    let mut e = 0.0;
-    for i in 0..n {
-        let row = &matrix[i * n..(i + 1) * n];
-        let si = s[i] as f64;
-        let mut acc = 0.0;
-        for j in 0..n {
-            acc += row[j] * s[j] as f64;
-        }
-        e += si * acc;
-    }
-    e
-}
-
-/// The paper's incremental-E bilinear form `σ_rᵀ J σ_c` over a dense
-/// row-major matrix: only `(n − |F|)·|F|` products (Eq. 9, Fig. 5d).
-///
-/// Multiply by 4 to obtain `ΔE`, or by `f(T)` to obtain the in-situ
-/// `E_inc` (Eq. 11).
-///
-/// # Panics
-///
-/// Panics if `matrix.len() != new_spins.len()²`.
-pub fn incremental_e(matrix: &[f64], new_spins: &SpinVector, mask: &FlipMask) -> f64 {
-    let n = new_spins.len();
-    assert_eq!(matrix.len(), n * n, "matrix must be n×n");
-    let s = new_spins.as_slice();
-    let mut total = 0.0;
-    for &j in mask.indices() {
-        let sj = s[j] as f64;
-        let row = &matrix[j * n..(j + 1) * n];
-        let mut acc = 0.0;
-        let mut flips = mask.indices().iter().peekable();
-        for (i, &v) in row.iter().enumerate() {
-            // Skip columns in F (two-flip terms cancel, Fig. 5c).
-            if let Some(&&next_flip) = flips.peek() {
-                if next_flip == i {
-                    flips.next();
-                    continue;
-                }
-            }
-            acc += v * s[i] as f64;
-        }
-        total += sj * acc;
-    }
-    total
-}
 
 /// Incrementally-maintained local fields `l_i = Σ_j J_ij σ_j`, giving `O(deg)`
 /// energy differences and `O(|F|·deg)` state updates.
@@ -184,66 +125,12 @@ impl<'a, C: Coupling> LocalFieldState<'a, C> {
     }
 }
 
-/// Number of product terms of the direct form (`n²`, paper Fig. 5b).
-pub fn direct_term_count(n: usize) -> usize {
-    n * n
-}
-
-/// Number of product terms of the incremental form (`(n−|F|)·|F|`,
-/// paper Fig. 5d).
-pub fn incremental_term_count(n: usize, flips: usize) -> usize {
-    n.saturating_sub(flips) * flips
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coupling::{CsrCoupling, DenseCoupling};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn direct_vmv_matches_coupling_energy() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let m = DenseCoupling::random(24, 0.4, 1.0, &mut rng);
-        let s = SpinVector::random(24, &mut rng);
-        assert!((direct_vmv(&m.to_vec(), &s) - m.energy(&s)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn incremental_e_times_four_is_delta() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let m = DenseCoupling::random(32, 0.3, 1.5, &mut rng);
-        let flat = m.to_vec();
-        for t in [1usize, 2, 3, 8] {
-            let s = SpinVector::random(32, &mut rng);
-            let mask = FlipMask::random(t, 32, &mut rng);
-            let s_new = s.flipped_by(&mask);
-            let de_direct = direct_vmv(&flat, &s_new) - direct_vmv(&flat, &s);
-            let de_inc = 4.0 * incremental_e(&flat, &s_new, &mask);
-            assert!((de_direct - de_inc).abs() < 1e-9, "t={t}");
-        }
-    }
-
-    #[test]
-    fn empty_mask_gives_zero_increment() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let m = DenseCoupling::random(10, 0.5, 1.0, &mut rng);
-        let s = SpinVector::random(10, &mut rng);
-        let mask = FlipMask::new(vec![], 10);
-        assert_eq!(incremental_e(&m.to_vec(), &s, &mask), 0.0);
-    }
-
-    #[test]
-    fn full_mask_gives_zero_increment() {
-        // Flipping every spin leaves σᵀJσ invariant (global Z₂ symmetry).
-        let mut rng = StdRng::seed_from_u64(24);
-        let m = DenseCoupling::random(10, 0.5, 1.0, &mut rng);
-        let s = SpinVector::random(10, &mut rng);
-        let mask = FlipMask::new((0..10).collect(), 10);
-        let s_new = s.flipped_by(&mask);
-        assert!(incremental_e(&m.to_vec(), &s_new, &mask).abs() < 1e-12);
-    }
 
     #[test]
     fn local_field_state_tracks_energy_over_run() {
@@ -288,13 +175,5 @@ mod tests {
         let e = state.energy();
         state.rebuild();
         assert_eq!(state.energy(), e);
-    }
-
-    #[test]
-    fn term_counts_match_paper() {
-        assert_eq!(direct_term_count(100), 10_000);
-        assert_eq!(incremental_term_count(100, 2), 196);
-        assert_eq!(incremental_term_count(2, 2), 0);
-        assert_eq!(incremental_term_count(1, 2), 0);
     }
 }

@@ -11,8 +11,7 @@
 //! * [`DenseCoupling`], [`CsrCoupling`], [`IsingModel`] — symmetric coupling
 //!   matrices with the `O(n²)` direct energy and the `O(n)` incremental
 //!   `ΔE = 4σ_rᵀJσ_c` (Eq. 9);
-//! * [`direct_vmv`] / [`incremental_e`] — flat kernels for complexity
-//!   benchmarking, plus [`LocalFieldState`] for fast exact software
+//! * [`LocalFieldState`] — a local-field cache for fast exact software
 //!   annealing;
 //! * [`Qubo`] with the exact QUBO↔Ising equivalence, and [`decompose`] —
 //!   qbsolv-style windowed sub-QUBO extraction for beyond-capacity
@@ -52,9 +51,7 @@ mod spin;
 
 pub use coupling::{Coupling, CsrCoupling, DenseCoupling, IsingModel};
 pub use decompose::{impact_windows, spin_objective, SubQubo};
-pub use energy::{
-    direct_term_count, direct_vmv, incremental_e, incremental_term_count, LocalFieldState,
-};
+pub use energy::LocalFieldState;
 pub use error::IsingError;
 pub use problems::{
     CopProblem, GraphColoring, Knapsack, MaxCut, MaxIndependentSet, NumberPartitioning,

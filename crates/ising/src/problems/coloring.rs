@@ -59,18 +59,6 @@ impl GraphColoring {
         })
     }
 
-    /// Override the penalty weights (one-hot constraint, edge conflict).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either weight is not strictly positive.
-    pub fn with_weights(mut self, one_hot: f64, conflict: f64) -> GraphColoring {
-        assert!(one_hot > 0.0 && conflict > 0.0, "weights must be positive");
-        self.one_hot_weight = one_hot;
-        self.conflict_weight = conflict;
-        self
-    }
-
     /// Number of vertices.
     pub fn vertex_count(&self) -> usize {
         self.n

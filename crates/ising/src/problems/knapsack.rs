@@ -81,17 +81,6 @@ impl Knapsack {
         })
     }
 
-    /// Override the constraint penalty weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `penalty <= 0`.
-    pub fn with_penalty(mut self, penalty: f64) -> Knapsack {
-        assert!(penalty > 0.0, "penalty must be positive");
-        self.penalty = penalty;
-        self
-    }
-
     /// Number of items.
     pub fn item_count(&self) -> usize {
         self.values.len()

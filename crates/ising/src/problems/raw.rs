@@ -65,12 +65,6 @@ impl RawIsing {
         Ok(RawIsing { model })
     }
 
-    /// Wrap an already-built model (no extra validation needed — the
-    /// model's constructors enforced it).
-    pub fn from_model(model: IsingModel) -> RawIsing {
-        RawIsing { model }
-    }
-
     /// The wrapped Hamiltonian.
     pub fn model(&self) -> &IsingModel {
         &self.model

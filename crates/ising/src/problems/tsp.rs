@@ -59,11 +59,6 @@ impl TravellingSalesman {
         })
     }
 
-    /// Number of cities.
-    pub fn city_count(&self) -> usize {
-        self.n
-    }
-
     /// Distance between cities `i` and `j`.
     pub fn distance(&self, i: usize, j: usize) -> f64 {
         self.distances[i * self.n + j]

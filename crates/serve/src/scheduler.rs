@@ -758,11 +758,6 @@ impl Scheduler {
         self.core.work_cv.notify_all();
     }
 
-    /// Whether workers are currently held idle.
-    pub fn is_paused(&self) -> bool {
-        lock(&self.core.queue).paused
-    }
-
     /// Jobs submitted and not yet finalized.
     pub fn open_jobs(&self) -> usize {
         lock(&self.core.queue).open_jobs

@@ -10,14 +10,17 @@
 //! slice) line, so the suite also drives rows from {−1, 0, +1} (bSB's
 //! bit-serial planes), sweeps `quant_bits` over {1, 4, 8} (8 fills every
 //! slice lane), saturates a 2-bit ADC, and reads one dense `n = 896`
-//! array whose line counts exceed 255.
+//! array whose line counts exceed 255. A dense `n = 896` DeviceAccurate
+//! array with variation and read noise pins parallel stripe sensing to
+//! the serial sequencer bit for bit.
 
 mod oracle;
 
 use proptest::prelude::*;
 
 use fecim::CimAnnealer;
-use fecim_crossbar::{CrossbarConfig, QuantizedCoupling, TiledCrossbar};
+use fecim_crossbar::{CrossbarConfig, Fidelity, QuantizedCoupling, SensingMode, TiledCrossbar};
+use fecim_device::VariationConfig;
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{CsrCoupling, DenseCoupling, FlipMask, SpinVector};
 use oracle::Oracle;
@@ -192,6 +195,30 @@ fn dense_n896_mvm_with_line_counts_past_255_matches_the_oracle() {
         let mut tiled = TiledCrossbar::program(&coupling, config.clone(), tile_rows);
         assert_eq!(tiled.mvm(&sigma), expected, "tile_rows={tile_rows}");
     }
+}
+
+#[test]
+fn dense_n896_noisy_parallel_vmv_matches_sequential() {
+    // Paper-scale DeviceAccurate reads with typical variation and read
+    // noise on 128-row tiles: counter-addressed noise lets the stripes
+    // fan out, and the fan-out must not change one bit, on the first
+    // read or on the next read ordinal.
+    let n = 896;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let coupling = CsrCoupling::from_dense(&DenseCoupling::random(n, 0.35, 1.0, &mut rng));
+    let spins = SpinVector::random(n, &mut rng);
+    let mut config = CrossbarConfig::paper_defaults();
+    config.fidelity = Fidelity::DeviceAccurate;
+    config.variation = VariationConfig::typical();
+    let mut sequential = TiledCrossbar::program(&coupling, config.clone(), 128)
+        .with_sensing_mode(SensingMode::Sequential);
+    let mut parallel =
+        TiledCrossbar::program(&coupling, config, 128).with_sensing_mode(SensingMode::Parallel);
+    let first = sequential.vmv(spins.as_slice());
+    assert_eq!(parallel.vmv(spins.as_slice()).to_bits(), first.to_bits());
+    let second = sequential.vmv(spins.as_slice());
+    assert_ne!(second, first, "each read draws fresh read noise");
+    assert_eq!(parallel.vmv(spins.as_slice()).to_bits(), second.to_bits());
 }
 
 #[test]
