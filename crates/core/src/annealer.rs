@@ -12,7 +12,7 @@ use fecim_anneal::{
 use fecim_crossbar::CrossbarConfig;
 use fecim_device::{AnnealFactor, DeviceFactor, FractionalFactor, TableFactor};
 use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
-use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, IsingModel, SpinVector};
+use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, SpinVector};
 
 use crate::solver::Solver;
 
@@ -223,23 +223,11 @@ impl CimAnnealer {
         Solver::solve(self, problem, seed)
     }
 
-    /// Anneal a raw Ising model and return the run plus the best solution
-    /// projected back to the model's original spins (see
-    /// [`Solver::anneal_model`]).
-    pub fn anneal_model(&self, model: &IsingModel, seed: u64) -> (RunResult, SpinVector) {
-        Solver::anneal_model(self, model, seed)
-    }
-
-    /// Run the in-situ flow against a caller-supplied energy backend —
-    /// the hook behind batched trials (each
-    /// [`BackendPlan::Batched`](crate::BackendPlan::Batched) replica
-    /// anneals through its own [`fecim_anneal::TiledBackend`]), and
-    /// useful for any custom array model implementing
-    /// [`fecim_anneal::EnergyBackend`]. Schedule, annealing factor and
-    /// `E_inc` normalization come from this solver's configuration,
-    /// exactly as in [`Solver::run_engine`]; the backend decides where
-    /// the measurements come from.
-    pub fn anneal_with_backend<B: fecim_anneal::EnergyBackend>(
+    /// Run the in-situ flow against an energy backend: schedule,
+    /// annealing factor and `E_inc` normalization come from this
+    /// solver's configuration; the backend decides where the
+    /// measurements come from (see [`Solver::run_engine`]).
+    fn anneal_with_backend<B: fecim_anneal::EnergyBackend>(
         &self,
         coupling: &CsrCoupling,
         backend: &mut B,
@@ -257,7 +245,7 @@ impl CimAnnealer {
         // selective phase early enough that the paper's tight iteration
         // budgets (700 iterations for 800 spins) convert into cut gain
         // rather than random walk. The calibration sweep lives in the
-        // `ablation` bench.
+        // `ablation_sweeps` binary.
         let scale = self
             .einc_scale
             .unwrap_or_else(|| suggest_einc_scale(coupling, self.flips) / 80.0);

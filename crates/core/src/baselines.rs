@@ -10,7 +10,7 @@ use fecim_anneal::{
 };
 use fecim_crossbar::CrossbarConfig;
 use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, ExpUnit, IterationProfile, TimeReport};
-use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, IsingModel, SpinVector};
+use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, SpinVector};
 
 use crate::annealer::SolveReport;
 use crate::solver::Solver;
@@ -160,12 +160,6 @@ impl DirectAnnealer {
     /// Propagates encoding errors from the problem's Ising transformation.
     pub fn solve<P: CopProblem>(&self, problem: &P, seed: u64) -> Result<SolveReport, IsingError> {
         Solver::solve(self, problem, seed)
-    }
-
-    /// Anneal a raw Ising model with the baseline flow (see
-    /// [`Solver::anneal_model`]).
-    pub fn anneal_model(&self, model: &IsingModel, seed: u64) -> (RunResult, SpinVector) {
-        Solver::anneal_model(self, model, seed)
     }
 }
 

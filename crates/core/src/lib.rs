@@ -96,8 +96,7 @@
 //! [`MesaAnnealer`]) and the [`Solver`] trait remain the machinery
 //! underneath — [`Solver::solve`] is still the right call for quick
 //! one-off library use. Everything ensemble- or batch-shaped goes
-//! through requests (the legacy `normalized_ensemble` /
-//! `solve_batched_ensemble` free functions have been removed).
+//! through requests.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -115,7 +114,7 @@ mod solver;
 
 pub use annealer::{CimAnnealer, FactorChoice, SolveReport};
 pub use baselines::DirectAnnealer;
-pub use batch::{BatchGridSummary, BatchedEnsembleOutcome};
+pub use batch::BatchGridSummary;
 pub use experiment::{
     cost_trend, run_experiment, AlgoStats, ExperimentConfig, ExperimentOutcome, GroupOutcome,
     HardwareCost, Scale, TrendPoint,

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use fecim_anneal::RunResult;
 use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
 use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
-use fecim_ising::{CopProblem, CsrCoupling, IsingError, IsingModel, SpinVector};
+use fecim_ising::{CopProblem, CsrCoupling, IsingError, SpinVector};
 use fecim_sb::{DeviceMvm, ExactMvm, PressureSchedule, SbEngine, SbVariant, MAX_IN_BITS};
 
 use crate::annealer::SolveReport;
@@ -257,13 +257,6 @@ impl SbAnnealer {
         Solver::solve(self, problem, seed)
     }
 
-    /// Run the SB dynamics on a raw Ising model and return the run plus
-    /// the best solution projected back to the model's original spins
-    /// (see [`Solver::anneal_model`]).
-    pub fn anneal_model(&self, model: &IsingModel, seed: u64) -> (RunResult, SpinVector) {
-        Solver::anneal_model(self, model, seed)
-    }
-
     /// The configured `fecim-sb` engine.
     pub(crate) fn engine(&self) -> SbEngine {
         let mut engine = SbEngine::new(self.variant, self.steps)
@@ -345,25 +338,6 @@ impl Solver for SbAnnealer {
                 profile.sb_run_time(&cost_model, run.iterations, self.reads_per_step()),
             ),
         }
-    }
-}
-
-impl crate::batch::BatchedSolve for SbAnnealer {
-    fn anneal_batched(
-        &self,
-        coupling: &CsrCoupling,
-        initial: SpinVector,
-        (config, tile_rows): (CrossbarConfig, usize),
-        seed: u64,
-    ) -> RunResult {
-        // The replica's own array IS the MVM source, programmed exactly
-        // as `run_engine` programs it, so batched SB trials are
-        // bit-identical to tiled device runs in Ideal fidelity.
-        let mut source = DeviceMvm::new(
-            TiledCrossbar::program(coupling, config, tile_rows),
-            self.in_bits,
-        );
-        self.engine().run(coupling, &mut source, &initial, seed)
     }
 }
 

@@ -1,25 +1,21 @@
 //! The [`Session`] facade: one execution entry point for every
-//! [`SolveRequest`], replacing the legacy free-function era (`solve`
-//! plus the since-removed `normalized_ensemble` /
-//! `solve_batched_ensemble` wrappers) with a single
-//! `run(request) -> SolveResponse` surface.
+//! [`SolveRequest`], a single `run(request) -> SolveResponse` surface.
 //!
-//! A session routes the request's typed [`BackendPlan`] to the existing
-//! machinery:
+//! A session wires the request's solver for its typed [`BackendPlan`]
+//! and runs every trial through the one [`Solver`] trial pipeline:
 //!
-//! * [`BackendPlan::Analytic`] — software-exact incremental-E solves
-//!   through the [`Solver`] pipeline;
-//! * [`BackendPlan::DeviceInLoop`] — the same pipeline with the
-//!   (optionally tiled) simulated crossbar in the measurement loop;
-//! * [`BackendPlan::Batched`] — shared-grid batched ensembles on one
-//!   physical tile grid.
+//! * [`BackendPlan::Analytic`] — software-exact measurements;
+//! * [`BackendPlan::DeviceInLoop`] — the (optionally tiled) simulated
+//!   crossbar in the measurement loop;
+//! * [`BackendPlan::Batched`] — each trial is a tiled device-in-the-loop
+//!   trial on its own array, programmed from
+//!   [`CrossbarConfig::for_trial`]; the replicas are summarized as
+//!   shared physical tile grids.
 //!
-//! Every route is bit-identical to the legacy entry point it subsumes —
-//! pinned by the `session_api` equivalence tests. This holds in noisy
-//! `DeviceAccurate` fidelity too: read noise is counter-based and each
-//! batched trial programs its own array from
-//! [`CrossbarConfig::for_trial`], so results are a pure function of the
-//! request.
+//! The `session_api` equivalence tests pin each route against the
+//! configured solver's own [`Solver::solve`]. Read noise is
+//! counter-based and batched silicon follows the trial seed, so results
+//! are a pure function of the request in every fidelity.
 //!
 //! ## Trial-level execution: [`PreparedJob`]
 //!
@@ -40,16 +36,12 @@ use serde::{Deserialize, Serialize};
 
 use fecim_crossbar::{CrossbarConfig, Fidelity};
 use fecim_device::VariationConfig;
-use fecim_ising::{CopProblem, CsrCoupling, IsingError, IsingModel, ObjectiveSense, SpinVector};
-
-use fecim_hwcost::CostModel;
+use fecim_ising::{CopProblem, IsingError, IsingModel, ObjectiveSense, SpinVector};
 
 use crate::annealer::SolveReport;
-use crate::batch::{
-    batched_ensemble_prepared, batched_trial_report, BatchGridSummary, BatchedSolve,
-};
+use crate::batch::BatchGridSummary;
 use crate::request::{BackendPlan, RunPlan, SolveRequest, SolverSpec};
-use crate::solver::Solver;
+use crate::solver::{run_trial, Solver};
 
 /// Error raised while validating or executing a [`SolveRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -156,9 +148,8 @@ pub struct SolveResponse {
 }
 
 impl SolveResponse {
-    /// The `(normalized objective, first target hit)` pairs the
-    /// legacy `normalized_ensemble` free function used to return, when
-    /// the request carried a reference.
+    /// The per-trial `(normalized objective, first target hit)` pairs,
+    /// when the request carried a reference.
     pub fn normalized_pairs(&self) -> Option<Vec<(f64, Option<usize>)>> {
         self.normalized.as_ref().map(|trials| {
             trials
@@ -236,56 +227,24 @@ impl Session {
     /// encode.
     pub fn run(&self, request: &SolveRequest) -> Result<SolveResponse, SessionError> {
         let job = self.prepare(request)?;
-        let (reports, grids) = match &job.route {
-            PreparedRoute::Solver { .. } => {
-                let reports = job
-                    .run
-                    .to_ensemble()
-                    .run(|seed| job.run_trial_seeded(seed))
-                    .into_iter()
-                    .collect::<Result<Vec<_>, SessionError>>()?;
-                (reports, Vec::new())
-            }
+        let reports = job
+            .run
+            .to_ensemble()
+            .run(|seed| job.run_trial_seeded(seed))
+            .into_iter()
+            .collect::<Result<Vec<_>, SessionError>>()?;
+        // Batched replicas pack `instances` at a time onto successive
+        // physical grids, in trial order.
+        let grids = match &job.route {
             PreparedRoute::Batched {
-                solver,
-                config,
                 tile_rows,
                 instances,
-                model,
-                quadratic,
                 ..
-            } => {
-                // Replicas packed `instances` at a time onto successive
-                // physical grids, with flat seed numbering across chunks
-                // (the encoding from `prepare` is reused, not redone).
-                let trials = job.run.trials();
-                let base_seed = job.run.base_seed();
-                let mut reports = Vec::with_capacity(trials);
-                let mut grids = Vec::new();
-                let mut start = 0usize;
-                while start < trials {
-                    let width = (*instances).min(trials - start);
-                    let mut ensemble =
-                        fecim_anneal::Ensemble::new(width, base_seed.wrapping_add(start as u64));
-                    if let Some(cap) = job.run.threads() {
-                        ensemble = ensemble.with_max_threads(cap);
-                    }
-                    let outcome = batched_ensemble_prepared(
-                        solver.as_ref(),
-                        job.problem.as_ref(),
-                        model,
-                        quadratic,
-                        config.clone(),
-                        *tile_rows,
-                        &ensemble,
-                        job.initial.as_ref(),
-                    );
-                    reports.extend(outcome.reports);
-                    grids.push(outcome.grid);
-                    start += width;
-                }
-                (reports, grids)
-            }
+            } => reports
+                .chunks(*instances)
+                .map(|chunk| BatchGridSummary::of(chunk, *tile_rows, job.quadratic.dimension()))
+                .collect(),
+            PreparedRoute::Solver(_) => Vec::new(),
         };
         job.finish(reports, grids)
     }
@@ -333,116 +292,62 @@ impl Session {
                 Some(SpinVector::from_signs(spins))
             }
         };
+        if let BackendPlan::Batched {
+            tile_rows,
+            instances,
+        } = request.backend
+        {
+            if !matches!(request.solver, SolverSpec::Cim(_) | SolverSpec::Sb(_)) {
+                return Err(invalid(
+                    "the batched backend supports only the CiM in-situ and SB solvers",
+                ));
+            }
+            if tile_rows == 0 {
+                return Err(invalid("batched backend needs tile_rows > 0"));
+            }
+            if instances == 0 {
+                return Err(invalid("batched backend needs instances > 0"));
+            }
+        }
+        // Encoding is deterministic: encode once up front so a bad
+        // instance fails fast and every trial reuses both forms.
+        let model = problem.to_ising()?;
+        let quadratic = model.to_quadratic_only();
         let route = match request.backend {
+            BackendPlan::Analytic => PreparedRoute::Solver(wire_solver(&request.solver, None)?),
+            BackendPlan::DeviceInLoop {
+                fidelity,
+                tile_rows,
+            } => PreparedRoute::Solver(wire_solver(
+                &request.solver,
+                Some((self.crossbar_for(fidelity), tile_rows)),
+            )?),
+            // The grid programs the session's crossbar override verbatim
+            // (paper defaults otherwise): the Batched plan carries no
+            // fidelity of its own.
             BackendPlan::Batched {
                 tile_rows,
                 instances,
-            } => {
-                let solver: Box<dyn BatchedSolve> = match &request.solver {
-                    SolverSpec::Cim(solver) => Box::new(solver.clone().with_analytic_backend()),
-                    SolverSpec::Sb(solver) => Box::new(solver.clone().with_analytic_backend()),
-                    _ => {
-                        return Err(invalid(
-                            "the batched backend supports only the CiM in-situ and SB solvers",
-                        ))
-                    }
-                };
-                if tile_rows == 0 {
-                    return Err(invalid("batched backend needs tile_rows > 0"));
-                }
-                if instances == 0 {
-                    return Err(invalid("batched backend needs instances > 0"));
-                }
-                // The shared grid programs the session's crossbar
-                // override verbatim (paper defaults otherwise): the
-                // Batched plan carries no fidelity of its own. Chunk
-                // boundaries are not observable in any fidelity — each
-                // trial programs its own array from the trial seed —
-                // see `Session::with_crossbar`.
-                let config = self
+            } => PreparedRoute::Batched {
+                spec: request.solver.clone(),
+                config: self
                     .crossbar
                     .clone()
-                    .unwrap_or_else(CrossbarConfig::paper_defaults);
-                let model = problem.to_ising()?;
-                let quadratic = model.to_quadratic_only();
-                let cost_model =
-                    CostModel::paper_22nm_tiled(model.dimension(), config.quant_bits, tile_rows);
-                PreparedRoute::Batched {
-                    solver,
-                    config,
-                    tile_rows,
-                    instances,
-                    model,
-                    quadratic,
-                    cost_model,
-                }
-            }
-            _ => {
-                // Encoding is deterministic: encode once up front so a
-                // bad instance fails fast and trials reuse the model
-                // instead of re-encoding per seed.
-                let model = problem.to_ising()?;
-                PreparedRoute::Solver {
-                    solver: self.build_solver(&request.solver, request.backend)?,
-                    model,
-                }
-            }
+                    .unwrap_or_else(CrossbarConfig::paper_defaults),
+                tile_rows,
+                instances,
+            },
         };
         Ok(PreparedJob {
             problem,
+            model,
+            quadratic,
             route,
             run: request.run,
             reference: request.reference,
             solver_name: request.solver.name().to_string(),
             initial,
         })
-    }
-
-    /// Configure the spec's solver for the plan's backend. The plan is
-    /// the single authority: any device knobs already on the embedded
-    /// solver are cleared first.
-    fn build_solver(
-        &self,
-        spec: &SolverSpec,
-        plan: BackendPlan,
-    ) -> Result<Box<dyn Solver>, SessionError> {
-        match spec {
-            SolverSpec::Cim(solver) => self.plan_device_solver(solver.clone(), plan),
-            SolverSpec::Direct(solver) => self.plan_device_solver(solver.clone(), plan),
-            SolverSpec::Sb(solver) => self.plan_device_solver(solver.clone(), plan),
-            SolverSpec::Mesa(solver) => match plan {
-                BackendPlan::Analytic => Ok(Box::new(*solver)),
-                _ => Err(invalid(
-                    "the MESA baseline runs only on the analytic backend",
-                )),
-            },
-        }
-    }
-
-    /// The shared Analytic/DeviceInLoop wiring for both device-capable
-    /// architectures.
-    fn plan_device_solver<S: DeviceBackendKnobs>(
-        &self,
-        solver: S,
-        plan: BackendPlan,
-    ) -> Result<Box<dyn Solver>, SessionError> {
-        let solver = solver.analytic();
-        match plan {
-            BackendPlan::Analytic => Ok(Box::new(solver)),
-            BackendPlan::DeviceInLoop {
-                fidelity,
-                tile_rows,
-            } => {
-                let config = self.crossbar_for(fidelity);
-                Ok(match checked_tile_rows(tile_rows)? {
-                    None => Box::new(solver.device_in_loop(config)),
-                    Some(rows) => Box::new(solver.tiled_device_in_loop(config, rows)),
-                })
-            }
-            BackendPlan::Batched { .. } => Err(invalid(
-                "batched requests are executed by the shared-grid route, not a per-trial solver",
-            )),
-        }
     }
 
     /// The crossbar configuration for a device-in-the-loop plan: the
@@ -509,11 +414,40 @@ impl DeviceBackendKnobs for crate::DirectAnnealer {
     }
 }
 
-fn checked_tile_rows(tile_rows: Option<usize>) -> Result<Option<usize>, SessionError> {
-    match tile_rows {
-        Some(0) => Err(invalid("device backend needs tile_rows > 0")),
-        other => Ok(other),
+/// Wire `spec` to its measurement source: software-exact (`None`) or a
+/// simulated crossbar `(config, tile_rows)`, monolithic when
+/// `tile_rows` is `None`. Any device knobs already on the embedded
+/// solver are cleared first, so the plan is the single authority. Every
+/// route wires through here, a batched trial with its own array.
+fn wire_solver(
+    spec: &SolverSpec,
+    array: Option<(CrossbarConfig, Option<usize>)>,
+) -> Result<Box<dyn Solver>, SessionError> {
+    match spec {
+        SolverSpec::Cim(solver) => wire_device(solver.clone(), array),
+        SolverSpec::Direct(solver) => wire_device(solver.clone(), array),
+        SolverSpec::Sb(solver) => wire_device(solver.clone(), array),
+        SolverSpec::Mesa(solver) => match array {
+            None => Ok(Box::new(*solver)),
+            Some(_) => Err(invalid(
+                "the MESA baseline runs only on the analytic backend",
+            )),
+        },
     }
+}
+
+/// [`wire_solver`] for the device-capable architectures.
+fn wire_device<S: DeviceBackendKnobs>(
+    solver: S,
+    array: Option<(CrossbarConfig, Option<usize>)>,
+) -> Result<Box<dyn Solver>, SessionError> {
+    let solver = solver.analytic();
+    Ok(match array {
+        None => Box::new(solver),
+        Some((config, None)) => Box::new(solver.device_in_loop(config)),
+        Some((_, Some(0))) => return Err(invalid("device backend needs tile_rows > 0")),
+        Some((config, Some(rows))) => Box::new(solver.tiled_device_in_loop(config, rows)),
+    })
 }
 
 /// How a [`PreparedJob`]'s trials execute.
@@ -521,24 +455,20 @@ fn checked_tile_rows(tile_rows: Option<usize>) -> Result<Option<usize>, SessionE
 // variants is irrelevant, boxing would only add indirection.
 #[allow(clippy::large_enum_variant)]
 enum PreparedRoute {
-    /// Analytic / device-in-the-loop: one configured solver per trial,
-    /// annealing the model encoded once at prepare time.
-    Solver {
-        solver: Box<dyn Solver>,
-        model: IsingModel,
-    },
-    /// Shared-grid batching: trials run as replicas placed on a
-    /// [`TileGrid`](fecim_crossbar::TileGrid), each on its own array
-    /// (chunked grids under [`Session::run`]; live admission under the
-    /// `fecim-serve` scheduler).
+    /// Analytic / device-in-the-loop: one configured solver shared by
+    /// every trial.
+    Solver(Box<dyn Solver>),
+    /// Shared-grid batching: each trial wires `spec` as a tiled
+    /// device-in-the-loop solver on its own array, programmed from
+    /// `config.for_trial(seed)`; the caller places the replicas on a
+    /// [`TileGrid`](fecim_crossbar::TileGrid) (chunked grids under
+    /// [`Session::run`], live admission under the `fecim-serve`
+    /// scheduler).
     Batched {
-        solver: Box<dyn BatchedSolve>,
+        spec: SolverSpec,
         config: CrossbarConfig,
         tile_rows: usize,
         instances: usize,
-        model: IsingModel,
-        quadratic: IsingModel,
-        cost_model: CostModel,
     },
 }
 
@@ -552,6 +482,11 @@ enum PreparedRoute {
 /// bit for bit.
 pub struct PreparedJob {
     problem: Box<dyn CopProblem + Send + Sync>,
+    /// The problem's Ising form, encoded once at prepare time.
+    model: IsingModel,
+    /// `model` in quadratic-only form (ancilla-embedded fields), the
+    /// coupling every trial anneals and a batched replica programs.
+    quadratic: IsingModel,
     route: PreparedRoute,
     run: RunPlan,
     reference: Option<f64>,
@@ -569,7 +504,7 @@ impl fmt::Debug for PreparedJob {
             .field(
                 "route",
                 &match self.route {
-                    PreparedRoute::Solver { .. } => "solver",
+                    PreparedRoute::Solver(_) => "solver",
                     PreparedRoute::Batched { .. } => "batched",
                 },
             )
@@ -600,21 +535,15 @@ impl PreparedJob {
         matches!(self.route, PreparedRoute::Batched { .. })
     }
 
-    /// Physical tile height of the batched route (`None` for solver
-    /// routes).
-    pub fn tile_rows(&self) -> Option<usize> {
+    /// Where a batched replica sits on a grid: `(tile_rows, dimension)`,
+    /// its tile height and the quadratic spin count of its block
+    /// (`None` for solver routes).
+    pub fn batch_placement(&self) -> Option<(usize, usize)> {
         match &self.route {
-            PreparedRoute::Batched { tile_rows, .. } => Some(*tile_rows),
-            PreparedRoute::Solver { .. } => None,
-        }
-    }
-
-    /// The quadratic coupling a batched replica programs onto its grid
-    /// block (`None` for solver routes).
-    pub fn batch_coupling(&self) -> Option<&CsrCoupling> {
-        match &self.route {
-            PreparedRoute::Batched { quadratic, .. } => Some(quadratic.couplings()),
-            PreparedRoute::Solver { .. } => None,
+            PreparedRoute::Batched { tile_rows, .. } => {
+                Some((*tile_rows, self.quadratic.dimension()))
+            }
+            PreparedRoute::Solver(_) => None,
         }
     }
 
@@ -636,48 +565,27 @@ impl PreparedJob {
     }
 
     fn run_trial_seeded(&self, seed: u64) -> Result<SolveReport, SessionError> {
-        match &self.route {
-            PreparedRoute::Solver { solver, model } => {
-                // `Solver::solve` with the (deterministic) encoding
-                // hoisted to prepare time — bit-identical, pinned by the
-                // session equivalence tests.
-                let (mut run, spins) = match &self.initial {
-                    Some(start) => solver.anneal_model_from(model, start, seed),
-                    None => solver.anneal_model(model, seed),
-                };
-                let objective = self.problem.native_objective(&spins);
-                let feasible = self.problem.is_feasible(&spins);
-                let (energy, time) = solver.hardware_report(&mut run, model.dimension());
-                Ok(SolveReport {
-                    kind: solver.kind(),
-                    best_energy: run.best_energy,
-                    objective: Some(objective),
-                    feasible,
-                    best_spins: spins,
-                    energy,
-                    time,
-                    run,
-                })
-            }
-            PreparedRoute::Batched {
+        let trial = |solver: &dyn Solver| {
+            run_trial(
                 solver,
+                self.problem.as_ref(),
+                &self.model,
+                &self.quadratic,
+                self.initial.as_ref(),
+                seed,
+            )
+        };
+        Ok(match &self.route {
+            PreparedRoute::Solver(solver) => trial(solver.as_ref()),
+            PreparedRoute::Batched {
+                spec,
                 config,
                 tile_rows,
-                model,
-                quadratic,
-                cost_model,
                 ..
-            } => Ok(batched_trial_report(
-                solver.as_ref(),
-                self.problem.as_ref(),
-                model,
-                quadratic,
-                (config, *tile_rows),
-                cost_model,
-                seed,
-                self.initial.as_ref(),
-            )),
-        }
+            } => {
+                trial(wire_solver(spec, Some((config.for_trial(seed), Some(*tile_rows))))?.as_ref())
+            }
+        })
     }
 
     /// Normalize and summarize finished trials into the job's

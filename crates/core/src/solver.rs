@@ -14,17 +14,16 @@
 //!    original spins and score it in the native objective;
 //! 5. attach hardware energy/time costs for the architecture.
 //!
-//! Steps 1, 2, 4 and 5 are identical across architectures and live here
-//! as provided methods; implementors supply only the two
-//! architecture-specific hooks [`Solver::run_engine`] (step 3) and
-//! [`Solver::hardware_report`] (step 5's costing rule). Experiment
-//! drivers dispatch over `&dyn Solver`, so adding a fourth architecture
-//! never touches them.
+//! Step 1 happens once per job; steps 2–5 are one function here,
+//! `run_trial`, which every trial of every request route runs (a
+//! batched replica is a tiled device-in-the-loop trial on its own
+//! array). Implementors supply only the two architecture-specific hooks
+//! [`Solver::run_engine`] (step 3) and [`Solver::hardware_report`]
+//! (step 5's costing rule). Experiment drivers dispatch over
+//! `&dyn Solver`, so adding a fourth architecture never touches them.
 
 use rand::SeedableRng;
 
-#[cfg(test)]
-use fecim_anneal::Ensemble;
 use fecim_anneal::RunResult;
 use fecim_hwcost::{AnnealerKind, EnergyReport, TimeReport};
 use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, IsingModel, SpinVector};
@@ -70,92 +69,64 @@ pub trait Solver: Send + Sync {
     /// `eˣ` evaluation per iteration) before costing.
     fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport);
 
-    /// Anneal a raw Ising model and return the run plus the best solution
-    /// projected back to the model's original spins.
-    fn anneal_model(&self, model: &IsingModel, seed: u64) -> (RunResult, SpinVector) {
-        let quadratic = model.to_quadratic_only();
-        let coupling = quadratic.couplings();
-        let n = coupling.dimension();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ INIT_SEED_SALT);
-        let initial = SpinVector::random(n, &mut rng);
-        let run = self.run_engine(coupling, initial, seed);
-        let spins = if model.is_quadratic_only() {
-            run.best_spins.clone()
-        } else {
-            model.project_from_quadratic(&run.best_spins)
-        };
-        (run, spins)
-    }
-
-    /// Anneal a raw Ising model from an explicitly supplied start
-    /// configuration in the model's **original** spin space (warm
-    /// start). When the model carries linear fields, the start is
-    /// embedded into the ancilla-augmented quadratic space with the
-    /// ancilla at `+1`, so projecting the result back recovers the
-    /// supplied spins exactly — a zero-iteration engine run returns
-    /// `start` verbatim.
-    fn anneal_model_from(
-        &self,
-        model: &IsingModel,
-        start: &SpinVector,
-        seed: u64,
-    ) -> (RunResult, SpinVector) {
-        let quadratic = model.to_quadratic_only();
-        let coupling = quadratic.couplings();
-        let initial = embed_start(model, start);
-        let run = self.run_engine(coupling, initial, seed);
-        let spins = if model.is_quadratic_only() {
-            run.best_spins.clone()
-        } else {
-            model.project_from_quadratic(&run.best_spins)
-        };
-        (run, spins)
-    }
-
-    /// Solve a COP: transform to Ising, anneal, score the best solution
-    /// in the problem's native objective and attach hardware costs.
+    /// Solve a COP: transform to Ising, anneal from the seeded random
+    /// start, score the best solution in the problem's native objective
+    /// and attach hardware costs.
     ///
     /// # Errors
     ///
     /// Propagates encoding errors from the problem's Ising transformation.
     fn solve(&self, problem: &dyn CopProblem, seed: u64) -> Result<SolveReport, IsingError> {
         let model = problem.to_ising()?;
-        let (mut run, spins) = self.anneal_model(&model, seed);
-        let objective = problem.native_objective(&spins);
-        let feasible = problem.is_feasible(&spins);
-        let (energy, time) = self.hardware_report(&mut run, model.dimension());
-        Ok(SolveReport {
-            kind: self.kind(),
-            best_energy: run.best_energy,
-            objective: Some(objective),
-            feasible,
-            best_spins: spins,
-            energy,
-            time,
-            run,
-        })
+        let quadratic = model.to_quadratic_only();
+        Ok(run_trial(self, problem, &model, &quadratic, None, seed))
     }
+}
 
-    /// Solve a raw Ising model (no native objective to score against:
-    /// `objective` is `None` and the solution is trivially feasible).
-    ///
-    /// # Errors
-    ///
-    /// Kept fallible for symmetry with [`Solver::solve`]; the provided
-    /// implementation cannot fail.
-    fn solve_model(&self, model: &IsingModel, seed: u64) -> Result<SolveReport, IsingError> {
-        let (mut run, spins) = self.anneal_model(model, seed);
-        let (energy, time) = self.hardware_report(&mut run, model.dimension());
-        Ok(SolveReport {
-            kind: self.kind(),
-            best_energy: run.best_energy,
-            objective: None,
-            feasible: true,
-            best_spins: spins,
-            energy,
-            time,
-            run,
-        })
+/// One trial of `solver` on `problem`, whose Ising form is `model` and
+/// whose ancilla-embedded quadratic-only form is `quadratic` — the one
+/// pipeline every route of every request runs:
+///
+/// 1. start from `start` embedded into the quadratic space (warm start),
+///    or from the spins drawn from `seed ^ INIT_SEED_SALT`;
+/// 2. [`Solver::run_engine`] on the quadratic coupling;
+/// 3. project the best configuration back to the problem's spins and
+///    score it in the native objective;
+/// 4. price the run with [`Solver::hardware_report`].
+pub(crate) fn run_trial<S: Solver + ?Sized>(
+    solver: &S,
+    problem: &dyn CopProblem,
+    model: &IsingModel,
+    quadratic: &IsingModel,
+    start: Option<&SpinVector>,
+    seed: u64,
+) -> SolveReport {
+    let coupling = quadratic.couplings();
+    let initial = match start {
+        Some(start) => embed_start(model, start),
+        None => {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ INIT_SEED_SALT);
+            SpinVector::random(coupling.dimension(), &mut rng)
+        }
+    };
+    let mut run = solver.run_engine(coupling, initial, seed);
+    let spins = if model.is_quadratic_only() {
+        run.best_spins.clone()
+    } else {
+        model.project_from_quadratic(&run.best_spins)
+    };
+    let objective = problem.native_objective(&spins);
+    let feasible = problem.is_feasible(&spins);
+    let (energy, time) = solver.hardware_report(&mut run, model.dimension());
+    SolveReport {
+        kind: solver.kind(),
+        best_energy: run.best_energy,
+        objective: Some(objective),
+        feasible,
+        best_spins: spins,
+        energy,
+        time,
+        run,
     }
 }
 
@@ -163,7 +134,7 @@ pub trait Solver: Send + Sync {
 /// into the quadratic-only space [`Solver::run_engine`] anneals over.
 /// Models with linear fields gain an ancilla spin at index 0, fixed to
 /// `+1` so the gauge projection recovers the original spins unchanged.
-pub(crate) fn embed_start(model: &IsingModel, start: &SpinVector) -> SpinVector {
+fn embed_start(model: &IsingModel, start: &SpinVector) -> SpinVector {
     assert_eq!(
         start.len(),
         model.dimension(),
@@ -177,49 +148,6 @@ pub(crate) fn embed_start(model: &IsingModel, start: &SpinVector) -> SpinVector 
         signs.extend_from_slice(start.as_slice());
         SpinVector::from_signs(&signs)
     }
-}
-
-/// One parallel ensemble of `solver` on `problem`, scored per trial as
-/// `(native objective / reference, first iteration reaching the target)`
-/// — the per-run record behind Fig. 10, Table 1 and the calibration
-/// sweeps. Dispatches through `&dyn Solver`, so any architecture plugs
-/// in unchanged. The public route to the same record is a
-/// [`SolveRequest`](crate::SolveRequest) with a `reference` and an
-/// ensemble [`RunPlan`](crate::RunPlan) through
-/// [`Session::run`](crate::Session::run) (read
-/// `SolveResponse::normalized` / `normalized_pairs()`).
-///
-/// # Errors
-///
-/// Returns the problem's encoding error instead of panicking when the
-/// instance has no Ising form (and an [`IsingError::InvalidProblem`] if
-/// a solve ever came back without a native objective — impossible for
-/// the COP types in this workspace, but a solver bug must surface as an
-/// error, not a crash inside a worker thread).
-#[cfg(test)] // production callers go through `Session`'s normalized scoring
-pub(crate) fn normalized_ensemble_impl(
-    solver: &dyn Solver,
-    problem: &(dyn CopProblem + Sync),
-    reference: f64,
-    ensemble: &Ensemble,
-) -> Result<Vec<(f64, Option<usize>)>, IsingError> {
-    // Encoding is deterministic: validate once before fanning out so a
-    // bad instance fails fast instead of `trials` times.
-    problem.to_ising()?;
-    ensemble
-        .run(|seed| {
-            let report = solver.solve(problem, seed)?;
-            let objective = report.objective.ok_or_else(|| {
-                IsingError::InvalidProblem(format!(
-                    "solver `{}` returned no native objective for `{}`",
-                    solver.name(),
-                    problem.name()
-                ))
-            })?;
-            Ok((objective / reference, report.run.first_target_hit))
-        })
-        .into_iter()
-        .collect()
 }
 
 #[cfg(test)]
@@ -260,19 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn solve_model_reports_no_native_objective() {
-        let problem = ring_problem(8);
-        let model = fecim_ising::CopProblem::to_ising(&problem).unwrap();
-        let report = MesaAnnealer::new(400).solve_model(&model, 2).unwrap();
-        assert_eq!(report.objective, None);
-        assert!(report.feasible);
-        assert!(report.energy.total() > 0.0);
-    }
-
-    #[test]
     fn unencodable_problems_error_instead_of_panicking() {
-        use fecim_anneal::Ensemble;
-        use fecim_ising::{IsingError, ObjectiveSense};
+        use fecim_ising::ObjectiveSense;
 
         #[derive(Debug)]
         struct NoIsingForm;
@@ -308,22 +225,29 @@ mod tests {
             let err = solver.solve(&problem, 1).expect_err("must not panic");
             assert!(matches!(err, IsingError::InvalidProblem(_)), "{err}");
         }
-        let err =
-            normalized_ensemble_impl(&CimAnnealer::new(50), &problem, 1.0, &Ensemble::new(4, 9))
-                .expect_err("ensemble must propagate, not panic");
-        assert!(matches!(err, IsingError::InvalidProblem(_)));
+    }
+
+    /// One warm-started trial of `solver` on `problem` from `start`.
+    fn warm_trial(
+        solver: &dyn Solver,
+        problem: &dyn CopProblem,
+        start: &SpinVector,
+        seed: u64,
+    ) -> SolveReport {
+        let model = problem.to_ising().unwrap();
+        let quadratic = model.to_quadratic_only();
+        run_trial(solver, problem, &model, &quadratic, Some(start), seed)
     }
 
     #[test]
     fn warm_start_zero_iteration_run_returns_start_verbatim() {
         // Quadratic-only model (Max-Cut ring): no ancilla embedding.
         let ring = ring_problem(8);
-        let model = fecim_ising::CopProblem::to_ising(&ring).unwrap();
+        let model = ring.to_ising().unwrap();
         let start = SpinVector::from_signs(&[1, -1, 1, 1, -1, -1, 1, -1]);
-        let solver = CimAnnealer::new(0);
-        let (run, spins) = solver.anneal_model_from(&model, &start, 7);
-        assert_eq!(spins, start);
-        assert_eq!(run.best_energy, model.energy(&start));
+        let report = warm_trial(&CimAnnealer::new(0), &ring, &start, 7);
+        assert_eq!(report.best_spins, start);
+        assert_eq!(report.best_energy, model.energy(&start));
 
         // Model WITH linear fields: the ancilla embedding must project
         // the supplied spins back unchanged, for all three engines.
@@ -332,29 +256,28 @@ mod tests {
         qubo.add_term(0, 1, 2.0);
         qubo.add_term(1, 1, 0.75);
         qubo.add_term(2, 3, -0.5);
-        let model = fecim_ising::CopProblem::to_ising(&qubo).unwrap();
-        assert!(!model.is_quadratic_only());
+        assert!(!qubo.to_ising().unwrap().is_quadratic_only());
         let start = SpinVector::from_signs(&[-1, 1, -1, 1]);
         for solver in [
             &CimAnnealer::new(0) as &dyn Solver,
             &DirectAnnealer::cim_fpga(0),
             &MesaAnnealer::new(0),
         ] {
-            let (run, spins) = solver.anneal_model_from(&model, &start, 3);
-            assert_eq!(spins, start, "{}", solver.name());
-            assert_eq!(run.iterations, 0, "{}", solver.name());
+            let report = warm_trial(solver, &qubo, &start, 3);
+            assert_eq!(report.best_spins, start, "{}", solver.name());
+            assert_eq!(report.run.iterations, 0, "{}", solver.name());
         }
     }
 
     #[test]
     fn warm_start_with_iterations_never_worsens_the_start() {
         let ring = ring_problem(16);
-        let model = fecim_ising::CopProblem::to_ising(&ring).unwrap();
+        let model = ring.to_ising().unwrap();
         let start = SpinVector::all_up(16); // worst cut: energy 16·J
         let solver = CimAnnealer::new(300).with_flips(1);
-        let (run, _) = solver.anneal_model_from(&model, &start, 11);
+        let report = warm_trial(&solver, &ring, &start, 11);
         assert!(
-            run.best_energy <= model.energy(&start),
+            report.best_energy <= model.energy(&start),
             "best over a trajectory that includes the start cannot exceed it"
         );
     }

@@ -20,9 +20,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use fecim::PreparedJob;
 use fecim_crossbar::{ActivityStats, TileGrid};
-use fecim_ising::Coupling;
 
 use crate::job::Job;
 
@@ -103,19 +101,15 @@ impl GridPool {
         self.stripe_limit
     }
 
-    /// Try to reserve a stripe span for one replica of `prepared` on the
-    /// live grid for its tile height, parking `job` on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prepared` is not a batched job (the scheduler routes
-    /// solver jobs elsewhere).
-    pub(crate) fn admit(&mut self, job: &Arc<Job>, prepared: &PreparedJob) -> Admission {
-        // audit:allow(panic-path): documented `# Panics` contract above — the scheduler only routes batched jobs here, and batched jobs carry tiles and a coupling
-        let tile_rows = prepared.tile_rows().expect("admitting a batched job");
-        // audit:allow(panic-path): same documented contract as the line above
-        let coupling = prepared.batch_coupling().expect("batched jobs carry one");
-        let dimension = coupling.dimension();
+    /// Try to reserve a stripe span for one replica placed at
+    /// `(tile_rows, dimension)` (see
+    /// [`PreparedJob::batch_placement`](fecim::PreparedJob::batch_placement))
+    /// on the live grid for its tile height, parking `job` on failure.
+    pub(crate) fn admit(
+        &mut self,
+        job: &Arc<Job>,
+        (tile_rows, dimension): (usize, usize),
+    ) -> Admission {
         // Reject never-fitting instances before instantiating a grid
         // for their tile height (same sizing rule as
         // `TileGrid::stripes_needed`).

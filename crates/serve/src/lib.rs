@@ -19,18 +19,19 @@
 //!
 //! ## Determinism
 //!
-//! Trials derive all randomness from `base_seed + trial`, so with any
-//! fixed worker count, scheduled Ideal-fidelity results are
-//! **bit-identical** to `Session::run` of the same requests — queueing,
-//! priorities and live-grid placement change *when and where* a trial
-//! runs, never *what it computes*. (The one scheduler-visible
-//! difference: responses report live-grid placement through
-//! [`Scheduler::grid_stats`] instead of per-chunk
-//! [`BatchGridSummary`](fecim::BatchGridSummary)s, whose chunk shapes
-//! are a `Session`-only concept.) In
-//! [`Fidelity::DeviceAccurate`](fecim_crossbar::Fidelity) mode,
-//! variation seeds follow grid slots, so placement *does* matter — as
-//! it would on real silicon.
+//! Trials derive all randomness from `base_seed + trial`, so at any
+//! worker count scheduled results are **bit-identical** to
+//! `Session::run` of the same requests — queueing, priorities and
+//! live-grid placement change *when and where* a trial runs, never
+//! *what it computes*. (The one scheduler-visible difference: responses
+//! report live-grid placement through [`Scheduler::grid_stats`] instead
+//! of per-chunk [`BatchGridSummary`](fecim::BatchGridSummary)s, whose
+//! chunk shapes are a `Session`-only concept.) This holds in every
+//! fidelity: in [`Fidelity::DeviceAccurate`](fecim_crossbar::Fidelity)
+//! mode a batched trial's variation map follows its trial seed
+//! ([`CrossbarConfig::for_trial`](fecim_crossbar::CrossbarConfig::for_trial)),
+//! not its grid slot, and read noise is counter-based, so results do
+//! not depend on placement.
 //!
 //! ## Campaigns
 //!

@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use fecim::{PreparedJob, Session, SessionError, SolveReport, SolveRequest};
+use fecim::{Session, SessionError, SolveReport, SolveRequest};
 use fecim_crossbar::{ActivityStats, CrossbarConfig};
 
 use crate::grid::{Admission, GridPool, LiveGridStats};
@@ -368,13 +368,13 @@ impl Core {
 
         // Batched trials reserve their grid slot before claiming, so a
         // full grid parks the job instead of burning its trial.
-        let admission = if prepared.is_batched() {
+        let admission = if let Some(placement) = prepared.batch_placement() {
             // Bind the attempt first: a `match` on the locked pool would
             // keep the guard alive across the arms, and the Impossible
             // arm locks the pool again.
-            let attempt = { lock(&self.grids).admit(&job, &prepared) };
+            let attempt = { lock(&self.grids).admit(&job, placement) };
             match attempt {
-                Admission::Granted(slot) => Some(slot),
+                Admission::Granted(slot) => Some((placement.0, slot)),
                 Admission::Parked => return,
                 Admission::Impossible { needed } => {
                     let mut st = lock(&job.state);
@@ -430,8 +430,8 @@ impl Core {
         let Some(trial) = claimed else {
             // Nothing to run: release the unused grid slot and, if a
             // cancellation or deadline raced in, settle it.
-            if let Some(slot) = admission {
-                self.retire(&prepared, slot, &ActivityStats::new());
+            if let Some((tile_rows, slot)) = admission {
+                self.retire(tile_rows, slot, &ActivityStats::new());
             }
             let mut st = lock(&job.state);
             self.settle_stopped(&job, &mut st);
@@ -441,13 +441,13 @@ impl Core {
         // Run the trial with no scheduler locks held; a batched trial
         // programs and owns its array here, on the worker.
         let result = prepared.run_trial(trial);
-        if let Some(slot) = admission {
+        if let Some((tile_rows, slot)) = admission {
             let activity = result
                 .as_ref()
                 .ok()
                 .and_then(|report| report.run.activity)
                 .unwrap_or_default();
-            self.retire(&prepared, slot, &activity);
+            self.retire(tile_rows, slot, &activity);
         }
 
         // Record the outcome and finalize when the job is settled.
@@ -501,11 +501,9 @@ impl Core {
         }
     }
 
-    /// Retire a trial's grid slot with the trial's activity and wake
-    /// every parked job.
-    fn retire(&self, prepared: &PreparedJob, slot: usize, activity: &ActivityStats) {
-        // audit:allow(panic-path): retire is only reached with an admitted slot, which exists only for batched jobs, and batched jobs always carry tile rows
-        let tile_rows = prepared.tile_rows().expect("batched trials have tiles");
+    /// Retire a trial's grid slot (on the grid for `tile_rows`) with the
+    /// trial's activity and wake every parked job.
+    fn retire(&self, tile_rows: usize, slot: usize, activity: &ActivityStats) {
         let waiters = lock(&self.grids).retire(tile_rows, slot, activity);
         for job in waiters {
             self.requeue(job);

@@ -1,10 +1,8 @@
 //! Job-API contract tests: `SolveRequest`/`SolveResponse` round-trip
 //! through JSON, and `Session::run` is bit-identical in Ideal fidelity
-//! to the direct `Solver::solve` calls it subsumes — per-trial for
-//! normalized ensembles, and against unbatched tiled solves for the
-//! batched backend — the guarantee that let callers migrate off the
-//! removed `normalized_ensemble` / `solve_batched_ensemble` wrappers
-//! without renumbering a single result.
+//! to direct `Solver::solve` calls — per trial for normalized
+//! ensembles, and against unbatched tiled solves for the batched
+//! backend.
 
 use fecim::{
     BackendPlan, CimAnnealer, DirectAnnealer, MesaAnnealer, ProblemSpec, RunPlan, Session,
@@ -205,9 +203,8 @@ fn session_normalized_scores_match_per_trial_solves() {
     let trials = 6;
     let base_seed = 91;
     let solver = CimAnnealer::new(200).with_target_energy(-10.0);
-    // What the removed `normalized_ensemble` wrapper computed: one
-    // `Solver::solve` per seed, `objective / reference`, and the first
-    // target-hit iteration.
+    // One `Solver::solve` per seed, `objective / reference`, and the
+    // first target-hit iteration.
     let expected: Vec<(f64, Option<usize>)> = (0..trials as u64)
         .map(|i| {
             let report = solver
@@ -262,8 +259,7 @@ fn session_batched_backend_matches_unbatched_tiled_solves() {
         )
         .expect("max-cut encodes");
     // Trial for trial, the shared grid must reproduce the unbatched
-    // tiled device-in-the-loop run (the Ideal-fidelity contract the
-    // removed `solve_batched_ensemble` wrapper pinned).
+    // tiled device-in-the-loop run (the Ideal-fidelity contract).
     let unbatched = solver.with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 8);
     assert_eq!(response.reports.len(), trials);
     for (i, got) in response.reports.iter().enumerate() {
@@ -373,50 +369,73 @@ fn unsupported_combinations_error_as_invalid_requests() {
 #[test]
 fn malformed_raw_payloads_error_as_problem_errors() {
     let session = Session::new();
+    // Every payload errors the same way on every route: a single trial,
+    // a referenced ensemble, and a batched grid.
+    let run_everywhere = |problem: ProblemSpec| -> Vec<Result<SolveResponse, SessionError>> {
+        let request = SolveRequest::new(problem, SolverSpec::Cim(CimAnnealer::new(40)));
+        let ensemble = RunPlan::Ensemble {
+            trials: 4,
+            base_seed: 9,
+            threads: None,
+        };
+        [
+            request.clone(),
+            request.clone().with_run(ensemble).with_reference(1.0),
+            request
+                .with_backend(BackendPlan::Batched {
+                    tile_rows: 4,
+                    instances: 2,
+                })
+                .with_run(ensemble),
+        ]
+        .iter()
+        .map(|request| session.run(request))
+        .collect()
+    };
     // Non-square Q.
-    let nonsquare = SolveRequest::new(
-        ProblemSpec::Qubo {
-            q: vec![vec![1.0, 2.0], vec![0.0]],
-        },
-        SolverSpec::Cim(CimAnnealer::new(40)),
-    );
-    match session.run(&nonsquare) {
-        Err(SessionError::Problem(fecim_ising::IsingError::DimensionMismatch {
-            expected,
-            found,
-        })) => {
-            assert_eq!((expected, found), (2, 1));
+    for outcome in run_everywhere(ProblemSpec::Qubo {
+        q: vec![vec![1.0, 2.0], vec![0.0]],
+    }) {
+        match outcome {
+            Err(SessionError::Problem(fecim_ising::IsingError::DimensionMismatch {
+                expected,
+                found,
+            })) => {
+                assert_eq!((expected, found), (2, 1));
+            }
+            other => panic!("expected DimensionMismatch, got {other:?}"),
         }
-        other => panic!("expected DimensionMismatch, got {other:?}"),
     }
     // h/J dimension mismatch.
-    let mismatched = SolveRequest::new(
-        ProblemSpec::Ising {
-            h: vec![0.0; 2],
-            j: vec![vec![0.0; 3]; 3],
-        },
-        SolverSpec::Cim(CimAnnealer::new(40)),
-    );
-    assert!(matches!(
-        session.run(&mismatched),
-        Err(SessionError::Problem(
-            fecim_ising::IsingError::DimensionMismatch { .. }
-        ))
-    ));
+    for outcome in run_everywhere(ProblemSpec::Ising {
+        h: vec![0.0; 2],
+        j: vec![vec![0.0; 3]; 3],
+    }) {
+        assert!(
+            matches!(
+                outcome,
+                Err(SessionError::Problem(
+                    fecim_ising::IsingError::DimensionMismatch { .. }
+                ))
+            ),
+            "{outcome:?}"
+        );
+    }
     // Asymmetric J.
-    let asymmetric = SolveRequest::new(
-        ProblemSpec::Ising {
-            h: vec![0.0; 2],
-            j: vec![vec![0.0, 1.0], vec![2.0, 0.0]],
-        },
-        SolverSpec::Cim(CimAnnealer::new(40)),
-    );
-    assert!(matches!(
-        session.run(&asymmetric),
-        Err(SessionError::Problem(
-            fecim_ising::IsingError::NotSymmetric { .. }
-        ))
-    ));
+    for outcome in run_everywhere(ProblemSpec::Ising {
+        h: vec![0.0; 2],
+        j: vec![vec![0.0, 1.0], vec![2.0, 0.0]],
+    }) {
+        assert!(
+            matches!(
+                outcome,
+                Err(SessionError::Problem(
+                    fecim_ising::IsingError::NotSymmetric { .. }
+                ))
+            ),
+            "{outcome:?}"
+        );
+    }
 }
 
 #[test]
@@ -485,6 +504,7 @@ fn prepared_trials_reproduce_session_run_one_by_one() {
     let job = session.prepare(&request).expect("valid request");
     assert_eq!(job.trials(), 3);
     assert!(!job.is_batched());
+    assert_eq!(job.batch_placement(), None);
     // Trials run individually — in any order — and `finish` rebuilds
     // the identical response.
     let reports: Vec<_> = [2usize, 0, 1]
@@ -524,9 +544,7 @@ fn prepared_batched_trials_expose_grid_requirements() {
         });
     let job = session.prepare(&request).expect("valid request");
     assert!(job.is_batched());
-    assert_eq!(job.tile_rows(), Some(8));
-    use fecim_ising::Coupling;
-    assert_eq!(job.batch_coupling().unwrap().dimension(), 24);
+    assert_eq!(job.batch_placement(), Some((8, 24)));
     assert_eq!(job.seed(1), 6);
     // Each batched trial programs its own array: run one at a time, in
     // any order, they reproduce `Session::run` bit for bit.
