@@ -1,7 +1,8 @@
 //! Golden-regression suite: small deterministic snapshots of the
 //! experiment pipeline (a `fig10_success`-style outcome, a
 //! `table1_summary` row, a tiled device-accurate probe, a scheduler
-//! queue trace, and a decomposed campaign trace) committed under
+//! queue trace, a decomposed campaign trace, and every engine's raw
+//! run) committed under
 //! `tests/goldens/` and diffed byte-for-byte against fresh runs.
 //!
 //! Every quantity here is derived from seeded RNG streams, so on a given
@@ -386,6 +387,135 @@ fn sb_trace_matches_golden() {
             "traced": traced.reports[0],
             "scheduled_reports": scheduled.reports,
             "scheduled_summary": scheduled.summary,
+        }),
+    );
+}
+
+#[test]
+fn engine_runs_match_golden() {
+    // The engine-level byte pin: the full `RunResult` (trace, accepted
+    // count, first target hit, activity) of every annealing engine on
+    // one 60-spin G-set-style instance, with tracing and a target on,
+    // on the exact and the 16-row tiled Ideal backends; plus
+    // zero-iteration solves, which must echo their start.
+    use fecim::sb::{DeviceMvm, ExactMvm, SbEngine, SbVariant};
+    use fecim::{DirectAnnealer, MesaAnnealer};
+    use fecim_anneal::{
+        run_direct, run_in_situ, run_mesa, suggest_einc_scale, Acceptance, AnnealConfig,
+        ExactBackend, GeometricSchedule, MesaConfig, RunResult, SteppedSchedule, TiledBackend,
+    };
+    use fecim_crossbar::TiledCrossbar;
+    use fecim_device::FractionalFactor;
+    use fecim_ising::SpinVector;
+    use rand::SeedableRng;
+
+    let n = 60;
+    let iterations = 300;
+    let graph = GeneratorConfig::new(n, 0xE61E)
+        .with_family(GsetFamily::RandomUnit)
+        .with_mean_degree(6.0)
+        .generate();
+    let problem = graph.to_max_cut();
+    let model = fecim_ising::CopProblem::to_ising(&problem).expect("max-cut encodes");
+    let j = model.couplings();
+    let (_, ref_energy) = fecim_anneal::multi_start_local_search(j, 4, 2025);
+    let target = 0.8 * ref_energy;
+    let start = SpinVector::random(n, &mut rand::rngs::StdRng::seed_from_u64(17));
+    let config = AnnealConfig::new(iterations, 2025)
+        .with_trace(25)
+        .with_target_energy(target);
+    let xb = CrossbarConfig::paper_defaults();
+    let tile_rows = 16;
+
+    let factor = FractionalFactor::paper();
+    let stepped = SteppedSchedule::paper(iterations);
+    let scale = suggest_einc_scale(j, config.flips_per_iteration) / 80.0;
+    let in_situ_exact = run_in_situ(
+        &mut ExactBackend::new(j, start.clone()),
+        &stepped,
+        &factor,
+        scale,
+        config,
+    );
+    let in_situ_tiled = run_in_situ(
+        &mut TiledBackend::new(j, start.clone(), xb.clone(), tile_rows),
+        &stepped,
+        &factor,
+        scale,
+        config,
+    );
+
+    let t0 = 16.0 * suggest_einc_scale(j, config.flips_per_iteration);
+    let geometric = GeometricSchedule::over_iterations(t0, t0 * 1e-3, iterations);
+    let direct = |rule: Acceptance| {
+        let exact = run_direct(
+            &mut ExactBackend::new(j, start.clone()),
+            &geometric,
+            rule,
+            config,
+        );
+        let tiled = run_direct(
+            &mut TiledBackend::new(j, start.clone(), xb.clone(), tile_rows),
+            &geometric,
+            rule,
+            config,
+        );
+        serde_json::json!({ "exact": exact, "tiled": tiled })
+    };
+    let direct = serde_json::json!({
+        "metropolis": direct(Acceptance::Metropolis),
+        "linear_approx": direct(Acceptance::LinearApprox),
+        "greedy": direct(Acceptance::Greedy),
+    });
+
+    let mesa = run_mesa(j, start.clone(), MesaConfig::new(iterations, t0, 2025));
+
+    let bsb = SbEngine::new(SbVariant::Ballistic, 120)
+        .with_trace(10)
+        .with_target_energy(target)
+        .run(j, &mut ExactMvm::new(j), &start, 2025);
+    let dsb_tiled = SbEngine::new(SbVariant::Discrete, 120)
+        .with_trace(10)
+        .with_target_energy(target)
+        .run(
+            j,
+            &mut DeviceMvm::new(TiledCrossbar::program(j, xb, tile_rows), 4),
+            &start,
+            2025,
+        );
+
+    // A target the start already meets is hit at iteration 0.
+    let zero_cim = CimAnnealer::new(0)
+        .with_target_energy(0.0)
+        .solve(&problem, 11)
+        .expect("solves");
+    let zero_direct = DirectAnnealer::cim_asic(0)
+        .with_target_energy(0.0)
+        .solve(&problem, 11)
+        .expect("solves");
+    let zero_mesa = MesaAnnealer::new(0).solve(&problem, 11).expect("solves");
+    let zero_runs: [&RunResult; 3] = [&zero_cim.run, &zero_direct.run, &zero_mesa.run];
+    for run in zero_runs {
+        assert_eq!(run.iterations, 0);
+        assert_eq!(
+            run.best_spins, run.final_spins,
+            "zero iterations echo the start"
+        );
+    }
+
+    check_golden(
+        "engine_runs",
+        &serde_json::json!({
+            "target_energy": target,
+            "in_situ": serde_json::json!({ "exact": in_situ_exact, "tiled": in_situ_tiled }),
+            "direct": direct,
+            "mesa": mesa,
+            "sb": serde_json::json!({ "bsb_exact": bsb, "dsb_tiled": dsb_tiled }),
+            "zero_iterations": serde_json::json!({
+                "cim": zero_cim,
+                "direct": zero_direct,
+                "mesa": zero_mesa,
+            }),
         }),
     );
 }
