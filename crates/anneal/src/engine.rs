@@ -1,13 +1,17 @@
-//! The annealing engines.
+//! The annealing engines: one loop, two acceptance hooks.
 //!
-//! [`run_in_situ`] is Algorithm 1 of the paper: flip `t` spins, measure
-//! `E_inc = σ_rᵀJσ_c · f(T)` in one array operation, accept if
-//! `E_inc ≤ 0`, otherwise accept if `E_inc ≤ rand(0,1)`; the temperature
-//! follows the stepped back-gate descent and pins at zero.
+//! Every iteration of the shared loop reads the temperature `T`, draws a
+//! flip set of `t` spins, asks the engine's acceptance hook whether to
+//! take it, applies an accepted flip and records the state in a
+//! [`RunRecorder`]. The engines differ only in the hook:
 //!
-//! [`run_direct`] is the baseline direct-E flow (Fig. 1b): recompute
-//! `E_new = σᵀJσ`, form `ΔE`, and apply the Metropolis exponential test
-//! `rand < e^(−ΔE/T)` (or its ablation variants).
+//! - [`run_in_situ`] is Algorithm 1 of the paper: measure
+//!   `E_inc = σ_rᵀJσ_c · f(T)` in one array operation, accept if
+//!   `E_inc ≤ 0`, otherwise accept if `E_inc ≤ rand(0,1)`; the
+//!   temperature follows the stepped back-gate descent and pins at zero.
+//! - [`run_direct`] is the baseline direct-E flow (Fig. 1b): recompute
+//!   `E_new = σᵀJσ`, form `ΔE`, and apply the Metropolis exponential test
+//!   `rand < e^(−ΔE/T)` (or its ablation variants).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,9 +21,9 @@ use fecim_device::AnnealFactor;
 use fecim_ising::{Coupling, FlipMask};
 
 use crate::backend::EnergyBackend;
-use crate::result::RunResult;
+use crate::result::{RunRecorder, RunResult};
 use crate::schedule::Schedule;
-use crate::trace::{Trace, TraceMode, TracePoint};
+use crate::trace::TraceMode;
 
 /// Acceptance rule of the direct-E baseline engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -101,20 +105,43 @@ impl AnnealConfig {
     }
 }
 
-/// Track the first iteration whose best energy reached the target.
-fn update_first_hit(
-    first_hit: &mut Option<usize>,
-    target: Option<f64>,
-    best_energy: f64,
-    iteration: usize,
-) {
-    if first_hit.is_none() {
-        if let Some(t) = target {
-            if best_energy <= t {
-                *first_hit = Some(iteration);
-            }
+/// The loop both engines share (see the module doc). `accept` runs after
+/// the mask draw and draws at most one more uniform from the same RNG, so
+/// every iteration consumes the stream as mask, then acceptance.
+fn anneal<B: EnergyBackend, S: Schedule>(
+    backend: &mut B,
+    schedule: &S,
+    config: AnnealConfig,
+    mut accept: impl FnMut(&mut B, &FlipMask, f64, &mut StdRng) -> bool,
+) -> RunResult {
+    let n = backend.dimension();
+    assert!(
+        config.flips_per_iteration <= n,
+        "cannot flip more spins than exist"
+    );
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut recorder = RunRecorder::new(
+        backend.exact_energy(),
+        backend.spins(),
+        config.trace,
+        config.target_energy,
+    );
+    for iteration in 0..config.iterations {
+        let t = schedule.temperature(iteration);
+        let mask = FlipMask::random(config.flips_per_iteration, n, &mut rng);
+        let accepted = accept(backend, &mask, t, &mut rng);
+        if accepted {
+            backend.apply(&mask);
+            recorder.accept(iteration, backend.exact_energy(), backend.spins());
         }
+        recorder.sample(iteration, backend.exact_energy(), t, accepted);
     }
+    recorder.finish(
+        config.iterations,
+        backend.exact_energy(),
+        backend.spins().clone(),
+        backend.activity(),
+    )
 }
 
 /// Run the proposed in-situ annealing flow (paper Algorithm 1).
@@ -134,21 +161,7 @@ pub fn run_in_situ<B: EnergyBackend, S: Schedule, F: AnnealFactor + ?Sized>(
     config: AnnealConfig,
 ) -> RunResult {
     assert!(einc_scale > 0.0, "einc_scale must be positive");
-    let n = backend.dimension();
-    assert!(
-        config.flips_per_iteration <= n,
-        "cannot flip more spins than exist"
-    );
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut trace = Trace::new();
-    let mut best_energy = backend.exact_energy();
-    let mut best_spins = backend.spins().clone();
-    let mut accepted = 0usize;
-    let mut first_target_hit = None;
-    update_first_hit(&mut first_target_hit, config.target_energy, best_energy, 0);
-
-    for iteration in 0..config.iterations {
-        let t = schedule.temperature(iteration);
+    anneal(backend, schedule, config, |backend, mask, t, rng| {
         // Back-gate sweep direction: as the SA temperature descends
         // T_max → 0, V_BG ramps up so the factor *rises*. The first-order
         // Metropolis expansion the paper invokes (Eq. 10,
@@ -158,52 +171,10 @@ pub fn run_in_situ<B: EnergyBackend, S: Schedule, F: AnnealFactor + ?Sized>(
         // interaction; the rising direction is uniformly at least as good
         // and is the only one consistent with Eq. 10 (see DESIGN.md §5).
         let f = factor.factor(factor.t_max() - t);
-        let mask = FlipMask::random(config.flips_per_iteration, n, &mut rng);
-        let e_inc = backend.weighted_increment(&mask, f) / einc_scale;
+        let e_inc = backend.weighted_increment(mask, f) / einc_scale;
         // Algorithm 1, lines 7–13.
-        let accept = if e_inc <= 0.0 {
-            true
-        } else {
-            e_inc <= rng.gen::<f64>()
-        };
-        if accept {
-            backend.apply(&mask);
-            accepted += 1;
-            let e = backend.exact_energy();
-            if e < best_energy {
-                best_energy = e;
-                best_spins = backend.spins().clone();
-                update_first_hit(
-                    &mut first_target_hit,
-                    config.target_energy,
-                    best_energy,
-                    iteration + 1,
-                );
-            }
-        }
-        trace.record(
-            config.trace,
-            TracePoint {
-                iteration,
-                energy: backend.exact_energy(),
-                best_energy,
-                temperature: t,
-                accepted: accept,
-            },
-        );
-    }
-
-    RunResult {
-        iterations: config.iterations,
-        accepted,
-        final_energy: backend.exact_energy(),
-        final_spins: backend.spins().clone(),
-        best_energy,
-        best_spins,
-        first_target_hit,
-        trace,
-        activity: backend.activity(),
-    }
+        e_inc <= 0.0 || e_inc <= rng.gen::<f64>()
+    })
 }
 
 /// Run the baseline direct-E simulated-annealing flow (Fig. 1b).
@@ -217,62 +188,10 @@ pub fn run_direct<B: EnergyBackend, S: Schedule>(
     acceptance: Acceptance,
     config: AnnealConfig,
 ) -> RunResult {
-    let n = backend.dimension();
-    assert!(
-        config.flips_per_iteration <= n,
-        "cannot flip more spins than exist"
-    );
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut trace = Trace::new();
-    let mut best_energy = backend.exact_energy();
-    let mut best_spins = backend.spins().clone();
-    let mut accepted = 0usize;
-    let mut first_target_hit = None;
-    update_first_hit(&mut first_target_hit, config.target_energy, best_energy, 0);
-
-    for iteration in 0..config.iterations {
-        let t = schedule.temperature(iteration);
-        let mask = FlipMask::random(config.flips_per_iteration, n, &mut rng);
-        let de = backend.direct_delta(&mask);
-        let accept = de <= 0.0 || rng.gen::<f64>() < acceptance.uphill_probability(de, t);
-        if accept {
-            backend.apply(&mask);
-            accepted += 1;
-            let e = backend.exact_energy();
-            if e < best_energy {
-                best_energy = e;
-                best_spins = backend.spins().clone();
-                update_first_hit(
-                    &mut first_target_hit,
-                    config.target_energy,
-                    best_energy,
-                    iteration + 1,
-                );
-            }
-        }
-        trace.record(
-            config.trace,
-            TracePoint {
-                iteration,
-                energy: backend.exact_energy(),
-                best_energy,
-                temperature: t,
-                accepted: accept,
-            },
-        );
-    }
-
-    RunResult {
-        iterations: config.iterations,
-        accepted,
-        final_energy: backend.exact_energy(),
-        final_spins: backend.spins().clone(),
-        best_energy,
-        best_spins,
-        first_target_hit,
-        trace,
-        activity: backend.activity(),
-    }
+    anneal(backend, schedule, config, |backend, mask, t, rng| {
+        let de = backend.direct_delta(mask);
+        de <= 0.0 || rng.gen::<f64>() < acceptance.uphill_probability(de, t)
+    })
 }
 
 /// Problem-adapted normalization for `E_inc` (see [`run_in_situ`]): an

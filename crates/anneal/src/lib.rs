@@ -44,6 +44,6 @@ pub use engine::{run_direct, run_in_situ, suggest_einc_scale, Acceptance, Anneal
 pub use ensemble::{success_rate, Ensemble};
 pub use local_search::{local_search, multi_start_local_search};
 pub use mesa::{run_mesa, MesaConfig};
-pub use result::{Aggregate, RunResult};
+pub use result::{Aggregate, RunRecorder, RunResult};
 pub use schedule::{GeometricSchedule, Schedule, SteppedSchedule};
 pub use trace::{Trace, TraceMode, TracePoint};

@@ -11,6 +11,7 @@ use crate::backend::ExactBackend;
 use crate::engine::{run_direct, Acceptance, AnnealConfig};
 use crate::result::RunResult;
 use crate::schedule::GeometricSchedule;
+use crate::trace::{Trace, TraceMode};
 
 /// MESA configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,18 +59,17 @@ impl MesaConfig {
 /// Panics if `epochs == 0` or schedule parameters are invalid.
 pub fn run_mesa(coupling: &CsrCoupling, initial: SpinVector, config: MesaConfig) -> RunResult {
     assert!(config.epochs > 0, "need at least one epoch");
-    let mut current = initial;
-    let mut total_accepted = 0usize;
-    let mut total_iterations = 0usize;
-    let mut best: Option<(f64, SpinVector)> = None;
-    let mut last: Option<RunResult> = None;
-
-    for epoch in 0..config.epochs {
+    let run_epoch = |epoch: usize, start: SpinVector| {
         let t0 = (config.t0 * config.reheat.powi(epoch as i32)).max(config.t_end * 2.0);
-        let schedule =
-            GeometricSchedule::over_iterations(t0, config.t_end, config.iterations_per_epoch);
-        let mut backend = ExactBackend::new(coupling, current.clone());
-        let result = run_direct(
+        // A zero-iteration epoch never samples the schedule, but the
+        // constructor insists on ≥ 1.
+        let schedule = GeometricSchedule::over_iterations(
+            t0,
+            config.t_end,
+            config.iterations_per_epoch.max(1),
+        );
+        let mut backend = ExactBackend::new(coupling, start);
+        run_direct(
             &mut backend,
             &schedule,
             Acceptance::Metropolis,
@@ -77,34 +77,37 @@ pub fn run_mesa(coupling: &CsrCoupling, initial: SpinVector, config: MesaConfig)
                 iterations: config.iterations_per_epoch,
                 flips_per_iteration: config.flips_per_iteration,
                 seed: config.seed.wrapping_add(epoch as u64),
-                trace: crate::trace::TraceMode::Off,
+                trace: TraceMode::Off,
                 target_energy: None,
             },
-        );
-        total_accepted += result.accepted;
-        total_iterations += result.iterations;
-        if best.as_ref().is_none_or(|(e, _)| result.best_energy < *e) {
-            best = Some((result.best_energy, result.best_spins.clone()));
+        )
+    };
+
+    let mut last = run_epoch(0, initial);
+    let mut accepted = last.accepted;
+    let mut iterations = last.iterations;
+    let mut best_energy = last.best_energy;
+    let mut best_spins = last.best_spins.clone();
+    for epoch in 1..config.epochs {
+        // Each epoch continues from the best configuration found so far.
+        last = run_epoch(epoch, best_spins.clone());
+        accepted += last.accepted;
+        iterations += last.iterations;
+        if last.best_energy < best_energy {
+            best_energy = last.best_energy;
+            best_spins = last.best_spins.clone();
         }
-        // Next epoch continues from the best configuration found so far.
-        // audit:allow(panic-path): `best` was set (or kept) by the `is_none_or` branch a few lines up, unconditionally on the first epoch
-        current = best.as_ref().expect("set above").1.clone();
-        last = Some(result);
     }
 
-    // audit:allow(panic-path): the `assert!(config.epochs > 0)` guard above (documented `# Panics` contract) guarantees the loop ran and set both
-    let (best_energy, best_spins) = best.expect("epochs > 0");
-    // audit:allow(panic-path): same `epochs > 0` assert-backed invariant as the line above
-    let last = last.expect("epochs > 0");
     RunResult {
-        iterations: total_iterations,
-        accepted: total_accepted,
+        iterations,
+        accepted,
         final_energy: last.final_energy,
         final_spins: last.final_spins,
         best_energy,
         best_spins,
         first_target_hit: None,
-        trace: crate::trace::Trace::new(),
+        trace: Trace::new(),
         activity: None,
     }
 }

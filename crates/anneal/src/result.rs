@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use fecim_crossbar::ActivityStats;
 use fecim_ising::SpinVector;
 
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceMode, TracePoint};
 
 /// Outcome of one annealing run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,6 +39,99 @@ impl RunResult {
             return 0.0;
         }
         self.accepted as f64 / self.iterations as f64
+    }
+}
+
+/// The run bookkeeping every engine shares: the accepted count, the best
+/// state (replaced on strict improvement only), the first iteration whose
+/// best energy reaches the target, and the sampled trace.
+#[derive(Debug)]
+pub struct RunRecorder {
+    trace_mode: TraceMode,
+    target_energy: Option<f64>,
+    accepted: usize,
+    best_energy: f64,
+    best_spins: SpinVector,
+    first_target_hit: Option<usize>,
+    trace: Trace,
+}
+
+impl RunRecorder {
+    /// Start from the initial state; a start that already meets
+    /// `target_energy` is a hit at iteration 0.
+    pub fn new(
+        energy: f64,
+        spins: &SpinVector,
+        trace_mode: TraceMode,
+        target_energy: Option<f64>,
+    ) -> RunRecorder {
+        let mut recorder = RunRecorder {
+            trace_mode,
+            target_energy,
+            accepted: 0,
+            best_energy: energy,
+            best_spins: spins.clone(),
+            first_target_hit: None,
+            trace: Trace::new(),
+        };
+        recorder.check_target(0);
+        recorder
+    }
+
+    /// Count a move accepted at `iteration` that left the state at
+    /// `energy`. An improvement becomes the best state; if it is the first
+    /// to reach the target, the hit is `iteration + 1`.
+    pub fn accept(&mut self, iteration: usize, energy: f64, spins: &SpinVector) {
+        self.accepted += 1;
+        if energy < self.best_energy {
+            self.best_energy = energy;
+            self.best_spins = spins.clone();
+            self.check_target(iteration + 1);
+        }
+    }
+
+    /// Sample the state after `iteration` into the trace, if the trace
+    /// mode samples it.
+    pub fn sample(&mut self, iteration: usize, energy: f64, temperature: f64, accepted: bool) {
+        self.trace.record(
+            self.trace_mode,
+            TracePoint {
+                iteration,
+                energy,
+                best_energy: self.best_energy,
+                temperature,
+                accepted,
+            },
+        );
+    }
+
+    /// The result of a run of `iterations` that ended at `final_spins`.
+    pub fn finish(
+        self,
+        iterations: usize,
+        final_energy: f64,
+        final_spins: SpinVector,
+        activity: Option<ActivityStats>,
+    ) -> RunResult {
+        RunResult {
+            iterations,
+            accepted: self.accepted,
+            final_energy,
+            final_spins,
+            best_energy: self.best_energy,
+            best_spins: self.best_spins,
+            first_target_hit: self.first_target_hit,
+            trace: self.trace,
+            activity,
+        }
+    }
+
+    fn check_target(&mut self, iteration: usize) {
+        if self.first_target_hit.is_none()
+            && self.target_energy.is_some_and(|t| self.best_energy <= t)
+        {
+            self.first_target_hit = Some(iteration);
+        }
     }
 }
 

@@ -24,7 +24,8 @@ pub struct TracePoint {
 pub enum TraceMode {
     /// Record nothing (fastest).
     Off,
-    /// Record every `n`-th iteration (plus the final one).
+    /// Record every `n`-th iteration, starting at iteration 0 (`0` is
+    /// treated as `1`).
     Every(usize),
 }
 
@@ -41,7 +42,7 @@ impl Trace {
     }
 
     /// Record a point if `mode` samples this iteration.
-    pub fn record(&mut self, mode: TraceMode, point: TracePoint) {
+    pub(crate) fn record(&mut self, mode: TraceMode, point: TracePoint) {
         match mode {
             TraceMode::Off => {}
             TraceMode::Every(n) => {
@@ -51,11 +52,6 @@ impl Trace {
                 }
             }
         }
-    }
-
-    /// Force-record a point (used for the final iteration).
-    pub fn push(&mut self, point: TracePoint) {
-        self.points.push(point);
     }
 
     /// The sampled points in iteration order.
@@ -117,7 +113,7 @@ mod tests {
     #[test]
     fn csv_has_header_and_rows() {
         let mut t = Trace::new();
-        t.push(pt(5));
+        t.record(TraceMode::Every(5), pt(5));
         let csv = t.to_csv();
         assert!(csv.starts_with("iteration,"));
         assert!(csv.contains("5,-1,-2,0.5,1"));

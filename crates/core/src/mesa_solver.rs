@@ -70,29 +70,16 @@ impl Solver for MesaAnnealer {
     }
 
     fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
-        if self.iterations == 0 {
-            // `MesaConfig` floors iterations_per_epoch at 1, so a true
-            // zero-sweep run (the warm-start verbatim contract) must
-            // short-circuit before the epoch loop, like the other
-            // engines' `0..iterations` loops do naturally.
-            use fecim_ising::Coupling;
-            let energy = coupling.energy(&initial);
-            return RunResult {
-                iterations: 0,
-                accepted: 0,
-                final_energy: energy,
-                final_spins: initial.clone(),
-                best_energy: energy,
-                best_spins: initial,
-                first_target_hit: None,
-                trace: fecim_anneal::Trace::new(),
-                activity: None,
-            };
-        }
         let t0 = 16.0 * suggest_einc_scale(coupling, 1);
         let mut config = MesaConfig::new(self.iterations, t0, seed);
         config.epochs = self.epochs;
-        config.iterations_per_epoch = (self.iterations / self.epochs).max(1);
+        // A zero budget runs zero iterations (the warm-start verbatim
+        // contract); any other budget runs at least one per epoch.
+        config.iterations_per_epoch = if self.iterations == 0 {
+            0
+        } else {
+            (self.iterations / self.epochs).max(1)
+        };
         config.reheat = self.reheat;
         run_mesa(coupling, initial, config)
     }

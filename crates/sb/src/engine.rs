@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use fecim_anneal::{RunResult, Trace, TraceMode, TracePoint};
+use fecim_anneal::{RunRecorder, RunResult, TraceMode};
 use fecim_ising::{Coupling, SpinVector};
 
 use crate::mvm::MvmSource;
@@ -281,12 +281,7 @@ impl SbEngine {
         // the supplied spins verbatim (the campaign-chaining contract).
         let mut spins = initial.clone();
         let mut energy = coupling.energy(&spins);
-        let mut best_energy = energy;
-        let mut best_spins = spins.clone();
-        let mut accepted = 0usize;
-        let mut first_target_hit = None;
-        update_first_hit(&mut first_target_hit, self.target_energy, best_energy, 0);
-        let mut trace = Trace::new();
+        let mut recorder = RunRecorder::new(energy, &spins, self.trace, self.target_energy);
 
         for step in 0..self.steps {
             let a = self.pressure.at(step, self.steps);
@@ -321,58 +316,13 @@ impl SbEngine {
                 }
             }
             if changed {
-                accepted += 1;
                 energy = coupling.energy(&spins);
-                if energy < best_energy {
-                    best_energy = energy;
-                    best_spins = spins.clone();
-                    update_first_hit(
-                        &mut first_target_hit,
-                        self.target_energy,
-                        best_energy,
-                        step + 1,
-                    );
-                }
+                recorder.accept(step, energy, &spins);
             }
-            trace.record(
-                self.trace,
-                TracePoint {
-                    iteration: step,
-                    energy,
-                    best_energy,
-                    temperature: a,
-                    accepted: changed,
-                },
-            );
+            recorder.sample(step, energy, a, changed);
         }
 
-        RunResult {
-            iterations: self.steps,
-            accepted,
-            final_energy: energy,
-            final_spins: spins,
-            best_energy,
-            best_spins,
-            first_target_hit,
-            trace,
-            activity: source.activity(),
-        }
-    }
-}
-
-/// Track the first step whose best energy reached the target.
-fn update_first_hit(
-    first_hit: &mut Option<usize>,
-    target: Option<f64>,
-    best_energy: f64,
-    step: usize,
-) {
-    if first_hit.is_none() {
-        if let Some(t) = target {
-            if best_energy <= t {
-                *first_hit = Some(step);
-            }
-        }
+        recorder.finish(self.steps, energy, spins, source.activity())
     }
 }
 

@@ -2,8 +2,8 @@
 //! experiment pipeline (a `fig10_success`-style outcome, a
 //! `table1_summary` row, a tiled device-accurate probe, a scheduler
 //! queue trace, a decomposed campaign trace, and every engine's raw
-//! run) committed under
-//! `tests/goldens/` and diffed byte-for-byte against fresh runs.
+//! run) committed under `tests/goldens/` and diffed byte-for-byte
+//! against fresh runs.
 //!
 //! Every quantity here is derived from seeded RNG streams, so on a given
 //! platform any drift means a behavioral change — a future perf PR

@@ -22,8 +22,108 @@ fn coupling_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, 
     })
 }
 
+/// The run invariants every engine keeps: the best state is never worse
+/// than the final one and is scored exactly, acceptances never outnumber
+/// iterations, the traced best never rises, and a target counts as hit
+/// exactly when the best energy reaches it.
+fn check_run(
+    label: &str,
+    coupling: &CsrCoupling,
+    run: &fecim_anneal::RunResult,
+    target: Option<f64>,
+    tolerance: f64,
+) -> Result<(), String> {
+    let fail = |what: &str| Err(format!("{label}: {what}"));
+    if run.best_energy > run.final_energy {
+        return fail("best energy above final energy");
+    }
+    if (run.best_energy - coupling.energy(&run.best_spins)).abs() > tolerance {
+        return fail("best energy does not score its spins");
+    }
+    if run.accepted > run.iterations {
+        return fail("more acceptances than iterations");
+    }
+    if run
+        .trace
+        .points()
+        .windows(2)
+        .any(|w| w[1].best_energy > w[0].best_energy)
+    {
+        return fail("traced best energy rises");
+    }
+    let reached = target.is_some_and(|t| run.best_energy <= t);
+    if run.first_target_hit.is_some() != reached {
+        return fail("first target hit disagrees with the best energy");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every engine keeps the run invariants of `check_run` on random
+    /// couplings, seeds, flip counts and targets.
+    #[test]
+    fn engines_keep_run_invariants(
+        (n, triplets) in coupling_strategy(12),
+        seed in 0u64..1000,
+        flips in 1usize..4,
+        iterations in 0usize..80,
+        target in -8.0f64..2.0,
+    ) {
+        use fecim::sb::{ExactMvm, SbEngine, SbVariant};
+        use fecim_anneal::{
+            run_direct, run_in_situ, run_mesa, suggest_einc_scale, Acceptance, AnnealConfig,
+            ExactBackend, GeometricSchedule, MesaConfig, SteppedSchedule,
+        };
+        use rand::SeedableRng;
+
+        let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
+        let tolerance = 1e-9 * (1.0 + triplets.iter().map(|t| t.2.abs()).sum::<f64>());
+        let start = SpinVector::random(n, &mut rand::rngs::StdRng::seed_from_u64(seed));
+        let config = AnnealConfig::new(iterations, seed)
+            .with_flips(flips.min(n))
+            .with_trace(3)
+            .with_target_energy(target);
+        let scale = suggest_einc_scale(&coupling, config.flips_per_iteration);
+
+        let in_situ = run_in_situ(
+            &mut ExactBackend::new(&coupling, start.clone()),
+            &SteppedSchedule::paper(iterations.max(1)),
+            &fecim_device::FractionalFactor::paper(),
+            scale,
+            config,
+        );
+        prop_assert_eq!(check_run("in-situ", &coupling, &in_situ, Some(target), tolerance), Ok(()));
+
+        let t0 = 4.0 * scale;
+        let schedule = GeometricSchedule::over_iterations(t0, t0 * 1e-3, iterations.max(1));
+        for rule in [Acceptance::Metropolis, Acceptance::LinearApprox, Acceptance::Greedy] {
+            let direct = run_direct(
+                &mut ExactBackend::new(&coupling, start.clone()),
+                &schedule,
+                rule,
+                config,
+            );
+            let label = format!("direct {rule:?}");
+            prop_assert_eq!(check_run(&label, &coupling, &direct, Some(target), tolerance), Ok(()));
+        }
+
+        // MESA takes no target, so it never reports a hit.
+        let mesa = run_mesa(&coupling, start.clone(), MesaConfig::new(iterations, t0, seed));
+        prop_assert_eq!(check_run("MESA", &coupling, &mesa, None, tolerance), Ok(()));
+
+        for variant in [SbVariant::Ballistic, SbVariant::Discrete] {
+            let sb = SbEngine::new(variant, iterations)
+                .with_trace(3)
+                .with_target_energy(target)
+                .run(&coupling, &mut ExactMvm::new(&coupling), &start, seed);
+            prop_assert_eq!(
+                check_run(variant.label(), &coupling, &sb, Some(target), tolerance),
+                Ok(())
+            );
+        }
+    }
 
     /// THE paper invariant (Eq. 9): 4·σ_rᵀJσ_c == E(σ_new) − E(σ) for any
     /// coupling, configuration and flip set.
