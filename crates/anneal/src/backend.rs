@@ -9,6 +9,11 @@
 //! variation and activity statistics — the device-in-the-loop mode. One
 //! tile of `n` rows is the monolithic array; smaller tiles are how
 //! instances larger than one physical array run device-in-the-loop.
+//!
+//! Both backends carry the last query's result to [`EnergyBackend::apply`]:
+//! [`ExactBackend`] its exact `ΔE` (so an accepted move is never evaluated
+//! twice), [`TiledBackend`] its measured direct-E energy. That is why
+//! `apply` must be given the mask of the last queried proposal.
 
 use fecim_crossbar::{ActivityStats, CrossbarConfig, TiledCrossbar};
 use fecim_ising::{CsrCoupling, FlipMask, LocalFieldState, SpinVector};
@@ -40,6 +45,11 @@ pub trait EnergyBackend {
     fn direct_delta(&mut self, mask: &FlipMask) -> f64;
 
     /// Commit the flip of `mask`.
+    ///
+    /// `mask` must be the proposal of the last
+    /// [`EnergyBackend::weighted_increment`] or
+    /// [`EnergyBackend::direct_delta`] query, if there was one since the
+    /// previous `apply`: backends commit what that query measured.
     fn apply(&mut self, mask: &FlipMask);
 
     /// Hardware activity accumulated so far (`None` for pure software).
@@ -50,6 +60,8 @@ pub trait EnergyBackend {
 #[derive(Debug)]
 pub struct ExactBackend<'a> {
     state: LocalFieldState<'a, CsrCoupling>,
+    /// `ΔE` of the last queried proposal, committed by `apply`.
+    pending_delta: Option<f64>,
 }
 
 impl<'a> ExactBackend<'a> {
@@ -57,7 +69,14 @@ impl<'a> ExactBackend<'a> {
     pub fn new(coupling: &'a CsrCoupling, initial: SpinVector) -> ExactBackend<'a> {
         ExactBackend {
             state: LocalFieldState::new(coupling, initial),
+            pending_delta: None,
         }
+    }
+
+    fn query(&mut self, mask: &FlipMask) -> f64 {
+        let de = self.state.delta_energy(mask);
+        self.pending_delta = Some(de);
+        de
     }
 }
 
@@ -76,15 +95,24 @@ impl EnergyBackend for ExactBackend<'_> {
 
     fn weighted_increment(&mut self, mask: &FlipMask, factor: f64) -> f64 {
         // ΔE = 4·σ_rᵀJσ_c, so the bilinear form is ΔE/4 (paper Eq. 9).
-        self.state.delta_energy(mask) / 4.0 * factor
+        self.query(mask) / 4.0 * factor
     }
 
     fn direct_delta(&mut self, mask: &FlipMask) -> f64 {
-        self.state.delta_energy(mask)
+        self.query(mask)
     }
 
     fn apply(&mut self, mask: &FlipMask) {
-        self.state.apply(mask);
+        let de = self
+            .pending_delta
+            .take()
+            .unwrap_or_else(|| self.state.delta_energy(mask));
+        debug_assert_eq!(
+            de.to_bits(),
+            self.state.delta_energy(mask).to_bits(),
+            "apply must commit the last queried proposal"
+        );
+        self.state.apply_with_delta(mask, de);
     }
 
     fn activity(&self) -> Option<ActivityStats> {

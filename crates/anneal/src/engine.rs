@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use fecim_device::AnnealFactor;
-use fecim_ising::{Coupling, FlipMask};
+use fecim_ising::{Coupling, CsrCoupling, FlipMask};
 
 use crate::backend::EnergyBackend;
 use crate::result::{RunRecorder, RunResult};
@@ -126,9 +126,11 @@ fn anneal<B: EnergyBackend, S: Schedule>(
         config.trace,
         config.target_energy,
     );
+    // One mask for the whole run, redrawn in place every iteration.
+    let mut mask = FlipMask::new(Vec::with_capacity(config.flips_per_iteration), n);
     for iteration in 0..config.iterations {
         let t = schedule.temperature(iteration);
-        let mask = FlipMask::random(config.flips_per_iteration, n, &mut rng);
+        mask.redraw(config.flips_per_iteration, &mut rng);
         let accepted = accept(backend, &mask, t, &mut rng);
         if accepted {
             backend.apply(&mask);
@@ -198,7 +200,7 @@ pub fn run_direct<B: EnergyBackend, S: Schedule>(
 /// estimate of the typical magnitude of `σ_rᵀJσ_c` for `t` flips,
 /// `2·√(t·deg)·rms(J)`, so the normalized `E_inc` lands in the unit range
 /// the `rand(0,1)` comparison expects.
-pub fn suggest_einc_scale<C: Coupling>(coupling: &C, flips: usize) -> f64 {
+pub fn suggest_einc_scale(coupling: &CsrCoupling, flips: usize) -> f64 {
     let n = coupling.dimension();
     if n == 0 {
         return 1.0;
@@ -206,10 +208,11 @@ pub fn suggest_einc_scale<C: Coupling>(coupling: &C, flips: usize) -> f64 {
     let mut sum_sq = 0.0;
     let mut count = 0usize;
     for i in 0..n {
-        coupling.for_each_in_row(i, &mut |_, v| {
+        let (_, values) = coupling.row_entries(i);
+        for &v in values {
             sum_sq += v * v;
-            count += 1;
-        });
+        }
+        count += values.len();
     }
     if count == 0 {
         return 1.0;
@@ -226,7 +229,7 @@ mod tests {
     use crate::backend::ExactBackend;
     use crate::schedule::{GeometricSchedule, SteppedSchedule};
     use fecim_device::FractionalFactor;
-    use fecim_ising::{CopProblem, CsrCoupling, MaxCut, SpinVector};
+    use fecim_ising::{CopProblem, MaxCut, SpinVector};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

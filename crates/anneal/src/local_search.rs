@@ -6,6 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 
 use fecim_ising::{Coupling, CsrCoupling, FlipMask, LocalFieldState, SpinVector};
 
@@ -40,7 +41,9 @@ pub fn local_search(coupling: &CsrCoupling, start: SpinVector) -> (SpinVector, f
 }
 
 /// Multi-start local search: `starts` random initializations, best local
-/// optimum kept. Deterministic per seed.
+/// optimum kept. Deterministic per seed at any thread count: the starts
+/// are drawn in order from one RNG, searched in parallel, and the lowest
+/// energy wins with ties going to the earliest start.
 ///
 /// # Panics
 ///
@@ -53,14 +56,17 @@ pub fn multi_start_local_search(
     assert!(starts > 0, "need at least one start");
     let n = coupling.dimension();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut best = local_search(coupling, SpinVector::random(n, &mut rng));
-    for _ in 1..starts {
-        let (spins, energy) = local_search(coupling, SpinVector::random(n, &mut rng));
-        if energy < best.1 {
-            best = (spins, energy);
-        }
-    }
-    best
+    let initial: Vec<SpinVector> = (0..starts)
+        .map(|_| SpinVector::random(n, &mut rng))
+        .collect();
+    let optima: Vec<(SpinVector, f64)> = initial
+        .into_par_iter()
+        .map(|start| local_search(coupling, start))
+        .collect();
+    optima
+        .into_iter()
+        .reduce(|best, next| if next.1 < best.1 { next } else { best })
+        .unwrap_or_else(|| unreachable!("at least one start was searched"))
 }
 
 #[cfg(test)]

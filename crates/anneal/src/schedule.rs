@@ -5,8 +5,16 @@
 //! maps onto the back-gate voltage grid (0.7 V → 0 V in 0.01 V steps), is
 //! held for a pre-set number of iterations per level, and pins to zero at
 //! the end of the run.
-
-use serde::{Deserialize, Serialize};
+//!
+//! Geometric cooling is `T_k = T_0 · α^k` with `α^k` the binary-exponent
+//! product: the repeated squares `α, α², α⁴, …` are computed once, and
+//! `T_k` multiplies in the squares for the set bits of `k`, lowest bit
+//! first. That is the evaluation `f64::powi` performs (the `__powidf2`
+//! runtime routine), so below `k = 2³¹` it equals `T_0 · α.powi(k)` bit for
+//! bit on the CI toolchain, pinned by this module's tests, at a few
+//! multiplies instead of a library call per iteration. Unlike `powi`'s
+//! `i32` exponent it takes all 64 bits of `k`, so it keeps cooling for
+//! every iteration index.
 
 /// A cooling schedule: temperature as a function of the iteration index.
 pub trait Schedule {
@@ -19,11 +27,13 @@ pub trait Schedule {
     }
 }
 
-/// Geometric cooling `T_k = T_0 · α^k`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Geometric cooling `T_k = T_0 · α^k` (see the module doc for how `α^k`
+/// is evaluated).
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeometricSchedule {
     t0: f64,
-    alpha: f64,
+    /// `squares[b] = α^(2^b)`, each the square of the one before.
+    squares: [f64; 64],
 }
 
 impl GeometricSchedule {
@@ -35,7 +45,15 @@ impl GeometricSchedule {
     pub fn new(t0: f64, alpha: f64) -> GeometricSchedule {
         assert!(t0 > 0.0, "t0 must be positive");
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        GeometricSchedule { t0, alpha }
+        GeometricSchedule::from_alpha(t0, alpha)
+    }
+
+    fn from_alpha(t0: f64, alpha: f64) -> GeometricSchedule {
+        let mut squares = [alpha; 64];
+        for b in 1..64 {
+            squares[b] = squares[b - 1] * squares[b - 1];
+        }
+        GeometricSchedule { t0, squares }
     }
 
     /// Choose `α` so the schedule decays from `t0` to `t_end` over
@@ -48,19 +66,24 @@ impl GeometricSchedule {
     pub fn over_iterations(t0: f64, t_end: f64, iterations: usize) -> GeometricSchedule {
         assert!(t0 > 0.0 && t_end > 0.0 && t_end < t0, "need 0 < t_end < t0");
         assert!(iterations > 0, "need at least one iteration");
-        let alpha = (t_end / t0).powf(1.0 / iterations as f64);
-        GeometricSchedule { t0, alpha }
+        GeometricSchedule::from_alpha(t0, (t_end / t0).powf(1.0 / iterations as f64))
     }
 
     /// The decay rate α.
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        self.squares[0]
     }
 }
 
 impl Schedule for GeometricSchedule {
     fn temperature(&self, iteration: usize) -> f64 {
-        self.t0 * self.alpha.powi(iteration as i32)
+        let mut bits = iteration as u64;
+        let mut power = 1.0;
+        while bits != 0 {
+            power *= self.squares[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        self.t0 * power
     }
 }
 
@@ -69,7 +92,7 @@ impl Schedule for GeometricSchedule {
 /// `iterations / (levels + 1)` iterations (the "pre-set number of
 /// iterations" of Sec. 3.4). With `t_max = 700` and `levels = 70` the
 /// plateaus map 1:1 onto the 0.7 V → 0 V, 0.01 V back-gate grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteppedSchedule {
     t_max: f64,
     levels: usize,
@@ -134,6 +157,60 @@ mod tests {
         let s = GeometricSchedule::new(5.0, 0.99);
         for k in 0..100 {
             assert!(s.temperature(k + 1) < s.temperature(k));
+        }
+    }
+
+    /// The decay rates the engines run: `DirectAnnealer`'s `T_0 → T_0/100`
+    /// and every MESA epoch's (`MesaConfig::new`) at the paper budgets,
+    /// plus 0.5 and 1.0.
+    fn engine_alphas() -> Vec<f64> {
+        let mut alphas = vec![0.5, 1.0];
+        for budget in [700, 10_000, 100_000] {
+            alphas.push(GeometricSchedule::over_iterations(1.0, 1e-2, budget).alpha());
+            let mesa = crate::MesaConfig::new(budget, 1.0, 0);
+            for epoch in 0..mesa.epochs {
+                let t0 = (mesa.t0 * mesa.reheat.powi(epoch as i32)).max(mesa.t_end * 2.0);
+                let s =
+                    GeometricSchedule::over_iterations(t0, mesa.t_end, mesa.iterations_per_epoch);
+                alphas.push(s.alpha());
+            }
+        }
+        alphas
+    }
+
+    #[test]
+    fn geometric_equals_powi_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        for alpha in engine_alphas() {
+            let s = GeometricSchedule::new(3.5, alpha);
+            let samples =
+                (0..1usize << 20).chain((0..4096).map(|_| rng.gen_range(0..i32::MAX as usize)));
+            for k in samples {
+                assert_eq!(
+                    s.temperature(k).to_bits(),
+                    (3.5 * alpha.powi(k as i32)).to_bits(),
+                    "alpha {alpha}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn geometric_keeps_cooling_past_i32_iterations() {
+        for alpha in engine_alphas() {
+            let s = GeometricSchedule::new(3.5, alpha);
+            let ts: Vec<f64> = [(1usize << 31) - 1, 1 << 31, 1 << 32, (1 << 32) + 5]
+                .into_iter()
+                .map(|k| s.temperature(k))
+                .collect();
+            for w in ts.windows(2) {
+                assert!(
+                    w[0].is_finite() && w[1].is_finite(),
+                    "alpha {alpha}: {ts:?}"
+                );
+                assert!(w[1] >= 0.0 && w[1] <= w[0], "alpha {alpha}: {ts:?}");
+            }
         }
     }
 

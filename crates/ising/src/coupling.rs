@@ -390,6 +390,23 @@ impl Coupling for CsrCoupling {
     fn coupling_count(&self) -> usize {
         self.col_idx.len() / 2
     }
+
+    /// The trait default's sums, in the same order, over the row slices
+    /// instead of a callback per entry.
+    fn local_fields(&self, spins: &SpinVector) -> Vec<f64> {
+        assert_eq!(spins.len(), self.n, "dimension mismatch");
+        let s = spins.as_slice();
+        (0..self.n)
+            .map(|i| {
+                let (cols, vals) = self.row_entries(i);
+                let mut acc = 0.0;
+                for (&j, &v) in cols.iter().zip(vals) {
+                    acc += v * s[j] as f64;
+                }
+                acc
+            })
+            .collect()
+    }
 }
 
 /// A complete Ising model: symmetric couplings `J`, linear fields `h` and a

@@ -5,6 +5,12 @@
 //! is pinned deterministically against the crossbar simulator by
 //! `tests/tests/activity_model.rs`; the bilinear form itself is
 //! [`Coupling::incremental_form`].
+//!
+//! [`LocalFieldState`] is the per-trial state of the exact engines, so its
+//! setup is one pass: the local fields, then the energy `Σ σ_i·l_i` from
+//! those fields (bit-equal to [`Coupling::energy`]). An engine that has
+//! already queried `ΔE` for the proposal it accepts commits it with
+//! [`LocalFieldState::apply_with_delta`] rather than evaluating it again.
 
 use crate::coupling::Coupling;
 use crate::spin::{FlipMask, SpinVector};
@@ -40,21 +46,23 @@ pub struct LocalFieldState<'a, C: Coupling> {
 impl<'a, C: Coupling> LocalFieldState<'a, C> {
     /// Initialize from a coupling matrix and starting configuration.
     ///
-    /// Cost: one `O(n²)` (dense) or `O(nnz)` (sparse) pass.
+    /// Cost: one `O(n²)` (dense) or `O(nnz)` (sparse) pass for the fields;
+    /// the energy is then `Σ σ_i·l_i` over them in row order, the same
+    /// float operations as [`Coupling::energy`] and so the same bits.
     ///
     /// # Panics
     ///
     /// Panics if dimensions differ.
     pub fn new(coupling: &'a C, spins: SpinVector) -> LocalFieldState<'a, C> {
         assert_eq!(spins.len(), coupling.dimension(), "dimension mismatch");
-        let fields = coupling.local_fields(&spins);
-        let energy = coupling.energy(&spins);
-        LocalFieldState {
+        let mut state = LocalFieldState {
             coupling,
             spins,
-            fields,
-            energy,
-        }
+            fields: Vec::new(),
+            energy: 0.0,
+        };
+        state.rebuild();
+        state
     }
 
     fn coupling(&self) -> &'a C {
@@ -103,6 +111,14 @@ impl<'a, C: Coupling> LocalFieldState<'a, C> {
     /// `O(|F|·deg)`. Returns the energy difference that was applied.
     pub fn apply(&mut self, mask: &FlipMask) -> f64 {
         let de = self.delta_energy(mask);
+        self.apply_with_delta(mask, de);
+        de
+    }
+
+    /// [`LocalFieldState::apply`] for a caller that already holds
+    /// `de = self.delta_energy(mask)` from querying the proposal: the same
+    /// update without evaluating `ΔE` (and its pair lookups) twice.
+    pub fn apply_with_delta(&mut self, mask: &FlipMask, de: f64) {
         let coupling = self.coupling;
         for &i in mask.indices() {
             let old = self.spins.get(i) as f64;
@@ -114,14 +130,17 @@ impl<'a, C: Coupling> LocalFieldState<'a, C> {
             });
         }
         self.energy += de;
-        de
     }
 
     /// Recompute fields and energy from scratch (testing aid; also heals
     /// accumulated floating-point drift on very long runs).
     pub fn rebuild(&mut self) {
         self.fields = self.coupling().local_fields(&self.spins);
-        self.energy = self.coupling().energy(&self.spins);
+        let mut energy = 0.0;
+        for (&si, &li) in self.spins.as_slice().iter().zip(&self.fields) {
+            energy += si as f64 * li;
+        }
+        self.energy = energy;
     }
 }
 

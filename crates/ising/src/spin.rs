@@ -331,9 +331,27 @@ impl FlipMask {
     ///
     /// Panics if `t > n`.
     pub fn random<R: Rng + ?Sized>(t: usize, n: usize, rng: &mut R) -> FlipMask {
+        let mut mask = FlipMask {
+            indices: Vec::with_capacity(t),
+            n,
+        };
+        mask.redraw(t, rng);
+        mask
+    }
+
+    /// Replace the flip set in place with `t` fresh distinct positions,
+    /// reusing the allocation: the same draws from `rng` and the same
+    /// mask as [`FlipMask::random`] over this mask's dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` exceeds the dimension.
+    pub fn redraw<R: Rng + ?Sized>(&mut self, t: usize, rng: &mut R) {
+        let n = self.n;
         assert!(t <= n, "cannot flip more spins than exist");
         // Floyd's algorithm for a uniform t-subset without allocation of 0..n.
-        let mut chosen = Vec::with_capacity(t);
+        let chosen = &mut self.indices;
+        chosen.clear();
         for j in (n - t)..n {
             let r = rng.gen_range(0..=j);
             if chosen.contains(&r) {
@@ -342,7 +360,8 @@ impl FlipMask {
                 chosen.push(r);
             }
         }
-        FlipMask::new(chosen, n)
+        // Floyd's draws are already distinct, so sorting is all `new` adds.
+        chosen.sort_unstable();
     }
 
     /// Sorted flip indices (the support of `σ_f`).
@@ -384,7 +403,7 @@ impl FlipMask {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn spin_value_and_flip() {
@@ -478,6 +497,21 @@ mod tests {
             let m = FlipMask::random(t, 10, &mut rng);
             assert_eq!(m.flip_count(), t);
         }
+    }
+
+    #[test]
+    fn redrawn_mask_matches_fresh_masks_and_rng_stream() {
+        let mut fresh_rng = StdRng::seed_from_u64(17);
+        let mut reused_rng = StdRng::seed_from_u64(17);
+        let mut reused = FlipMask::random(0, 40, &mut reused_rng);
+        for k in 0..200 {
+            let t = [2, 1, 3, 40, 0][k % 5];
+            let fresh = FlipMask::random(t, 40, &mut fresh_rng);
+            reused.redraw(t, &mut reused_rng);
+            assert_eq!(reused, fresh, "draw {k}");
+            assert_eq!(reused, FlipMask::new(reused.indices().to_vec(), 40));
+        }
+        assert_eq!(fresh_rng.next_u64(), reused_rng.next_u64());
     }
 
     #[test]

@@ -177,3 +177,30 @@ fn distinct_base_seeds_explore_distinct_trajectories() {
     let b = best_energies(&solver, &problem, &Ensemble::new(6, 1_000_000));
     assert_ne!(a, b, "independent ensembles should not repeat trajectories");
 }
+
+#[test]
+fn parallel_reference_search_equals_a_serial_fold_over_its_starts() {
+    // The starts come from one RNG in order and the reduction keeps the
+    // earliest of equal energies, so the parallel search must return what
+    // a serial scan of the same starts returns — spins included, which a
+    // ring (many tied local optima) exercises.
+    use fecim_anneal::{local_search, multi_start_local_search};
+    use fecim_ising::{CopProblem, Coupling, SpinVector};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let ring = MaxCut::new(40, (0..40).map(|i| (i, (i + 1) % 40, 1.0)).collect()).expect("valid");
+    for problem in [test_problem(), ring] {
+        let model = problem.to_ising().expect("valid");
+        let coupling = model.couplings();
+        for (starts, seed) in [(1, 3), (12, 2025), (20, 9)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let serial = (0..starts)
+                .map(|_| local_search(coupling, SpinVector::random(coupling.dimension(), &mut rng)))
+                .reduce(|best, next| if next.1 < best.1 { next } else { best })
+                .expect("at least one start");
+            let parallel = multi_start_local_search(coupling, starts, seed);
+            assert_eq!(parallel.0, serial.0, "{starts} starts, seed {seed}");
+            assert_eq!(parallel.1.to_bits(), serial.1.to_bits());
+        }
+    }
+}

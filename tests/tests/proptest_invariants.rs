@@ -58,8 +58,57 @@ fn check_run(
     Ok(())
 }
 
+/// A coupling that exposes only the required `Coupling` methods of the
+/// CSR matrix it wraps, so every provided method runs the trait default.
+struct DefaultMethods<'a>(&'a CsrCoupling);
+
+impl Coupling for DefaultMethods<'_> {
+    fn dimension(&self) -> usize {
+        self.0.dimension()
+    }
+
+    fn get(&self, i: usize, j: usize) -> f64 {
+        self.0.get(i, j)
+    }
+
+    fn for_each_in_row(&self, i: usize, f: &mut dyn FnMut(usize, f64)) {
+        self.0.for_each_in_row(i, f)
+    }
+
+    fn coupling_count(&self) -> usize {
+        self.0.coupling_count()
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one-pass setup is bit-exact: `LocalFieldState`'s energy from its
+    /// fields equals `Coupling::energy` on CSR and dense couplings, and the
+    /// CSR `local_fields` override equals the trait default.
+    #[test]
+    fn setup_pass_is_bit_identical(
+        (n, triplets) in coupling_strategy(24),
+        seed in 0u64..1000,
+    ) {
+        let csr = CsrCoupling::from_triplets(n, &triplets).unwrap();
+        let dense = csr.to_dense();
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let spins = SpinVector::random(n, &mut rng);
+        prop_assert_eq!(
+            bits(&csr.local_fields(&spins)),
+            bits(&DefaultMethods(&csr).local_fields(&spins))
+        );
+        let state = LocalFieldState::new(&csr, spins.clone());
+        prop_assert_eq!(state.energy().to_bits(), csr.energy(&spins).to_bits());
+        let state = LocalFieldState::new(&dense, spins.clone());
+        prop_assert_eq!(state.energy().to_bits(), dense.energy(&spins).to_bits());
+    }
 
     /// Every engine keeps the run invariants of `check_run` on random
     /// couplings, seeds, flip counts and targets.
