@@ -257,7 +257,9 @@ pub struct CsrCoupling {
 
 impl CsrCoupling {
     /// Build from an unordered list of `(i, j, value)` triplets (each
-    /// unordered pair given once). Duplicate pairs are summed.
+    /// unordered pair given once). Duplicate pairs are summed: the copies
+    /// of a pair, given as `(i, j)` or `(j, i)`, merge by a left fold in
+    /// input order.
     ///
     /// # Errors
     ///
@@ -268,7 +270,6 @@ impl CsrCoupling {
         n: usize,
         triplets: &[(usize, usize, f64)],
     ) -> Result<CsrCoupling, IsingError> {
-        let mut full: Vec<(usize, usize, f64)> = Vec::with_capacity(triplets.len() * 2);
         for &(i, j, v) in triplets {
             if i >= n {
                 return Err(IsingError::IndexOutOfRange {
@@ -290,30 +291,59 @@ impl CsrCoupling {
             if !v.is_finite() {
                 return Err(IsingError::NonFiniteCoupling { row: i, col: j });
             }
-            full.push((i, j, v));
-            full.push((j, i, v));
         }
-        full.sort_unstable_by_key(|a| (a.0, a.1));
-        // Merge duplicates.
-        let mut merged: Vec<(usize, usize, f64)> = Vec::with_capacity(full.len());
-        for (i, j, v) in full {
-            if let Some(last) = merged.last_mut() {
-                if last.0 == i && last.1 == j {
-                    last.2 += v;
-                    continue;
-                }
-            }
-            merged.push((i, j, v));
-        }
+        // Bucket both directions of every pair by row, in input order.
         let mut row_ptr = vec![0usize; n + 1];
-        for &(i, _, _) in &merged {
+        for &(i, j, _) in triplets {
             row_ptr[i + 1] += 1;
+            row_ptr[j + 1] += 1;
         }
         for i in 0..n {
             row_ptr[i + 1] += row_ptr[i];
         }
-        let col_idx = merged.iter().map(|t| t.1).collect();
-        let values = merged.iter().map(|t| t.2).collect();
+        let mut col_idx = vec![0usize; row_ptr[n]];
+        let mut values = vec![0.0f64; row_ptr[n]];
+        let mut next = row_ptr[..n].to_vec();
+        for &(i, j, v) in triplets {
+            for (row, col) in [(i, j), (j, i)] {
+                col_idx[next[row]] = col;
+                values[next[row]] = v;
+                next[row] += 1;
+            }
+        }
+        // Put each row in column order with a stable sort (rows usually
+        // arrive sorted), then merge the copies of a pair, compacting in
+        // place.
+        let mut unsorted: Vec<(usize, f64)> = Vec::new();
+        let mut len = 0;
+        for i in 0..n {
+            let (start, end) = (row_ptr[i], row_ptr[i + 1]);
+            row_ptr[i] = len;
+            if !col_idx[start..end].is_sorted() {
+                unsorted.clear();
+                unsorted.extend(
+                    col_idx[start..end]
+                        .iter()
+                        .copied()
+                        .zip(values[start..end].iter().copied()),
+                );
+                unsorted.sort_by_key(|&(j, _)| j);
+                for (k, (j, v)) in unsorted.iter().enumerate() {
+                    (col_idx[start + k], values[start + k]) = (*j, *v);
+                }
+            }
+            for k in start..end {
+                if len > row_ptr[i] && col_idx[len - 1] == col_idx[k] {
+                    values[len - 1] += values[k];
+                } else {
+                    (col_idx[len], values[len]) = (col_idx[k], values[k]);
+                    len += 1;
+                }
+            }
+        }
+        row_ptr[n] = len;
+        col_idx.truncate(len);
+        values.truncate(len);
         Ok(CsrCoupling {
             n,
             row_ptr,
@@ -518,19 +548,19 @@ impl IsingModel {
             return self.clone();
         }
         let n = self.dimension();
-        let mut triplets = Vec::new();
+        // σᵀJσ counts J_ij twice (ij and ji), so h_i σ_0 σ_i needs
+        // J_{0,i+1} = h_i / 2. The ancilla's pairs go first, so every row
+        // reaches `from_triplets` already in column order.
+        let mut triplets: Vec<(usize, usize, f64)> = (0..n)
+            .filter(|&i| self.fields[i] != 0.0)
+            .map(|i| (0, i + 1, self.fields[i] / 2.0))
+            .collect();
         for i in 0..n {
-            self.couplings.for_each_in_row(i, &mut |j, v| {
+            let (cols, values) = self.couplings.row_entries(i);
+            for (&j, &v) in cols.iter().zip(values) {
                 if i < j {
                     triplets.push((i + 1, j + 1, v));
                 }
-            });
-            // h_i / 2 on each of (0,i+1),(i+1,0) halves — from_triplets stores
-            // the symmetric pair once, so push the full h_i/… careful: the
-            // quadratic form σᵀJσ counts J_ij twice (ij and ji), so to get
-            // h_i σ_0 σ_i we need J_{0,i} = h_i / 2.
-            if self.fields[i] != 0.0 {
-                triplets.push((0, i + 1, self.fields[i] / 2.0));
             }
         }
         let couplings =

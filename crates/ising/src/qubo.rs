@@ -77,8 +77,7 @@ impl Qubo {
         // q x_i     = q (1-σi)/2
         let mut offset = 0.0;
         let mut fields = vec![0.0; self.n];
-        let mut quad: std::collections::BTreeMap<(usize, usize), f64> =
-            std::collections::BTreeMap::new();
+        let mut quad: Vec<(usize, usize, f64)> = Vec::with_capacity(self.entries.len());
         for &(i, j, q) in &self.entries {
             if i == j {
                 offset += q / 2.0;
@@ -87,15 +86,29 @@ impl Qubo {
                 offset += q / 4.0;
                 fields[i] -= q / 4.0;
                 fields[j] -= q / 4.0;
-                *quad.entry((i, j)).or_insert(0.0) += q / 4.0;
+                quad.push((i, j, q / 4.0));
             }
         }
+        // A stable sort keeps the terms of each pair in input order; each
+        // pair's sum folds from 0.0 in that order, compacted in place.
+        quad.sort_by_key(|&(i, j, _)| (i, j));
+        let mut pairs = 0usize;
+        for k in 0..quad.len() {
+            let (i, j, q) = quad[k];
+            if pairs > 0 && (quad[pairs - 1].0, quad[pairs - 1].1) == (i, j) {
+                quad[pairs - 1].2 += q;
+            } else {
+                quad[pairs] = (i, j, 0.0 + q);
+                pairs += 1;
+            }
+        }
+        quad.truncate(pairs);
+        quad.retain(|&(_, _, v)| v != 0.0);
         // σᵀJσ counts each pair twice, so J_ij = coeff/2.
-        let triplets: Vec<(usize, usize, f64)> = quad
-            .into_iter()
-            .filter(|&(_, v)| v != 0.0)
-            .map(|((i, j), v)| (i, j, v / 2.0))
-            .collect();
+        for (_, _, v) in &mut quad {
+            *v /= 2.0;
+        }
+        let triplets = quad;
         let couplings = CsrCoupling::from_triplets(self.n, &triplets)?;
         let mut model = IsingModel::with_fields(couplings, fields)?;
         model.set_offset(offset);

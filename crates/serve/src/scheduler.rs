@@ -657,15 +657,23 @@ impl Scheduler {
     ) -> JobHandle {
         let id = self.core.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         // Journal before the job becomes runnable: a crash right after
-        // the client learns its id must still replay the job.
+        // the client learns its id must still replay the job. The record
+        // holds the request while it is written, then hands it on.
+        let record = JournalRecord::Submitted {
+            job: id,
+            name: name.map(str::to_string),
+            request,
+            options,
+        };
         if let Some(journal) = &self.core.journal {
-            journal.append(&JournalRecord::Submitted {
-                job: id,
-                name: name.map(str::to_string),
-                request: request.clone(),
-                options: options.clone(),
-            });
+            journal.append(&record);
         }
+        let JournalRecord::Submitted {
+            request, options, ..
+        } = record
+        else {
+            unreachable!("the record was built as `Submitted` above")
+        };
         let job = Arc::new(Job::new(id, request, options));
         lock(&self.core.jobs).insert(id, Arc::clone(&job));
         let mut q = lock(&self.core.queue);

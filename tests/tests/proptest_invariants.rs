@@ -306,3 +306,134 @@ proptest! {
         );
     }
 }
+
+/// The CSR rows of a coupling, values as bits.
+fn csr_rows(coupling: &CsrCoupling) -> Vec<Vec<(usize, u64)>> {
+    (0..coupling.dimension())
+        .map(|i| {
+            let (cols, values) = coupling.row_entries(i);
+            cols.iter()
+                .zip(values)
+                .map(|(&j, v)| (j, v.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// The earlier `CsrCoupling::from_triplets`: one unstable sort of both
+/// directions of every pair, then a merge. Its rows, values as bits.
+fn old_from_triplets(n: usize, triplets: &[(usize, usize, f64)]) -> Vec<Vec<(usize, u64)>> {
+    let mut full: Vec<(usize, usize, f64)> = Vec::new();
+    for &(i, j, v) in triplets {
+        full.push((i, j, v));
+        full.push((j, i, v));
+    }
+    full.sort_unstable_by_key(|a| (a.0, a.1));
+    let mut merged: Vec<(usize, usize, f64)> = Vec::new();
+    for (i, j, v) in full {
+        match merged.last_mut() {
+            Some(last) if (last.0, last.1) == (i, j) => last.2 += v,
+            _ => merged.push((i, j, v)),
+        }
+    }
+    let mut rows = vec![Vec::new(); n];
+    for (i, j, v) in merged {
+        rows[i].push((j, v.to_bits()));
+    }
+    rows
+}
+
+/// The earlier `Qubo::to_ising` coupling triplets: an ordered-map fold.
+fn old_to_ising_triplets(qubo: &Qubo) -> Vec<(usize, usize, f64)> {
+    let mut quad = std::collections::BTreeMap::new();
+    for &(i, j, q) in qubo.entries() {
+        if i != j {
+            *quad.entry((i, j)).or_insert(0.0) += q / 4.0;
+        }
+    }
+    quad.into_iter()
+        .filter(|&(_, v)| v != 0.0)
+        .map(|((i, j), v)| (i, j, v / 2.0))
+        .collect()
+}
+
+/// Triplets over a few spins, so pairs repeat in both orientations.
+fn repeated_pairs() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
+    (2usize..8).prop_flat_map(|n| {
+        let triplet = ((0..n, 0..n), -2.0f64..2.0)
+            .prop_filter_map("no self-loops", |((i, j), w)| (i != j).then_some((i, j, w)));
+        (Just(n), proptest::collection::vec(triplet, 0..6 * n))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The counting-sort `from_triplets` matches the earlier sort-and-merge
+    /// bit for bit wherever that one was order-independent: pairs with at
+    /// most two copies, and any number of copies whose sums are exact.
+    #[test]
+    fn from_triplets_matches_the_sort_and_merge_bit_for_bit((n, triplets) in repeated_pairs()) {
+        let mut copies = std::collections::BTreeMap::new();
+        let at_most_two: Vec<(usize, usize, f64)> = triplets
+            .iter()
+            .copied()
+            .filter(|&(i, j, _)| {
+                let count = copies.entry((i.min(j), i.max(j))).or_insert(0);
+                *count += 1;
+                *count <= 2
+            })
+            .collect();
+        let quarters: Vec<(usize, usize, f64)> = triplets
+            .iter()
+            .map(|&(i, j, w)| (i, j, (w * 8.0).round() / 4.0))
+            .collect();
+        for set in [&at_most_two, &quarters] {
+            let new = CsrCoupling::from_triplets(n, set).expect("valid triplets");
+            prop_assert_eq!(csr_rows(&new), old_from_triplets(n, set));
+        }
+    }
+
+    /// `Qubo::to_ising` matches the earlier ordered-map fold bit for bit,
+    /// duplicate terms included: each pair still sums from 0.0 in input
+    /// order.
+    #[test]
+    fn qubo_to_ising_matches_the_ordered_map_fold_bit_for_bit(
+        (n, terms) in repeated_pairs(),
+        diagonal in proptest::collection::vec(-2.0f64..2.0, 0..4),
+    ) {
+        let mut qubo = Qubo::new(n);
+        for (k, &(i, j, q)) in terms.iter().enumerate() {
+            qubo.add_term(i, j, q);
+            if let Some(&d) = diagonal.get(k % 4) {
+                qubo.add_term(i, i, d);
+            }
+        }
+        let model = qubo.to_ising().expect("valid QUBO");
+        prop_assert_eq!(
+            csr_rows(model.couplings()),
+            old_from_triplets(n, &old_to_ising_triplets(&qubo))
+        );
+        // The ancilla embedding, against the earlier triplet order (each
+        // row's couplings, then its field).
+        if model.is_quadratic_only() {
+            return;
+        }
+        let mut embedded = Vec::new();
+        for i in 0..n {
+            let (cols, values) = model.couplings().row_entries(i);
+            for (&j, &v) in cols.iter().zip(values) {
+                if i < j {
+                    embedded.push((i + 1, j + 1, v));
+                }
+            }
+            if model.fields()[i] != 0.0 {
+                embedded.push((0, i + 1, model.fields()[i] / 2.0));
+            }
+        }
+        prop_assert_eq!(
+            csr_rows(model.to_quadratic_only().couplings()),
+            old_from_triplets(n + 1, &embedded)
+        );
+    }
+}

@@ -1054,3 +1054,38 @@ fn codec_corpus_matches_fixture() {
         }
     }
 }
+
+/// The codec's number fast paths agree with `Display` and `str::parse` on
+/// random doubles, short decimals and integers alike.
+#[test]
+fn float_fast_paths_match_display_and_parse() {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for i in 0..200_000u64 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let scale = 10f64.powi((state % 23) as i32);
+        let x = match i % 4 {
+            0 => f64::from_bits(state),
+            1 => (state % 2_000_001) as f64 / 1000.0 - 1000.0,
+            2 => (state >> 11) as f64 / scale,
+            _ => (state % 100_000) as f64 * scale / 1e4,
+        };
+        if !x.is_finite() {
+            continue;
+        }
+        let text = serde_json::to_string(&x).unwrap();
+        assert_eq!(text, x.to_string(), "{x:e}");
+        assert_eq!(
+            serde_json::from_str::<f64>(&text).unwrap().to_bits(),
+            x.to_bits()
+        );
+        let sci = format!("{x:e}");
+        let parsed: f64 = serde_json::from_str(&sci).unwrap();
+        assert_eq!(
+            parsed.to_bits(),
+            sci.parse::<f64>().unwrap().to_bits(),
+            "{sci}"
+        );
+    }
+}

@@ -277,6 +277,34 @@ fn malformed_lines_are_a_stream_error_with_position() {
 }
 
 #[test]
+fn escaped_non_bmp_ids_come_back_as_their_code_points() {
+    // Python's default `json.dumps` writes every non-BMP character as a
+    // surrogate-pair escape; the terminal line must answer the id the
+    // client meant, written as raw UTF-8.
+    let line = serde_json::to_string(&RequestLine::Submit {
+        id: "job-😀".into(),
+        request: ring_request(6, 50),
+        options: SubmitOptions::default(),
+    })
+    .unwrap()
+    .replace("job-😀", "job-\\ud83d\\ude00");
+    assert!(line.contains(r"\ud83d\ude00"), "{line}");
+    let mut out = Vec::new();
+    run_jsonl(
+        BufReader::new(format!("{line}\n").as_bytes()),
+        &mut out,
+        SchedulerConfig::workers(1),
+    )
+    .expect("the line parses");
+    let out = String::from_utf8(out).unwrap();
+    assert!(out.contains("\"job-😀\""), "{out}");
+    let responses = check_responses(BufReader::new(out.as_bytes())).unwrap();
+    assert_eq!(responses.len(), 1);
+    assert_eq!(responses[0].id(), "job-😀");
+    assert!(matches!(responses[0], ResponseLine::Completed { .. }));
+}
+
+#[test]
 fn over_long_lines_are_a_stream_error_with_position() {
     let valid = serde_json::to_string(&RequestLine::Submit {
         id: "before".into(),
