@@ -86,6 +86,29 @@
 //! table, and the incremental read finds its flipped columns 32 at a
 //! time.
 //!
+//! ## Full reads are differential
+//!
+//! A dSB step drives every column with the spins of the last step, of
+//! which only a few percent changed, so an Ideal read of every column
+//! group at factor 1 (`mvm`, `vmv`, and an incremental read whose `σ_c`
+//! has no zero) pays only for what changed. From its second such read
+//! on, the array keeps the line counts of every column and the drive of
+//! every row. A read finds the rows whose drive changed (32 at a time),
+//! moves their entries from the old sign pass's count lanes to the new
+//! one's, re-converts only the columns whose counts moved, and hands out
+//! every column's kept terms in the sweep's order. The coupling is
+//! symmetric, so column `i`'s entries are row `i`'s and the store is its
+//! own row-major index: the array checks that once, in one merge pass,
+//! and an asymmetric store (no public coupling builds one) sweeps every
+//! read. The counts are integers and the conversion is a table lookup,
+//! so every output bit and every [`ActivityStats`] field equals a fresh
+//! sweep. When more than half the stored entries would move (a fresh
+//! drive; bSB's consecutive bit planes come close), the read recounts:
+//! the sweep at its speed and fan-out, writing the counts it keeps. An array that never makes a
+//! second full read — the in-situ anneal reads one calibration `vmv` —
+//! keeps nothing, and device-accurate reads, whose currents carry noise,
+//! always sweep.
+//!
 //! ## Parallel sensing
 //!
 //! Column stripes convert on physically independent SAR ADC banks, so the
@@ -124,13 +147,15 @@ use crate::quant::QuantizedCoupling;
 use crate::stats::ActivityStats;
 
 /// Smallest sensing work, in Ideal entries, for which
-/// [`SensingMode::Auto`] fans a read out. Each fan-out pays the rayon
+/// [`SensingMode::Auto`] fans a sweep out. Each fan-out pays the rayon
 /// shim's per-call thread spawn (~0.1 ms on a 2-CPU host); the count
-/// kernel senses an Ideal entry in 2–3 ns. Measured there on Ideal MVMs,
-/// the sequential read won at 76k entries and the parallel one won by
-/// 1.5× at 236k, so the break-even lies near this threshold. The in-situ
-/// incremental read (`t ≈ 2` columns) and the sparse G-set MVMs stay on
-/// the calling thread.
+/// kernel senses an Ideal entry in 2–3 ns. Measured there on swept Ideal
+/// MVMs, the sequential read won at 76k entries and the parallel one won
+/// by 1.5× at 236k, so the break-even lies near this threshold. Only
+/// sweeps consult it: first full reads, recounts (the dense n = 896
+/// array's fan out) and scaled or partial reads. The in-situ incremental
+/// read (`t ≈ 2` columns) and sparse G-set sweeps stay on the calling
+/// thread, and a differential full read always does.
 const AUTO_PARALLEL_MIN_WORK: usize = 1 << 17;
 
 /// Sensing cost of one device-accurate entry in Ideal entries. Measured
@@ -232,6 +257,10 @@ pub struct TiledCrossbar {
     /// factor (exact bits; seeded with factor 0) and its back-gate bias.
     /// An annealing schedule holds each factor for a plateau of reads.
     vbg_memo: (u64, f64),
+    /// ADC slots of one sign pass of a read over every column group.
+    full_read_slots: usize,
+    /// The last Ideal full read at factor 1, once there have been two.
+    full_reads: FullReads,
     sensing: SensingMode,
     stats: ActivityStats,
 }
@@ -321,35 +350,116 @@ const fn slice_lanes() -> [u128; 256] {
     table
 }
 
-/// Convert the first `k` bit-slice lines of every (sign pass, plane).
-fn convert_lines<T: Copy>(
-    lines: &[[[T; 8]; 2]; 2],
-    k: usize,
-    mut convert: impl FnMut(T) -> f64,
-) -> ColumnLevels {
-    let mut levels = [[[0.0; 8]; 2]; 2];
-    for (pass_levels, pass_lines) in levels.iter_mut().zip(lines) {
-        for (plane_levels, plane_lines) in pass_levels.iter_mut().zip(pass_lines) {
-            for (level, &line) in plane_levels.iter_mut().zip(plane_lines).take(k) {
-                *level = convert(line);
-            }
+/// Per magnitude code: bit slice `b` of the code as the count of line
+/// `b`, so a differential read moves an entry between sign passes with
+/// one 8-lane subtract and one 8-lane add.
+static SLICE_COUNTS: [[u32; 8]; 256] = slice_counts();
+
+const fn slice_counts() -> [[u32; 8]; 256] {
+    let mut table = [[0u32; 8]; 256];
+    let mut code = 0;
+    while code < 256 {
+        let mut b = 0;
+        while b < 8 {
+            table[code][b] = ((code >> b) & 1) as u32;
+            b += 1;
         }
+        code += 1;
     }
-    levels
+    table
 }
 
-/// One sensed column group: its weighted output `sign · w · (pos − neg)`
-/// per sign pass and the cells it activated.
-#[derive(Debug, Clone, Copy)]
-struct SensedColumn {
-    j: usize,
-    terms: [f64; 2],
+/// Conducting cells on each (sign pass, plane, bit slice) line of one
+/// column group.
+type LineCounts = [[[u32; 8]; 2]; 2];
+
+/// One sensed column group before its digital weight: per sign pass the
+/// shift-and-added plane difference `pos − neg`, and the cells it
+/// activated.
+#[derive(Debug, Clone, Copy, Default)]
+struct ColumnRead {
+    lines: [f64; 2],
     cells: u64,
 }
 
-/// Converted line outputs of one column: per (sign pass, plane, bit
-/// slice), the ADC's reconstruction of that line's current.
-type ColumnLevels = [[[f64; 8]; 2]; 2];
+/// The digital side of a column sense: the stripe ADC converts the first
+/// `k` bit-slice lines of every (sign pass, plane) once, the periphery
+/// shift-and-adds each plane's slices and subtracts the planes.
+fn shift_add<T: Copy>(
+    lines: &[[[T; 8]; 2]; 2],
+    k: usize,
+    mut convert: impl FnMut(T) -> f64,
+) -> [f64; 2] {
+    lines.map(|[pos, neg]| {
+        let mut pos_val = 0.0;
+        let mut neg_val = 0.0;
+        for (b, (&p, &q)) in pos.iter().zip(&neg).take(k).enumerate() {
+            let weight = (1u64 << b) as f64;
+            pos_val += weight * convert(p);
+            neg_val += weight * convert(q);
+        }
+        pos_val - neg_val
+    })
+}
+
+/// The Ideal conversion of one column group's line counts: a line of `c`
+/// conducting cells converts to `levels[c]`. Every Ideal read, swept or
+/// differential, converts through here.
+fn convert_counts(counts: &LineCounts, levels: &[f64], k: usize) -> ColumnRead {
+    let mut cells = 0u64;
+    let lines = shift_add(counts, k, |count| {
+        cells += u64::from(count);
+        levels[count as usize]
+    });
+    ColumnRead { lines, cells }
+}
+
+/// Hand every sensed column's weighted term to `sink` in the sequential
+/// order — each column's first-pass term, then each column's second-pass
+/// term — and return the cells the columns activated.
+fn emit<'c>(
+    columns: impl Iterator<Item = (usize, &'c ColumnRead)> + Clone,
+    weight: impl Fn(usize) -> f64,
+    sink: &mut impl FnMut(usize, f64),
+) -> u64 {
+    for (pass, sign) in SIGNS.into_iter().enumerate() {
+        for (j, column) in columns.clone() {
+            sink(j, f64::from(sign) * weight(j) * column.lines[pass]);
+        }
+    }
+    columns.map(|(_, column)| column.cells).sum()
+}
+
+/// What an Ideal array keeps of its full reads at factor 1 (see the
+/// module docs, "Full reads are differential").
+#[derive(Debug, Clone, Default)]
+enum FullReads {
+    /// No full read yet.
+    #[default]
+    None,
+    /// One full read, swept and not kept.
+    One,
+    /// The line counts of the last full read.
+    Kept(Box<KeptRead>),
+    /// The cell store is not symmetric, so it is no row index: every
+    /// full read sweeps.
+    Swept,
+}
+
+/// The last full read: its row drive and, per column group, its line
+/// counts and their conversion.
+#[derive(Debug, Clone)]
+struct KeptRead {
+    rows: Vec<i8>,
+    counts: Vec<LineCounts>,
+    columns: Vec<ColumnRead>,
+    /// Update scratch: the rows whose drive changed, whether each
+    /// column's counts moved, and those columns in the order they first
+    /// moved.
+    changed_rows: Vec<usize>,
+    dirty: Vec<bool>,
+    dirty_columns: Vec<usize>,
+}
 
 /// One read as the sense driver sees it: the row drive, the column
 /// groups that convert, the digital weight each column's output
@@ -495,7 +605,7 @@ impl TiledCrossbar {
             config.seed ^ 0x9E37_79B9_7F4A_7C15,
             config.variation.read_noise_rel,
         );
-        TiledCrossbar {
+        let mut array = TiledCrossbar {
             config,
             tile_rows,
             bands,
@@ -513,9 +623,14 @@ impl TiledCrossbar {
             noise,
             read_ordinal: 0,
             vbg_memo,
+            full_read_slots: 0,
+            full_reads: FullReads::None,
             sensing: SensingMode::default(),
             stats: ActivityStats::new(),
-        }
+        };
+        let all: Vec<usize> = (0..n).collect();
+        array.full_read_slots = array.slots(&all, &array.stripe_partition(&all));
+        array
     }
 
     /// Override how sensing work is scheduled across threads (results are
@@ -685,6 +800,17 @@ impl TiledCrossbar {
     /// `(stripe, start..end)` index ranges into `active`, ascending — the
     /// single partition both the activation count and the read reuse.
     fn stripe_partition(&self, active: &[usize]) -> Vec<(usize, std::ops::Range<usize>)> {
+        if active.len() == self.n {
+            // Every column group: the stripes are the bands.
+            return (0..self.bands)
+                .map(|s| {
+                    (
+                        s,
+                        s * self.tile_rows..((s + 1) * self.tile_rows).min(self.n),
+                    )
+                })
+                .collect();
+        }
         let mut parts: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
         for (idx, &j) in active.iter().enumerate() {
             let s = j / self.tile_rows;
@@ -723,35 +849,27 @@ impl TiledCrossbar {
         levels
     }
 
-    /// The one sense driver behind every read: one sweep over each active
-    /// column group's stored entries serves both sign passes, each column
-    /// sensed through its stripe's chained bit lines, its outputs
-    /// weighted digitally and handed to `sink(column, term)` in the
-    /// sequential order (sign pass, then stripe-ascending, then
-    /// column-ascending) — whichever [`SensingMode`] ran it. Columns of
-    /// weight 0 are not sensed.
-    ///
-    /// Large reads fan the sensing out across threads per
-    /// (stripe, column chunk); see the module docs for the determinism
-    /// argument. Counter accumulation happens on the calling thread, so
-    /// [`ActivityStats`] stays a plain struct and no lock sits inside
-    /// the sensing loop.
+    /// The one sense driver behind every read: each column group is
+    /// sensed through its stripe's chained bit lines for both sign passes
+    /// at once, and its outputs are weighted digitally and handed to
+    /// `sink(column, term)` in the sequential order (sign pass, then
+    /// stripe-ascending, then column-ascending) — whichever
+    /// [`SensingMode`] ran it, and whether the read swept or updated its
+    /// kept full read. Columns of weight 0 are not sensed.
     ///
     /// Returns the number of tiles the read activated: tiles whose
     /// stripe holds an active column group *and* whose row band holds a
     /// driven row.
     fn sense(&mut self, read: Read<'_>, mut sink: impl FnMut(usize, f64)) -> u64 {
+        let stripes = self.stripe_partition(read.active);
+        let activated = self.account(&read, &stripes);
         let Read {
             rows,
             active,
             weights,
             factor,
-            cross_stripe_sum,
-            buffer_writes,
+            ..
         } = read;
-        let k = self.config.quant_bits as usize;
-        let stripes = self.stripe_partition(active);
-        let activated = stripes.len() as u64 * self.driven_band_count(rows);
         let device = (self.config.fidelity == Fidelity::DeviceAccurate)
             .then(|| self.vbg_for(factor))
             .map(|vbg| CellRead::new(&self.cell, self.full_scale_current, vbg));
@@ -762,22 +880,89 @@ impl TiledCrossbar {
         let ordinal = self.read_ordinal;
         self.read_ordinal += 1;
 
+        let weight = |j: usize| weights.map_or(1.0, |w| f64::from(w[j]));
+        let full = device.is_none() && factor == 1.0 && active.len() == self.n;
+        let kept = full && self.refresh_full_read(rows, &stripes);
+        let cells = match &self.full_reads {
+            FullReads::Kept(read) if kept => emit(
+                (0..self.n)
+                    .filter(|&j| weight(j) != 0.0)
+                    .map(|j| (j, &read.columns[j])),
+                weight,
+                &mut sink,
+            ),
+            _ => {
+                let this: &TiledCrossbar = self;
+                // The stored entries the read senses decide whether a
+                // fan-out pays; the longest sensed column bounds every
+                // per-slice count.
+                let (touched, longest) = active
+                    .iter()
+                    .filter(|&&j| weight(j) != 0.0)
+                    .map(|&j| this.column(j).len())
+                    .fold((0, 0), |(sum, max), len| (sum + len, max.max(len)));
+                let scaled_levels;
+                let levels: &[f64] = if device.is_some() {
+                    &[]
+                } else if factor == 1.0 {
+                    &this.unit_levels
+                } else {
+                    scaled_levels = this.factor_levels(factor, longest);
+                    &scaled_levels
+                };
+                let ctx = SenseContext {
+                    rows,
+                    levels,
+                    device,
+                    ordinal,
+                };
+                let mut columns = vec![ColumnRead::default(); active.len()];
+                this.sweep(
+                    &stripes,
+                    active,
+                    touched,
+                    device.is_some(),
+                    (&mut columns, &mut vec![(); active.len()]),
+                    |stripe, j, column, ()| {
+                        if weight(j) != 0.0 {
+                            *column = this.sense_column(stripe, j, ctx);
+                        }
+                    },
+                );
+                emit(
+                    active
+                        .iter()
+                        .zip(&columns)
+                        .filter(|&(&j, _)| weight(j) != 0.0)
+                        .map(|(&j, column)| (j, column)),
+                    weight,
+                    &mut sink,
+                )
+            }
+        };
+        self.stats.cells_activated += cells;
+        activated
+    }
+
+    /// A read's activity accounting — every counter but the activated
+    /// cells, which its sensed columns report — and the tiles it
+    /// activates. Counters accumulate on the calling thread, so
+    /// [`ActivityStats`] stays a plain struct and no lock sits inside the
+    /// sensing loop.
+    fn account(&mut self, read: &Read<'_>, stripes: &[(usize, std::ops::Range<usize>)]) -> u64 {
+        let k = self.config.quant_bits as usize;
+        let active = read.active;
+        let activated = stripes.len() as u64 * self.driven_band_count(read.rows);
         self.stats.array_ops += 1;
         self.stats.tiles_activated += activated;
         // Both sign passes convert the same active groups, so they
         // serialize on the same busiest stripe's slots.
-        let mut slots = 0usize;
-        let mut local_scratch: Vec<usize> = Vec::new();
-        for (s, range) in &stripes {
-            local_scratch.clear();
-            local_scratch.extend(
-                active[range.clone()]
-                    .iter()
-                    .map(|&j| j - s * self.tile_rows),
-            );
-            slots = slots.max(self.stripe_mux[*s].slots_for(&local_scratch, k));
-        }
-        for driven_count in pass_row_counts(rows) {
+        let slots = if active.len() == self.n {
+            self.full_read_slots
+        } else {
+            self.slots(active, stripes)
+        };
+        for driven_count in pass_row_counts(read.rows) {
             self.stats.row_passes += 1;
             // Row segments toggle once per activated stripe.
             self.stats.rows_driven += driven_count * stripes.len() as u64;
@@ -789,90 +974,240 @@ impl TiledCrossbar {
             self.stats.adc_conversions += (active.len() * 2 * k) as u64;
             self.stats.adc_slots += slots as u64;
             self.stats.shift_add_ops += (active.len() * 2 * k) as u64;
-            if cross_stripe_sum {
+            if read.cross_stripe_sum {
                 // Cross-stripe digital aggregation of the partial sums.
                 self.stats.shift_add_ops += stripes.len().saturating_sub(1) as u64;
             }
         }
+        self.stats.buffer_writes += read.buffer_writes;
+        activated
+    }
 
-        let weight = |j: usize| weights.map_or(1.0, |w| f64::from(w[j]));
-        let this: &TiledCrossbar = self;
-        // The stored entries the read senses decide whether a fan-out
-        // pays; the longest sensed column bounds every per-slice count.
-        let (touched, longest) = active
-            .iter()
-            .filter(|&&j| weight(j) != 0.0)
-            .map(|&j| this.column(j).len())
-            .fold((0, 0), |(sum, max), len| (sum + len, max.max(len)));
-        let scaled_levels;
-        let levels: &[f64] = if device.is_some() {
-            &[]
-        } else if factor == 1.0 {
-            &this.unit_levels
-        } else {
-            scaled_levels = this.factor_levels(factor, longest);
-            &scaled_levels
-        };
-        let ctx = SenseContext {
-            rows,
-            levels,
-            device,
-            ordinal,
-        };
+    /// ADC slots one sign pass of a read over `active` serializes on: the
+    /// busiest stripe bank's.
+    fn slots(&self, active: &[usize], stripes: &[(usize, std::ops::Range<usize>)]) -> usize {
+        let k = self.config.quant_bits as usize;
+        let mut slots = 0usize;
+        let mut local_scratch: Vec<usize> = Vec::new();
+        for (s, range) in stripes {
+            local_scratch.clear();
+            local_scratch.extend(
+                active[range.clone()]
+                    .iter()
+                    .map(|&j| j - s * self.tile_rows),
+            );
+            slots = slots.max(self.stripe_mux[*s].slots_for(&local_scratch, k));
+        }
+        slots
+    }
 
+    /// Sense each of `active`'s column groups into its slots of `out`
+    /// through `sense(stripe, column, slots)`, one work item per (stripe,
+    /// column chunk) in the sequential visiting order. A read that senses
+    /// `touched` stored entries fans out when its [`SensingMode`] says
+    /// so; see the module docs for the determinism argument.
+    fn sweep<A: Send, B: Send>(
+        &self,
+        stripes: &[(usize, std::ops::Range<usize>)],
+        active: &[usize],
+        touched: usize,
+        device: bool,
+        out: (&mut [A], &mut [B]),
+        sense: impl Fn(usize, usize, &mut A, &mut B) + Sync,
+    ) {
         // Noise draws are counter-addressed, so every fidelity — noisy
         // device-accurate included — may fan out; only the dispatch
         // economics decide.
-        let fan_out = match this.sensing {
+        let fan_out = match self.sensing {
             SensingMode::Sequential => false,
-            SensingMode::Auto => auto_fans_out(touched, device.is_some()),
+            SensingMode::Auto => auto_fans_out(touched, device),
             SensingMode::Parallel => !active.is_empty(),
         } && rayon::current_num_threads() > 1;
-
-        // One work item per (stripe, column chunk), in the sequential
-        // visiting order. A fanned-out read splits stripes into chunks
-        // that grow with the read, so each worker sees only a handful of
-        // dispatches; chunk boundaries never affect results, because the
-        // reduction below is order-exact either way.
+        // A fanned-out read splits stripes into chunks that grow with the
+        // read, so each worker sees only a handful of dispatches; chunk
+        // boundaries never affect results, because every column is sensed
+        // independently into its own slot.
         let chunk_cols = if fan_out {
             PARALLEL_COLUMN_CHUNK.max(active.len().div_ceil(4 * rayon::current_num_threads()))
         } else {
             active.len()
         };
-        let mut items: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        for (stripe, range) in &stripes {
+        let mut items = Vec::new();
+        let (mut rest_a, mut rest_b) = out;
+        for (stripe, range) in stripes {
             let mut start = range.start;
             while start < range.end {
                 let end = (start + chunk_cols).min(range.end);
-                items.push((*stripe, start..end));
+                let (a, tail_a) = std::mem::take(&mut rest_a).split_at_mut(end - start);
+                let (b, tail_b) = std::mem::take(&mut rest_b).split_at_mut(end - start);
+                items.push((*stripe, &active[start..end], a, b));
+                (rest_a, rest_b) = (tail_a, tail_b);
                 start = end;
             }
         }
-        let sense_chunk = |(stripe, cols): (usize, std::ops::Range<usize>)| {
-            active[cols]
-                .iter()
-                .filter(|&&j| weight(j) != 0.0)
-                .map(|&j| this.sense_chained_column(stripe, j, weight(j), ctx))
-                .collect::<Vec<SensedColumn>>()
+        let sense_chunk = |(stripe, columns, a, b): (usize, &[usize], &mut [A], &mut [B])| {
+            for ((&j, a), b) in columns.iter().zip(a).zip(b) {
+                sense(stripe, j, a, b);
+            }
         };
-        // Chunk outputs come back in item order (the shim preserves input
-        // order).
-        let chunks: Vec<Vec<SensedColumn>> = if fan_out {
-            items.into_par_iter().map(sense_chunk).collect()
+        if fan_out {
+            items.into_par_iter().for_each(sense_chunk);
         } else {
-            items.into_iter().map(sense_chunk).collect()
+            items.into_iter().for_each(sense_chunk);
+        }
+    }
+
+    /// Bring the kept full read up to the drive `rows` (an Ideal read of
+    /// every column group at factor 1), or return `false` when the array
+    /// keeps none and the read sweeps: its first full read, and every
+    /// full read of an asymmetric store. The second full read recounts
+    /// into a fresh kept read; later ones update it, or recount when more
+    /// than half the stored entries would move.
+    fn refresh_full_read(
+        &mut self,
+        rows: &[i8],
+        stripes: &[(usize, std::ops::Range<usize>)],
+    ) -> bool {
+        let kept = match std::mem::take(&mut self.full_reads) {
+            FullReads::None => {
+                self.full_reads = FullReads::One;
+                return false;
+            }
+            FullReads::One if !self.store_is_symmetric() => {
+                self.full_reads = FullReads::Swept;
+                return false;
+            }
+            FullReads::Swept => {
+                self.full_reads = FullReads::Swept;
+                return false;
+            }
+            FullReads::One => {
+                let n = self.n;
+                let mut kept = Box::new(KeptRead {
+                    rows: vec![0; n],
+                    counts: vec![LineCounts::default(); n],
+                    columns: vec![ColumnRead::default(); n],
+                    changed_rows: Vec::new(),
+                    dirty: vec![false; n],
+                    dirty_columns: Vec::new(),
+                });
+                self.recount(rows, stripes, &mut kept);
+                kept
+            }
+            FullReads::Kept(mut kept) => {
+                if !self.update(rows, &mut kept) {
+                    self.recount(rows, stripes, &mut kept);
+                }
+                kept
+            }
         };
-        // Deterministic reduction: every column's first-pass term, then
-        // every column's second-pass term, so the sink sees the
-        // sign-pass-major order at any thread count.
-        for pass in 0..SIGNS.len() {
-            for column in chunks.iter().flatten() {
-                sink(column.j, column.terms[pass]);
+        self.full_reads = FullReads::Kept(kept);
+        true
+    }
+
+    /// Whether entry `(i, j)` of the cell store holds the code and plane
+    /// of entry `(j, i)` for every pair, so column `i`'s entries are also
+    /// row `i`'s. Columns are visited in ascending order, so the entries
+    /// a column's cursor must meet arrive in the order they are stored:
+    /// one pass with one cursor per column checks every pair.
+    fn store_is_symmetric(&self) -> bool {
+        let mut cursor = self.col_start[..self.n].to_vec();
+        for j in 0..self.n {
+            for cell in &self.cells[self.column(j)] {
+                let i = cell.row as usize;
+                let p = cursor[i];
+                if p == self.col_start[i + 1] {
+                    return false;
+                }
+                let mirror = self.cells[p];
+                if mirror.row as usize != j
+                    || mirror.code != cell.code
+                    || mirror.plane != cell.plane
+                {
+                    return false;
+                }
+                cursor[i] += 1;
             }
         }
-        self.stats.cells_activated += chunks.iter().flatten().map(|c| c.cells).sum::<u64>();
-        self.stats.buffer_writes += buffer_writes;
-        activated
+        true
+    }
+
+    /// Sweep every column group's line counts under the drive `rows` into
+    /// `kept` — the read the sweep would make, at its speed and fan-out.
+    fn recount(
+        &self,
+        rows: &[i8],
+        stripes: &[(usize, std::ops::Range<usize>)],
+        kept: &mut KeptRead,
+    ) {
+        let k = self.config.quant_bits as usize;
+        let all: Vec<usize> = (0..self.n).collect();
+        self.sweep(
+            stripes,
+            &all,
+            self.cells.len(),
+            false,
+            (&mut kept.columns, &mut kept.counts),
+            |_, j, column, counts| {
+                *counts = self.ideal_line_counts(j, rows);
+                *column = convert_counts(counts, &self.unit_levels, k);
+            },
+        );
+        kept.rows.copy_from_slice(rows);
+    }
+
+    /// Move the entries of every row whose drive changed from their old
+    /// sign pass's lines to their new one's, then re-convert the columns
+    /// whose counts moved. Row `i`'s entries are column `i`'s (the store
+    /// is symmetric). Returns `false`, changing nothing, when more than
+    /// half the stored entries would move.
+    fn update(&self, rows: &[i8], kept: &mut KeptRead) -> bool {
+        // Changed rows, found 32 at a time: one 256-bit compare per word.
+        kept.changed_rows.clear();
+        let mut moved = 0;
+        for (w, (new, old)) in rows.chunks(32).zip(kept.rows.chunks(32)).enumerate() {
+            if new != old {
+                for (i, (&a, &b)) in (32 * w..).zip(new.iter().zip(old)) {
+                    if DRIVE_CODE[usize::from(a as u8)] != DRIVE_CODE[usize::from(b as u8)] {
+                        kept.changed_rows.push(i);
+                        moved += self.column(i).len();
+                    }
+                }
+            }
+        }
+        if 2 * moved > self.cells.len() {
+            return false;
+        }
+        for &i in &kept.changed_rows {
+            let (old, new) = (drive(&kept.rows, i), drive(rows, i));
+            for cell in &self.cells[self.column(i)] {
+                let j = cell.row as usize;
+                let slices = &SLICE_COUNTS[usize::from(cell.code)];
+                let plane = usize::from(cell.plane);
+                let counts = &mut kept.counts[j];
+                // An undriven row's entries sit on no line.
+                if let Some(lines) = counts.get_mut(usize::from(old)) {
+                    for (count, slice) in lines[plane].iter_mut().zip(slices) {
+                        *count -= slice;
+                    }
+                }
+                if let Some(lines) = counts.get_mut(usize::from(new)) {
+                    for (count, slice) in lines[plane].iter_mut().zip(slices) {
+                        *count += slice;
+                    }
+                }
+                if !std::mem::replace(&mut kept.dirty[j], true) {
+                    kept.dirty_columns.push(j);
+                }
+            }
+        }
+        kept.rows.copy_from_slice(rows);
+        let k = self.config.quant_bits as usize;
+        for j in kept.dirty_columns.drain(..) {
+            kept.dirty[j] = false;
+            kept.columns[j] = convert_counts(&kept.counts[j], &self.unit_levels, k);
+        }
+        true
     }
 
     /// Sense one column group through the stripe's chained bit lines, for
@@ -886,39 +1221,24 @@ impl TiledCrossbar {
     /// draws are counter-addressed through `ctx.ordinal` (no mutable
     /// generator anywhere), and the caller accumulates the returned
     /// activated-cell count into the stats.
-    fn sense_chained_column(
-        &self,
-        stripe: usize,
-        j: usize,
-        w: f64,
-        ctx: SenseContext<'_>,
-    ) -> SensedColumn {
-        let k = self.config.quant_bits as usize;
-        let (levels, cells) = match ctx.device {
-            Some(read) => self.device_column_levels(stripe, j, read, ctx),
-            None => self.ideal_column_levels(j, ctx),
-        };
-        let mut terms = [0.0; 2];
-        for ((term, [pos, neg]), sign) in terms.iter_mut().zip(&levels).zip(SIGNS) {
-            let mut pos_val = 0.0;
-            let mut neg_val = 0.0;
-            for (b, (p, q)) in pos.iter().zip(neg).take(k).enumerate() {
-                let weight = (1u64 << b) as f64;
-                pos_val += weight * p;
-                neg_val += weight * q;
-            }
-            *term = f64::from(sign) * w * (pos_val - neg_val);
+    fn sense_column(&self, stripe: usize, j: usize, ctx: SenseContext<'_>) -> ColumnRead {
+        match ctx.device {
+            Some(read) => self.device_column(stripe, j, read, ctx),
+            None => convert_counts(
+                &self.ideal_line_counts(j, ctx.rows),
+                ctx.levels,
+                self.config.quant_bits as usize,
+            ),
         }
-        SensedColumn { j, terms, cells }
     }
 
     /// Ideal column lines: every conducting cell carries the same
     /// current, so a line's current is its count of conducting cells.
     /// One table add per entry counts it into every bit slice of its
-    /// (pass, plane) at once; the conversion is a lookup in `ctx.levels`.
-    fn ideal_column_levels(&self, j: usize, ctx: SenseContext<'_>) -> (ColumnLevels, u64) {
+    /// (pass, plane) at once.
+    fn ideal_line_counts(&self, j: usize, rows: &[i8]) -> LineCounts {
         let k = self.config.quant_bits as usize;
-        let mut counts = [[[0u32; 8]; 2]; 2];
+        let mut counts = LineCounts::default();
         for block in self.cells[self.column(j)].chunks(LANE_CAPACITY) {
             // Lanes per (drive, plane); undriven entries land in the
             // spare drive rows and are never read. Two interleaved lane
@@ -926,7 +1246,7 @@ impl TiledCrossbar {
             let mut lanes = [[0u128; 2]; 4];
             let mut odd = [[0u128; 2]; 4];
             let count_into = |lanes: &mut [[u128; 2]; 4], cell: &Cell| {
-                let drive = usize::from(drive(ctx.rows, cell.row as usize) & 3);
+                let drive = usize::from(drive(rows, cell.row as usize) & 3);
                 lanes[drive][usize::from(cell.plane & 1)] += SLICE_LANES[usize::from(cell.code)];
             };
             let pairs = block.chunks_exact(2);
@@ -949,25 +1269,20 @@ impl TiledCrossbar {
                 }
             }
         }
-        let mut activated = 0u64;
-        let levels = convert_lines(&counts, k, |count| {
-            activated += u64::from(count);
-            ctx.levels[count as usize]
-        });
-        (levels, activated)
+        counts
     }
 
     /// Device-accurate column lines: each driven entry's own DG FeFET
     /// current (programmed variation, tile-local IR drop, read noise) is
     /// accumulated per (pass, plane, bit slice) in row order, then
     /// converted once.
-    fn device_column_levels(
+    fn device_column(
         &self,
         stripe: usize,
         j: usize,
         read: CellRead,
         ctx: SenseContext<'_>,
-    ) -> (ColumnLevels, u64) {
+    ) -> ColumnRead {
         let k = self.config.quant_bits as usize;
         let span = self.column(j);
         let mut sums = [[[0.0f64; 8]; 2]; 2];
@@ -995,8 +1310,10 @@ impl TiledCrossbar {
             }
             activated += u64::from(cell.code.count_ones());
         }
-        let levels = convert_lines(&sums, k, |sum| self.adc.quantize(sum));
-        (levels, activated)
+        ColumnRead {
+            lines: shift_add(&sums, k, |sum| self.adc.quantize(sum)),
+            cells: activated,
+        }
     }
 }
 
@@ -1004,7 +1321,7 @@ impl TiledCrossbar {
 mod tests {
     use super::*;
     use fecim_device::VariationConfig;
-    use fecim_ising::{DenseCoupling, FlipMask, SpinVector};
+    use fecim_ising::{Coupling, DenseCoupling, FlipMask, SpinVector};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1602,6 +1919,76 @@ mod tests {
         }
         assert_eq!(nonzero_columns(&weights), hits);
         assert!(nonzero_columns(&[0; 80]).is_empty());
+    }
+
+    /// A coupling that breaks the symmetry contract: row 0 omits its
+    /// entry in column 1, while row 1 keeps its entry in column 0.
+    struct Asymmetric(DenseCoupling);
+
+    impl Coupling for Asymmetric {
+        fn dimension(&self) -> usize {
+            self.0.dimension()
+        }
+
+        fn get(&self, i: usize, j: usize) -> f64 {
+            if (i, j) == (0, 1) {
+                0.0
+            } else {
+                self.0.get(i, j)
+            }
+        }
+
+        fn for_each_in_row(&self, i: usize, f: &mut dyn FnMut(usize, f64)) {
+            self.0.for_each_in_row(i, &mut |j, v| {
+                if (i, j) != (0, 1) {
+                    f(j, v);
+                }
+            });
+        }
+
+        fn coupling_count(&self) -> usize {
+            self.0.coupling_count()
+        }
+    }
+
+    #[test]
+    fn full_reads_are_kept_from_the_second_on_symmetric_ideal_arrays_only() {
+        let n = 12;
+        let m = dense(n, 45);
+        let mut rng = StdRng::seed_from_u64(46);
+        let s = SpinVector::random(n, &mut rng);
+        let mask = FlipMask::random(2, n, &mut rng);
+        let s_new = s.flipped_by(&mask);
+        let (r, c) = (s_new.rest_vector(&mask), s_new.changed_vector(&mask));
+        // The first full read keeps nothing, partial reads never count,
+        // the second full read keeps its line counts.
+        let mut xb = monolithic(&m, config(4));
+        let _ = xb.vmv(s.as_slice());
+        assert!(matches!(xb.full_reads, FullReads::One));
+        let _ = xb.incremental_form(&r, &c, 1.0);
+        assert!(matches!(xb.full_reads, FullReads::One));
+        let _ = xb.mvm(s.as_slice());
+        assert!(matches!(xb.full_reads, FullReads::Kept(_)));
+        // Device-accurate arrays never keep a read.
+        let mut cfg = config(4);
+        cfg.fidelity = Fidelity::DeviceAccurate;
+        let mut device = monolithic(&m, cfg);
+        for _ in 0..3 {
+            let _ = device.mvm(s.as_slice());
+        }
+        assert!(matches!(device.full_reads, FullReads::None));
+        // An asymmetric store has no row index: it sweeps every full read,
+        // and reads like a fresh array.
+        let mut coupled = m.clone();
+        coupled.set(0, 1, 0.7);
+        let asymmetric = Asymmetric(coupled);
+        let mut xb = TiledCrossbar::program(&asymmetric, config(4), 5);
+        for _ in 0..4 {
+            let s = SpinVector::random(n, &mut rng);
+            let fresh = TiledCrossbar::program(&asymmetric, config(4), 5).mvm(s.as_slice());
+            assert_eq!(xb.mvm(s.as_slice()), fresh);
+        }
+        assert!(matches!(xb.full_reads, FullReads::Swept));
     }
 
     #[test]

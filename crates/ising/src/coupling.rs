@@ -41,29 +41,26 @@ pub trait Coupling {
         assert_eq!(spins.len(), self.dimension(), "dimension mismatch");
         let mut e = 0.0;
         for i in 0..self.dimension() {
-            let si = spins.get(i) as f64;
-            let mut row = 0.0;
-            self.for_each_in_row(i, &mut |j, v| {
-                row += v * spins.get(j) as f64;
-            });
-            e += si * row;
+            e += spins.get(i) as f64 * self.local_field(i, spins);
         }
         e
+    }
+
+    /// Local field `l_i = Σ_j J_ij σ_j` of spin `i`, summed in row order:
+    /// the row sum [`Coupling::energy`] weights by `σ_i`.
+    fn local_field(&self, i: usize, spins: &SpinVector) -> f64 {
+        let mut acc = 0.0;
+        self.for_each_in_row(i, &mut |j, v| {
+            acc += v * spins.get(j) as f64;
+        });
+        acc
     }
 
     /// Local field `l_i = Σ_j J_ij σ_j` for every spin.
     fn local_fields(&self, spins: &SpinVector) -> Vec<f64> {
         let n = self.dimension();
         assert_eq!(spins.len(), n, "dimension mismatch");
-        let mut fields = vec![0.0; n];
-        for (i, field) in fields.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            self.for_each_in_row(i, &mut |j, v| {
-                acc += v * spins.get(j) as f64;
-            });
-            *field = acc;
-        }
-        fields
+        (0..n).map(|i| self.local_field(i, spins)).collect()
     }
 
     /// The incremental-E bilinear form `σ_rᵀ J σ_c` (paper Eq. 9 without the
@@ -421,21 +418,16 @@ impl Coupling for CsrCoupling {
         self.col_idx.len() / 2
     }
 
-    /// The trait default's sums, in the same order, over the row slices
+    /// The trait default's sum, in the same order, over the row slices
     /// instead of a callback per entry.
-    fn local_fields(&self, spins: &SpinVector) -> Vec<f64> {
-        assert_eq!(spins.len(), self.n, "dimension mismatch");
+    fn local_field(&self, i: usize, spins: &SpinVector) -> f64 {
         let s = spins.as_slice();
-        (0..self.n)
-            .map(|i| {
-                let (cols, vals) = self.row_entries(i);
-                let mut acc = 0.0;
-                for (&j, &v) in cols.iter().zip(vals) {
-                    acc += v * s[j] as f64;
-                }
-                acc
-            })
-            .collect()
+        let (cols, vals) = self.row_entries(i);
+        let mut acc = 0.0;
+        for (&j, &v) in cols.iter().zip(vals) {
+            acc += v * s[j] as f64;
+        }
+        acc
     }
 }
 

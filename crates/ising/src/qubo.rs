@@ -70,8 +70,10 @@ impl Qubo {
     ///
     /// # Errors
     ///
-    /// Propagates coupling-construction errors (cannot occur for valid
-    /// `Qubo` values, but kept in the signature for forward compatibility).
+    /// [`IsingError::InvalidProblem`] when a field or the offset
+    /// overflows to a non-finite value (finite coefficients near
+    /// `f64::MAX` can sum past it), and [`IsingError::NonFiniteCoupling`]
+    /// when a pair's coupling does.
     pub fn to_ising(&self) -> Result<IsingModel, IsingError> {
         // q x_i x_j = q (1-σi)(1-σj)/4 = q/4 (1 - σi - σj + σiσj)
         // q x_i     = q (1-σi)/2
@@ -108,6 +110,16 @@ impl Qubo {
         for (_, _, v) in &mut quad {
             *v /= 2.0;
         }
+        if let Some(i) = fields.iter().position(|h| !h.is_finite()) {
+            return Err(IsingError::InvalidProblem(format!(
+                "QUBO field h[{i}] overflows to a non-finite value"
+            )));
+        }
+        if !offset.is_finite() {
+            return Err(IsingError::InvalidProblem(
+                "QUBO energy offset overflows to a non-finite value".into(),
+            ));
+        }
         let triplets = quad;
         let couplings = CsrCoupling::from_triplets(self.n, &triplets)?;
         let mut model = IsingModel::with_fields(couplings, fields)?;
@@ -130,7 +142,8 @@ impl Qubo {
     /// [`IsingError::InvalidProblem`] for an empty matrix,
     /// [`IsingError::DimensionMismatch`] when a row's length differs
     /// from the row count (non-square), and
-    /// [`IsingError::NonFiniteCoupling`] on NaN/infinite entries.
+    /// [`IsingError::NonFiniteCoupling`] on NaN/infinite entries and on
+    /// a pair sum `q[i][j] + q[j][i]` that overflows.
     pub fn from_matrix(q: &[Vec<f64>]) -> Result<Qubo, IsingError> {
         let n = q.len();
         if n == 0 {
@@ -158,6 +171,9 @@ impl Qubo {
             }
             for (j, &upper) in row.iter().enumerate().skip(i + 1) {
                 let coeff = upper + q[j][i];
+                if !coeff.is_finite() {
+                    return Err(IsingError::NonFiniteCoupling { row: i, col: j });
+                }
                 if coeff != 0.0 {
                     qubo.add_term(i, j, coeff);
                 }
@@ -256,6 +272,40 @@ mod tests {
             Qubo::from_matrix(&[vec![0.0, f64::INFINITY], vec![1.0, 0.0]]),
             Err(IsingError::NonFiniteCoupling { row: 0, col: 1 })
         ));
+    }
+
+    #[test]
+    fn overflowing_sums_are_typed_errors() {
+        // Finite entries whose pair sum overflows.
+        assert_eq!(
+            Qubo::from_matrix(&[vec![0.0, 1e308], vec![1e308, 0.0]]),
+            Err(IsingError::NonFiniteCoupling { row: 0, col: 1 })
+        );
+        // Ten diagonal terms of 1e308 sum the offset past f64::MAX.
+        let diagonal: Vec<Vec<f64>> = (0..10)
+            .map(|i| (0..10).map(|j| if i == j { 1e308 } else { 0.0 }).collect())
+            .collect();
+        let q = Qubo::from_matrix(&diagonal).unwrap();
+        assert!(
+            matches!(q.to_ising(), Err(IsingError::InvalidProblem(msg)) if msg.contains("offset")),
+            "{:?}",
+            q.to_ising()
+        );
+        // Repeated pair terms overflow h[0] while negative diagonal terms
+        // on a third variable keep the offset finite.
+        let mut q = Qubo::new(3);
+        for pair in [false, true, true, false, true, true, true] {
+            if pair {
+                q.add_term(0, 1, f64::MAX);
+            } else {
+                q.add_term(2, 2, -f64::MAX);
+            }
+        }
+        assert!(
+            matches!(q.to_ising(), Err(IsingError::InvalidProblem(msg)) if msg.contains("h[0]")),
+            "{:?}",
+            q.to_ising()
+        );
     }
 
     #[test]

@@ -280,7 +280,8 @@ impl SbEngine {
         // Score the start before stepping: a zero-step warm start echoes
         // the supplied spins verbatim (the campaign-chaining contract).
         let mut spins = initial.clone();
-        let mut energy = coupling.energy(&spins);
+        let mut scores = RowSums::new(coupling, &spins);
+        let mut energy = scores.energy(&spins);
         let mut recorder = RunRecorder::new(energy, &spins, self.trace, self.target_energy);
 
         for step in 0..self.steps {
@@ -306,23 +307,77 @@ impl SbEngine {
                 }
             }
             // Digital sign readout; energies are exact, and only sign
-            // changes trigger a rescore.
+            // changes trigger a rescore of the rows they touch.
             let mut changed = false;
             for (i, &xi) in x.iter().enumerate() {
                 let s: i8 = if xi >= 0.0 { 1 } else { -1 };
                 if s != spins.get(i) {
                     spins.set(i, s);
+                    scores.touch(coupling, i);
                     changed = true;
                 }
             }
             if changed {
-                energy = coupling.energy(&spins);
+                scores.resum(coupling, &spins);
+                energy = scores.energy(&spins);
+                debug_assert_eq!(energy.to_bits(), coupling.energy(&spins).to_bits());
                 recorder.accept(step, energy, &spins);
             }
             recorder.sample(step, energy, a, changed);
         }
 
         recorder.finish(self.steps, energy, spins, source.activity())
+    }
+}
+
+/// The exact energy of the sign readout, rescored in the time its
+/// changes take: the row sums `l_i = Σ_j J_ij σ_j` of the current spins,
+/// re-summed only for the rows next to a changed spin, and
+/// `E = Σ σ_i·l_i` folded in row order — the float operations of
+/// [`Coupling::energy`], so the same bits.
+#[derive(Debug)]
+struct RowSums {
+    sums: Vec<f64>,
+    /// Whether each row's sum is stale, and the stale rows in the order
+    /// they went stale.
+    stale: Vec<bool>,
+    stale_rows: Vec<usize>,
+}
+
+impl RowSums {
+    fn new<C: Coupling + ?Sized>(coupling: &C, spins: &SpinVector) -> RowSums {
+        RowSums {
+            sums: coupling.local_fields(spins),
+            stale: vec![false; spins.len()],
+            stale_rows: Vec::new(),
+        }
+    }
+
+    /// Mark the rows that hold spin `i` stale (`J` is symmetric, so they
+    /// are row `i`'s neighbours).
+    fn touch<C: Coupling + ?Sized>(&mut self, coupling: &C, i: usize) {
+        let (stale, stale_rows) = (&mut self.stale, &mut self.stale_rows);
+        coupling.for_each_in_row(i, &mut |row, _| {
+            if !std::mem::replace(&mut stale[row], true) {
+                stale_rows.push(row);
+            }
+        });
+    }
+
+    /// Re-sum every stale row over `spins`.
+    fn resum<C: Coupling + ?Sized>(&mut self, coupling: &C, spins: &SpinVector) {
+        for row in self.stale_rows.drain(..) {
+            self.stale[row] = false;
+            self.sums[row] = coupling.local_field(row, spins);
+        }
+    }
+
+    fn energy(&self, spins: &SpinVector) -> f64 {
+        let mut energy = 0.0;
+        for (&s, &sum) in spins.as_slice().iter().zip(&self.sums) {
+            energy += s as f64 * sum;
+        }
+        energy
     }
 }
 

@@ -22,6 +22,34 @@ fn coupling_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, 
     })
 }
 
+/// An SB force source that records the spins each step reads from: the
+/// sign vector of a dSB read, the signs of a bSB read's positions.
+struct SpinsRecorder<'a> {
+    source: &'a mut dyn fecim::sb::MvmSource,
+    seen: Vec<SpinVector>,
+}
+
+impl fecim::sb::MvmSource for SpinsRecorder<'_> {
+    fn dimension(&self) -> usize {
+        self.source.dimension()
+    }
+
+    fn mvm_signs(&mut self, sigma: &[i8]) -> Vec<f64> {
+        self.seen.push(SpinVector::from_signs(sigma));
+        self.source.mvm_signs(sigma)
+    }
+
+    fn mvm_continuous(&mut self, x: &[f64]) -> Vec<f64> {
+        let signs: Vec<i8> = x.iter().map(|&v| if v >= 0.0 { 1 } else { -1 }).collect();
+        self.seen.push(SpinVector::from_signs(&signs));
+        self.source.mvm_continuous(x)
+    }
+
+    fn activity(&self) -> Option<fecim_crossbar::ActivityStats> {
+        self.source.activity()
+    }
+}
+
 /// The run invariants every engine keeps: the best state is never worse
 /// than the final one and is scored exactly, acceptances never outnumber
 /// iterations, the traced best never rises, and a target counts as hit
@@ -89,7 +117,8 @@ proptest! {
 
     /// The one-pass setup is bit-exact: `LocalFieldState`'s energy from its
     /// fields equals `Coupling::energy` on CSR and dense couplings, and the
-    /// CSR `local_fields` override equals the trait default.
+    /// CSR `local_field` override gives the trait default's fields and
+    /// energy.
     #[test]
     fn setup_pass_is_bit_identical(
         (n, triplets) in coupling_strategy(24),
@@ -103,6 +132,10 @@ proptest! {
         prop_assert_eq!(
             bits(&csr.local_fields(&spins)),
             bits(&DefaultMethods(&csr).local_fields(&spins))
+        );
+        prop_assert_eq!(
+            csr.energy(&spins).to_bits(),
+            DefaultMethods(&csr).energy(&spins).to_bits()
         );
         let state = LocalFieldState::new(&csr, spins.clone());
         prop_assert_eq!(state.energy().to_bits(), csr.energy(&spins).to_bits());
@@ -171,6 +204,57 @@ proptest! {
                 check_run(variant.label(), &coupling, &sb, Some(target), tolerance),
                 Ok(())
             );
+        }
+    }
+
+    /// SB rescoring is exact: on non-dyadic weights (whose row sums round,
+    /// so a different summation order shows in the bits), every energy a
+    /// bSB or dSB run records equals `Coupling::energy` of that step's
+    /// spins, bit for bit, on the exact source and on an Ideal tiled
+    /// array.
+    #[test]
+    fn sb_recorded_energies_score_their_spins_bit_for_bit(
+        (n, triplets) in coupling_strategy(20),
+        seed in 0u64..1000,
+        steps in 1usize..60,
+        tile_rows in 3usize..9,
+    ) {
+        use fecim::sb::{DeviceMvm, ExactMvm, MvmSource, SbEngine, SbVariant};
+        use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
+        use rand::SeedableRng;
+
+        let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
+        let start = SpinVector::random(n, &mut rand::rngs::StdRng::seed_from_u64(seed));
+        for variant in [SbVariant::Ballistic, SbVariant::Discrete] {
+            for tiled in [false, true] {
+                let engine = SbEngine::new(variant, steps).with_trace(1);
+                let mut exact = ExactMvm::new(&coupling);
+                let mut device = DeviceMvm::new(
+                    TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), tile_rows),
+                    4,
+                );
+                let source: &mut dyn MvmSource = if tiled { &mut device } else { &mut exact };
+                let mut recording = SpinsRecorder { source, seen: Vec::new() };
+                let run = engine.run(&coupling, &mut recording, &start, seed);
+                // Step t's spins drive step t + 1's read; the last step's
+                // are the final spins.
+                let mut spins = recording.seen.split_off(1);
+                spins.push(run.final_spins.clone());
+                let label = format!("{} tiled={tiled}", variant.label());
+                prop_assert_eq!(run.trace.points().len(), steps, "{}", label);
+                for (point, spins) in run.trace.points().iter().zip(&spins) {
+                    prop_assert_eq!(
+                        point.energy.to_bits(),
+                        coupling.energy(spins).to_bits(),
+                        "{} step {}", label, point.iteration
+                    );
+                }
+                prop_assert_eq!(
+                    run.best_energy.to_bits(),
+                    coupling.energy(&run.best_spins).to_bits(),
+                    "{} best", label
+                );
+            }
         }
     }
 

@@ -372,6 +372,72 @@ fn invalid_requests_inside_valid_lines_fail_their_own_job() {
 }
 
 #[test]
+fn overflowing_qubo_payloads_fail_their_own_line_and_the_next_is_served() {
+    // Finite entries whose sums overflow: a pair sum `q[0][1] + q[1][0]`
+    // (from_matrix) and ten diagonal terms whose energy offset passes
+    // f64::MAX (to_ising). Each line gets one typed failure, the worker
+    // survives, and the line after each is still served.
+    let submit = |id: &str, request: SolveRequest| {
+        serde_json::to_string(&RequestLine::Submit {
+            id: id.into(),
+            request,
+            options: SubmitOptions::default(),
+        })
+        .unwrap()
+    };
+    let qubo = |q: Vec<Vec<f64>>| {
+        SolveRequest::new(
+            ProblemSpec::Qubo { q },
+            SolverSpec::Cim(CimAnnealer::new(50)),
+        )
+    };
+    let pair = qubo(vec![vec![0.0, 1e308], vec![1e308, 0.0]]);
+    let diagonal = qubo(
+        (0..10)
+            .map(|i| (0..10).map(|j| if i == j { 1e308 } else { 0.0 }).collect())
+            .collect(),
+    );
+    let lines = [
+        submit("pair", pair),
+        submit("after-pair", ring_request(8, 100)),
+        submit("offset", diagonal),
+        submit("after-offset", ring_request(8, 100)),
+    ];
+    let mut output = Vec::new();
+    let summary = run_jsonl(
+        BufReader::new(format!("{}\n", lines.join("\n")).as_bytes()),
+        &mut output,
+        SchedulerConfig::workers(1),
+    )
+    .expect("stream serves");
+    assert_eq!((summary.completed, summary.failed), (2, 2));
+    let responses = check_responses(BufReader::new(output.as_slice())).expect("responses parse");
+    let failure = |want: &str| {
+        responses
+            .iter()
+            .filter_map(|line| match line {
+                ResponseLine::Failed { id, error } if id == want => Some(error.clone()),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(failure("pair"), ["non-finite coupling at (0, 1)"]);
+    let offset = failure("offset");
+    assert!(
+        offset.len() == 1 && offset[0].contains("offset"),
+        "{offset:?}"
+    );
+    for id in ["after-pair", "after-offset"] {
+        assert!(
+            responses
+                .iter()
+                .any(|line| matches!(line, ResponseLine::Completed { id: done, .. } if done == id)),
+            "{id} is served: {responses:?}"
+        );
+    }
+}
+
+#[test]
 fn status_and_progress_are_answered_at_stage_time() {
     // The batch transport stages before executing, so point-in-time
     // queries deterministically observe `Queued` for earlier-submitted

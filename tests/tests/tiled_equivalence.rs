@@ -13,13 +13,22 @@
 //! array whose line counts exceed 255. A dense `n = 896` DeviceAccurate
 //! array with variation and read noise pins parallel stripe sensing to
 //! the serial sequencer bit for bit.
+//!
+//! An Ideal array keeps the line counts of its last full read and
+//! updates them differentially, so the suite also runs random sequences
+//! of reads on one long-lived array — drives that change no row, a few,
+//! half or all of them — against the oracle and against a fresh array's
+//! `ActivityStats`, and reads a star whose hub column carries more
+//! conducting cells on one line than a 16-bit lane holds.
 
 mod oracle;
 
 use proptest::prelude::*;
 
 use fecim::CimAnnealer;
-use fecim_crossbar::{CrossbarConfig, Fidelity, QuantizedCoupling, SensingMode, TiledCrossbar};
+use fecim_crossbar::{
+    ActivityStats, CrossbarConfig, Fidelity, QuantizedCoupling, SensingMode, TiledCrossbar,
+};
 use fecim_device::VariationConfig;
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{CsrCoupling, DenseCoupling, FlipMask, SpinVector};
@@ -39,6 +48,28 @@ fn coupling_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, 
             });
         (Just(n), proptest::collection::vec(triplet, 0..3 * n))
     })
+}
+
+/// A read's output as bits, so `-0.0` and `0.0` differ.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// One read of a sequence: its output bits and the activity it added.
+fn read_once(
+    array: &mut TiledCrossbar,
+    op: usize,
+    sigma: &[i8],
+    weights: &[i8],
+    factor: f64,
+) -> (Vec<u64>, ActivityStats) {
+    array.reset_stats();
+    let out = match op {
+        0 => bits(&array.mvm(sigma)),
+        1 => bits(&[array.vmv(sigma)]),
+        _ => bits(&[array.incremental_form(sigma, weights, factor)]),
+    };
+    (out, *array.stats())
 }
 
 /// Tile sizes exercised against an `n`-spin instance: one that divides
@@ -152,6 +183,122 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random sequences of `mvm`, `vmv` and `incremental_form` on one
+    /// long-lived Ideal array (kept full reads, differential updates,
+    /// recounts, scaled and partial reads in between) equal the oracle
+    /// bit for bit, and every read's `ActivityStats` equal a fresh
+    /// array's, for every slice width and dividing and non-dividing
+    /// tiles.
+    #[test]
+    fn read_sequences_on_one_array_match_the_oracle_and_a_fresh_array(
+        (n, triplets) in coupling_strategy(24),
+        seed in 0u64..1000,
+        bits_k in 1u8..9,
+        parallel in 0usize..2,
+    ) {
+        let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
+        let config = CrossbarConfig {
+            quant_bits: bits_k,
+            ..CrossbarConfig::paper_defaults()
+        };
+        let reference = Oracle::program(&coupling, &config);
+        let mode = [SensingMode::Auto, SensingMode::Parallel][parallel];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for tile_rows in tile_sizes(n) {
+            let program = || {
+                TiledCrossbar::program(&coupling, config.clone(), tile_rows).with_sensing_mode(mode)
+            };
+            let mut tiled = program();
+            let mut sigma: Vec<i8> = (0..n).map(|_| rng.gen_range(-1i8..=1)).collect();
+            for step in 0..16 {
+                // Change no row, a few, about half, or all of them, each
+                // to one of its two other drive values.
+                let changed: Vec<usize> = match rng.gen_range(0..4usize) {
+                    0 => Vec::new(),
+                    1 => (0..rng.gen_range(1..=3usize)).map(|_| rng.gen_range(0..n)).collect(),
+                    2 => (0..n).filter(|_| rng.gen::<f64>() < 0.5).collect(),
+                    _ => (0..n).collect(),
+                };
+                for i in changed {
+                    sigma[i] = (sigma[i] + 1 + rng.gen_range(1..=2i8)) % 3 - 1;
+                }
+                // Incremental reads weight every column by ±1 (a full read
+                // at factor 1) or by σ itself (zero columns skip).
+                let weights: Vec<i8> = if rng.gen::<bool>() {
+                    (0..n).map(|_| if rng.gen::<bool>() { 1 } else { -1 }).collect()
+                } else {
+                    sigma.clone()
+                };
+                let factor = [1.0, 0.41][rng.gen_range(0..2usize)];
+                let op = rng.gen_range(0..3usize);
+                let (got, stats) = read_once(&mut tiled, op, &sigma, &weights, factor);
+                let (fresh, fresh_stats) = read_once(&mut program(), op, &sigma, &weights, factor);
+                let expected = match op {
+                    0 => bits(&reference.mvm(&sigma)),
+                    1 => bits(&[reference.vmv(&sigma)]),
+                    _ => bits(&[reference.incremental_form(&sigma, &weights, factor)]),
+                };
+                let label = format!("tile_rows={tile_rows} n={n} k={bits_k} step={step} op={op}");
+                prop_assert_eq!(&got, &expected, "oracle {}", label);
+                prop_assert_eq!(&got, &fresh, "fresh {}", label);
+                prop_assert_eq!(stats, fresh_stats, "stats {}", label);
+            }
+        }
+    }
+}
+
+#[test]
+fn star_hub_column_past_the_lane_capacity_reads_differentially() {
+    // The hub's column holds one entry per leaf, and almost every leaf is
+    // +1, so one (pass, plane, slice) line counts more conducting cells
+    // than a 16-bit lane holds. Moving leaves and then the hub itself
+    // (every leaf column moves) between sign passes must read like a
+    // fresh array and like the oracle.
+    let n = u16::MAX as usize + 4465;
+    let triplets: Vec<(usize, usize, f64)> = (1..n)
+        .map(|j| (0, j, if j % 997 == 0 { -1.0 } else { 1.0 }))
+        .collect();
+    let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
+    let config = CrossbarConfig::paper_defaults();
+    let reference = Oracle::program(&coupling, &config);
+    let program = || TiledCrossbar::program(&coupling, config.clone(), 4096);
+    let mut tiled = program();
+    let mut sigma = vec![1i8; n];
+    for step in 0..6 {
+        match step {
+            2 => sigma[5] = -1,
+            3 => sigma[7] = 0,
+            4 => sigma[0] = -1,
+            5 => sigma.iter_mut().for_each(|s| *s = -*s),
+            _ => {}
+        }
+        let (got, stats) = read_once(&mut tiled, 0, &sigma, &sigma, 1.0);
+        let (fresh, fresh_stats) = read_once(&mut program(), 0, &sigma, &sigma, 1.0);
+        assert_eq!(got, bits(&reference.mvm(&sigma)), "step {step}");
+        assert_eq!(got, fresh, "step {step}");
+        assert_eq!(stats, fresh_stats, "step {step}");
+    }
+    assert!(
+        hub_line_count(&coupling, &sigma) > usize::from(u16::MAX),
+        "the hub line outgrows a lane"
+    );
+}
+
+/// The most conducting cells on one line of the hub's column under the
+/// all-inverted drive the star test ends on.
+fn hub_line_count(coupling: &CsrCoupling, sigma: &[i8]) -> usize {
+    let quant =
+        QuantizedCoupling::from_coupling(coupling, CrossbarConfig::paper_defaults().quant_bits);
+    quant
+        .column(0)
+        .iter()
+        .filter(|&&(row, pos, _)| sigma[row as usize] == -1 && pos & 1 == 1)
+        .count()
 }
 
 #[test]
