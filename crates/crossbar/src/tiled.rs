@@ -104,10 +104,10 @@
 //! so every output bit and every [`ActivityStats`] field equals a fresh
 //! sweep. When more than half the stored entries would move (a fresh
 //! drive; bSB's consecutive bit planes come close), the read recounts:
-//! the sweep at its speed and fan-out, writing the counts it keeps. An array that never makes a
-//! second full read — the in-situ anneal reads one calibration `vmv` —
-//! keeps nothing, and device-accurate reads, whose currents carry noise,
-//! always sweep.
+//! the sweep at its speed and fan-out, writing the counts it keeps. An
+//! array that never makes a second full read — the in-situ anneal reads
+//! one calibration `vmv` — keeps nothing, and device-accurate reads,
+//! whose currents carry noise, always sweep.
 //!
 //! ## Parallel sensing
 //!
@@ -328,31 +328,10 @@ fn nonzero_columns(weights: &[i8]) -> Vec<usize> {
     active
 }
 
-/// Entries counted in 16-bit lanes before the lanes drain into the
-/// per-slice counters, so no lane can overflow.
-const LANE_CAPACITY: usize = u16::MAX as usize;
-
-/// Per magnitude code: bit slice `b` of the code in 16-bit lane `b`, so
-/// one add counts a cell into all of its conducting bit lines at once.
-static SLICE_LANES: [u128; 256] = slice_lanes();
-
-const fn slice_lanes() -> [u128; 256] {
-    let mut table = [0u128; 256];
-    let mut code = 0;
-    while code < 256 {
-        let mut b = 0;
-        while b < 8 {
-            table[code] |= (((code >> b) & 1) as u128) << (16 * b);
-            b += 1;
-        }
-        code += 1;
-    }
-    table
-}
-
-/// Per magnitude code: bit slice `b` of the code as the count of line
-/// `b`, so a differential read moves an entry between sign passes with
-/// one 8-lane subtract and one 8-lane add.
+/// Per magnitude code: bit slice `b` of the code as the count it adds to
+/// line `b`, so one 8-lane add counts a cell into all of its conducting
+/// bit lines, and a differential read moves it between sign passes with
+/// one subtract and one add.
 static SLICE_COUNTS: [[u32; 8]; 256] = slice_counts();
 
 const fn slice_counts() -> [[u32; 8]; 256] {
@@ -441,8 +420,8 @@ enum FullReads {
     One,
     /// The line counts of the last full read.
     Kept(Box<KeptRead>),
-    /// The cell store is not symmetric, so it is no row index: every
-    /// full read sweeps.
+    /// The cell store is not symmetric, so it cannot serve as its own
+    /// row index: every full read sweeps.
     Swept,
 }
 
@@ -1237,39 +1216,36 @@ impl TiledCrossbar {
     /// One table add per entry counts it into every bit slice of its
     /// (pass, plane) at once.
     fn ideal_line_counts(&self, j: usize, rows: &[i8]) -> LineCounts {
-        let k = self.config.quant_bits as usize;
-        let mut counts = LineCounts::default();
-        for block in self.cells[self.column(j)].chunks(LANE_CAPACITY) {
-            // Lanes per (drive, plane); undriven entries land in the
-            // spare drive rows and are never read. Two interleaved lane
-            // sets halve the add-to-memory dependency chain.
-            let mut lanes = [[0u128; 2]; 4];
-            let mut odd = [[0u128; 2]; 4];
-            let count_into = |lanes: &mut [[u128; 2]; 4], cell: &Cell| {
-                let drive = usize::from(drive(rows, cell.row as usize) & 3);
-                lanes[drive][usize::from(cell.plane & 1)] += SLICE_LANES[usize::from(cell.code)];
-            };
-            let pairs = block.chunks_exact(2);
-            let tail = pairs.remainder();
-            for pair in pairs {
-                count_into(&mut lanes, &pair[0]);
-                count_into(&mut odd, &pair[1]);
+        // Counts per (drive, plane); undriven entries land in the spare
+        // drive rows and are never read. Two interleaved count sets halve
+        // the add-to-memory dependency chain.
+        let mut even = [[[0u32; 8]; 2]; 4];
+        let mut odd = [[[0u32; 8]; 2]; 4];
+        let count_into = |counts: &mut [[[u32; 8]; 2]; 4], cell: &Cell| {
+            let drive = usize::from(drive(rows, cell.row as usize) & 3);
+            let line = &mut counts[drive][usize::from(cell.plane & 1)];
+            for (count, slice) in line.iter_mut().zip(&SLICE_COUNTS[usize::from(cell.code)]) {
+                *count += slice;
             }
-            for cell in tail {
-                count_into(&mut lanes, cell);
-            }
-            for (even, odd) in lanes.iter_mut().flatten().zip(odd.iter().flatten()) {
-                *even += odd;
-            }
-            for (pass_counts, pass_lanes) in counts.iter_mut().zip(&lanes) {
-                for (plane_counts, &lane) in pass_counts.iter_mut().zip(pass_lanes) {
-                    for (b, count) in plane_counts.iter_mut().enumerate().take(k) {
-                        *count += u32::from((lane >> (16 * b)) as u16);
-                    }
-                }
-            }
+        };
+        let pairs = self.cells[self.column(j)].chunks_exact(2);
+        let tail = pairs.remainder();
+        for pair in pairs {
+            count_into(&mut even, &pair[0]);
+            count_into(&mut odd, &pair[1]);
         }
-        counts
+        for cell in tail {
+            count_into(&mut even, cell);
+        }
+        [0, 1].map(|pass| {
+            [0, 1].map(|plane| {
+                let mut line = even[pass][plane];
+                for (count, odd) in line.iter_mut().zip(odd[pass][plane]) {
+                    *count += odd;
+                }
+                line
+            })
+        })
     }
 
     /// Device-accurate column lines: each driven entry's own DG FeFET

@@ -19,7 +19,7 @@
 //! of reads on one long-lived array — drives that change no row, a few,
 //! half or all of them — against the oracle and against a fresh array's
 //! `ActivityStats`, and reads a star whose hub column carries more
-//! conducting cells on one line than a 16-bit lane holds.
+//! conducting cells on one line than a 16-bit counter holds.
 
 mod oracle;
 
@@ -253,10 +253,10 @@ proptest! {
 }
 
 #[test]
-fn star_hub_column_past_the_lane_capacity_reads_differentially() {
+fn star_hub_line_past_sixteen_bits_reads_differentially() {
     // The hub's column holds one entry per leaf, and almost every leaf is
     // +1, so one (pass, plane, slice) line counts more conducting cells
-    // than a 16-bit lane holds. Moving leaves and then the hub itself
+    // than a 16-bit counter holds. Moving leaves and then the hub itself
     // (every leaf column moves) between sign passes must read like a
     // fresh array and like the oracle.
     let n = u16::MAX as usize + 4465;
@@ -285,7 +285,7 @@ fn star_hub_column_past_the_lane_capacity_reads_differentially() {
     }
     assert!(
         hub_line_count(&coupling, &sigma) > usize::from(u16::MAX),
-        "the hub line outgrows a lane"
+        "the hub line outgrows 16 bits"
     );
 }
 
