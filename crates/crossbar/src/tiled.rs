@@ -1141,7 +1141,7 @@ impl TiledCrossbar {
     /// is symmetric). Returns `false`, changing nothing, when more than
     /// half the stored entries would move.
     fn update(&self, rows: &[i8], kept: &mut KeptRead) -> bool {
-        // Changed rows, found 32 at a time: one 256-bit compare per word.
+        // Changed rows, found 32 at a time: one 32-byte compare per word.
         kept.changed_rows.clear();
         let mut moved = 0;
         for (w, (new, old)) in rows.chunks(32).zip(kept.rows.chunks(32)).enumerate() {
