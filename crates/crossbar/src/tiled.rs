@@ -96,15 +96,14 @@
 //! every row. A read finds the rows whose drive changed (32 at a time),
 //! moves their entries from the old sign pass's count lanes to the new
 //! one's, re-converts only the columns whose counts moved, and hands out
-//! every column's kept terms in the sweep's order. The coupling is
+//! every column's kept terms in the sweep's order. A [`Coupling`] is
 //! symmetric, so column `i`'s entries are row `i`'s and the store is its
-//! own row-major index: the array checks that once, in one merge pass,
-//! and an asymmetric store (no public coupling builds one) sweeps every
-//! read. The counts are integers and the conversion is a table lookup,
-//! so every output bit and every [`ActivityStats`] field equals a fresh
-//! sweep. When more than half the stored entries would move (a fresh
-//! drive; bSB's consecutive bit planes come close), the read recounts:
-//! the sweep at its speed and fan-out, writing the counts it keeps. An
+//! own row-major index. The counts are integers and the conversion is a
+//! table lookup, so every output bit and every [`ActivityStats`] field
+//! equals a fresh sweep. When the moves would cost more count adds than
+//! a recount's share per sweep thread (a fresh drive; bSB's consecutive
+//! bit planes sit near the cut), the read recounts: the sweep at its
+//! speed and fan-out, writing the counts it keeps. An
 //! array that never makes a second full read — the in-situ anneal reads
 //! one calibration `vmv` — keeps nothing, and device-accurate reads,
 //! whose currents carry noise, always sweep.
@@ -420,9 +419,6 @@ enum FullReads {
     One,
     /// The line counts of the last full read.
     Kept(Box<KeptRead>),
-    /// The cell store is not symmetric, so it cannot serve as its own
-    /// row index: every full read sweeps.
-    Swept,
 }
 
 /// The last full read: its row drive and, per column group, its line
@@ -994,14 +990,7 @@ impl TiledCrossbar {
         out: (&mut [A], &mut [B]),
         sense: impl Fn(usize, usize, &mut A, &mut B) + Sync,
     ) {
-        // Noise draws are counter-addressed, so every fidelity — noisy
-        // device-accurate included — may fan out; only the dispatch
-        // economics decide.
-        let fan_out = match self.sensing {
-            SensingMode::Sequential => false,
-            SensingMode::Auto => auto_fans_out(touched, device),
-            SensingMode::Parallel => !active.is_empty(),
-        } && rayon::current_num_threads() > 1;
+        let fan_out = self.fans_out(touched, device, active.len());
         // A fanned-out read splits stripes into chunks that grow with the
         // read, so each worker sees only a handful of dispatches; chunk
         // boundaries never affect results, because every column is sensed
@@ -1036,12 +1025,24 @@ impl TiledCrossbar {
         }
     }
 
+    /// Whether a sweep over `columns` column groups that senses `touched`
+    /// stored entries fans out across threads. Noise draws are
+    /// counter-addressed, so every fidelity — noisy device-accurate
+    /// included — may fan out; only the dispatch economics decide.
+    fn fans_out(&self, touched: usize, device: bool, columns: usize) -> bool {
+        let wanted = match self.sensing {
+            SensingMode::Sequential => false,
+            SensingMode::Auto => auto_fans_out(touched, device),
+            SensingMode::Parallel => columns > 0,
+        };
+        wanted && rayon::current_num_threads() > 1
+    }
+
     /// Bring the kept full read up to the drive `rows` (an Ideal read of
     /// every column group at factor 1), or return `false` when the array
-    /// keeps none and the read sweeps: its first full read, and every
-    /// full read of an asymmetric store. The second full read recounts
-    /// into a fresh kept read; later ones update it, or recount when more
-    /// than half the stored entries would move.
+    /// keeps none and the read sweeps: its first full read. The second
+    /// full read recounts into a fresh kept read; later ones update it,
+    /// or recount when that is cheaper.
     fn refresh_full_read(
         &mut self,
         rows: &[i8],
@@ -1052,15 +1053,10 @@ impl TiledCrossbar {
                 self.full_reads = FullReads::One;
                 return false;
             }
-            FullReads::One if !self.store_is_symmetric() => {
-                self.full_reads = FullReads::Swept;
-                return false;
-            }
-            FullReads::Swept => {
-                self.full_reads = FullReads::Swept;
-                return false;
-            }
             FullReads::One => {
+                // Updates take row `i`'s entries from column `i`, which
+                // the symmetric coupling contract guarantees.
+                debug_assert!(self.store_is_symmetric(), "asymmetric cell store");
                 let n = self.n;
                 let mut kept = Box::new(KeptRead {
                     rows: vec![0; n],
@@ -1086,9 +1082,10 @@ impl TiledCrossbar {
 
     /// Whether entry `(i, j)` of the cell store holds the code and plane
     /// of entry `(j, i)` for every pair, so column `i`'s entries are also
-    /// row `i`'s. Columns are visited in ascending order, so the entries
-    /// a column's cursor must meet arrive in the order they are stored:
-    /// one pass with one cursor per column checks every pair.
+    /// row `i`'s (a debug check of the [`Coupling`] symmetry contract).
+    /// Columns are visited in ascending order, so the entries a column's
+    /// cursor must meet arrive in the order they are stored: one pass
+    /// with one cursor per column checks every pair.
     fn store_is_symmetric(&self) -> bool {
         let mut cursor = self.col_start[..self.n].to_vec();
         for j in 0..self.n {
@@ -1138,23 +1135,43 @@ impl TiledCrossbar {
     /// Move the entries of every row whose drive changed from their old
     /// sign pass's lines to their new one's, then re-convert the columns
     /// whose counts moved. Row `i`'s entries are column `i`'s (the store
-    /// is symmetric). Returns `false`, changing nothing, when more than
-    /// half the stored entries would move.
+    /// is symmetric). Returns `false`, changing nothing, when a recount
+    /// costs less.
+    ///
+    /// Both paths are priced in one unit, an 8-lane count add or
+    /// subtract: a move subtracts an entry from its old pass's lines if
+    /// it was driven and adds it to its new pass's if it is driven, and a
+    /// recount adds every stored entry once, split over the threads its
+    /// sweep fans out to. The per-column conversion both paths pay is
+    /// left out. Measured on a 2-CPU host (dense n = 896 array), an
+    /// update op takes 2.7–3.4 ns and a sequential sweep entry 2.2–3.7 ns,
+    /// and a dSB step (1.5 % of the rows flip) updates 5–10× faster than
+    /// it recounts.
     fn update(&self, rows: &[i8], kept: &mut KeptRead) -> bool {
         // Changed rows, found 32 at a time: one 32-byte compare per word.
         kept.changed_rows.clear();
-        let mut moved = 0;
+        let mut ops = 0;
         for (w, (new, old)) in rows.chunks(32).zip(kept.rows.chunks(32)).enumerate() {
             if new != old {
                 for (i, (&a, &b)) in (32 * w..).zip(new.iter().zip(old)) {
-                    if DRIVE_CODE[usize::from(a as u8)] != DRIVE_CODE[usize::from(b as u8)] {
+                    let (to, from) = (
+                        DRIVE_CODE[usize::from(a as u8)],
+                        DRIVE_CODE[usize::from(b as u8)],
+                    );
+                    if to != from {
                         kept.changed_rows.push(i);
-                        moved += self.column(i).len();
+                        let lanes = usize::from(from != UNDRIVEN) + usize::from(to != UNDRIVEN);
+                        ops += lanes * self.column(i).len();
                     }
                 }
             }
         }
-        if 2 * moved > self.cells.len() {
+        let recount_threads = if self.fans_out(self.cells.len(), false, self.n) {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        if ops * recount_threads > self.cells.len() {
             return false;
         }
         for &i in &kept.changed_rows {
@@ -1897,38 +1914,8 @@ mod tests {
         assert!(nonzero_columns(&[0; 80]).is_empty());
     }
 
-    /// A coupling that breaks the symmetry contract: row 0 omits its
-    /// entry in column 1, while row 1 keeps its entry in column 0.
-    struct Asymmetric(DenseCoupling);
-
-    impl Coupling for Asymmetric {
-        fn dimension(&self) -> usize {
-            self.0.dimension()
-        }
-
-        fn get(&self, i: usize, j: usize) -> f64 {
-            if (i, j) == (0, 1) {
-                0.0
-            } else {
-                self.0.get(i, j)
-            }
-        }
-
-        fn for_each_in_row(&self, i: usize, f: &mut dyn FnMut(usize, f64)) {
-            self.0.for_each_in_row(i, &mut |j, v| {
-                if (i, j) != (0, 1) {
-                    f(j, v);
-                }
-            });
-        }
-
-        fn coupling_count(&self) -> usize {
-            self.0.coupling_count()
-        }
-    }
-
     #[test]
-    fn full_reads_are_kept_from_the_second_on_symmetric_ideal_arrays_only() {
+    fn full_reads_are_kept_from_the_second_on_ideal_arrays_only() {
         let n = 12;
         let m = dense(n, 45);
         let mut rng = StdRng::seed_from_u64(46);
@@ -1953,18 +1940,6 @@ mod tests {
             let _ = device.mvm(s.as_slice());
         }
         assert!(matches!(device.full_reads, FullReads::None));
-        // An asymmetric store has no row index: it sweeps every full read,
-        // and reads like a fresh array.
-        let mut coupled = m.clone();
-        coupled.set(0, 1, 0.7);
-        let asymmetric = Asymmetric(coupled);
-        let mut xb = TiledCrossbar::program(&asymmetric, config(4), 5);
-        for _ in 0..4 {
-            let s = SpinVector::random(n, &mut rng);
-            let fresh = TiledCrossbar::program(&asymmetric, config(4), 5).mvm(s.as_slice());
-            assert_eq!(xb.mvm(s.as_slice()), fresh);
-        }
-        assert!(matches!(xb.full_reads, FullReads::Swept));
     }
 
     #[test]
