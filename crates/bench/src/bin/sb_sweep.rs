@@ -219,7 +219,7 @@ fn main() {
     for (row, j_row) in j.iter_mut().enumerate() {
         sk_model
             .couplings()
-            .for_each_in_row(row, &mut |col, value| j_row[col] = value);
+            .for_each_in_row(row, |col, value| j_row[col] = value);
     }
     let sk_results = run_matched(
         &session,

@@ -120,7 +120,9 @@ pub use experiment::{
     HardwareCost, Scale, TrendPoint,
 };
 pub use mesa_solver::MesaAnnealer;
-pub use request::{BackendPlan, ProblemSpec, RunPlan, SolveRequest, SolverSpec};
+pub use request::{
+    BackendPlan, ProblemSpec, RunPlan, SolveRequest, SolverSpec, MAX_REQUEST_LINE_BYTES,
+};
 pub use sb_solver::SbAnnealer;
 pub use session::{NormalizedTrial, PreparedJob, RunSummary, Session, SessionError, SolveResponse};
 pub use solver::Solver;

@@ -13,13 +13,55 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_crossbar::Fidelity;
-use fecim_gset::{GeneratorConfig, Graph};
+use fecim_gset::{GeneratorConfig, Graph, GsetFamily};
 use fecim_ising::{CopProblem, GraphColoring, IsingError, Knapsack, MaxCut, Qubo, RawIsing};
 
 use crate::annealer::CimAnnealer;
 use crate::baselines::DirectAnnealer;
 use crate::mesa_solver::MesaAnnealer;
 use crate::sb_solver::SbAnnealer;
+
+/// Longest request line a transport buffers, in bytes, newline
+/// excluded. The largest lines in the benchmark ledger are raw dense
+/// n = 300 QUBO payloads at ~290 KB, and dense lines grow as n², so
+/// 64 MiB leaves room for paper-scale dense payloads while bounding
+/// what one hostile line can make a connection hold.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+
+/// Most vertices plus expected edges a [`ProblemSpec::Generated`] spec
+/// may expand to: as many as the longest request line can spell out as
+/// an explicit [`ProblemSpec::MaxCut`] edge list, whose shortest edge,
+/// `[0,1,1],`, takes 8 bytes. A few bytes of spec cannot ask for more
+/// than a full line could carry.
+const MAX_GENERATED_SIZE: f64 = (MAX_REQUEST_LINE_BYTES / 8) as f64;
+
+/// Check a wire-deserialized generator config before it runs: the
+/// builder's mean-degree assertion never ran on it, a mean degree that
+/// is not finite and positive generates the complete graph, and a huge
+/// vertex count would allocate without bound.
+pub(crate) fn check_generated(config: &GeneratorConfig) -> Result<(), String> {
+    let degree = config.mean_degree;
+    if !(degree.is_finite() && degree > 0.0) {
+        return Err(format!(
+            "a generated graph needs a finite mean degree > 0 (got {degree})"
+        ));
+    }
+    let n = config.vertex_count as f64;
+    let expected_degree = match config.family {
+        GsetFamily::RandomUnit | GsetFamily::RandomSigned => degree.min((n - 1.0).max(0.0)),
+        // The torus has degree 4; the almost-planar matching adds 1.
+        GsetFamily::ToroidalUnit | GsetFamily::ToroidalSigned | GsetFamily::AlmostPlanar => 5.0,
+    };
+    let size = n * (1.0 + expected_degree / 2.0);
+    if size > MAX_GENERATED_SIZE {
+        return Err(format!(
+            "a generated graph of {} vertices at mean degree {degree} expands to ~{size:.3e} \
+             vertices and edges, over the {MAX_GENERATED_SIZE:.3e} a request line can carry",
+            config.vertex_count
+        ));
+    }
+    Ok(())
+}
 
 /// A serializable description of the combinatorial problem to solve.
 ///
@@ -96,7 +138,7 @@ impl ProblemSpec {
             ProblemSpec::MaxCut { vertices, edges } => {
                 Box::new(MaxCut::new(*vertices, edges.clone())?)
             }
-            ProblemSpec::Generated(config) => Box::new(config.generate().to_max_cut()),
+            ProblemSpec::Generated(config) => Box::new(config.generate().into_max_cut()),
             ProblemSpec::Knapsack {
                 values,
                 weights,

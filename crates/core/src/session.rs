@@ -40,7 +40,9 @@ use fecim_ising::{CopProblem, IsingError, IsingModel, ObjectiveSense, SpinVector
 
 use crate::annealer::SolveReport;
 use crate::batch::BatchGridSummary;
-use crate::request::{BackendPlan, RunPlan, SolveRequest, SolverSpec};
+use crate::request::{
+    check_generated, BackendPlan, ProblemSpec, RunPlan, SolveRequest, SolverSpec,
+};
 use crate::solver::{run_trial, Solver};
 
 /// Error raised while validating or executing a [`SolveRequest`].
@@ -242,7 +244,7 @@ impl Session {
                 ..
             } => reports
                 .chunks(*instances)
-                .map(|chunk| BatchGridSummary::of(chunk, *tile_rows, job.quadratic.dimension()))
+                .map(|chunk| BatchGridSummary::of(chunk, *tile_rows, job.quadratic().dimension()))
                 .collect(),
             PreparedRoute::Solver(_) => Vec::new(),
         };
@@ -274,6 +276,9 @@ impl Session {
             // reject unusable SB parameters (non-finite dt/schedule, …)
             // here, on every route.
             sb.validate().map_err(invalid)?;
+        }
+        if let ProblemSpec::Generated(config) = &request.problem {
+            check_generated(config).map_err(invalid)?;
         }
         let problem = request.problem.build()?;
         let initial = match &request.initial_spins {
@@ -312,7 +317,7 @@ impl Session {
         // Encoding is deterministic: encode once up front so a bad
         // instance fails fast and every trial reuses both forms.
         let model = problem.to_ising()?;
-        let quadratic = model.to_quadratic_only();
+        let quadratic = (!model.is_quadratic_only()).then(|| model.to_quadratic_only());
         let route = match request.backend {
             BackendPlan::Analytic => PreparedRoute::Solver(wire_solver(&request.solver, None)?),
             BackendPlan::DeviceInLoop {
@@ -484,9 +489,10 @@ pub struct PreparedJob {
     problem: Box<dyn CopProblem + Send + Sync>,
     /// The problem's Ising form, encoded once at prepare time.
     model: IsingModel,
-    /// `model` in quadratic-only form (ancilla-embedded fields), the
-    /// coupling every trial anneals and a batched replica programs.
-    quadratic: IsingModel,
+    /// `model` in quadratic-only form (ancilla-embedded fields) when it
+    /// has fields; `None` when `model` is quadratic-only already. See
+    /// [`PreparedJob::quadratic`].
+    quadratic: Option<IsingModel>,
     route: PreparedRoute,
     run: RunPlan,
     reference: Option<f64>,
@@ -514,6 +520,12 @@ impl fmt::Debug for PreparedJob {
 }
 
 impl PreparedJob {
+    /// The coupling every trial anneals and a batched replica programs:
+    /// the model itself, or its ancilla embedding when it has fields.
+    fn quadratic(&self) -> &IsingModel {
+        self.quadratic.as_ref().unwrap_or(&self.model)
+    }
+
     /// Trials the job's run plan schedules.
     pub fn trials(&self) -> usize {
         self.run.trials()
@@ -541,7 +553,7 @@ impl PreparedJob {
     pub fn batch_placement(&self) -> Option<(usize, usize)> {
         match &self.route {
             PreparedRoute::Batched { tile_rows, .. } => {
-                Some((*tile_rows, self.quadratic.dimension()))
+                Some((*tile_rows, self.quadratic().dimension()))
             }
             PreparedRoute::Solver(_) => None,
         }
@@ -570,7 +582,7 @@ impl PreparedJob {
                 solver,
                 self.problem.as_ref(),
                 &self.model,
-                &self.quadratic,
+                self.quadratic(),
                 self.initial.as_ref(),
                 seed,
             )
@@ -678,8 +690,8 @@ fn summarize(sense: ObjectiveSense, reports: &[SolveReport]) -> RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{ProblemSpec, RunPlan};
     use crate::{CimAnnealer, DirectAnnealer, MesaAnnealer};
+    use fecim_gset::{GeneratorConfig, GsetFamily};
 
     fn ring_spec(n: usize) -> ProblemSpec {
         ProblemSpec::MaxCut {
@@ -797,6 +809,37 @@ mod tests {
             Session::new().run(&zero_tiles),
             Err(SessionError::InvalidRequest(_))
         ));
+    }
+
+    #[test]
+    fn unusable_generated_specs_are_rejected_before_generation() {
+        let generated = |vertex_count, family, mean_degree| GeneratorConfig {
+            vertex_count,
+            family,
+            mean_degree,
+            seed: 3,
+        };
+        for degree in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let request = SolveRequest::new(
+                ProblemSpec::Generated(generated(60, GsetFamily::RandomUnit, degree)),
+                SolverSpec::Cim(CimAnnealer::new(10)),
+            );
+            assert!(
+                matches!(Session::new().prepare(&request), Err(SessionError::InvalidRequest(msg)) if msg.contains("mean degree")),
+                "degree {degree}"
+            );
+        }
+        // Sizes past what a request line could spell out are refused by
+        // the check alone; nothing here generates them.
+        for family in GsetFamily::all() {
+            assert!(check_generated(&generated(usize::MAX, family, 4.0)).is_err());
+            assert!(check_generated(&generated(1 << 40, family, 1e-6)).is_err());
+        }
+        assert!(check_generated(&generated(1 << 17, GsetFamily::RandomUnit, 1e9)).is_err());
+        // The largest benchmark instances pass.
+        assert!(check_generated(&generated(896, GsetFamily::RandomUnit, 313.25)).is_ok());
+        assert!(check_generated(&generated(3000, GsetFamily::ToroidalUnit, 4.0)).is_ok());
+        assert!(check_generated(&generated(1, GsetFamily::RandomSigned, 10.0)).is_ok());
     }
 
     #[test]

@@ -78,8 +78,9 @@ pub trait Solver: Send + Sync {
     /// Propagates encoding errors from the problem's Ising transformation.
     fn solve(&self, problem: &dyn CopProblem, seed: u64) -> Result<SolveReport, IsingError> {
         let model = problem.to_ising()?;
-        let quadratic = model.to_quadratic_only();
-        Ok(run_trial(self, problem, &model, &quadratic, None, seed))
+        let quadratic = (!model.is_quadratic_only()).then(|| model.to_quadratic_only());
+        let quadratic = quadratic.as_ref().unwrap_or(&model);
+        Ok(run_trial(self, problem, &model, quadratic, None, seed))
     }
 }
 

@@ -22,6 +22,36 @@ pub struct QuantizedCoupling {
     nonzero_cells: usize,
 }
 
+/// The `bits`-bit quantization of a matrix whose largest magnitude is
+/// `max_abs`: the one rounding rule [`QuantizedCoupling`] and the
+/// crossbar's programming share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QuantStep {
+    /// J units per code LSB: `max_abs / (2^bits − 1)`, or 1 for an
+    /// all-zero matrix.
+    pub(crate) scale: f64,
+    /// Largest magnitude code, `2^bits − 1`.
+    levels: u32,
+}
+
+impl QuantStep {
+    pub(crate) fn new(max_abs: f64, bits: u8) -> QuantStep {
+        let levels = (1u32 << bits) - 1;
+        let scale = if max_abs == 0.0 {
+            1.0
+        } else {
+            max_abs / levels as f64
+        };
+        QuantStep { scale, levels }
+    }
+
+    /// The magnitude code of `v`: `|v| / scale` rounded to the nearest
+    /// code, clamped to the full scale.
+    pub(crate) fn code(self, v: f64) -> u8 {
+        ((v.abs() / self.scale).round() as u32).min(self.levels) as u8
+    }
+}
+
 impl QuantizedCoupling {
     /// Quantize `coupling` to `bits`-bit magnitudes.
     ///
@@ -36,22 +66,17 @@ impl QuantizedCoupling {
         let n = coupling.dimension();
         let mut max_abs = 0.0f64;
         for i in 0..n {
-            coupling.for_each_in_row(i, &mut |_, v| {
+            coupling.for_each_in_row(i, |_, v| {
                 max_abs = max_abs.max(v.abs());
             });
         }
-        let levels = (1u32 << bits) - 1;
-        let scale = if max_abs == 0.0 {
-            1.0
-        } else {
-            max_abs / levels as f64
-        };
+        let step = QuantStep::new(max_abs, bits);
         let mut columns: Vec<Vec<(u32, u8, u8)>> = vec![Vec::new(); n];
         let mut nonzero_cells = 0usize;
         for i in 0..n {
-            coupling.for_each_in_row(i, &mut |j, v| {
+            coupling.for_each_in_row(i, |j, v| {
                 // Row i of J contributes the cell (row=i) of column group j.
-                let code = ((v.abs() / scale).round() as u32).min(levels) as u8;
+                let code = step.code(v);
                 if code > 0 {
                     let (pos, neg) = if v > 0.0 { (code, 0) } else { (0, code) };
                     columns[j].push((i as u32, pos, neg));
@@ -65,7 +90,7 @@ impl QuantizedCoupling {
         QuantizedCoupling {
             n,
             bits,
-            scale,
+            scale: step.scale,
             columns,
             nonzero_cells,
         }

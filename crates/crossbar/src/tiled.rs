@@ -142,7 +142,7 @@ use fecim_ising::Coupling;
 use crate::adc::{MuxAssignment, SarAdc};
 use crate::array::{ideal_cell_factor, vbg_for_factor, CellRead, CrossbarConfig, Fidelity};
 use crate::parasitics::ArrayWires;
-use crate::quant::QuantizedCoupling;
+use crate::quant::QuantStep;
 use crate::stats::ActivityStats;
 
 /// Smallest sensing work, in Ideal entries, for which
@@ -222,9 +222,7 @@ pub struct TiledCrossbar {
     tile_rows: usize,
     /// Bands per axis: `ceil(n / tile_rows)`.
     bands: usize,
-    /// Matrix dimension `n` (the global [`QuantizedCoupling`] is only a
-    /// programming-time artifact, so the array does not hold every code
-    /// twice).
+    /// Matrix dimension `n`.
     n: usize,
     /// Global quantization step (J units per code LSB), shared by every
     /// tile.
@@ -481,18 +479,65 @@ fn tile_seed(base: u64, band_r: usize, band_c: usize) -> u64 {
     splitmix64_finalize(base ^ ((band_r as u64) << 32) ^ (band_c as u64) ^ 0x9E37_79B9_7F4A_7C15)
 }
 
+/// The column-major cell store of `coupling` quantized to `bits`-bit
+/// codes: per column group its entries with a nonzero code, ascending by
+/// row, and the column starts. A [`Coupling`] is symmetric and visits a
+/// row in ascending column order, so column `j`'s entries are row `j`'s
+/// and the store is read straight off the rows: one pass for the full
+/// scale, one for the codes, no per-column buffers. The store equals
+/// [`QuantizedCoupling::from_coupling`](crate::QuantizedCoupling::from_coupling)'s columns (debug builds assert
+/// the contract it rests on).
+fn column_store<C: Coupling>(coupling: &C, bits: u8) -> (Vec<usize>, Vec<Cell>, QuantStep) {
+    let n = coupling.dimension();
+    let (mut max_abs, mut entries) = (0.0f64, 0usize);
+    for i in 0..n {
+        coupling.for_each_in_row(i, |_, v| {
+            max_abs = max_abs.max(v.abs());
+            entries += 1;
+        });
+    }
+    let step = QuantStep::new(max_abs, bits);
+    let mut col_start = Vec::with_capacity(n + 1);
+    let mut cells = Vec::with_capacity(entries);
+    col_start.push(0);
+    for j in 0..n {
+        let mut next_row = 0;
+        coupling.for_each_in_row(j, |i, v| {
+            debug_assert!(i >= next_row, "row {j} of the coupling is not ascending");
+            debug_assert!(
+                coupling.get(i, j).to_bits() == v.to_bits(),
+                "the coupling is not symmetric at ({i}, {j})"
+            );
+            next_row = i + 1;
+            let code = step.code(v);
+            if code > 0 {
+                let plane = if v > 0.0 { 0 } else { 1 };
+                cells.push(Cell {
+                    row: i as u32,
+                    code,
+                    plane,
+                });
+            }
+        });
+        col_start.push(cells.len());
+    }
+    (col_start, cells, step)
+}
+
 impl TiledCrossbar {
     /// Program a coupling matrix onto a grid of `tile_rows`-row tiles.
     ///
     /// Quantization is global (one `max|J|` full scale shared by every
     /// tile — the same codes the monolithic array would hold). The codes
-    /// go to one column-major store; in device-accurate mode each tile
-    /// then samples the variation of its own block of cells from a seed
-    /// derived from `config.seed` and its grid position.
+    /// go to one column-major store, read straight off the coupling's
+    /// rows; in device-accurate mode each tile then samples the variation
+    /// of its own block of cells from a seed derived from `config.seed`
+    /// and its grid position.
     ///
     /// # Panics
     ///
-    /// Panics if the coupling is empty or `tile_rows == 0`.
+    /// Panics if the coupling is empty, `tile_rows == 0` or
+    /// `config.quant_bits` is outside `1..=8`.
     pub fn program<C: Coupling>(
         coupling: &C,
         config: CrossbarConfig,
@@ -501,7 +546,11 @@ impl TiledCrossbar {
         let n = coupling.dimension();
         assert!(n > 0, "empty coupling matrix");
         assert!(tile_rows > 0, "tile_rows must be positive");
-        let quant = QuantizedCoupling::from_coupling(coupling, config.quant_bits);
+        assert!(
+            (1..=8).contains(&config.quant_bits),
+            "bits must be in 1..=8"
+        );
+        let (col_start, cells, step) = column_store(coupling, config.quant_bits);
         let bands = n.div_ceil(tile_rows);
         // The stripe ADC converts the full chained column: same full
         // scale as the monolithic array, which is what keeps Ideal-mode
@@ -509,17 +558,6 @@ impl TiledCrossbar {
         let adc = SarAdc::new(config.adc_bits, n as f64);
         let k = config.quant_bits as usize;
         let band = |b: usize| b * tile_rows..((b + 1) * tile_rows).min(n);
-
-        let mut col_start = Vec::with_capacity(n + 1);
-        let mut cells = Vec::with_capacity(quant.nonzero_cell_count());
-        col_start.push(0);
-        for j in 0..n {
-            cells.extend(quant.column(j).iter().map(|&(row, pos, neg)| {
-                let (code, plane) = if pos > 0 { (pos, 0) } else { (neg, 1) };
-                Cell { row, code, plane }
-            }));
-            col_start.push(cells.len());
-        }
 
         let stripe_mux = (0..bands)
             .map(|band_c| {
@@ -585,7 +623,7 @@ impl TiledCrossbar {
             tile_rows,
             bands,
             n,
-            scale: quant.scale(),
+            scale: step.scale,
             unit_levels: (0..=n).map(|c| adc.quantize(c as f64)).collect(),
             adc,
             stripe_mux,
@@ -1313,8 +1351,9 @@ impl TiledCrossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuantizedCoupling;
     use fecim_device::VariationConfig;
-    use fecim_ising::{Coupling, DenseCoupling, FlipMask, SpinVector};
+    use fecim_ising::{Coupling, CsrCoupling, DenseCoupling, FlipMask, SpinVector};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1334,6 +1373,84 @@ mod tests {
     /// The monolithic array: one tile spanning every row.
     fn monolithic(m: &DenseCoupling, config: CrossbarConfig) -> TiledCrossbar {
         TiledCrossbar::program(m, config, m.dimension())
+    }
+
+    /// A random sparse coupling whose magnitudes span three decades, so
+    /// low-resolution codes round many entries to zero.
+    fn sparse(n: usize, seed: u64) -> CsrCoupling {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut triplets = Vec::new();
+        for _ in 0..4 * n {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let magnitude = 10f64.powi(rng.gen_range(-2..=0));
+            if i != j {
+                triplets.push((i, j, rng.gen_range(-1.0..1.0) * magnitude));
+            }
+        }
+        CsrCoupling::from_triplets(n, &triplets).unwrap()
+    }
+
+    /// The programmed store, column by column, as the reference's
+    /// `(row, pos_code, neg_code)` entries.
+    fn programmed_columns(xb: &TiledCrossbar) -> Vec<Vec<(u32, u8, u8)>> {
+        (0..xb.n)
+            .map(|j| {
+                xb.cells[xb.col_start[j]..xb.col_start[j + 1]]
+                    .iter()
+                    .map(|c| match c.plane {
+                        0 => (c.row, c.code, 0),
+                        _ => (c.row, 0, c.code),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn assert_programs_the_reference<C: Coupling>(coupling: &C, label: &str) {
+        let n = coupling.dimension();
+        for bits in [1u8, 2, 4, 8] {
+            let reference = QuantizedCoupling::from_coupling(coupling, bits);
+            let columns: Vec<_> = (0..n).map(|j| reference.column(j).to_vec()).collect();
+            for tile_rows in [1, 3, 7, n, n + 5] {
+                for fidelity in [Fidelity::Ideal, Fidelity::DeviceAccurate] {
+                    let config = CrossbarConfig {
+                        fidelity,
+                        ..config(bits)
+                    };
+                    let xb = TiledCrossbar::program(coupling, config, tile_rows);
+                    let case = format!("{label} bits={bits} tile_rows={tile_rows} {fidelity:?}");
+                    assert_eq!(
+                        xb.quant_scale().to_bits(),
+                        reference.scale().to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(programmed_columns(&xb), columns, "{case}");
+                    assert_eq!(xb.cells.len(), reference.nonzero_cell_count(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn programmed_store_equals_the_quantized_reference() {
+        for (n, seed) in [(1, 1), (13, 2), (40, 3)] {
+            let dense = dense(n, seed);
+            assert_programs_the_reference(&dense, "dense");
+            assert_programs_the_reference(&CsrCoupling::from_dense(&dense), "dense as CSR");
+            let sparse = sparse(n.max(2), seed);
+            assert_programs_the_reference(&sparse, "sparse");
+        }
+        // Zero codes are dropped, not stored: at one bit, every entry
+        // under half the largest magnitude rounds to zero.
+        let sparse = sparse(40, 9);
+        let xb = TiledCrossbar::program(&sparse, config(1), 7);
+        assert!(xb.cells.len() < 2 * sparse.coupling_count());
+        assert!(!xb.cells.is_empty());
+        // An all-zero coupling programs an empty store at unit scale.
+        let xb = TiledCrossbar::program(&DenseCoupling::zeros(5), config(4), 2);
+        assert!(xb.cells.is_empty());
+        assert_eq!(xb.quant_scale(), 1.0);
     }
 
     #[test]

@@ -108,14 +108,16 @@ impl GeneratorConfig {
 /// Erdős–Rényi `G(n, p)` with `p = mean_degree/(n−1)`; weights `+1`, or
 /// uniform `{−1, +1}` when `signed`.
 fn random_graph(n: usize, mean_degree: f64, signed: bool, rng: &mut StdRng) -> Graph {
-    let mut g = Graph::empty(n);
     if n < 2 {
-        return g;
+        return Graph::empty(n);
     }
     let p = (mean_degree / (n as f64 - 1.0)).min(1.0);
     // Geometric skipping: expected O(m) instead of O(n²).
     let ln_q = (1.0 - p).ln();
     let total_pairs = n * (n - 1) / 2;
+    let expected = p * total_pairs as f64;
+    let mut g = Graph::with_edge_capacity(n, (expected + 4.0 * expected.sqrt()) as usize);
+    let mut pairs = PairWalk::new(n);
     let mut idx: i64 = -1;
     loop {
         let r: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
@@ -128,7 +130,7 @@ fn random_graph(n: usize, mean_degree: f64, signed: bool, rng: &mut StdRng) -> G
         if idx as usize >= total_pairs {
             break;
         }
-        let (u, v) = pair_from_index(idx as usize, n);
+        let (u, v) = pairs.pair(idx as usize);
         let w = if signed {
             if rng.gen::<bool>() {
                 1.0
@@ -138,17 +140,52 @@ fn random_graph(n: usize, mean_degree: f64, signed: bool, rng: &mut StdRng) -> G
         } else {
             1.0
         };
-        // audit:allow(panic-path): `pair_from_index` yields distinct in-range endpoints and ±1 weights are finite, so add_edge cannot fail
+        // audit:allow(panic-path): the row walk yields in-range pairs u < v and ±1 weights are finite, so add_edge cannot fail
         g.add_edge(u, v, w).expect("generated edges are valid");
     }
     g
 }
 
+/// The pairs `(u, v)` with `u < v` of `n` vertices in lexicographic
+/// order, looked up by linear index. The generator's indices only grow,
+/// so the row `u` an index falls in is walked forward, O(n) over a whole
+/// graph instead of a search per edge.
+#[derive(Debug)]
+struct PairWalk {
+    n: usize,
+    /// Row `u` holds the indices `row_start..row_end`.
+    u: usize,
+    row_start: usize,
+    row_end: usize,
+}
+
+impl PairWalk {
+    fn new(n: usize) -> PairWalk {
+        PairWalk {
+            n,
+            u: 0,
+            row_start: 0,
+            row_end: n - 1,
+        }
+    }
+
+    /// The `idx`-th pair; `idx` must not decrease between calls and must
+    /// stay below `n(n−1)/2`.
+    fn pair(&mut self, idx: usize) -> (usize, usize) {
+        while idx >= self.row_end {
+            self.u += 1;
+            self.row_start = self.row_end;
+            self.row_end += self.n - 1 - self.u;
+        }
+        (self.u, self.u + 1 + (idx - self.row_start))
+    }
+}
+
 /// Map a linear index to the `idx`-th pair `(u, v)` with `u < v` in
-/// lexicographic order.
+/// lexicographic order by a binary search over the rows: the reference
+/// [`PairWalk`] is pinned against.
+#[cfg(test)]
 fn pair_from_index(idx: usize, n: usize) -> (usize, usize) {
-    // Row u starts at offset u*n - u*(u+1)/2 - u ... solve by walking rows;
-    // binary search keeps it O(log n).
     let mut lo = 0usize;
     let mut hi = n - 1;
     let row_start = |u: usize| u * (2 * n - u - 1) / 2;
@@ -284,9 +321,7 @@ mod tests {
             .with_family(GsetFamily::ToroidalSigned)
             .generate();
         // Interior structure: every used vertex has degree 4 on a 10×10 torus.
-        for v in 0..100 {
-            assert_eq!(g.degree(v), 4, "vertex {v}");
-        }
+        assert_eq!(g.degrees(), [4; 100]);
     }
 
     #[test]
@@ -310,6 +345,20 @@ mod tests {
             assert!(seen.insert((u, v)), "duplicate pair at idx={idx}");
         }
         assert_eq!(seen.len(), n * (n - 1) / 2);
+    }
+
+    #[test]
+    fn pair_walk_matches_the_binary_search() {
+        for n in 2..40 {
+            let total = n * (n - 1) / 2;
+            // Every index, and a sparse walk that skips whole rows.
+            for stride in [1, 3, n + 2] {
+                let mut walk = PairWalk::new(n);
+                for idx in (0..total).step_by(stride) {
+                    assert_eq!(walk.pair(idx), pair_from_index(idx, n), "n={n} idx={idx}");
+                }
+            }
+        }
     }
 
     #[test]

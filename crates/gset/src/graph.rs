@@ -58,7 +58,7 @@ impl fmt::Display for GraphError {
 
 impl Error for GraphError {}
 
-/// An undirected, edge-weighted graph with adjacency lists.
+/// An undirected, edge-weighted graph: a vertex count and an edge list.
 ///
 /// # Examples
 ///
@@ -67,23 +67,27 @@ impl Error for GraphError {}
 /// let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, -1.0)])?;
 /// assert_eq!(g.vertex_count(), 3);
 /// assert_eq!(g.edge_count(), 2);
-/// assert_eq!(g.degree(1), 2);
+/// assert_eq!(g.mean_degree(), 4.0 / 3.0);
 /// # Ok::<(), fecim_gset::GraphError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Graph {
     n: usize,
     edges: Vec<(usize, usize, f64)>,
-    adjacency: Vec<Vec<(usize, f64)>>,
 }
 
 impl Graph {
     /// Graph with `n` vertices and no edges.
     pub fn empty(n: usize) -> Graph {
+        Graph::with_edge_capacity(n, 0)
+    }
+
+    /// Graph with `n` vertices and no edges, with room for `edges`
+    /// edges before the edge list reallocates.
+    pub(crate) fn with_edge_capacity(n: usize, edges: usize) -> Graph {
         Graph {
             n,
-            edges: Vec::new(),
-            adjacency: vec![Vec::new(); n],
+            edges: Vec::with_capacity(edges),
         }
     }
 
@@ -126,8 +130,6 @@ impl Graph {
             return Err(GraphError::NonFiniteWeight { u, v });
         }
         self.edges.push((u, v, w));
-        self.adjacency[u].push((v, w));
-        self.adjacency[v].push((u, w));
         Ok(())
     }
 
@@ -146,14 +148,14 @@ impl Graph {
         &self.edges
     }
 
-    /// Neighbours of `v` with edge weights.
-    pub fn neighbors(&self, v: usize) -> &[(usize, f64)] {
-        &self.adjacency[v]
-    }
-
-    /// Degree of vertex `v`.
-    pub fn degree(&self, v: usize) -> usize {
-        self.adjacency[v].len()
+    /// Degree of every vertex.
+    pub fn degrees(&self) -> Vec<usize> {
+        let mut degrees = vec![0; self.n];
+        for &(u, v, _) in &self.edges {
+            degrees[u] += 1;
+            degrees[v] += 1;
+        }
+        degrees
     }
 
     /// Mean vertex degree.
@@ -176,8 +178,14 @@ impl Graph {
 
     /// Convert to a [`MaxCut`] problem instance.
     pub fn to_max_cut(&self) -> MaxCut {
+        self.clone().into_max_cut()
+    }
+
+    /// Convert to a [`MaxCut`] problem instance, moving the edge list
+    /// into it.
+    pub fn into_max_cut(self) -> MaxCut {
         // audit:allow(panic-path): every edge was admitted by `add_edge`'s checks (in-range, no self-loops, finite weights), exactly the invariants MaxCut::new validates
-        MaxCut::new(self.n, self.edges.clone()).expect("graph invariants imply a valid instance")
+        MaxCut::new(self.n, self.edges).expect("graph invariants imply a valid instance")
     }
 }
 
@@ -190,9 +198,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, -1.0)]).unwrap();
         assert_eq!(g.vertex_count(), 4);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.degree(0), 1);
-        assert_eq!(g.degree(1), 2);
-        assert_eq!(g.neighbors(2), &[(1, 2.0), (3, -1.0)]);
+        assert_eq!(g.degrees(), [1, 2, 2, 1]);
         assert_eq!(g.total_weight(), 2.0);
         assert!((g.mean_degree() - 1.5).abs() < 1e-12);
     }
@@ -226,7 +232,8 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
         let mc = g.to_max_cut();
         assert_eq!(mc.vertex_count(), 3);
-        assert_eq!(mc.edges().len(), 2);
+        assert_eq!(mc.edges(), g.edges());
+        assert_eq!(g.into_max_cut(), mc);
     }
 
     #[test]

@@ -43,7 +43,10 @@ fn edge_digest(graph: &Graph) -> u64 {
 
 /// Digest of the Max-Cut Ising encoding: every CSR row, in order.
 fn encoding_digest(graph: &Graph) -> u64 {
-    let model = graph.to_max_cut().to_ising().expect("generated graphs encode");
+    let model = graph
+        .to_max_cut()
+        .to_ising()
+        .expect("generated graphs encode");
     let couplings = model.couplings();
     let mut d = Digest::new();
     d.word(model.dimension() as u64);
@@ -77,7 +80,13 @@ fn corpus() -> String {
     for family in GsetFamily::all() {
         for n in [0usize, 1, 2, 5, 17, 64, 333] {
             // Degrees below, at and above n − 1 (the complete graph).
-            for degree in [0.5, 4.0, 10.0, n.saturating_sub(1).max(1) as f64, n as f64 + 5.0] {
+            for degree in [
+                0.5,
+                4.0,
+                10.0,
+                n.saturating_sub(1).max(1) as f64,
+                n as f64 + 5.0,
+            ] {
                 for seed in [1u64, 0xDEAD_BEEF] {
                     let config = GeneratorConfig::new(n, seed)
                         .with_family(family)

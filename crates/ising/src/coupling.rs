@@ -16,8 +16,12 @@ use crate::spin::{FlipMask, SpinVector};
 /// Read access to a symmetric coupling matrix, the contract shared by the
 /// dense and sparse representations.
 ///
-/// Implementations must guarantee symmetry (`get(i,j) == get(j,i)`) and a
-/// zero diagonal.
+/// Implementations must guarantee symmetry (`get(i,j) == get(j,i)`, bit
+/// for bit) and a zero diagonal, and visit each row's entries in
+/// ascending column order. Consumers rely on both: row `j` is column
+/// `j`, so a crossbar programs its column-major store straight from the
+/// rows, and a column read can gather over a row. Every visit dispatches
+/// statically; no code holds a `dyn Coupling`.
 pub trait Coupling {
     /// Matrix dimension `n` (number of spins).
     fn dimension(&self) -> usize;
@@ -25,8 +29,8 @@ pub trait Coupling {
     /// Entry `J_ij`.
     fn get(&self, i: usize, j: usize) -> f64;
 
-    /// Visit the nonzero entries `(j, J_ij)` of row `i`.
-    fn for_each_in_row(&self, i: usize, f: &mut dyn FnMut(usize, f64));
+    /// Visit the nonzero entries `(j, J_ij)` of row `i`, ascending by `j`.
+    fn for_each_in_row(&self, i: usize, f: impl FnMut(usize, f64));
 
     /// Number of stored nonzero couplings (each unordered pair counted once).
     fn coupling_count(&self) -> usize;
@@ -50,7 +54,7 @@ pub trait Coupling {
     /// the row sum [`Coupling::energy`] weights by `σ_i`.
     fn local_field(&self, i: usize, spins: &SpinVector) -> f64 {
         let mut acc = 0.0;
-        self.for_each_in_row(i, &mut |j, v| {
+        self.for_each_in_row(i, |j, v| {
             acc += v * spins.get(j) as f64;
         });
         acc
@@ -73,7 +77,7 @@ pub trait Coupling {
         for &j in mask.indices() {
             let sj = new_spins.get(j) as f64;
             let mut acc = 0.0;
-            self.for_each_in_row(j, &mut |i, v| {
+            self.for_each_in_row(j, |i, v| {
                 if !mask.contains(i) {
                     acc += v * new_spins.get(i) as f64;
                 }
@@ -217,7 +221,7 @@ impl Coupling for DenseCoupling {
         self.data[i * self.n + j]
     }
 
-    fn for_each_in_row(&self, i: usize, f: &mut dyn FnMut(usize, f64)) {
+    fn for_each_in_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
         let row = self.row(i);
         for (j, &v) in row.iter().enumerate() {
             if v != 0.0 {
@@ -267,7 +271,20 @@ impl CsrCoupling {
         n: usize,
         triplets: &[(usize, usize, f64)],
     ) -> Result<CsrCoupling, IsingError> {
-        for &(i, j, v) in triplets {
+        CsrCoupling::from_pairs(n, triplets.iter().copied())
+    }
+
+    /// [`CsrCoupling::from_triplets`] over a re-iterable stream of
+    /// triplets, so an encoder hands its pairs over without collecting
+    /// them first. The stream is walked twice: once to validate and
+    /// count, once to fill.
+    pub(crate) fn from_pairs(
+        n: usize,
+        triplets: impl Iterator<Item = (usize, usize, f64)> + Clone,
+    ) -> Result<CsrCoupling, IsingError> {
+        // Validate, and count both directions of every pair by row.
+        let mut row_ptr = vec![0usize; n + 1];
+        for (i, j, v) in triplets.clone() {
             if i >= n {
                 return Err(IsingError::IndexOutOfRange {
                     index: i,
@@ -288,20 +305,17 @@ impl CsrCoupling {
             if !v.is_finite() {
                 return Err(IsingError::NonFiniteCoupling { row: i, col: j });
             }
-        }
-        // Bucket both directions of every pair by row, in input order.
-        let mut row_ptr = vec![0usize; n + 1];
-        for &(i, j, _) in triplets {
             row_ptr[i + 1] += 1;
             row_ptr[j + 1] += 1;
         }
         for i in 0..n {
             row_ptr[i + 1] += row_ptr[i];
         }
+        // Bucket both directions of every pair by row, in input order.
         let mut col_idx = vec![0usize; row_ptr[n]];
         let mut values = vec![0.0f64; row_ptr[n]];
         let mut next = row_ptr[..n].to_vec();
-        for &(i, j, v) in triplets {
+        for (i, j, v) in triplets {
             for (row, col) in [(i, j), (j, i)] {
                 col_idx[next[row]] = col;
                 values[next[row]] = v;
@@ -310,12 +324,20 @@ impl CsrCoupling {
         }
         // Put each row in column order with a stable sort (rows usually
         // arrive sorted), then merge the copies of a pair, compacting in
-        // place.
+        // place. A row without copies moves down whole.
         let mut unsorted: Vec<(usize, f64)> = Vec::new();
         let mut len = 0;
         for i in 0..n {
             let (start, end) = (row_ptr[i], row_ptr[i + 1]);
             row_ptr[i] = len;
+            if col_idx[start..end].is_sorted_by(|a, b| a < b) {
+                if len < start {
+                    col_idx.copy_within(start..end, len);
+                    values.copy_within(start..end, len);
+                }
+                len += end - start;
+                continue;
+            }
             if !col_idx[start..end].is_sorted() {
                 unsorted.clear();
                 unsorted.extend(
@@ -369,7 +391,7 @@ impl CsrCoupling {
     pub fn to_dense(&self) -> DenseCoupling {
         let mut d = DenseCoupling::zeros(self.n);
         for i in 0..self.n {
-            self.for_each_in_row(i, &mut |j, v| {
+            self.for_each_in_row(i, |j, v| {
                 if i < j {
                     d.set(i, j, v);
                 }
@@ -407,7 +429,7 @@ impl Coupling for CsrCoupling {
         }
     }
 
-    fn for_each_in_row(&self, i: usize, f: &mut dyn FnMut(usize, f64)) {
+    fn for_each_in_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
         let (cols, vals) = self.row_entries(i);
         for (&j, &v) in cols.iter().zip(vals.iter()) {
             f(j, v);

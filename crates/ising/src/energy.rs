@@ -125,7 +125,7 @@ impl<'a, C: Coupling> LocalFieldState<'a, C> {
             self.spins.flip(i);
             // Neighbour fields see σ_i change by −2·old.
             let fields = &mut self.fields;
-            coupling.for_each_in_row(i, &mut |j, v| {
+            coupling.for_each_in_row(i, |j, v| {
                 fields[j] += v * (-2.0 * old);
             });
         }

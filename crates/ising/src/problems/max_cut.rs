@@ -130,12 +130,8 @@ impl CopProblem for MaxCut {
     }
 
     fn to_ising(&self) -> Result<IsingModel, IsingError> {
-        let triplets: Vec<(usize, usize, f64)> = self
-            .edges
-            .iter()
-            .map(|&(i, j, w)| (i, j, w / 4.0))
-            .collect();
-        let couplings = CsrCoupling::from_triplets(self.n, &triplets)?;
+        let triplets = self.edges.iter().map(|&(i, j, w)| (i, j, w / 4.0));
+        let couplings = CsrCoupling::from_pairs(self.n, triplets)?;
         Ok(IsingModel::new(couplings))
     }
 

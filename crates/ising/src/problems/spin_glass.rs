@@ -120,7 +120,7 @@ mod tests {
         let mut sum_sq = 0.0;
         let mut count = 0;
         for i in 0..100 {
-            model.couplings().for_each_in_row(i, &mut |_, v| {
+            model.couplings().for_each_in_row(i, |_, v| {
                 sum_sq += (2.0 * v) * (2.0 * v); // undo the pair-halving
                 count += 1;
             });

@@ -140,7 +140,7 @@ pub fn suggest_coupling_strength<C: Coupling + ?Sized>(coupling: &C) -> f64 {
     let mut sum_sq = 0.0;
     let mut count = 0usize;
     for i in 0..n {
-        coupling.for_each_in_row(i, &mut |_, v| {
+        coupling.for_each_in_row(i, |_, v| {
             sum_sq += v * v;
             count += 1;
         });
@@ -357,7 +357,7 @@ impl RowSums {
     /// are row `i`'s neighbours).
     fn touch<C: Coupling + ?Sized>(&mut self, coupling: &C, i: usize) {
         let (stale, stale_rows) = (&mut self.stale, &mut self.stale_rows);
-        coupling.for_each_in_row(i, &mut |row, _| {
+        coupling.for_each_in_row(i, |row, _| {
             if !std::mem::replace(&mut stale[row], true) {
                 stale_rows.push(row);
             }

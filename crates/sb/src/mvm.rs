@@ -52,40 +52,36 @@ impl<'a, C: Coupling + ?Sized> ExactMvm<'a, C> {
     }
 }
 
+impl<C: Coupling + ?Sized> ExactMvm<'_, C> {
+    /// `(Jx)_j = Σ_i J_ji x_i` for every output `j`, each a sum over row
+    /// `j` in ascending `i`. `J` is symmetric, so these are the additions,
+    /// in the same order, of scattering rows `i` with nonzero `x_i` into
+    /// the outputs: a zero `x_i` adds a signed zero, which leaves every
+    /// partial sum (never `−0.0`, since it starts at `+0.0`) unchanged.
+    fn gather(&self, x: impl Fn(usize) -> f64) -> Vec<f64> {
+        (0..self.coupling.dimension())
+            .map(|j| {
+                let mut acc = 0.0;
+                self.coupling.for_each_in_row(j, |i, v| acc += x(i) * v);
+                acc
+            })
+            .collect()
+    }
+}
+
 impl<C: Coupling + ?Sized> MvmSource for ExactMvm<'_, C> {
     fn dimension(&self) -> usize {
         self.coupling.dimension()
     }
 
     fn mvm_signs(&mut self, sigma: &[i8]) -> Vec<f64> {
-        let n = self.coupling.dimension();
-        assert_eq!(sigma.len(), n, "dimension mismatch");
-        let mut out = vec![0.0; n];
-        for (i, &s) in sigma.iter().enumerate() {
-            if s == 0 {
-                continue;
-            }
-            let s = s as f64;
-            // J is symmetric, so scattering row i into the output
-            // columns computes (Jσ)_j = Σ_i J_ij σ_i.
-            self.coupling
-                .for_each_in_row(i, &mut |j, v| out[j] += s * v);
-        }
-        out
+        assert_eq!(sigma.len(), self.coupling.dimension(), "dimension mismatch");
+        self.gather(|i| f64::from(sigma[i]))
     }
 
     fn mvm_continuous(&mut self, x: &[f64]) -> Vec<f64> {
-        let n = self.coupling.dimension();
-        assert_eq!(x.len(), n, "dimension mismatch");
-        let mut out = vec![0.0; n];
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            self.coupling
-                .for_each_in_row(i, &mut |j, v| out[j] += xi * v);
-        }
-        out
+        assert_eq!(x.len(), self.coupling.dimension(), "dimension mismatch");
+        self.gather(|i| x[i])
     }
 
     fn activity(&self) -> Option<ActivityStats> {
@@ -197,7 +193,7 @@ mod tests {
         let dense = DenseCoupling::random(n, 0.6, 1.0, &mut rng);
         let mut triplets = Vec::new();
         for i in 0..n {
-            dense.for_each_in_row(i, &mut |j, v| {
+            dense.for_each_in_row(i, |j, v| {
                 if j > i {
                     triplets.push((i, j, v));
                 }
@@ -243,6 +239,57 @@ mod tests {
         }
     }
 
+    /// The row-by-row scatter `ExactMvm` computed before it gathered:
+    /// every row `i` with a nonzero input adds `x_i · J_ij` to output `j`.
+    fn scatter(j: &impl Coupling, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; j.dimension()];
+        for (i, &xi) in x.iter().enumerate() {
+            if xi != 0.0 {
+                j.for_each_in_row(i, |col, v| out[col] += xi * v);
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn exact_products_gather_the_scatter_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(10);
+        for (n, seed) in [(1, 1), (9, 2), (64, 3)] {
+            let sparse = random_coupling(n, seed);
+            let dense = DenseCoupling::random(n, 0.3, 2.0, &mut rng);
+            for _ in 0..4 {
+                // Inputs with zeros of both signs.
+                let sigma: Vec<i8> = (0..n)
+                    .map(|_| [-1i8, 0, 1][rng.gen_range(0..3usize)])
+                    .collect();
+                let x: Vec<f64> = (0..n)
+                    .map(|_| match rng.gen_range(0..4u8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => 2.0 * rng.gen::<f64>() - 1.0,
+                    })
+                    .collect();
+                let signs: Vec<f64> = sigma.iter().map(|&s| f64::from(s)).collect();
+                let mut exact = ExactMvm::new(&sparse);
+                assert_eq!(
+                    bits(&exact.mvm_signs(&sigma)),
+                    bits(&scatter(&sparse, &signs))
+                );
+                assert_eq!(bits(&exact.mvm_continuous(&x)), bits(&scatter(&sparse, &x)));
+                let mut exact = ExactMvm::new(&dense);
+                assert_eq!(
+                    bits(&exact.mvm_signs(&sigma)),
+                    bits(&scatter(&dense, &signs))
+                );
+                assert_eq!(bits(&exact.mvm_continuous(&x)), bits(&scatter(&dense, &x)));
+            }
+        }
+    }
+
     #[test]
     fn device_bit_serial_drive_approximates_the_exact_product() {
         let n = 16;
@@ -256,7 +303,7 @@ mod tests {
         // per column in the worst case) plus the 8-bit input code.
         let mut max_abs = 0.0f64;
         for i in 0..n {
-            j.for_each_in_row(i, &mut |_, v| max_abs = max_abs.max(v.abs()));
+            j.for_each_in_row(i, |_, v| max_abs = max_abs.max(v.abs()));
         }
         let tol = n as f64 * max_abs * (1.0 / 15.0 + 1.0 / 255.0) + 1e-9;
         for (col, (&g, &e)) in got.iter().zip(&exact).enumerate() {

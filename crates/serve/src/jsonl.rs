@@ -271,12 +271,9 @@ pub struct JsonlSummary {
     pub observations: usize,
 }
 
-/// Longest request line either transport buffers, in bytes, newline
-/// excluded. The largest lines in the benchmark ledger are raw dense
-/// n = 300 QUBO payloads at ~290 KB, and dense lines grow as n², so
-/// 64 MiB leaves room for paper-scale dense payloads while bounding
-/// what one hostile line can make a connection hold.
-pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+/// Longest request line either transport buffers (defined with the
+/// request API, which bounds generated specs by it too).
+pub use fecim::MAX_REQUEST_LINE_BYTES;
 
 /// One line read by [`read_capped_line`].
 #[derive(Debug, PartialEq, Eq)]

@@ -99,7 +99,7 @@ impl Coupling for DefaultMethods<'_> {
         self.0.get(i, j)
     }
 
-    fn for_each_in_row(&self, i: usize, f: &mut dyn FnMut(usize, f64)) {
+    fn for_each_in_row(&self, i: usize, f: impl FnMut(usize, f64)) {
         self.0.for_each_in_row(i, f)
     }
 

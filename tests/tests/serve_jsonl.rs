@@ -6,6 +6,7 @@
 use std::io::{BufReader, Read as _};
 use std::path::{Path, PathBuf};
 
+use fecim::gset::{GeneratorConfig, GsetFamily};
 use fecim::{CimAnnealer, ProblemSpec, RunPlan, SolveRequest, SolverSpec};
 use fecim_serve::{
     check_responses, check_responses_against, jsonl::MAX_REQUEST_LINE_BYTES, run_jsonl, JsonlError,
@@ -428,6 +429,61 @@ fn overflowing_qubo_payloads_fail_their_own_line_and_the_next_is_served() {
         "{offset:?}"
     );
     for id in ["after-pair", "after-offset"] {
+        assert!(
+            responses
+                .iter()
+                .any(|line| matches!(line, ResponseLine::Completed { id: done, .. } if done == id)),
+            "{id} is served: {responses:?}"
+        );
+    }
+}
+
+#[test]
+fn unusable_generated_specs_fail_their_own_line_and_the_next_is_served() {
+    // A mean degree of -1 would generate the complete graph: the wire
+    // spec never ran the builder's assertion, so the session checks it.
+    let generated = |mean_degree| {
+        SolveRequest::new(
+            ProblemSpec::Generated(GeneratorConfig {
+                vertex_count: 60,
+                family: GsetFamily::RandomUnit,
+                mean_degree,
+                seed: 3,
+            }),
+            SolverSpec::Cim(CimAnnealer::new(50)),
+        )
+    };
+    let submit = |id: &str, request: SolveRequest| {
+        serde_json::to_string(&RequestLine::Submit {
+            id: id.into(),
+            request,
+            options: SubmitOptions::default(),
+        })
+        .unwrap()
+    };
+    let lines = [
+        submit("negative", generated(-1.0)),
+        submit("after-negative", ring_request(8, 100)),
+        submit("zero", generated(0.0)),
+        submit("positive", generated(4.0)),
+    ];
+    let mut output = Vec::new();
+    let summary = run_jsonl(
+        BufReader::new(format!("{}\n", lines.join("\n")).as_bytes()),
+        &mut output,
+        SchedulerConfig::workers(1),
+    )
+    .expect("stream serves");
+    assert_eq!((summary.completed, summary.failed), (2, 2));
+    let responses = check_responses(BufReader::new(output.as_slice())).expect("responses parse");
+    for id in ["negative", "zero"] {
+        let failures: Vec<_> = responses
+            .iter()
+            .filter(|line| matches!(line, ResponseLine::Failed { id: failed, error } if failed == id && error.contains("mean degree")))
+            .collect();
+        assert_eq!(failures.len(), 1, "{id}: {responses:?}");
+    }
+    for id in ["after-negative", "positive"] {
         assert!(
             responses
                 .iter()
