@@ -35,7 +35,11 @@ pub(crate) struct QuantStep {
 }
 
 impl QuantStep {
+    /// # Panics
+    ///
+    /// Panics if `bits` is 0 or greater than 8.
     pub(crate) fn new(max_abs: f64, bits: u8) -> QuantStep {
+        assert!((1..=8).contains(&bits), "bits must be in 1..=8");
         let levels = (1u32 << bits) - 1;
         let scale = if max_abs == 0.0 {
             1.0
@@ -62,7 +66,6 @@ impl QuantizedCoupling {
     ///
     /// Panics if `bits` is 0 or greater than 8.
     pub fn from_coupling<C: Coupling>(coupling: &C, bits: u8) -> QuantizedCoupling {
-        assert!((1..=8).contains(&bits), "bits must be in 1..=8");
         let n = coupling.dimension();
         let mut max_abs = 0.0f64;
         for i in 0..n {

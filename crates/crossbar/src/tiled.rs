@@ -546,10 +546,6 @@ impl TiledCrossbar {
         let n = coupling.dimension();
         assert!(n > 0, "empty coupling matrix");
         assert!(tile_rows > 0, "tile_rows must be positive");
-        assert!(
-            (1..=8).contains(&config.quant_bits),
-            "bits must be in 1..=8"
-        );
         let (col_start, cells, step) = column_store(coupling, config.quant_bits);
         let bands = n.div_ceil(tile_rows);
         // The stripe ADC converts the full chained column: same full

@@ -148,16 +148,6 @@ impl Graph {
         &self.edges
     }
 
-    /// Degree of every vertex.
-    pub fn degrees(&self) -> Vec<usize> {
-        let mut degrees = vec![0; self.n];
-        for &(u, v, _) in &self.edges {
-            degrees[u] += 1;
-            degrees[v] += 1;
-        }
-        degrees
-    }
-
     /// Mean vertex degree.
     pub fn mean_degree(&self) -> f64 {
         if self.n == 0 {
@@ -198,7 +188,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, -1.0)]).unwrap();
         assert_eq!(g.vertex_count(), 4);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.degrees(), [1, 2, 2, 1]);
+        assert_eq!(g.edges(), [(0, 1, 1.0), (1, 2, 2.0), (2, 3, -1.0)]);
         assert_eq!(g.total_weight(), 2.0);
         assert!((g.mean_degree() - 1.5).abs() < 1e-12);
     }

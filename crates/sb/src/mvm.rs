@@ -239,8 +239,8 @@ mod tests {
         }
     }
 
-    /// The row-by-row scatter `ExactMvm` computed before it gathered:
-    /// every row `i` with a nonzero input adds `x_i · J_ij` to output `j`.
+    /// The row-by-row scatter reference: every row `i` with a nonzero
+    /// input adds `x_i · J_ij` to output `j`.
     fn scatter(j: &impl Coupling, x: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; j.dimension()];
         for (i, &xi) in x.iter().enumerate() {
