@@ -91,22 +91,37 @@
 //! A dSB step drives every column with the spins of the last step, of
 //! which only a few percent changed, so an Ideal read of every column
 //! group at factor 1 (`mvm`, `vmv`, and an incremental read whose `σ_c`
-//! has no zero) pays only for what changed. From its second such read
-//! on, the array keeps the line counts of every column and the drive of
-//! every row. A read finds the rows whose drive changed (32 at a time),
-//! moves their entries from the old sign pass's count lanes to the new
-//! one's, re-converts only the columns whose counts moved, and hands out
-//! every column's kept terms in the sweep's order. A [`Coupling`] is
-//! symmetric, so column `i`'s entries are row `i`'s and the store is its
-//! own row-major index. The counts are integers and the conversion is a
-//! table lookup, so every output bit and every [`ActivityStats`] field
-//! equals a fresh sweep. When the moves would cost more count adds than
-//! a recount's share per sweep thread (a fresh drive; bSB's consecutive
-//! bit planes sit near the cut), the read recounts: the sweep at its
-//! speed and fan-out, writing the counts it keeps. An
-//! array that never makes a second full read — the in-situ anneal reads
-//! one calibration `vmv` — keeps nothing, and device-accurate reads,
-//! whose currents carry noise, always sweep.
+//! has no zero) pays only for what changed. The array keeps these reads
+//! per drive plane. A bSB step drives one sign plane per bit of its
+//! input code, and [`TiledCrossbar::mvm_plane`] reads bit `b` through
+//! plane `b`: plane `b` of one step differs from plane `b` of the last
+//! only where bit `b` of a position changed, far less than one bit plane
+//! differs from the next. `mvm`, `vmv` and full incremental reads use
+//! plane 0.
+//!
+//! From its second full read on, a plane keeps the line counts of every
+//! column and the drive of every row. A read finds the rows whose drive
+//! changed (32 at a time), moves their entries from the old sign pass's
+//! count lanes to the new one's, re-converts only the columns whose
+//! counts moved, and hands out every column's kept terms in the sweep's
+//! order. A [`Coupling`] is symmetric, so column `i`'s entries are row
+//! `i`'s and the store is its own row-major index. The counts are
+//! integers and the conversion is a table lookup, so every output bit
+//! and every [`ActivityStats`] field equals a fresh sweep. When the moves
+//! would cost more count adds than a recount's share per sweep thread (a
+//! fresh drive, or a low bit plane whose bits churn), the read recounts:
+//! the sweep at its speed and fan-out, writing the counts it keeps. A
+//! plane costs its row drives, line counts and conversions, about 150
+//! bytes per column; the planes share one update scratch. An array that
+//! never makes a second full read — the in-situ anneal reads one
+//! calibration `vmv` — keeps nothing, and device-accurate reads, whose
+//! currents carry noise, always sweep.
+//!
+//! Converting a column's counts is a fixed-width loop: one match on the
+//! slice width `k` picks a loop over `k` slices with constant weights
+//! `2^b` and four independent (pass, plane) accumulators. Each
+//! accumulator adds in the order of the generic shift-and-add, which
+//! device-accurate reads keep, so the two agree bit for bit.
 //!
 //! ## Parallel sensing
 //!
@@ -256,8 +271,10 @@ pub struct TiledCrossbar {
     vbg_memo: (u64, f64),
     /// ADC slots of one sign pass of a read over every column group.
     full_read_slots: usize,
-    /// The last Ideal full read at factor 1, once there have been two.
-    full_reads: FullReads,
+    /// Per drive plane, grown on first use: the plane's last Ideal full
+    /// read at factor 1, once there have been two.
+    full_reads: Vec<FullReads>,
+    update_scratch: UpdateScratch,
     sensing: SensingMode,
     stats: ActivityStats,
 }
@@ -380,14 +397,42 @@ fn shift_add<T: Copy>(
 
 /// The Ideal conversion of one column group's line counts: a line of `c`
 /// conducting cells converts to `levels[c]`. Every Ideal read, swept or
-/// differential, converts through here.
+/// differential, converts through here, at the slice width `k` the one
+/// match picks.
 fn convert_counts(counts: &LineCounts, levels: &[f64], k: usize) -> ColumnRead {
+    match k {
+        1 => convert_slices::<1>(counts, levels),
+        2 => convert_slices::<2>(counts, levels),
+        3 => convert_slices::<3>(counts, levels),
+        4 => convert_slices::<4>(counts, levels),
+        5 => convert_slices::<5>(counts, levels),
+        6 => convert_slices::<6>(counts, levels),
+        7 => convert_slices::<7>(counts, levels),
+        8 => convert_slices::<8>(counts, levels),
+        _ => unreachable!("programming checks quant_bits in 1..=8"),
+    }
+}
+
+/// [`shift_add`] over `K` slices of counts: the four (pass, plane)
+/// accumulators are independent, so each slice's four lookups overlap,
+/// and each accumulator adds `2^b · levels[count]` for `b = 0..K` in
+/// the order `shift_add` does, which keeps every bit.
+fn convert_slices<const K: usize>(counts: &LineCounts, levels: &[f64]) -> ColumnRead {
+    let mut sums = [[0.0f64; 2]; 2];
     let mut cells = 0u64;
-    let lines = shift_add(counts, k, |count| {
-        cells += u64::from(count);
-        levels[count as usize]
-    });
-    ColumnRead { lines, cells }
+    for b in 0..K {
+        let weight = (1u64 << b) as f64;
+        for (sums, lines) in sums.iter_mut().zip(counts) {
+            for (sum, line) in sums.iter_mut().zip(lines) {
+                cells += u64::from(line[b]);
+                *sum += weight * levels[line[b] as usize];
+            }
+        }
+    }
+    ColumnRead {
+        lines: sums.map(|[pos, neg]| pos - neg),
+        cells,
+    }
 }
 
 /// Hand every sensed column's weighted term to `sink` in the sequential
@@ -406,8 +451,8 @@ fn emit<'c>(
     columns.map(|(_, column)| column.cells).sum()
 }
 
-/// What an Ideal array keeps of its full reads at factor 1 (see the
-/// module docs, "Full reads are differential").
+/// What an Ideal array keeps of its full reads at factor 1 on one drive
+/// plane (see the module docs, "Full reads are differential").
 #[derive(Debug, Clone, Default)]
 enum FullReads {
     /// No full read yet.
@@ -426,9 +471,13 @@ struct KeptRead {
     rows: Vec<i8>,
     counts: Vec<LineCounts>,
     columns: Vec<ColumnRead>,
-    /// Update scratch: the rows whose drive changed, whether each
-    /// column's counts moved, and those columns in the order they first
-    /// moved.
+}
+
+/// The scratch of an update, shared by every plane's kept read: the rows
+/// whose drive changed, whether each column's counts moved, and those
+/// columns in the order they first moved.
+#[derive(Debug, Clone, Default)]
+struct UpdateScratch {
     changed_rows: Vec<usize>,
     dirty: Vec<bool>,
     dirty_columns: Vec<usize>,
@@ -448,6 +497,8 @@ struct Read<'a> {
     weights: Option<&'a [i8]>,
     /// Back-gate annealing factor.
     factor: f64,
+    /// The drive plane whose kept full read serves the read.
+    plane: usize,
     /// Whether the stripes' partial sums meet in one cross-stripe
     /// digital adder (the scalar reads).
     cross_stripe_sum: bool,
@@ -633,7 +684,8 @@ impl TiledCrossbar {
             read_ordinal: 0,
             vbg_memo,
             full_read_slots: 0,
-            full_reads: FullReads::None,
+            full_reads: Vec::new(),
+            update_scratch: UpdateScratch::default(),
             sensing: SensingMode::default(),
             stats: ActivityStats::new(),
         };
@@ -729,6 +781,7 @@ impl TiledCrossbar {
                 active: &active,
                 weights: Some(sigma_c),
                 factor,
+                plane: 0,
                 cross_stripe_sum: true,
                 buffer_writes: 1,
             },
@@ -758,6 +811,7 @@ impl TiledCrossbar {
                 active: &active,
                 weights: Some(sigma),
                 factor: 1.0,
+                plane: 0,
                 cross_stripe_sum: true,
                 buffer_writes: 1,
             },
@@ -784,6 +838,21 @@ impl TiledCrossbar {
     ///
     /// Panics if `sigma.len()` differs from the array dimension.
     pub fn mvm(&mut self, sigma: &[i8]) -> Vec<f64> {
+        self.mvm_plane(sigma, 0)
+    }
+
+    /// [`TiledCrossbar::mvm`] as plane `plane` of a bit-serial drive: the
+    /// same read, outputs and accounting, but an Ideal array keeps it as
+    /// that plane's full read, so the next read of the plane pays only
+    /// for the rows whose drive changed since then (module docs, "Full
+    /// reads are differential"). `mvm`, `vmv` and full incremental reads
+    /// keep plane 0. Each plane in use keeps its own read, `n` row
+    /// drives and `n` columns of line counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigma.len()` differs from the array dimension.
+    pub fn mvm_plane(&mut self, sigma: &[i8], plane: usize) -> Vec<f64> {
         let n = self.dimension();
         assert_eq!(sigma.len(), n, "sigma length mismatch");
         let active: Vec<usize> = (0..n).collect();
@@ -794,6 +863,7 @@ impl TiledCrossbar {
                 active: &active,
                 weights: None,
                 factor: 1.0,
+                plane,
                 cross_stripe_sum: false,
                 buffer_writes: n as u64,
             },
@@ -877,6 +947,7 @@ impl TiledCrossbar {
             active,
             weights,
             factor,
+            plane,
             ..
         } = read;
         let device = (self.config.fidelity == Fidelity::DeviceAccurate)
@@ -891,9 +962,9 @@ impl TiledCrossbar {
 
         let weight = |j: usize| weights.map_or(1.0, |w| f64::from(w[j]));
         let full = device.is_none() && factor == 1.0 && active.len() == self.n;
-        let kept = full && self.refresh_full_read(rows, &stripes);
-        let cells = match &self.full_reads {
-            FullReads::Kept(read) if kept => emit(
+        let kept = full && self.refresh_full_read(rows, plane, &stripes);
+        let cells = match self.full_reads.get(plane) {
+            Some(FullReads::Kept(read)) if kept => emit(
                 (0..self.n)
                     .filter(|&j| weight(j) != 0.0)
                     .map(|j| (j, &read.columns[j])),
@@ -1072,19 +1143,23 @@ impl TiledCrossbar {
         wanted && rayon::current_num_threads() > 1
     }
 
-    /// Bring the kept full read up to the drive `rows` (an Ideal read of
-    /// every column group at factor 1), or return `false` when the array
-    /// keeps none and the read sweeps: its first full read. The second
-    /// full read recounts into a fresh kept read; later ones update it,
-    /// or recount when that is cheaper.
+    /// Bring plane `plane`'s kept full read up to the drive `rows` (an
+    /// Ideal read of every column group at factor 1), or return `false`
+    /// when the plane keeps none and the read sweeps: the plane's first
+    /// full read. Its second full read recounts into a fresh kept read;
+    /// later ones update it, or recount when that is cheaper.
     fn refresh_full_read(
         &mut self,
         rows: &[i8],
+        plane: usize,
         stripes: &[(usize, std::ops::Range<usize>)],
     ) -> bool {
-        let kept = match std::mem::take(&mut self.full_reads) {
+        if self.full_reads.len() <= plane {
+            self.full_reads.resize_with(plane + 1, FullReads::default);
+        }
+        let kept = match std::mem::take(&mut self.full_reads[plane]) {
             FullReads::None => {
-                self.full_reads = FullReads::One;
+                self.full_reads[plane] = FullReads::One;
                 return false;
             }
             FullReads::One => {
@@ -1096,21 +1171,20 @@ impl TiledCrossbar {
                     rows: vec![0; n],
                     counts: vec![LineCounts::default(); n],
                     columns: vec![ColumnRead::default(); n],
-                    changed_rows: Vec::new(),
-                    dirty: vec![false; n],
-                    dirty_columns: Vec::new(),
                 });
                 self.recount(rows, stripes, &mut kept);
                 kept
             }
             FullReads::Kept(mut kept) => {
-                if !self.update(rows, &mut kept) {
+                let mut scratch = std::mem::take(&mut self.update_scratch);
+                if !self.update(rows, &mut kept, &mut scratch) {
                     self.recount(rows, stripes, &mut kept);
                 }
+                self.update_scratch = scratch;
                 kept
             }
         };
-        self.full_reads = FullReads::Kept(kept);
+        self.full_reads[plane] = FullReads::Kept(kept);
         true
     }
 
@@ -1181,9 +1255,9 @@ impl TiledCrossbar {
     /// update op takes 2.7–3.4 ns and a sequential sweep entry 2.2–3.7 ns,
     /// and a dSB step (1.5 % of the rows flip) updates 5–10× faster than
     /// it recounts.
-    fn update(&self, rows: &[i8], kept: &mut KeptRead) -> bool {
+    fn update(&self, rows: &[i8], kept: &mut KeptRead, scratch: &mut UpdateScratch) -> bool {
         // Changed rows, found 32 at a time: one 32-byte compare per word.
-        kept.changed_rows.clear();
+        scratch.changed_rows.clear();
         let mut ops = 0;
         for (w, (new, old)) in rows.chunks(32).zip(kept.rows.chunks(32)).enumerate() {
             if new != old {
@@ -1193,7 +1267,7 @@ impl TiledCrossbar {
                         DRIVE_CODE[usize::from(b as u8)],
                     );
                     if to != from {
-                        kept.changed_rows.push(i);
+                        scratch.changed_rows.push(i);
                         let lanes = usize::from(from != UNDRIVEN) + usize::from(to != UNDRIVEN);
                         ops += lanes * self.column(i).len();
                     }
@@ -1208,7 +1282,8 @@ impl TiledCrossbar {
         if ops * recount_threads > self.cells.len() {
             return false;
         }
-        for &i in &kept.changed_rows {
+        scratch.dirty.resize(self.n, false);
+        for &i in &scratch.changed_rows {
             let (old, new) = (drive(&kept.rows, i), drive(rows, i));
             for cell in &self.cells[self.column(i)] {
                 let j = cell.row as usize;
@@ -1226,15 +1301,15 @@ impl TiledCrossbar {
                         *count += slice;
                     }
                 }
-                if !std::mem::replace(&mut kept.dirty[j], true) {
-                    kept.dirty_columns.push(j);
+                if !std::mem::replace(&mut scratch.dirty[j], true) {
+                    scratch.dirty_columns.push(j);
                 }
             }
         }
         kept.rows.copy_from_slice(rows);
         let k = self.config.quant_bits as usize;
-        for j in kept.dirty_columns.drain(..) {
-            kept.dirty[j] = false;
+        for j in scratch.dirty_columns.drain(..) {
+            scratch.dirty[j] = false;
             kept.columns[j] = convert_counts(&kept.counts[j], &self.unit_levels, k);
         }
         true
@@ -2037,22 +2112,81 @@ mod tests {
         let s_new = s.flipped_by(&mask);
         let (r, c) = (s_new.rest_vector(&mask), s_new.changed_vector(&mask));
         // The first full read keeps nothing, partial reads never count,
-        // the second full read keeps its line counts.
+        // the second full read keeps its line counts — all on plane 0.
         let mut xb = monolithic(&m, config(4));
         let _ = xb.vmv(s.as_slice());
-        assert!(matches!(xb.full_reads, FullReads::One));
+        assert!(matches!(xb.full_reads[..], [FullReads::One]));
         let _ = xb.incremental_form(&r, &c, 1.0);
-        assert!(matches!(xb.full_reads, FullReads::One));
+        assert!(matches!(xb.full_reads[..], [FullReads::One]));
         let _ = xb.mvm(s.as_slice());
-        assert!(matches!(xb.full_reads, FullReads::Kept(_)));
-        // Device-accurate arrays never keep a read.
+        assert!(matches!(xb.full_reads[..], [FullReads::Kept(_)]));
+        // Every other drive plane keeps its own read through the same
+        // steps, and a plane never read keeps nothing.
+        let flipped = s_new.as_slice();
+        let _ = xb.mvm_plane(flipped, 2);
+        assert!(matches!(
+            xb.full_reads[..],
+            [FullReads::Kept(_), FullReads::None, FullReads::One]
+        ));
+        let _ = xb.mvm_plane(flipped, 2);
+        let [FullReads::Kept(zero), FullReads::None, FullReads::Kept(two)] = &xb.full_reads[..]
+        else {
+            panic!("planes 0 and 2 keep a read, plane 1 none");
+        };
+        assert_eq!(zero.rows, s.as_slice());
+        assert_eq!(two.rows, flipped);
+        // A plane-0 read updates plane 0 only.
+        let _ = xb.vmv(flipped);
+        let [FullReads::Kept(zero), _, FullReads::Kept(two)] = &xb.full_reads[..] else {
+            panic!("planes 0 and 2 still keep a read");
+        };
+        assert_eq!(zero.rows, flipped);
+        assert_eq!(two.rows, flipped);
+        // Device-accurate arrays never keep a read, on any plane.
         let mut cfg = config(4);
         cfg.fidelity = Fidelity::DeviceAccurate;
         let mut device = monolithic(&m, cfg);
-        for _ in 0..3 {
-            let _ = device.mvm(s.as_slice());
+        for plane in [0, 1, 3] {
+            for _ in 0..3 {
+                let _ = device.mvm_plane(s.as_slice(), plane);
+            }
         }
-        assert!(matches!(device.full_reads, FullReads::None));
+        let _ = device.vmv(s.as_slice());
+        assert!(device.full_reads.is_empty());
+    }
+
+    /// Random line counts as an array of `n` rows could hold them.
+    fn random_counts(rng: &mut StdRng, n: u32) -> LineCounts {
+        use rand::Rng;
+        [0, 1].map(|_| [0, 1].map(|_| [0; 8].map(|_: u32| rng.gen_range(0..=n))))
+    }
+
+    #[test]
+    fn fixed_width_conversion_equals_the_shift_add_reference() {
+        let mut rng = StdRng::seed_from_u64(47);
+        for n in [1usize, 7, 300, 4000] {
+            use rand::Rng;
+            let adc = SarAdc::new(13, n as f64);
+            let quantized: Vec<f64> = (0..=n).map(|c| adc.quantize(c as f64)).collect();
+            let arbitrary: Vec<f64> = (0..=n).map(|_| rng.gen_range(-1e3..1e3)).collect();
+            for (k, levels) in (1..=8).flat_map(|k| [(k, &quantized), (k, &arbitrary)]) {
+                for _ in 0..500 {
+                    let counts = random_counts(&mut rng, n as u32);
+                    let mut cells = 0u64;
+                    let lines = shift_add(&counts, k, |count| {
+                        cells += u64::from(count);
+                        levels[count as usize]
+                    });
+                    let got = convert_counts(&counts, levels, k);
+                    assert_eq!(
+                        got.lines.map(f64::to_bits),
+                        lines.map(f64::to_bits),
+                        "k={k}"
+                    );
+                    assert_eq!(got.cells, cells, "k={k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -92,7 +92,9 @@ impl<C: Coupling + ?Sized> MvmSource for ExactMvm<'_, C> {
 /// Crossbar-backed coupling product: every product is a
 /// [`TiledCrossbar::mvm`] read of a programmed array (one tile for the
 /// monolithic case), so quantization, ADC behaviour, fidelity modes and
-/// activity accounting all come from the simulated hardware.
+/// activity accounting all come from the simulated hardware. Input bit
+/// `b` of the bit-serial drive reads through
+/// [`TiledCrossbar::mvm_plane`] slot `b`.
 #[derive(Debug)]
 pub struct DeviceMvm {
     array: TiledCrossbar,
@@ -161,7 +163,9 @@ impl MvmSource for DeviceMvm {
                     }
                 })
                 .collect();
-            let partial = self.array.mvm(&plane);
+            // Plane `b` keeps its own full read, so an Ideal array pays
+            // only for the rows whose bit `b` changed since the last step.
+            let partial = self.array.mvm_plane(&plane, usize::from(b));
             let weight = (1u64 << b) as f64 / levels as f64;
             for (acc, term) in out.iter_mut().zip(partial) {
                 *acc += weight * term;

@@ -769,6 +769,13 @@ impl Scheduler {
         lock(&self.core.queue).open_jobs
     }
 
+    /// Weak references to the jobs submitted and not yet finalized, in
+    /// id order, so a test can see when the last holder drops a job.
+    #[cfg(test)]
+    pub(crate) fn open_job_refs(&self) -> Vec<std::sync::Weak<Job>> {
+        lock(&self.core.jobs).values().map(Arc::downgrade).collect()
+    }
+
     /// Statistics of every live grid, smallest tile height first.
     pub fn grid_stats(&self) -> Vec<LiveGridStats> {
         lock(&self.core.grids).stats()

@@ -34,6 +34,14 @@
 //! and the line is answered like an unparsable one, with a `Failed`
 //! line for id `line-N`.
 //!
+//! A connection answers `Status`, `Progress` and `Cancel` for every id
+//! it submitted, for as long as it is open, but it does not keep a
+//! settled job alive for that. Each waiter thread, having written its
+//! job's terminal line, reports the id on a per-connection channel.
+//! Before each request line the connection drains the channel, joins
+//! the reported waiters, and keeps of each settled job only the status
+//! and progress its queries keep answering.
+//!
 //! A connection's jobs keep running after the client stops sending;
 //! the server half-closes only after every job submitted on that
 //! connection has been answered. Combined with a journal
@@ -46,6 +54,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -54,7 +63,7 @@ use crate::jsonl::{
     self, CappedLine, JsonlSummary, RequestLine, ResponseLine, MAX_REQUEST_LINE_BYTES,
 };
 use crate::scheduler::{lock, Scheduler, SchedulerConfig};
-use crate::JobHandle;
+use crate::{JobHandle, JobProgress, JobStatus};
 
 /// Configuration of a [`TcpServer`].
 #[derive(Debug, Clone, Default)]
@@ -261,16 +270,70 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
     }
 }
 
+/// One response line as it goes on the wire: the JSON and its `\n`,
+/// written with one `write_all` (a separate `\n` write would be a
+/// second segment; see the module doc).
+fn encode(line: &ResponseLine) -> String {
+    // audit:allow(panic-path): ResponseLine is plain structs/enums with string keys throughout, so serialization is infallible by construction
+    let mut json = serde_json::to_string(line).expect("response lines serialize");
+    json.push('\n');
+    json
+}
+
 /// Serialize and send one line; a failed write means the peer is gone,
 /// which is not the server's problem — jobs keep running (and, with a
 /// journal, stay replayable).
-fn send(writer: &Arc<Mutex<TcpStream>>, line: &ResponseLine) {
-    // audit:allow(panic-path): ResponseLine is plain structs/enums with string keys throughout, so serialization is infallible by construction
-    let mut json = serde_json::to_string(line).expect("response lines serialize");
-    // One write per line: a separate `\n` write would be a second
-    // segment (see the module doc).
-    json.push('\n');
+fn send(writer: &Mutex<TcpStream>, line: &ResponseLine) {
+    let json = encode(line);
     let _ = lock(writer).write_all(json.as_bytes());
+}
+
+/// [`send`] a waiter's terminal line, then report its id on `settled`
+/// before releasing the writer. Every later line waits for the writer,
+/// so a request line the client sends after reading any later line
+/// finds the report when the connection drains the channel.
+fn send_settled(writer: &Mutex<TcpStream>, line: &ResponseLine, settled: &Sender<String>) {
+    let json = encode(line);
+    let mut stream = lock(writer);
+    let _ = stream.write_all(json.as_bytes());
+    // The connection thread may have gone, and its receiver with it.
+    let _ = settled.send(line.id().to_string());
+}
+
+/// What a connection keeps of an id it submitted.
+enum Submitted {
+    /// The job has not settled, or its waiter has not reported yet.
+    Live(JobHandle),
+    /// The job settled: the status and progress its queries answer from
+    /// now on. Neither changes once a settled job has no trial in
+    /// flight.
+    Settled(JobStatus, JobProgress),
+}
+
+/// Join every waiter that reported on `settled` and keep of its job
+/// only what its queries answer, dropping the handle and with it the
+/// job's request and response. A trial that fails settles its job while
+/// sibling trials may still run, and their ends still move its progress;
+/// such a job keeps its handle.
+fn settle(
+    settled: &Receiver<String>,
+    waiters: &mut BTreeMap<String, JoinHandle<()>>,
+    registry: &mut HashMap<String, Submitted>,
+) {
+    for id in settled.try_iter() {
+        if let Some(waiter) = waiters.remove(&id) {
+            let _ = waiter.join();
+        }
+        let Some(entry) = registry.get_mut(&id) else {
+            continue;
+        };
+        if let Submitted::Live(handle) = entry {
+            let (status, progress) = (handle.status(), handle.progress());
+            if progress.in_flight == 0 {
+                *entry = Submitted::Settled(status, progress);
+            }
+        }
+    }
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
@@ -278,19 +341,23 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
         return;
     };
     let writer = Arc::new(Mutex::new(stream));
-    // Handles for ids this connection submitted, kept for the
-    // connection's lifetime so queries keep working after a job
-    // finishes. Duplicate detection is server-wide (`Shared::submitted`);
+    // Every id this connection submitted, kept for the connection's
+    // lifetime so queries keep working after a job finishes: the handle
+    // until the job settles, then what its queries answer. Duplicate
+    // detection is server-wide (`Shared::submitted`);
     // `Cancel`/`Status`/`Progress` remain scoped to the submitting
     // connection, which is the only place the handle lives.
-    let mut registry: HashMap<String, JobHandle> = HashMap::new();
+    let mut registry: HashMap<String, Submitted> = HashMap::new();
     // One waiter thread per submission delivers its terminal line the
-    // moment the job settles — completion order, not submission order.
-    let mut waiters: Vec<JoinHandle<()>> = Vec::new();
+    // moment the job settles — completion order, not submission order —
+    // and then reports its id on `settled`.
+    let mut waiters: BTreeMap<String, JoinHandle<()>> = BTreeMap::new();
+    let (settled_tx, settled) = mpsc::channel();
     let mut reader = BufReader::new(read_half);
     let mut line_no = 0;
     while let Ok(Some(line)) = jsonl::read_capped_line(&mut reader, MAX_REQUEST_LINE_BYTES) {
         line_no += 1;
+        settle(&settled, &mut waiters, &mut registry);
         // Streaming cannot abort the whole stream on one bad line
         // (peers' jobs are already running): synthesize an id and keep
         // serving.
@@ -369,15 +436,17 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
                 let handle = shared.scheduler.submit_named(Some(&id), request, options);
                 submitted.insert(id.clone());
                 drop(submitted);
-                registry.insert(id.clone(), handle.clone());
-                let writer = Arc::clone(&writer);
-                waiters.push(
+                registry.insert(id.clone(), Submitted::Live(handle.clone()));
+                let (writer, settled) = (Arc::clone(&writer), settled_tx.clone());
+                waiters.insert(
+                    id.clone(),
                     std::thread::Builder::new()
                         .name("fecim-serve-waiter".into())
                         .spawn(move || {
                             let outcome = handle.wait();
                             let mut tally = JsonlSummary::default();
-                            send(&writer, &jsonl::terminal_line(id, outcome, &mut tally));
+                            let line = jsonl::terminal_line(id, outcome, &mut tally);
+                            send_settled(&writer, &line, &settled);
                         })
                         // audit:allow(panic-path): thread spawn fails only on OS resource exhaustion; the job is already submitted and journaled, so limping on without a waiter would silently swallow its terminal line
                         .expect("spawn waiter thread"),
@@ -416,9 +485,10 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
                 }
                 submitted.insert(id.clone());
                 drop(submitted);
-                let writer = Arc::clone(&writer);
+                let (writer, settled) = (Arc::clone(&writer), settled_tx.clone());
                 let shared = Arc::clone(shared);
-                waiters.push(
+                waiters.insert(
+                    id.clone(),
                     std::thread::Builder::new()
                         .name("fecim-serve-campaign".into())
                         .spawn(move || {
@@ -430,7 +500,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
                                         error: e.to_string(),
                                     },
                                 };
-                            send(&writer, &response);
+                            send_settled(&writer, &response, &settled);
                         })
                         // audit:allow(panic-path): thread spawn fails only on OS resource exhaustion; the id is already burned in `submitted`, so limping on would silently swallow the campaign's response
                         .expect("spawn campaign thread"),
@@ -439,9 +509,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
             RequestLine::Cancel { id } => match registry.get(&id) {
                 // The job's terminal line (Cancelled, or Completed if
                 // the cancel lost the race) is the response.
-                Some(handle) => {
+                Some(Submitted::Live(handle)) => {
                     handle.cancel();
                 }
+                // That line is already out.
+                Some(Submitted::Settled(..)) => {}
                 None => send(
                     &writer,
                     &ResponseLine::Failed {
@@ -452,10 +524,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
             },
             RequestLine::Status { id } => {
                 let response = match registry.get(&id) {
-                    Some(handle) => ResponseLine::Status {
+                    Some(Submitted::Live(handle)) => ResponseLine::Status {
                         id,
                         status: handle.status(),
                     },
+                    Some(&Submitted::Settled(status, _)) => ResponseLine::Status { id, status },
                     None => ResponseLine::Failed {
                         error: format!("status for unknown id `{id}`"),
                         id,
@@ -465,10 +538,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
             }
             RequestLine::Progress { id } => {
                 let response = match registry.get(&id) {
-                    Some(handle) => ResponseLine::Progress {
+                    Some(Submitted::Live(handle)) => ResponseLine::Progress {
                         id,
                         progress: handle.progress(),
                     },
+                    Some(&Submitted::Settled(_, progress)) => {
+                        ResponseLine::Progress { id, progress }
+                    }
                     None => ResponseLine::Failed {
                         error: format!("progress for unknown id `{id}`"),
                         id,
@@ -480,7 +556,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
     }
     // Client closed its write side (or the connection died): deliver
     // what is still in flight, then let the socket close.
-    for waiter in waiters {
+    for waiter in waiters.into_values() {
         let _ = waiter.join();
     }
     // Drop the shutdown registry's clone along with the locals below,
@@ -532,4 +608,206 @@ pub fn drive(
         .join()
         .map_err(|_| std::io::Error::other("request sender thread panicked"))??;
     Ok(received)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SubmitOptions;
+    use fecim::{CimAnnealer, ProblemSpec, RunPlan, SolveRequest, SolverSpec};
+
+    fn ring(n: usize, iterations: usize, trials: usize) -> SolveRequest {
+        SolveRequest::new(
+            ProblemSpec::MaxCut {
+                vertices: n,
+                edges: (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect(),
+            },
+            SolverSpec::Cim(CimAnnealer::new(iterations).with_flips(1)),
+        )
+        .with_run(RunPlan::Ensemble {
+            trials,
+            base_seed: 3,
+            threads: None,
+        })
+    }
+
+    fn submit(id: &str, request: SolveRequest) -> RequestLine {
+        RequestLine::Submit {
+            id: id.into(),
+            request,
+            options: SubmitOptions::default(),
+        }
+    }
+
+    /// A client of one connection: request lines out, response lines in.
+    struct Client {
+        out: TcpStream,
+        lines: std::io::Lines<BufReader<TcpStream>>,
+    }
+
+    impl Client {
+        fn send(&mut self, line: &RequestLine) {
+            let json = serde_json::to_string(line).unwrap();
+            self.out.write_all(format!("{json}\n").as_bytes()).unwrap();
+        }
+
+        fn recv(&mut self) -> String {
+            self.lines.next().unwrap().unwrap()
+        }
+
+        fn recv_terminal(&mut self, count: usize) -> HashMap<String, ResponseLine> {
+            (0..count)
+                .map(|_| {
+                    let line: ResponseLine = serde_json::from_str(&self.recv()).unwrap();
+                    (line.id().to_string(), line)
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn settled_jobs_answer_queries_as_before_and_are_dropped() {
+        // One worker, paused until every job is queued, so the test can
+        // take a weak reference to each job before it runs.
+        let config = TcpServerConfig {
+            scheduler: SchedulerConfig {
+                paused: true,
+                ..SchedulerConfig::workers(1)
+            },
+            max_open_jobs: None,
+        };
+        let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut client = Client {
+            out: stream.try_clone().unwrap(),
+            lines: BufReader::new(stream).lines(),
+        };
+        client.send(&submit("a", ring(10, 200, 2)));
+        client.send(&submit("b", ring(12, 200, 1)));
+        client.send(&submit("c", ring(12, 200, 3)));
+        client.send(&RequestLine::Status { id: "a".into() });
+        let queued = ResponseLine::Status {
+            id: "a".into(),
+            status: JobStatus::Queued,
+        };
+        assert_eq!(client.recv(), serde_json::to_string(&queued).unwrap());
+        let jobs = server.shared.scheduler.open_job_refs();
+        assert_eq!(jobs.len(), 3);
+
+        // `c` is cancelled before it runs: the cancel settles it at once,
+        // and its terminal line races the answer to a query about it.
+        client.send(&RequestLine::Cancel { id: "c".into() });
+        client.send(&RequestLine::Status { id: "c".into() });
+        let cancelled = ResponseLine::Status {
+            id: "c".into(),
+            status: JobStatus::Cancelled,
+        };
+        let mut lines = [client.recv(), client.recv()];
+        lines.sort_by_key(|line| *line != serde_json::to_string(&cancelled).unwrap());
+        assert_eq!(lines[0], serde_json::to_string(&cancelled).unwrap());
+        let terminal: ResponseLine = serde_json::from_str(&lines[1]).unwrap();
+        assert!(matches!(terminal, ResponseLine::Cancelled { ref id, .. } if id == "c"));
+
+        // `a` and `b` complete.
+        server.shared.scheduler.resume();
+        let terminal = client.recv_terminal(2);
+        let ResponseLine::Completed { response, .. } = &terminal["a"] else {
+            panic!("a completes: {:?}", terminal["a"]);
+        };
+        let best_a = response
+            .reports
+            .iter()
+            .map(|r| r.best_energy)
+            .reduce(f64::min);
+        let ResponseLine::Completed { response, .. } = &terminal["b"] else {
+            panic!("b completes: {:?}", terminal["b"]);
+        };
+        let best_b = Some(response.reports[0].best_energy);
+
+        // The one worker runs `z` only after it let go of the others, and
+        // `z`'s line is written only after their waiters reported, so the
+        // next request line finds every report.
+        client.send(&submit("z", ring(8, 50, 1)));
+        assert!(matches!(
+            client.recv_terminal(1)["z"],
+            ResponseLine::Completed { .. }
+        ));
+
+        let progress = |done, total, best_energy| JobProgress {
+            trials_completed: done,
+            trials_total: total,
+            in_flight: 0,
+            best_energy,
+        };
+        let asked_and_answered = [
+            (
+                RequestLine::Status { id: "a".into() },
+                Some(ResponseLine::Status {
+                    id: "a".into(),
+                    status: JobStatus::Completed,
+                }),
+            ),
+            (
+                RequestLine::Progress { id: "a".into() },
+                Some(ResponseLine::Progress {
+                    id: "a".into(),
+                    progress: progress(2, 2, best_a),
+                }),
+            ),
+            // A cancel of a settled job answers nothing.
+            (RequestLine::Cancel { id: "a".into() }, None),
+            (
+                submit("a", ring(10, 200, 2)),
+                Some(ResponseLine::Failed {
+                    id: "a".into(),
+                    error: "duplicate submission id `a`".into(),
+                }),
+            ),
+            (
+                RequestLine::Progress { id: "b".into() },
+                Some(ResponseLine::Progress {
+                    id: "b".into(),
+                    progress: progress(1, 1, best_b),
+                }),
+            ),
+            (
+                RequestLine::Status { id: "c".into() },
+                Some(ResponseLine::Status {
+                    id: "c".into(),
+                    status: JobStatus::Cancelled,
+                }),
+            ),
+            (
+                RequestLine::Progress { id: "c".into() },
+                Some(ResponseLine::Progress {
+                    id: "c".into(),
+                    progress: progress(0, 3, None),
+                }),
+            ),
+            (RequestLine::Cancel { id: "c".into() }, None),
+            (
+                RequestLine::Status { id: "b".into() },
+                Some(ResponseLine::Status {
+                    id: "b".into(),
+                    status: JobStatus::Completed,
+                }),
+            ),
+        ];
+        for (request, _) in &asked_and_answered {
+            client.send(request);
+        }
+        for (request, answer) in asked_and_answered {
+            if let Some(answer) = answer {
+                let want = serde_json::to_string(&answer).unwrap();
+                assert_eq!(client.recv(), want, "answer to {request:?}");
+            }
+        }
+        // Nothing holds the settled jobs any more: not the connection,
+        // not their joined waiters, not the worker or the queue.
+        for (job, id) in jobs.iter().zip(["a", "b", "c"]) {
+            assert!(job.upgrade().is_none(), "job `{id}` is still held");
+        }
+        drop(client);
+        server.shutdown();
+    }
 }

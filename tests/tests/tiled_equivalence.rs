@@ -19,7 +19,10 @@
 //! of reads on one long-lived array — drives that change no row, a few,
 //! half or all of them — against the oracle and against a fresh array's
 //! `ActivityStats`, and reads a star whose hub column carries more
-//! conducting cells on one line than a 16-bit counter holds.
+//! conducting cells on one line than a 16-bit counter holds. The bSB
+//! bit-serial drive (`DeviceMvm::mvm_continuous`) keeps one such read
+//! per input bit plane; evolving positions at 1, 4 and 8 input bits must
+//! read like fresh arrays at every step.
 
 mod oracle;
 
@@ -32,6 +35,7 @@ use fecim_crossbar::{
 use fecim_device::VariationConfig;
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{CsrCoupling, DenseCoupling, FlipMask, SpinVector};
+use fecim_sb::{DeviceMvm, MvmSource};
 use oracle::Oracle;
 use rand::{Rng, SeedableRng};
 
@@ -247,6 +251,58 @@ proptest! {
                 prop_assert_eq!(&got, &expected, "oracle {}", label);
                 prop_assert_eq!(&got, &fresh, "fresh {}", label);
                 prop_assert_eq!(stats, fresh_stats, "stats {}", label);
+            }
+        }
+    }
+}
+
+#[test]
+fn bit_serial_drives_keep_one_read_per_plane_and_read_like_fresh_arrays() {
+    // bSB drives one sign plane per input bit, and each plane keeps its
+    // own full read. Positions drift a little every step, so low bit
+    // planes churn while high ones barely move, and now and then a third
+    // of them jump, so planes both update and recount. Every step's
+    // product and activity must equal a freshly programmed array's,
+    // whose every plane sweeps.
+    let n = 150;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(51);
+    let mut triplets = Vec::new();
+    for _ in 0..6 * n {
+        let (i, j): (usize, usize) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if i != j {
+            triplets.push((i.min(j), i.max(j), rng.gen_range(-1.0..1.0)));
+        }
+    }
+    let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
+    for in_bits in [1u8, 4, 8] {
+        for (tile_rows, mode) in [
+            (n, SensingMode::Auto),
+            (40, SensingMode::Auto),
+            (40, SensingMode::Parallel),
+        ] {
+            let program = || {
+                TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), tile_rows)
+                    .with_sensing_mode(mode)
+            };
+            let mut kept = DeviceMvm::new(program(), in_bits);
+            let mut fresh_activity = ActivityStats::new();
+            let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0f64..=1.0)).collect();
+            for step in 0..24 {
+                for v in &mut x {
+                    *v = (*v + rng.gen_range(-0.02f64..0.02)).clamp(-1.0, 1.0);
+                }
+                if step % 8 == 7 {
+                    for _ in 0..n / 3 {
+                        x[rng.gen_range(0..n)] = rng.gen_range(-1.0f64..=1.0);
+                    }
+                }
+                let got = kept.mvm_continuous(&x);
+                let mut fresh = DeviceMvm::new(program(), in_bits);
+                let want = fresh.mvm_continuous(&x);
+                let label = format!("in_bits={in_bits} tile_rows={tile_rows} {mode:?} step={step}");
+                assert_eq!(bits(&got), bits(&want), "{label}");
+                fresh_activity.merge(&fresh.activity().unwrap());
+                assert_eq!(kept.activity().unwrap(), fresh_activity, "{label}");
             }
         }
     }
