@@ -300,7 +300,7 @@ mod tests {
         let init = SpinVector::random(24, &mut rng);
         let cfg = CrossbarConfig::paper_defaults();
         let mut mono = TiledBackend::new(&j, init.clone(), cfg.clone(), 24);
-        assert_eq!(mono.tiled().tile_count(), 1);
+        assert_eq!(mono.tiled().tile_grid(), (1, 1));
         let mut tiled = TiledBackend::new(&j, init, cfg, 7);
         assert_eq!(tiled.tiled().tile_grid(), (4, 4));
         for _ in 0..5 {

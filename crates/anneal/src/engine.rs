@@ -39,7 +39,7 @@ pub enum Acceptance {
 impl Acceptance {
     /// Probability of accepting an uphill move of `de > 0` at temperature
     /// `t`.
-    pub fn uphill_probability(self, de: f64, t: f64) -> f64 {
+    fn uphill_probability(self, de: f64, t: f64) -> f64 {
         if t <= 0.0 {
             return 0.0;
         }

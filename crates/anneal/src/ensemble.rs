@@ -53,6 +53,7 @@ impl Ensemble {
     }
 
     /// The per-trial seeds, in trial order.
+    // audit:allow(dead-pub): test seam: ensemble_determinism checks `run` against a hand-rolled loop over these seeds
     pub fn seeds(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.trials as u64).map(move |i| self.base_seed.wrapping_add(i))
     }
@@ -94,6 +95,7 @@ impl Ensemble {
     }
 
     /// [`Ensemble::run`], additionally handing `run_fn` the trial index.
+    // audit:allow(dead-pub): test seam: batched_parallel_equivalence runs one indexed instance per trial
     pub fn run_indexed<T, F>(&self, run_fn: F) -> Vec<T>
     where
         T: Send,

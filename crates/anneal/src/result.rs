@@ -32,16 +32,6 @@ pub struct RunResult {
     pub activity: Option<ActivityStats>,
 }
 
-impl RunResult {
-    /// Acceptance ratio over the run.
-    pub fn acceptance_ratio(&self) -> f64 {
-        if self.iterations == 0 {
-            return 0.0;
-        }
-        self.accepted as f64 / self.iterations as f64
-    }
-}
-
 /// The run bookkeeping every engine shares: the accepted count, the best
 /// state (replaced on strict improvement only), the first iteration whose
 /// best energy reaches the target, and the sampled trace.
@@ -191,21 +181,5 @@ mod tests {
     #[should_panic(expected = "zero values")]
     fn aggregate_rejects_empty() {
         let _ = Aggregate::of(&[]);
-    }
-
-    #[test]
-    fn acceptance_ratio_handles_zero_iterations() {
-        let r = RunResult {
-            iterations: 0,
-            accepted: 0,
-            final_energy: 0.0,
-            final_spins: SpinVector::all_up(1),
-            best_energy: 0.0,
-            best_spins: SpinVector::all_up(1),
-            first_target_hit: None,
-            trace: Trace::new(),
-            activity: None,
-        };
-        assert_eq!(r.acceptance_ratio(), 0.0);
     }
 }

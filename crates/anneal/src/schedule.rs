@@ -121,16 +121,6 @@ impl SteppedSchedule {
     pub fn paper(total_iterations: usize) -> SteppedSchedule {
         SteppedSchedule::over_iterations(700.0, 70, total_iterations)
     }
-
-    /// Iterations spent on each temperature plateau.
-    pub fn hold_iterations(&self) -> usize {
-        self.hold
-    }
-
-    /// Number of descending levels (plateau count minus one).
-    pub fn level_count(&self) -> usize {
-        self.levels
-    }
 }
 
 impl Schedule for SteppedSchedule {
@@ -219,7 +209,7 @@ mod tests {
         let s = SteppedSchedule::paper(710);
         assert_eq!(s.temperature(0), 700.0);
         // hold = 710/71 = 10 iterations per level.
-        assert_eq!(s.hold_iterations(), 10);
+        assert_eq!(s.hold, 10);
         assert_eq!(s.temperature(9), 700.0, "plateau holds");
         assert!((s.temperature(10) - 690.0).abs() < 1e-9, "one 0.01V step");
         assert_eq!(s.temperature(700), 0.0);

@@ -63,18 +63,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Render as CSV (`iteration,energy,best_energy,temperature,accepted`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("iteration,energy,best_energy,temperature,accepted\n");
-        for p in &self.points {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                p.iteration, p.energy, p.best_energy, p.temperature, p.accepted as u8
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -108,15 +96,6 @@ mod tests {
         }
         let iters: Vec<usize> = t.points().iter().map(|p| p.iteration).collect();
         assert_eq!(iters, vec![0, 3, 6, 9]);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut t = Trace::new();
-        t.record(TraceMode::Every(5), pt(5));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("iteration,"));
-        assert!(csv.contains("5,-1,-2,0.5,1"));
     }
 
     #[test]

@@ -29,6 +29,14 @@ pub struct Waiver {
     pub malformed: bool,
 }
 
+impl Waiver {
+    /// Whether this waiver excuses a finding of `rule` on `line`: it names
+    /// the rule and sits on that line or the line directly above.
+    pub fn covers(&self, rule: &str, line: usize) -> bool {
+        !self.malformed && self.rule == rule && (self.line == line || self.line + 1 == line)
+    }
+}
+
 /// Result of scrubbing a source file.
 #[derive(Debug, Clone)]
 pub struct Scrubbed {
@@ -43,7 +51,7 @@ fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
 }
 
-fn blank(out: &mut [u8], start: usize, end: usize) {
+pub(crate) fn blank(out: &mut [u8], start: usize, end: usize) {
     let end = end.min(out.len());
     for slot in out.iter_mut().take(end).skip(start) {
         if *slot != b'\n' {
@@ -200,8 +208,9 @@ fn scrub_raw_or_byte(bytes: &[u8], out: &mut [u8], i: usize, line: &mut usize) -
 fn scrub_char_or_lifetime(bytes: &[u8], out: &mut [u8], i: usize) -> usize {
     match bytes.get(i + 1) {
         Some(b'\\') => {
-            // Escaped char literal: '\n', '\'', '\u{1F600}'.
-            let mut k = i + 2;
+            // Escaped char literal: '\n', '\'', '\\', '\u{1F600}'. The
+            // escaped character itself (`i + 2`) never closes the literal.
+            let mut k = i + 3;
             while k < bytes.len() {
                 match bytes[k] {
                     b'\\' => k += 2,
@@ -336,36 +345,69 @@ fn matching(bytes: &[u8], open: usize, lhs: u8, rhs: u8) -> Option<usize> {
     None
 }
 
-fn has_word(text: &str, word: &str) -> bool {
-    let bytes = text.as_bytes();
-    let mut from = 0usize;
-    while let Some(rel) = text[from..].find(word) {
-        let at = from + rel;
-        let before_ok = at == 0 || !is_ident_byte(bytes[at - 1]);
-        let end = at + word.len();
-        let after_ok = end >= bytes.len() || !is_ident_byte(bytes[end]);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = at + word.len();
-    }
-    false
-}
-
 /// True when an attribute body (the text inside `#[...]`) gates the item
-/// to test builds: `cfg(test)`, `cfg(all(test, ...))`, `test`, `bench`.
-/// `cfg(not(test))` is *not* test-gated.
+/// to test builds: `test`, `bench`, or a `cfg(..)` whose predicate holds
+/// only under `test` (see [`test_only`]).
 fn is_test_gate(content: &str) -> bool {
-    let trimmed = content.trim_start();
+    let trimmed = content.trim();
     let ident: String = trimmed
         .chars()
         .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
         .collect();
     match ident.as_str() {
-        "cfg" => has_word(content, "test") && !has_word(content, "not"),
+        "cfg" => trimmed[3..]
+            .trim_start()
+            .strip_prefix('(')
+            .and_then(|rest| rest.trim_end().strip_suffix(')'))
+            .is_some_and(test_only),
         "test" | "bench" => true,
         _ => false,
     }
+}
+
+/// Whether a `cfg` predicate can hold only in test builds: `test` is;
+/// `all(..)` is when any arm is; `any(..)` only when every arm is;
+/// `not(..)` and every other predicate (`feature = ".."`) are not.
+fn test_only(pred: &str) -> bool {
+    let pred = pred.trim();
+    let head: String = pred
+        .chars()
+        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+        .collect();
+    let args = pred[head.len()..]
+        .trim_start()
+        .strip_prefix('(')
+        .and_then(|rest| rest.strip_suffix(')'));
+    match (head.as_str(), args) {
+        ("test", None) => pred == "test",
+        ("all", Some(args)) => cfg_arms(args).any(test_only),
+        ("any", Some(args)) => {
+            let mut arms = cfg_arms(args).peekable();
+            arms.peek().is_some() && arms.all(test_only)
+        }
+        _ => false,
+    }
+}
+
+/// The comma-separated arms of a `cfg` combinator's argument list,
+/// splitting only at parenthesis depth 0.
+fn cfg_arms(args: &str) -> impl Iterator<Item = &str> {
+    let mut depth = 0usize;
+    let mut start = 0usize;
+    let mut arms = Vec::new();
+    for (i, b) in args.bytes().enumerate() {
+        match b {
+            b'(' => depth += 1,
+            b')' => depth = depth.saturating_sub(1),
+            b',' if depth == 0 => {
+                arms.push(&args[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    arms.push(&args[start..]);
+    arms.into_iter().filter(|arm| !arm.trim().is_empty())
 }
 
 /// Given scrubbed code and the index just past a test-gating attribute's

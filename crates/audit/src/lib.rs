@@ -14,6 +14,9 @@
 //! * **R3 lock discipline** (`lock-cycle`): a per-crate
 //!   mutex-acquisition graph — which lock is taken while which is held —
 //!   emitted as DOT/JSON and failed on cycles.
+//! * **Dead public API** (`dead-pub`): a bare `pub` item in library code
+//!   that no shipped code outside its file names — public API that only
+//!   its own tests call.
 //!
 //! Violations are either fixed or waived inline with
 //! `// audit:allow(<rule>): <reason>`; a waiver without a reason, naming
@@ -37,4 +40,4 @@ pub mod workspace;
 pub use lexer::{blank_test_items, scrub, Scrubbed, Waiver};
 pub use lockgraph::{EdgeSite, FileSrc, LockGraph};
 pub use rules::{collect_hash_names, scan_file, FileScope, Finding, Rule};
-pub use workspace::{audit_workspace, find_root, AuditError, WorkspaceAudit};
+pub use workspace::{audit_workspace, AuditError, WorkspaceAudit};

@@ -33,6 +33,9 @@ pub enum Rule {
     StaleWaiver,
     /// R3: a cycle in a crate's mutex-acquisition graph.
     LockCycle,
+    /// A bare `pub` item in a library file that no shipped code outside
+    /// its own file names (see [`pub_items`]).
+    DeadPub,
 }
 
 impl Rule {
@@ -47,6 +50,7 @@ impl Rule {
             Rule::BadWaiver => "bad-waiver",
             Rule::StaleWaiver => "stale-waiver",
             Rule::LockCycle => "lock-cycle",
+            Rule::DeadPub => "dead-pub",
         }
     }
 
@@ -61,6 +65,7 @@ impl Rule {
             "bad-waiver" => Some(Rule::BadWaiver),
             "stale-waiver" => Some(Rule::StaleWaiver),
             "lock-cycle" => Some(Rule::LockCycle),
+            "dead-pub" => Some(Rule::DeadPub),
             _ => None,
         }
     }
@@ -388,4 +393,156 @@ pub fn scan_file(
         scan_hash_iter(file, lineno, code_line, orig_line, hash_names, &mut out);
     }
     out
+}
+
+/// Identifier tokens of scrubbed code as `(start, text)`, in order.
+/// Numeric literals (`1u64`) are not identifiers and are skipped.
+pub fn idents(code: &str) -> impl Iterator<Item = (usize, &str)> {
+    let bytes = code.as_bytes();
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        while i < bytes.len() {
+            if !is_ident_byte(bytes[i]) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < bytes.len() && is_ident_byte(bytes[i]) {
+                i += 1;
+            }
+            if !bytes[start].is_ascii_digit() {
+                return Some((start, &code[start..i]));
+            }
+        }
+        None
+    })
+}
+
+/// Blank every `pub use` / `pub(..) use` statement through its `;`, so a
+/// re-export does not count as a use of the items it names.
+pub fn blank_reexports(code: &str) -> String {
+    let bytes = code.as_bytes();
+    let mut out = bytes.to_vec();
+    for (at, tok) in idents(code) {
+        if tok != "pub" {
+            continue;
+        }
+        let mut k = at + tok.len();
+        if bytes.get(k) == Some(&b'(') {
+            while k < bytes.len() && bytes[k] != b')' {
+                k += 1;
+            }
+            k += 1;
+        }
+        while k < bytes.len() && bytes[k].is_ascii_whitespace() {
+            k += 1;
+        }
+        let rest = code.get(k..).unwrap_or("");
+        if !rest.starts_with("use") || bytes.get(k + 3).is_some_and(|b| is_ident_byte(*b)) {
+            continue;
+        }
+        let end = rest.find(';').map_or(bytes.len(), |rel| k + rel + 1);
+        crate::lexer::blank(&mut out, at, end);
+    }
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+/// A bare `pub` item declared in scrubbed code: the unit of `dead-pub`.
+#[derive(Debug, Clone)]
+pub struct PubItem {
+    /// The item's name.
+    pub name: String,
+    /// 1-based line of its `pub` keyword.
+    pub line: usize,
+    /// Byte range of its signature: a fn up to its body, any other item
+    /// through its end (fields, variants, trait methods, const type).
+    pub signature: std::ops::Range<usize>,
+}
+
+/// Every bare `pub` fn, method, struct, enum, union, trait, const,
+/// static or type alias in scrubbed, test-blanked code. `pub(crate)`
+/// and other restricted items, `pub mod`, `pub use` and fields are not
+/// items here.
+pub fn pub_items(code: &str) -> Vec<PubItem> {
+    let bytes = code.as_bytes();
+    let toks: Vec<(usize, &str)> = idents(code).collect();
+    // Token `k` follows token `k - 1` across whitespace only.
+    let adjacent = |k: usize| {
+        let (prev, text) = toks[k - 1];
+        code[prev + text.len()..toks[k].0].trim().is_empty()
+    };
+    let mut items = Vec::new();
+    for (k, &(at, tok)) in toks.iter().enumerate() {
+        if tok != "pub" || k + 2 >= toks.len() || !adjacent(k + 1) {
+            continue;
+        }
+        let mut j = k + 1;
+        while matches!(toks[j].1, "const" | "unsafe" | "async" | "extern")
+            && j + 1 < toks.len()
+            && adjacent(j + 1)
+            && matches!(
+                toks[j + 1].1,
+                "fn" | "unsafe" | "async" | "extern" | "trait"
+            )
+        {
+            j += 1;
+        }
+        let is_fn = toks[j].1 == "fn";
+        if !matches!(
+            toks[j].1,
+            "fn" | "struct" | "enum" | "union" | "trait" | "const" | "static" | "type"
+        ) {
+            continue;
+        }
+        if toks[j].1 == "static" && toks.get(j + 1).is_some_and(|t| t.1 == "mut") {
+            j += 1;
+        }
+        let Some(&(_, name)) = toks.get(j + 1) else {
+            continue;
+        };
+        let line = 1 + bytes[..at].iter().filter(|b| **b == b'\n').count();
+        let end = signature_end(bytes, toks[j + 1].0, is_fn);
+        items.push(PubItem {
+            name: name.to_string(),
+            line,
+            signature: at..end,
+        });
+    }
+    items
+}
+
+/// End of an item's signature, scanning from its name: the body's `{`
+/// for a fn, else one past the item's closing `}` or `;`.
+fn signature_end(bytes: &[u8], from: usize, is_fn: bool) -> usize {
+    let mut depth = 0isize;
+    let mut i = from;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' => depth -= 1,
+            b';' if depth == 0 => return i + 1,
+            b'{' if depth == 0 => {
+                if is_fn {
+                    return i;
+                }
+                let mut braces = 0usize;
+                for (k, b) in bytes.iter().enumerate().skip(i) {
+                    match b {
+                        b'{' => braces += 1,
+                        b'}' => {
+                            braces -= 1;
+                            if braces == 0 {
+                                return k + 1;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                return bytes.len();
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    bytes.len()
 }

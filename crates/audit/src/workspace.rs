@@ -1,5 +1,6 @@
 //! Workspace walking, scope classification and finding aggregation.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -74,7 +75,7 @@ impl WorkspaceAudit {
 
 /// Locate the workspace root: ascend from `start` until a `Cargo.toml`
 /// containing `[workspace]` is found.
-pub fn find_root(start: &Path) -> Result<PathBuf, AuditError> {
+fn find_root(start: &Path) -> Result<PathBuf, AuditError> {
     let mut dir = start.to_path_buf();
     loop {
         let manifest = dir.join("Cargo.toml");
@@ -158,13 +159,7 @@ fn apply_waivers(file: &ScannedFile, findings: &mut [Finding]) -> Vec<Finding> {
             continue;
         }
         for (wi, waiver) in file.waivers.iter().enumerate() {
-            if waiver.malformed {
-                continue;
-            }
-            if Rule::from_name(&waiver.rule) != Some(finding.rule) {
-                continue;
-            }
-            if waiver.line == finding.line || waiver.line + 1 == finding.line {
+            if waiver.covers(finding.rule.name(), finding.line) {
                 finding.waived = Some(waiver.reason.clone());
                 used[wi] = true;
                 break;
@@ -198,39 +193,132 @@ fn apply_waivers(file: &ScannedFile, findings: &mut [Finding]) -> Vec<Finding> {
     extra
 }
 
-/// Audit one crate directory. `rel_prefix` is the workspace-relative
-/// path of the crate (e.g. `crates/serve`).
-fn audit_crate(
-    crate_dir: &Path,
-    rel_prefix: &str,
-    audit: &mut WorkspaceAudit,
-) -> Result<(), AuditError> {
-    let src = crate_dir.join("src");
-    if !src.is_dir() {
-        return Ok(());
-    }
-    let mut scanned: Vec<ScannedFile> = Vec::new();
-    for path in rs_files(&src)? {
+/// Read, scrub and test-blank every `.rs` file under `dir`, naming each
+/// by its path relative to `root`.
+fn scan_tree(root: &Path, dir: &Path) -> Result<Vec<(PathBuf, ScannedFile)>, AuditError> {
+    let mut out = Vec::new();
+    for path in rs_files(dir)? {
         let original = read(&path)?;
         let scrubbed = lexer::scrub(&original);
         let code = lexer::blank_test_items(&scrubbed.code);
-        let rel = path.strip_prefix(crate_dir).unwrap_or(&path);
-        let rel_path = format!(
-            "{}/{}",
-            rel_prefix,
-            rel.to_string_lossy().replace('\\', "/")
-        );
-        scanned.push(ScannedFile {
-            rel_path,
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        let file = ScannedFile {
+            rel_path: rel.to_string_lossy().replace('\\', "/"),
             original,
             code,
             waivers: scrubbed.waivers,
-            scope: classify(crate_dir, &path),
-        });
+            scope: FileScope::Library,
+        };
+        out.push((path, file));
     }
+    Ok(out)
+}
+
+/// Read every source file of one crate directory.
+fn scan_crate(root: &Path, crate_dir: &Path) -> Result<Vec<ScannedFile>, AuditError> {
+    let src = crate_dir.join("src");
+    if !src.is_dir() {
+        return Ok(Vec::new());
+    }
+    Ok(scan_tree(root, &src)?
+        .into_iter()
+        .map(|(path, mut file)| {
+            file.scope = classify(crate_dir, &path);
+            file
+        })
+        .collect())
+}
+
+/// Identifier counts of one file's shipped code, `pub use` lines blanked.
+fn token_counts(code: &str) -> BTreeMap<String, usize> {
+    let mut counts = BTreeMap::new();
+    for (_, tok) in rules::idents(&rules::blank_reexports(code)) {
+        *counts.entry(tok.to_string()).or_insert(0usize) += 1;
+    }
+    counts
+}
+
+/// `dead-pub` findings for the library files among `files`. An item is
+/// used when its name occurs as a token outside its own file, in the
+/// shipped code of `files` (bins included) or of `users`, or in the
+/// signature of a used or waived item of its own file.
+fn dead_pub(files: &[&ScannedFile], users: &[ScannedFile]) -> Vec<Finding> {
+    let per_file: Vec<BTreeMap<String, usize>> =
+        files.iter().map(|f| token_counts(&f.code)).collect();
+    let mut total: BTreeMap<String, usize> = BTreeMap::new();
+    let user_counts = users.iter().map(|u| token_counts(&u.code));
+    for counts in per_file.iter().cloned().chain(user_counts) {
+        for (tok, n) in counts {
+            *total.entry(tok).or_insert(0) += n;
+        }
+    }
+    let mut out = Vec::new();
+    for (file, own) in files.iter().zip(&per_file) {
+        if file.scope != FileScope::Library {
+            continue;
+        }
+        let items = rules::pub_items(&file.code);
+        let count = |map: &BTreeMap<String, usize>, name: &str| map.get(name).copied().unwrap_or(0);
+        let mut live: Vec<bool> = items
+            .iter()
+            .map(|item| count(&total, &item.name) > count(own, &item.name))
+            .collect();
+        // A used or deliberately kept item's signature keeps the types
+        // it names, to a fixpoint.
+        let kept: Vec<bool> = items
+            .iter()
+            .map(|item| {
+                file.waivers
+                    .iter()
+                    .any(|w| w.covers(Rule::DeadPub.name(), item.line))
+            })
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (y, keeper) in items.iter().enumerate() {
+                if !live[y] && !kept[y] {
+                    continue;
+                }
+                for (_, tok) in rules::idents(&file.code[keeper.signature.clone()]) {
+                    for (x, item) in items.iter().enumerate() {
+                        if x != y && !live[x] && item.name == tok {
+                            live[x] = true;
+                            changed = true;
+                        }
+                    }
+                }
+            }
+        }
+        let orig_lines: Vec<&str> = file.original.lines().collect();
+        for (item, _) in items.iter().zip(live).filter(|(_, live)| !live) {
+            out.push(Finding {
+                rule: Rule::DeadPub,
+                file: file.rel_path.clone(),
+                line: item.line,
+                excerpt: orig_lines
+                    .get(item.line - 1)
+                    .map(|l| l.trim().to_string())
+                    .unwrap_or_default(),
+                waived: None,
+            });
+        }
+    }
+    out
+}
+
+/// Aggregate one crate's findings and lock graph. `dead` holds the
+/// workspace's `dead-pub` findings; `rel_prefix` is the
+/// workspace-relative path of the crate (e.g. `crates/serve`).
+fn audit_crate(
+    scanned: &[ScannedFile],
+    dead: &[Finding],
+    rel_prefix: &str,
+    audit: &mut WorkspaceAudit,
+) {
     audit.files += scanned.len();
 
-    for file in &scanned {
+    for file in scanned {
         // Hash-typed names are collected per file, not per crate: a
         // crate-wide union would let `jobs: Mutex<HashMap<..>>` in one
         // module flag an unrelated `Vec` local named `jobs` in another.
@@ -245,6 +333,8 @@ fn audit_crate(
             file.scope,
             &hash_names,
         );
+        findings.extend(dead.iter().filter(|f| f.file == file.rel_path).cloned());
+        findings.sort_by_key(|f| f.line);
         let extra = apply_waivers(file, &mut findings);
         audit.findings.extend(findings);
         audit.findings.extend(extra);
@@ -282,7 +372,6 @@ fn audit_crate(
         audit.graphs.push(graph);
     }
     audit.crates += 1;
-    Ok(())
 }
 
 /// Audit every crate under `<root>/crates/`.
@@ -290,7 +379,9 @@ fn audit_crate(
 /// Vendored shims under `third_party/` are *not* audited: they stand in
 /// for external registry dependencies and are replaced wholesale when a
 /// network-enabled build becomes available. Workspace-level `tests/` and
-/// `examples/` members are test scope by definition.
+/// `examples/` members are test scope by definition; `examples/` and
+/// `perfbench/src/` are read only as users of the crates' `pub` items
+/// (`dead-pub`), and their out-of-line `tests.rs` modules are not.
 pub fn audit_workspace(root: &Path) -> Result<WorkspaceAudit, AuditError> {
     let root = find_root(root)?;
     let crates_dir = root.join("crates");
@@ -319,13 +410,29 @@ pub fn audit_workspace(root: &Path) -> Result<WorkspaceAudit, AuditError> {
         }
     }
     crate_dirs.sort();
-    for dir in crate_dirs {
+    let crates = crate_dirs
+        .iter()
+        .map(|dir| scan_crate(&root, dir))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut users = Vec::new();
+    for tree in ["examples", "perfbench/src"] {
+        let dir = root.join(tree);
+        if dir.is_dir() {
+            users.extend(
+                scan_tree(&root, &dir)?
+                    .into_iter()
+                    .filter(|(path, _)| !path.ends_with("tests.rs"))
+                    .map(|(_, file)| file),
+            );
+        }
+    }
+    let dead = dead_pub(&crates.iter().flatten().collect::<Vec<_>>(), &users);
+    for (dir, scanned) in crate_dirs.iter().zip(&crates) {
         let name = dir
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        let rel_prefix = format!("crates/{name}");
-        audit_crate(&dir, &rel_prefix, &mut audit)?;
+        audit_crate(scanned, &dead, &format!("crates/{name}"), &mut audit);
     }
     Ok(audit)
 }

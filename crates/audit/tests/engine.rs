@@ -1,7 +1,7 @@
 //! Engine tests for `fecim-audit`: lexer exclusions, one
 //! positive/negative/waived case per rule, lock-graph extraction (DAG,
 //! inversion cycle, guard drops), and an end-to-end run over the fixture
-//! workspace in `tests/fixtures/ws`.
+//! workspace in `tests/fixtures/ws` (including its `dead-pub` cases).
 
 use std::path::Path;
 
@@ -68,6 +68,72 @@ pub fn ships_in_release(v: &[u8]) -> u8 {
     *v.first().unwrap()
 }
 "#;
+    assert_eq!(rules_of(&scan(src, FileScope::Library)), [Rule::PanicPath]);
+}
+
+#[test]
+fn cfg_test_is_test_only() {
+    let src = r#"
+#[cfg(test)]
+pub fn only_in_tests(v: &[u8]) -> u8 {
+    *v.first().unwrap()
+}
+"#;
+    assert!(scan(src, FileScope::Library).is_empty());
+}
+
+#[test]
+fn cfg_all_is_test_only_when_any_arm_is() {
+    let src = r#"
+#[cfg(all(not(feature = "x"), test))]
+pub fn only_in_tests(v: &[u8]) -> u8 {
+    *v.first().unwrap()
+}
+
+#[cfg(all(unix, feature = "x"))]
+pub fn ships(v: &[u8]) -> u8 {
+    *v.first().unwrap()
+}
+"#;
+    let findings = scan(src, FileScope::Library);
+    assert_eq!(rules_of(&findings), [Rule::PanicPath]);
+    assert_eq!(findings[0].line, 9);
+}
+
+#[test]
+fn cfg_any_is_test_only_when_every_arm_is() {
+    let src = r#"
+#[cfg(any(test, feature = "x"))]
+pub fn ships_with_the_feature(v: &[u8]) -> u8 {
+    *v.first().unwrap()
+}
+
+#[cfg(any(test, all(test, feature = "x")))]
+pub fn only_in_tests(v: &[u8]) -> u8 {
+    *v.first().unwrap()
+}
+"#;
+    let findings = scan(src, FileScope::Library);
+    assert_eq!(rules_of(&findings), [Rule::PanicPath]);
+    assert_eq!(findings[0].line, 4);
+}
+
+#[test]
+fn cfg_not_is_never_test_only() {
+    let src = r#"
+#[cfg(not(not(test)))]
+pub fn conservatively_scanned(v: &[u8]) -> u8 {
+    *v.first().unwrap()
+}
+"#;
+    assert_eq!(rules_of(&scan(src, FileScope::Library)), [Rule::PanicPath]);
+}
+
+#[test]
+fn escaped_backslash_char_literal_closes() {
+    // Regression: `'\\'` used to swallow its closing quote, blanking
+    // code up to the next `'` in the file.
+    let src = "pub fn path(p: &str) -> String {\n    p.replace('\\\\', \"/\")\n}\n\npub fn f(v: &[u8]) -> u8 {\n    *v.first().unwrap()\n}\n\npub fn g() -> char {\n    'x'\n}\n";
     assert_eq!(rules_of(&scan(src, FileScope::Library)), [Rule::PanicPath]);
 }
 
@@ -305,8 +371,8 @@ fn fixture_workspace_audit_matches_expectations() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
     let audit = audit_workspace(&root).expect("fixture workspace audits");
 
-    assert_eq!(audit.crates, 3);
-    assert_eq!(audit.files, 5);
+    assert_eq!(audit.crates, 4);
+    assert_eq!(audit.files, 8);
 
     // The binary roots (main.rs, bin/tool.rs) contribute nothing.
     assert!(!audit
@@ -317,7 +383,13 @@ fn fixture_workspace_audit_matches_expectations() {
     // Everything in `clean` stays clean.
     assert!(!audit.findings.iter().any(|f| f.file.contains("clean")));
 
-    let count = |rule: Rule| audit.violations().filter(|f| f.rule == rule).count();
+    // The `deadpub` crate's findings are pinned in `fixture_dead_pub_cases`.
+    let count = |rule: Rule| {
+        audit
+            .violations()
+            .filter(|f| f.rule == rule && !f.file.contains("deadpub"))
+            .count()
+    };
     assert_eq!(count(Rule::HashIter), 1);
     assert_eq!(count(Rule::AmbientRng), 1);
     assert_eq!(count(Rule::WallClock), 1);
@@ -330,7 +402,10 @@ fn fixture_workspace_audit_matches_expectations() {
     assert_eq!(count(Rule::LockCycle), 1);
 
     // The well-formed waiver suppressed its finding and kept the reason.
-    let waived: Vec<&fecim_audit::Finding> = audit.waived().collect();
+    let waived: Vec<&fecim_audit::Finding> = audit
+        .waived()
+        .filter(|f| !f.file.contains("deadpub"))
+        .collect();
     assert_eq!(waived.len(), 1);
     assert_eq!(waived[0].rule, Rule::PanicPath);
     assert!(waived[0]
@@ -347,4 +422,47 @@ fn fixture_workspace_audit_matches_expectations() {
         .expect("locks graph extracted");
     assert_eq!(locks.cycles().len(), 1);
     assert!(locks.edges.values().all(|site| site.file.contains("locks")));
+}
+
+#[test]
+fn fixture_dead_pub_cases() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
+    let audit = audit_workspace(&root).expect("fixture workspace audits");
+
+    // The other fixture crates' `pub` items all have a caller.
+    assert!(!audit
+        .findings
+        .iter()
+        .any(|f| f.rule == Rule::DeadPub && !f.file.contains("deadpub")));
+
+    let cases: Vec<(Rule, &str, bool)> = audit
+        .findings
+        .iter()
+        .filter(|f| f.file.contains("deadpub"))
+        .map(|f| (f.rule, f.excerpt.as_str(), f.is_violation()))
+        .collect();
+    assert_eq!(
+        cases,
+        [
+            // Reachable only through a `pub use`.
+            (Rule::DeadPub, "pub fn only_reexported() -> u64 {", true),
+            // Named nowhere outside its file.
+            (Rule::DeadPub, "pub fn never_called() -> u64 {", true),
+            // Used only by `#[cfg(test)]` code and `tests/`.
+            (Rule::DeadPub, "pub fn test_only_helper() -> u64 {", true),
+            // Waived.
+            (Rule::DeadPub, "pub fn kept_on_purpose() -> u64 {", false),
+            // A `dead-pub` waiver on an item the bin uses.
+            (
+                Rule::StaleWaiver,
+                "// audit:allow(dead-pub): fixture — the bin calls this, so the waiver is stale",
+                true
+            ),
+        ]
+    );
+    // `live_entry` (bin-called) and `SignatureOnly` (named only in its
+    // signature) are used; `crate_only` is not public API.
+    for live in ["live_entry", "SignatureOnly", "crate_only"] {
+        assert!(!audit.findings.iter().any(|f| f.excerpt.contains(live)));
+    }
 }

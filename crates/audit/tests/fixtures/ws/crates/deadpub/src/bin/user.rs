@@ -1,0 +1,5 @@
+//! The crate's shipped user.
+
+fn main() {
+    println!("{:?} {}", deadpub::live_entry(), deadpub::wrongly_waived());
+}

@@ -45,7 +45,7 @@ fn main() {
     let reference = problem.cut_from_energy(ref_energy);
     let spec = ProblemSpec::from_graph(&graph);
     let solver = SolverSpec::Cim(CimAnnealer::new(iterations));
-    let noisy = fecim_bench::has_flag("--noisy");
+    let noisy = fecim_bench::parse_noisy();
     let session = if noisy {
         let mut cfg = fecim_crossbar::CrossbarConfig::paper_defaults();
         cfg.fidelity = Fidelity::DeviceAccurate;

@@ -84,7 +84,7 @@ fn positive_integers(flag: &str, value: Option<&str>) -> Result<Vec<usize>, Stri
 /// # Errors
 ///
 /// Returns a usage message on an unknown scale value.
-pub fn scale_from_args(args: &[String]) -> Result<HarnessScale, String> {
+fn scale_from_args(args: &[String]) -> Result<HarnessScale, String> {
     match flag_value(args, "--scale") {
         None => Ok(HarnessScale::Quick),
         Some(Some("quick")) => Ok(HarnessScale::Quick),
@@ -113,7 +113,7 @@ pub fn has_flag(flag: &str) -> bool {
 /// # Errors
 ///
 /// Returns a usage message on a missing or non-positive value.
-pub fn tile_rows_from_args(args: &[String]) -> Result<Option<usize>, String> {
+fn tile_rows_from_args(args: &[String]) -> Result<Option<usize>, String> {
     flag_value(args, "--tile-rows")
         .map(|v| positive_integer("--tile-rows", v))
         .transpose()
@@ -134,7 +134,7 @@ pub fn parse_tile_rows() -> Option<usize> {
 /// # Errors
 ///
 /// Returns a usage message on an empty list or a non-positive entry.
-pub fn batch_sizes_from_args(args: &[String]) -> Result<Vec<usize>, String> {
+fn batch_sizes_from_args(args: &[String]) -> Result<Vec<usize>, String> {
     flag_value(args, "--batch-sizes").map_or(Ok(vec![1, 2, 4, 8]), |v| {
         positive_integers("--batch-sizes", v)
     })
@@ -165,7 +165,7 @@ pub fn workers_from_args(args: &[String]) -> Result<Vec<usize>, String> {
 /// # Errors
 ///
 /// Returns a usage message on a missing or non-positive value.
-pub fn repeat_from_args(args: &[String]) -> Result<usize, String> {
+fn repeat_from_args(args: &[String]) -> Result<usize, String> {
     flag_value(args, "--repeat").map_or(Ok(1), |v| positive_integer("--repeat", v))
 }
 

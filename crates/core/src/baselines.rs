@@ -35,6 +35,7 @@ pub struct DirectAnnealer {
 
 impl DirectAnnealer {
     /// The CiM/FPGA-based annealer of the paper.
+    // audit:allow(dead-pub): test seam: the solver, session and wire tests build the FPGA-exp baseline with it
     pub fn cim_fpga(iterations: usize) -> DirectAnnealer {
         DirectAnnealer::new(iterations, ExpUnit::Fpga)
     }
@@ -81,6 +82,7 @@ impl DirectAnnealer {
     }
 
     /// Override the acceptance rule (ablations).
+    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
     pub fn with_acceptance(mut self, acceptance: Acceptance) -> DirectAnnealer {
         self.acceptance = acceptance;
         self
@@ -91,6 +93,7 @@ impl DirectAnnealer {
     /// # Panics
     ///
     /// Panics if `t0 <= 0`.
+    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
     pub fn with_t0(mut self, t0: f64) -> DirectAnnealer {
         assert!(t0 > 0.0, "t0 must be positive");
         self.t0 = Some(t0);
@@ -305,12 +308,13 @@ mod tests {
             .with_acceptance(Acceptance::Greedy)
             .solve(&problem, 5)
             .unwrap();
-        // Greedy accepts only downhill: acceptance ratio must be below a
-        // hot Metropolis run's.
+        // Greedy accepts only downhill: over the same iterations it must
+        // accept fewer moves than a hot Metropolis run.
         let metro = DirectAnnealer::cim_asic(300)
             .with_t0(50.0)
             .solve(&problem, 5)
             .unwrap();
-        assert!(greedy.run.acceptance_ratio() < metro.run.acceptance_ratio());
+        assert_eq!(greedy.run.iterations, metro.run.iterations);
+        assert!(greedy.run.accepted < metro.run.accepted);
     }
 }

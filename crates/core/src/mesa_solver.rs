@@ -34,6 +34,7 @@ impl MesaAnnealer {
     /// # Panics
     ///
     /// Panics if `epochs == 0`.
+    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
     pub fn with_epochs(mut self, epochs: usize) -> MesaAnnealer {
         assert!(epochs > 0, "need at least one epoch");
         self.epochs = epochs;

@@ -14,7 +14,7 @@ use crate::experiment::ExperimentOutcome;
 /// # Panics
 ///
 /// Panics if any row's length differs from the header's.
-pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         assert_eq!(row.len(), headers.len(), "ragged table row");
     }
@@ -49,7 +49,7 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Engineering-notation formatting for joules/seconds.
-pub fn format_si(value: f64, unit: &str) -> String {
+fn format_si(value: f64, unit: &str) -> String {
     let abs = value.abs();
     let (scaled, prefix) = if abs == 0.0 {
         (0.0, "")
@@ -133,7 +133,7 @@ pub struct SolverRow {
 }
 
 /// The literature rows of Table 1 (constants transcribed from the paper).
-pub fn literature_rows() -> Vec<SolverRow> {
+fn literature_rows() -> Vec<SolverRow> {
     vec![
         SolverRow {
             reference: "[39] memristor Hopfield".into(),

@@ -91,6 +91,7 @@ impl SbAnnealer {
     ///
     /// Panics when the schedule's parameters are invalid (see
     /// [`PressureSchedule::validate`]).
+    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
     pub fn with_pressure_schedule(mut self, schedule: PressureSchedule) -> SbAnnealer {
         if let Err(e) = schedule.validate() {
             // audit:allow(panic-path): documented `# Panics` contract — builder misconfiguration fails loudly at build time, not mid-run
@@ -100,8 +101,8 @@ impl SbAnnealer {
         self
     }
 
-    /// Fix the coupling prefactor `c₀` (default: problem-adapted
-    /// [`fecim_sb::suggest_coupling_strength`]).
+    /// Fix the coupling prefactor `c₀` (default: the problem-adapted
+    /// `c₀ = 0.5 / (rms(J) · √deg)` of [`fecim_sb::SbEngine`]).
     ///
     /// # Panics
     ///
@@ -121,6 +122,7 @@ impl SbAnnealer {
     /// # Panics
     ///
     /// Panics if `in_bits` is 0 or above [`fecim_sb::MAX_IN_BITS`].
+    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
     pub fn with_in_bits(mut self, in_bits: u8) -> SbAnnealer {
         assert!(
             (1..=MAX_IN_BITS).contains(&in_bits),
@@ -198,7 +200,7 @@ impl SbAnnealer {
     /// Full-array reads one SB step issues on the device path: `in_bits`
     /// bit-serial planes for the ballistic drive, one sign read for the
     /// discrete drive.
-    pub fn reads_per_step(&self) -> u64 {
+    fn reads_per_step(&self) -> u64 {
         match self.variant {
             SbVariant::Ballistic => self.in_bits as u64,
             SbVariant::Discrete => 1,

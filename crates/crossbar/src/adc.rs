@@ -39,7 +39,7 @@ impl SarAdc {
     }
 
     /// Input value of one least-significant code.
-    pub fn lsb(&self) -> f64 {
+    fn lsb(&self) -> f64 {
         self.full_scale / ((1u64 << self.bits) as f64)
     }
 
@@ -109,7 +109,7 @@ impl MuxAssignment {
     /// # Panics
     ///
     /// Panics if `g` is out of range.
-    pub fn adc_of(&self, g: usize) -> usize {
+    fn adc_of(&self, g: usize) -> usize {
         assert!(g < self.groups, "group out of range");
         if self.interleaved {
             g % self.adc_count()

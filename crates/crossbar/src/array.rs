@@ -299,7 +299,8 @@ mod tests {
         let mut xb = monolithic(&m, unit_config(6));
         let mut rng = StdRng::seed_from_u64(19);
         // n · max|J|: every row at full code in the same polarity.
-        let bound = 20.0 * xb.quant_scale() * ((1u32 << 6) - 1) as f64;
+        let scale = crate::QuantizedCoupling::from_coupling(&m, 6).scale();
+        let bound = 20.0 * scale * ((1u32 << 6) - 1) as f64;
         for _ in 0..5 {
             let s = SpinVector::random(20, &mut rng);
             let v = xb.vmv(s.as_slice());

@@ -147,7 +147,7 @@ impl TileGrid {
     /// the capacity allows. Returns the instance's slot index, or `None`
     /// when it does not fit *right now* (retiring instances frees
     /// capacity; an instance needing more than `stripe_limit` stripes
-    /// never fits — see [`TileGrid::stripes_needed`]). Retired slot
+    /// never fits — see `TileGrid::stripes_needed`). Retired slot
     /// indices are recycled.
     pub fn try_admit(&mut self, dimension: usize, stripe_limit: usize) -> Option<usize> {
         let needed = self.stripes_needed(dimension);
@@ -232,7 +232,7 @@ impl TileGrid {
 
     /// Stripes an instance of `dimension` spins occupies on this grid
     /// (its tiled mapping is square: `ceil(n / tile_rows)` stripes).
-    pub fn stripes_needed(&self, dimension: usize) -> usize {
+    fn stripes_needed(&self, dimension: usize) -> usize {
         dimension.div_ceil(self.tile_rows)
     }
 

@@ -35,7 +35,6 @@ mod adc;
 mod array;
 mod batch;
 mod parasitics;
-mod periphery;
 mod quant;
 mod stats;
 mod tiled;
@@ -44,7 +43,6 @@ pub use adc::{MuxAssignment, SarAdc};
 pub use array::{CrossbarConfig, Fidelity};
 pub use batch::{BatchStats, TileGrid};
 pub use parasitics::{ArrayWires, WireParams};
-pub use periphery::{split_input_phases, ShiftAdd, SpinEncoder, TemperatureEncoder};
 pub use quant::QuantizedCoupling;
 pub use stats::ActivityStats;
 pub use tiled::{SensingMode, TiledCrossbar};

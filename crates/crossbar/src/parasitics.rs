@@ -62,22 +62,22 @@ impl ArrayWires {
     }
 
     /// Word-line (row) length in µm.
-    pub fn row_length_um(&self) -> f64 {
+    fn row_length_um(&self) -> f64 {
         self.cols as f64 * self.params.cell_pitch_um
     }
 
     /// Bit-line (column) length in µm.
-    pub fn col_length_um(&self) -> f64 {
+    pub(crate) fn col_length_um(&self) -> f64 {
         self.rows as f64 * self.params.cell_pitch_um
     }
 
     /// Total capacitance of one row line, farads.
-    pub fn row_capacitance(&self) -> f64 {
+    fn row_capacitance(&self) -> f64 {
         self.row_length_um() * self.params.cap_per_um
     }
 
     /// Total capacitance of one column line, farads.
-    pub fn col_capacitance(&self) -> f64 {
+    fn col_capacitance(&self) -> f64 {
         self.col_length_um() * self.params.cap_per_um
     }
 
@@ -113,11 +113,6 @@ impl ArrayWires {
         // Voltage divider between the line segment and the cell resistance.
         self.params.cell_on_res / (self.params.cell_on_res + r_line_to_cell)
     }
-
-    /// Worst-case (farthest-row) attenuation.
-    pub fn worst_ir_attenuation(&self) -> f64 {
-        self.ir_attenuation(self.rows - 1)
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +147,7 @@ mod tests {
     fn ir_attenuation_monotone_and_bounded() {
         let w = wires(3000, 3000);
         let near = w.ir_attenuation(0);
-        let far = w.worst_ir_attenuation();
+        let far = w.ir_attenuation(2999);
         assert!(near > far, "farther cells see more drop");
         assert!(far > 0.9, "22nm 3000-row line keeps >90% signal, got {far}");
         assert!(near <= 1.0);

@@ -696,6 +696,7 @@ impl TiledCrossbar {
 
     /// Override how sensing work is scheduled across threads (results are
     /// bit-identical in every mode; see [`SensingMode`]).
+    // audit:allow(dead-pub): reference selector: the equivalence suites compare parallel sensing against the sequential read it selects
     pub fn with_sensing_mode(mut self, mode: SensingMode) -> TiledCrossbar {
         self.sensing = mode;
         self
@@ -716,17 +717,6 @@ impl TiledCrossbar {
         (self.bands, self.bands)
     }
 
-    /// Total number of physical tiles instantiated.
-    pub fn tile_count(&self) -> usize {
-        self.bands * self.bands
-    }
-
-    /// The global quantization step (J units per code LSB) shared by
-    /// every tile — the same step the monolithic array would use.
-    pub fn quant_scale(&self) -> f64 {
-        self.scale
-    }
-
     /// The configuration used to build this array.
     pub fn config(&self) -> &CrossbarConfig {
         &self.config
@@ -739,6 +729,7 @@ impl TiledCrossbar {
     }
 
     /// Clear the activity counters.
+    // audit:allow(dead-pub): test seam: tiled_equivalence and activity_model count one read at a time
     pub fn reset_stats(&mut self) {
         self.stats.reset();
     }
@@ -1491,13 +1482,13 @@ mod tests {
                     };
                     let xb = TiledCrossbar::program(coupling, config, tile_rows);
                     let case = format!("{label} bits={bits} tile_rows={tile_rows} {fidelity:?}");
+                    assert_eq!(xb.scale.to_bits(), reference.scale().to_bits(), "{case}");
+                    assert_eq!(programmed_columns(&xb), columns, "{case}");
                     assert_eq!(
-                        xb.quant_scale().to_bits(),
-                        reference.scale().to_bits(),
+                        xb.cells.len(),
+                        columns.iter().map(Vec::len).sum::<usize>(),
                         "{case}"
                     );
-                    assert_eq!(programmed_columns(&xb), columns, "{case}");
-                    assert_eq!(xb.cells.len(), reference.nonzero_cell_count(), "{case}");
                 }
             }
         }
@@ -1521,7 +1512,7 @@ mod tests {
         // An all-zero coupling programs an empty store at unit scale.
         let xb = TiledCrossbar::program(&DenseCoupling::zeros(5), config(4), 2);
         assert!(xb.cells.is_empty());
-        assert_eq!(xb.quant_scale(), 1.0);
+        assert_eq!(xb.scale, 1.0);
     }
 
     #[test]
@@ -1572,7 +1563,7 @@ mod tests {
         let (n, k) = (16, 4);
         let m = dense(n, 11);
         let mut tiled = monolithic(&m, config(4));
-        assert_eq!(tiled.tile_count(), 1);
+        assert_eq!(tiled.tile_grid(), (1, 1));
         let mut rng = StdRng::seed_from_u64(12);
         let s = SpinVector::random(n, &mut rng);
         let mask = FlipMask::random(2, n, &mut rng);

@@ -108,11 +108,6 @@ impl FractionalFactor {
     pub fn paper() -> FractionalFactor {
         FractionalFactor::new(1.0, -0.006, 5.0, -0.2, 700.0)
     }
-
-    /// The `(a, b, c, d)` constants.
-    pub fn constants(&self) -> (f64, f64, f64, f64) {
-        (self.a, self.b, self.c, self.d)
-    }
 }
 
 impl AnnealFactor for FractionalFactor {

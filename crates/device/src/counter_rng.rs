@@ -44,7 +44,7 @@ impl PhiloxCounterRng {
     }
 
     /// One Philox2x64-10 block: counter `(c0, c1)` → two output words.
-    pub fn next_pair(&self, mut c0: u64, mut c1: u64) -> (u64, u64) {
+    fn next_pair(&self, mut c0: u64, mut c1: u64) -> (u64, u64) {
         let mut key = self.key;
         for _ in 0..PHILOX_ROUNDS {
             let product = (PHILOX_M as u128) * (c0 as u128);
@@ -59,7 +59,7 @@ impl PhiloxCounterRng {
 
     /// Two uniforms in `[0, 1)` from one counter block (53-bit mantissa
     /// precision, the standard `bits >> 11` construction).
-    pub fn uniform_pair(&self, c0: u64, c1: u64) -> (f64, f64) {
+    fn uniform_pair(&self, c0: u64, c1: u64) -> (f64, f64) {
         let (a, b) = self.next_pair(c0, c1);
         (u64_to_unit_f64(a), u64_to_unit_f64(b))
     }
@@ -107,11 +107,6 @@ impl ReadNoise {
     /// Relative standard deviation of the multiplicative noise.
     pub fn rel(&self) -> f64 {
         self.rel
-    }
-
-    /// `true` when reads are noiseless (`rel == 0`).
-    pub fn is_silent(&self) -> bool {
-        self.rel == 0.0
     }
 
     /// The multiplicative gain `1 + rel * N(0, 1)` for the cell at
@@ -226,7 +221,7 @@ mod tests {
     #[test]
     fn silent_noise_is_exactly_unity() {
         let noise = ReadNoise::new(99, 0.0);
-        assert!(noise.is_silent());
+        assert_eq!(noise.rel(), 0.0);
         for ordinal in 0..8 {
             assert_eq!(noise.gain(ordinal, 3, 5), 1.0);
         }

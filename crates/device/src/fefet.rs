@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Thermal voltage at 300 K in volts.
-pub const THERMAL_VOLTAGE: f64 = 0.02585;
+pub(crate) const THERMAL_VOLTAGE: f64 = 0.02585;
 
 /// Stored ferroelectric state of a FeFET cell, i.e. the programmed
 /// threshold voltage level. `One` (low `V_TH`) conducts, `Zero` (high
@@ -27,25 +27,6 @@ pub enum StoredBit {
     One,
     /// High-`V_TH` state (programmed, polarization down) — blocking.
     Zero,
-}
-
-impl StoredBit {
-    /// Build from a numeric bit.
-    pub fn from_bit(bit: u8) -> StoredBit {
-        if bit == 0 {
-            StoredBit::Zero
-        } else {
-            StoredBit::One
-        }
-    }
-
-    /// Numeric value of the bit.
-    pub fn as_bit(self) -> u8 {
-        match self {
-            StoredBit::One => 1,
-            StoredBit::Zero => 0,
-        }
-    }
 }
 
 /// Electrical parameters of the behavioural FeFET model.
@@ -311,13 +292,5 @@ mod tests {
         assert!(d.drain_current(0.5, 1.0) < base);
         d.set_vth_offset(-0.1);
         assert!(d.drain_current(0.5, 1.0) > base);
-    }
-
-    #[test]
-    fn stored_bit_roundtrip() {
-        assert_eq!(StoredBit::from_bit(1), StoredBit::One);
-        assert_eq!(StoredBit::from_bit(0), StoredBit::Zero);
-        assert_eq!(StoredBit::One.as_bit(), 1);
-        assert_eq!(StoredBit::Zero.as_bit(), 0);
     }
 }

@@ -32,14 +32,12 @@ mod dg_fefet;
 mod fefet;
 mod fit;
 mod preisach;
-mod reliability;
 mod variation;
 
 pub use anneal_factor::{AnnealFactor, CurveError, DeviceFactor, FractionalFactor, TableFactor};
 pub use counter_rng::{PhiloxCounterRng, ReadNoise};
 pub use dg_fefet::{DgFefet, DgFefetParams};
-pub use fefet::{ChannelBias, Fefet, FefetParams, StoredBit, THERMAL_VOLTAGE};
+pub use fefet::{ChannelBias, Fefet, FefetParams, StoredBit};
 pub use fit::{fit_fractional, FitError, FractionalFit};
 pub use preisach::{PreisachFefet, PreisachParams};
-pub use reliability::{cycles_per_problem, EnduranceModel, RetentionModel};
 pub use variation::{VariationConfig, VariationSampler};

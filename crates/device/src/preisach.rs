@@ -152,15 +152,6 @@ impl PreisachFefet {
         }
     }
 
-    /// Apply a sequence of voltage extrema in order (models an arbitrary
-    /// waveform by its turning points, which is exact for rate-independent
-    /// Preisach hysteresis).
-    pub fn apply_waveform(&mut self, extrema: &[f64]) {
-        for &v in extrema {
-            self.apply_voltage(v);
-        }
-    }
-
     /// Net normalized polarization in `[-1, 1]`.
     pub fn polarization(&self) -> f64 {
         if self.weight_sum == 0.0 {
@@ -188,27 +179,6 @@ impl PreisachFefet {
             StoredBit::One => self.apply_voltage(self.params.saturation_voltage),
             StoredBit::Zero => self.apply_voltage(-self.params.saturation_voltage),
         }
-    }
-
-    /// Sample the major hysteresis loop `P(V)`: sweep down-up-down over
-    /// `±saturation_voltage` with `points` samples per branch. Returns
-    /// `(v, p)` pairs of the full loop (ascending then descending branch).
-    pub fn major_loop(&self, points: usize) -> Vec<(f64, f64)> {
-        let vs = self.params.saturation_voltage;
-        let mut copy = self.clone();
-        copy.apply_voltage(-vs);
-        let mut loop_pts = Vec::with_capacity(points * 2);
-        for k in 0..points {
-            let v = -vs + 2.0 * vs * k as f64 / (points - 1) as f64;
-            copy.apply_voltage(v);
-            loop_pts.push((v, copy.polarization()));
-        }
-        for k in 0..points {
-            let v = vs - 2.0 * vs * k as f64 / (points - 1) as f64;
-            copy.apply_voltage(v);
-            loop_pts.push((v, copy.polarization()));
-        }
-        loop_pts
     }
 }
 
@@ -273,9 +243,14 @@ mod tests {
         // its starting reversal point, the state equals the state before
         // the excursion.
         let mut fe = fresh();
-        fe.apply_waveform(&[-3.0, 2.0]);
+        for v in [-3.0, 2.0] {
+            fe.apply_voltage(v);
+        }
         let before = fe.polarization();
-        fe.apply_waveform(&[0.5, 1.2, 0.8, 2.0]); // inner loop, return to 2.0
+        // Inner loop, return to 2.0.
+        for v in [0.5, 1.2, 0.8, 2.0] {
+            fe.apply_voltage(v);
+        }
         let after = fe.polarization();
         assert!(
             (before - after).abs() < 1e-12,
@@ -297,10 +272,31 @@ mod tests {
         }
     }
 
+    /// Sample the major hysteresis loop `P(V)`: sweep down-up-down over
+    /// `±saturation_voltage` with `points` samples per branch. Returns
+    /// `(v, p)` pairs of the full loop (ascending then descending branch).
+    fn major_loop(fe: &PreisachFefet, points: usize) -> Vec<(f64, f64)> {
+        let vs = fe.params.saturation_voltage;
+        let mut copy = fe.clone();
+        copy.apply_voltage(-vs);
+        let mut loop_pts = Vec::with_capacity(points * 2);
+        for k in 0..points {
+            let v = -vs + 2.0 * vs * k as f64 / (points - 1) as f64;
+            copy.apply_voltage(v);
+            loop_pts.push((v, copy.polarization()));
+        }
+        for k in 0..points {
+            let v = vs - 2.0 * vs * k as f64 / (points - 1) as f64;
+            copy.apply_voltage(v);
+            loop_pts.push((v, copy.polarization()));
+        }
+        loop_pts
+    }
+
     #[test]
     fn major_loop_is_a_proper_hysteresis_loop() {
         let fe = fresh();
-        let pts = fe.major_loop(50);
+        let pts = major_loop(&fe, 50);
         assert_eq!(pts.len(), 100);
         // Loop encloses area: ascending branch at V=0 sits below descending.
         let asc_at_zero = pts[..50]

@@ -96,14 +96,6 @@ impl VariationSampler {
         }
         self.standard_normal() * self.config.sigma_vth_c2c
     }
-
-    /// Apply multiplicative read noise to a sensed current.
-    pub fn noisy_read(&mut self, current: f64) -> f64 {
-        if self.config.read_noise_rel == 0.0 {
-            return current;
-        }
-        current * (1.0 + self.standard_normal() * self.config.read_noise_rel)
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +108,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(s.d2d_vth_offset(), 0.0);
             assert_eq!(s.c2c_vth_offset(), 0.0);
-            assert_eq!(s.noisy_read(1.0), 1.0);
         }
     }
 
@@ -139,21 +130,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.d2d_vth_offset(), b.d2d_vth_offset());
         }
-    }
-
-    #[test]
-    fn read_noise_is_multiplicative() {
-        let mut s = VariationSampler::new(
-            VariationConfig {
-                sigma_vth_d2d: 0.0,
-                sigma_vth_c2c: 0.0,
-                read_noise_rel: 0.05,
-            },
-            4,
-        );
-        assert_eq!(s.noisy_read(0.0), 0.0);
-        let n = 10_000;
-        let mean = (0..n).map(|_| s.noisy_read(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.01, "mean={mean}");
     }
 }

@@ -64,7 +64,9 @@ impl Error for GraphError {}
 ///
 /// ```
 /// use fecim_gset::Graph;
-/// let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, -1.0)])?;
+/// let mut g = Graph::empty(3);
+/// g.add_edge(0, 1, 1.0)?;
+/// g.add_edge(1, 2, -1.0)?;
 /// assert_eq!(g.vertex_count(), 3);
 /// assert_eq!(g.edge_count(), 2);
 /// assert_eq!(g.mean_degree(), 4.0 / 3.0);
@@ -91,25 +93,12 @@ impl Graph {
         }
     }
 
-    /// Build from an undirected edge list (each edge listed once).
+    /// Add an undirected edge.
     ///
     /// # Errors
     ///
     /// See [`GraphError`]; rejects out-of-range endpoints, self-loops and
     /// non-finite weights.
-    pub fn from_edges(n: usize, edges: &[(usize, usize, f64)]) -> Result<Graph, GraphError> {
-        let mut g = Graph::empty(n);
-        for &(u, v, w) in edges {
-            g.add_edge(u, v, w)?;
-        }
-        Ok(g)
-    }
-
-    /// Add an undirected edge.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`Graph::from_edges`].
     pub fn add_edge(&mut self, u: usize, v: usize, w: f64) -> Result<(), GraphError> {
         if u >= self.n {
             return Err(GraphError::VertexOutOfRange {
@@ -161,11 +150,6 @@ impl Graph {
         self.edges.iter().map(|&(_, _, w)| w).sum()
     }
 
-    /// `true` if every weight is `+1` or `-1` (the Gset convention).
-    pub fn is_unit_weighted(&self) -> bool {
-        self.edges.iter().all(|&(_, _, w)| w == 1.0 || w == -1.0)
-    }
-
     /// Convert to a [`MaxCut`] problem instance.
     pub fn to_max_cut(&self) -> MaxCut {
         self.clone().into_max_cut()
@@ -183,9 +167,17 @@ impl Graph {
 mod tests {
     use super::*;
 
+    fn from_edges(n: usize, edges: &[(usize, usize, f64)]) -> Result<Graph, GraphError> {
+        let mut g = Graph::empty(n);
+        for &(u, v, w) in edges {
+            g.add_edge(u, v, w)?;
+        }
+        Ok(g)
+    }
+
     #[test]
     fn build_and_query() {
-        let g = Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, -1.0)]).unwrap();
+        let g = from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, -1.0)]).unwrap();
         assert_eq!(g.vertex_count(), 4);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.edges(), [(0, 1, 1.0), (1, 2, 2.0), (2, 3, -1.0)]);
@@ -196,30 +188,22 @@ mod tests {
     #[test]
     fn validation_errors() {
         assert!(matches!(
-            Graph::from_edges(2, &[(0, 2, 1.0)]),
+            from_edges(2, &[(0, 2, 1.0)]),
             Err(GraphError::VertexOutOfRange { .. })
         ));
         assert!(matches!(
-            Graph::from_edges(2, &[(1, 1, 1.0)]),
+            from_edges(2, &[(1, 1, 1.0)]),
             Err(GraphError::SelfLoop(1))
         ));
         assert!(matches!(
-            Graph::from_edges(2, &[(0, 1, f64::NAN)]),
+            from_edges(2, &[(0, 1, f64::NAN)]),
             Err(GraphError::NonFiniteWeight { .. })
         ));
     }
 
     #[test]
-    fn unit_weight_detection() {
-        let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, -1.0)]).unwrap();
-        assert!(g.is_unit_weighted());
-        let g2 = Graph::from_edges(3, &[(0, 1, 0.5)]).unwrap();
-        assert!(!g2.is_unit_weighted());
-    }
-
-    #[test]
     fn to_max_cut_preserves_structure() {
-        let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+        let g = from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
         let mc = g.to_max_cut();
         assert_eq!(mc.vertex_count(), 3);
         assert_eq!(mc.edges(), g.edges());

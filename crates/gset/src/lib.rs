@@ -1,9 +1,9 @@
 //! # fecim-gset
 //!
 //! Gset-style Max-Cut benchmark instances: graph data structures, seeded
-//! generators matching the Stanford Gset structural families, the Gset text
-//! format, and the 30-instance suite used in the paper's evaluation
-//! (Sec. 4.1 of Qian et al., DAC 2025).
+//! generators matching the Stanford Gset structural families, and the
+//! 30-instance suite used in the paper's evaluation (Sec. 4.1 of Qian et
+//! al., DAC 2025).
 //!
 //! ```
 //! use fecim_gset::{GeneratorConfig, GsetFamily};
@@ -21,10 +21,8 @@
 
 mod generate;
 mod graph;
-mod io;
 mod registry;
 
 pub use generate::{GeneratorConfig, GsetFamily};
 pub use graph::{Graph, GraphError};
-pub use io::{read_gset, write_gset};
 pub use registry::{paper_suite, quick_suite, suite_instance, SizeGroup, SuiteInstance};

@@ -43,7 +43,7 @@ impl SizeGroup {
     }
 
     /// Number of instances the paper uses in this group.
-    pub fn instance_count(self) -> usize {
+    fn instance_count(self) -> usize {
         match self {
             SizeGroup::N800 | SizeGroup::N1000 | SizeGroup::N2000 => 9,
             SizeGroup::N3000 => 3,
@@ -121,6 +121,7 @@ fn group_family(group: SizeGroup) -> (GsetFamily, f64) {
 /// # Panics
 ///
 /// Panics if `index >= group.instance_count()`.
+// audit:allow(dead-pub): test seam: serde_roundtrips round-trips one paper-suite instance built through it
 pub fn suite_instance(group: SizeGroup, index: usize) -> SuiteInstance {
     assert!(
         index < group.instance_count(),

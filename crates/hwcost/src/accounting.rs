@@ -40,17 +40,6 @@ impl EnergyReport {
             digital: self.digital * factor,
         }
     }
-
-    /// Component-wise sum.
-    pub fn merged(&self, other: &EnergyReport) -> EnergyReport {
-        EnergyReport {
-            adc: self.adc + other.adc,
-            exp: self.exp + other.exp,
-            wires: self.wires + other.wires,
-            bg: self.bg + other.bg,
-            digital: self.digital + other.digital,
-        }
-    }
 }
 
 impl fmt::Display for EnergyReport {
@@ -94,16 +83,6 @@ impl TimeReport {
             exp: self.exp * factor,
             array: self.array * factor,
             digital: self.digital * factor,
-        }
-    }
-
-    /// Component-wise sum.
-    pub fn merged(&self, other: &TimeReport) -> TimeReport {
-        TimeReport {
-            adc: self.adc + other.adc,
-            exp: self.exp + other.exp,
-            array: self.array + other.array,
-            digital: self.digital + other.digital,
         }
     }
 }
@@ -205,9 +184,8 @@ mod tests {
     fn scaling_and_merging() {
         let model = CostModel::paper_22nm(100, 4);
         let e = energy_of(&stats(), &model, ExpUnit::Asic);
-        let doubled = e.merged(&e);
         let scaled = e.scaled(2.0);
-        assert!((doubled.total() - scaled.total()).abs() < 1e-20);
+        assert!((scaled.total() - 2.0 * e.total()).abs() < 1e-20);
     }
 
     #[test]

@@ -231,13 +231,13 @@ impl IterationProfile {
     }
 
     /// Energy of one iteration of `kind` under `model`.
-    pub fn iteration_energy(&self, kind: AnnealerKind, model: &CostModel) -> EnergyReport {
+    fn iteration_energy(&self, kind: AnnealerKind, model: &CostModel) -> EnergyReport {
         let unit = kind.exp_unit().unwrap_or(ExpUnit::Asic);
         energy_of(&self.activity(kind), model, unit)
     }
 
     /// Latency of one iteration of `kind` under `model`.
-    pub fn iteration_time(&self, kind: AnnealerKind, model: &CostModel) -> TimeReport {
+    fn iteration_time(&self, kind: AnnealerKind, model: &CostModel) -> TimeReport {
         let unit = kind.exp_unit().unwrap_or(ExpUnit::Asic);
         time_of(&self.activity(kind), model, unit)
     }
@@ -264,7 +264,7 @@ impl IterationProfile {
     /// dense read as a direct-E baseline pass — every column group
     /// converts on every read — plus a digital position/momentum update
     /// with no exponential evaluation and no background-gate refresh.
-    pub fn sb_step_activity(&self, input_passes: u64) -> ActivityStats {
+    fn sb_step_activity(&self, input_passes: u64) -> ActivityStats {
         let p = input_passes.max(1);
         let n = self.spins as u64;
         let k = self.quant_bits as u64;

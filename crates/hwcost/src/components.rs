@@ -29,16 +29,6 @@ pub struct EventCost {
     pub latency: f64,
 }
 
-impl EventCost {
-    /// A zero-cost event.
-    pub fn free() -> EventCost {
-        EventCost {
-            energy: 0.0,
-            latency: 0.0,
-        }
-    }
-}
-
 /// Which exponential-function hardware the baseline annealer uses
 /// (paper ref \[18\] provides both variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -175,12 +165,5 @@ mod tests {
         let m = CostModel::paper_22nm(100, 4);
         assert_eq!(m.exp_unit(ExpUnit::Fpga), m.exp_fpga);
         assert_eq!(m.exp_unit(ExpUnit::Asic), m.exp_asic);
-    }
-
-    #[test]
-    fn free_event_is_zero() {
-        let f = EventCost::free();
-        assert_eq!(f.energy, 0.0);
-        assert_eq!(f.latency, 0.0);
     }
 }

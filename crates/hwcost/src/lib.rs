@@ -11,8 +11,8 @@
 //!
 //! let model = CostModel::paper_22nm(3000, 4);
 //! let profile = IterationProfile::paper(3000);
-//! let ours = profile.iteration_energy(AnnealerKind::InSitu, &model).total();
-//! let base = profile.iteration_energy(AnnealerKind::CimAsic, &model).total();
+//! let ours = profile.run_energy(AnnealerKind::InSitu, &model, 1).total();
+//! let base = profile.run_energy(AnnealerKind::CimAsic, &model, 1).total();
 //! assert!(base / ours > 1000.0); // the Fig. 8 headline
 //! ```
 
@@ -26,5 +26,5 @@ mod components;
 
 pub use accounting::{energy_of, time_of, EnergyReport, TimeReport};
 pub use annealers::{AnnealerKind, IterationProfile};
-pub use area::{annealer_area, AreaModel, AreaReport, FEATURE_NM};
+pub use area::{annealer_area, AreaModel, AreaReport};
 pub use components::{CostModel, EventCost, ExpUnit};

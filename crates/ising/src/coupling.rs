@@ -107,6 +107,7 @@ pub struct DenseCoupling {
 
 impl DenseCoupling {
     /// Zero matrix of dimension `n`.
+    // audit:allow(dead-pub): test seam: tiled_equivalence and the crossbar tests build dense references from it
     pub fn zeros(n: usize) -> DenseCoupling {
         DenseCoupling {
             n,

@@ -225,18 +225,6 @@ pub fn impact_windows(
     }
 }
 
-/// Objective `xᵀQx` of a full assignment given in `±1` spin form.
-///
-/// # Errors
-///
-/// [`IsingError::DimensionMismatch`] on a length mismatch;
-/// [`IsingError::InvalidProblem`] for entries outside `±1`.
-pub fn spin_objective(qubo: &Qubo, spins: &[i8]) -> Result<f64, IsingError> {
-    check_spins(spins, qubo.dimension())?;
-    let x: Vec<u8> = spins.iter().map(|&s| u8::from(s != 1)).collect();
-    Ok(qubo.evaluate(&x))
-}
-
 fn check_spins(spins: &[i8], n: usize) -> Result<(), IsingError> {
     if spins.len() != n {
         return Err(IsingError::DimensionMismatch {
@@ -276,6 +264,18 @@ mod tests {
         (0..n)
             .map(|_| if rng.gen::<bool>() { 1 } else { -1 })
             .collect()
+    }
+
+    /// Objective `xᵀQx` of a full assignment given in `±1` spin form.
+    ///
+    /// # Errors
+    ///
+    /// [`IsingError::DimensionMismatch`] on a length mismatch;
+    /// [`IsingError::InvalidProblem`] for entries outside `±1`.
+    fn spin_objective(qubo: &Qubo, spins: &[i8]) -> Result<f64, IsingError> {
+        check_spins(spins, qubo.dimension())?;
+        let x: Vec<u8> = spins.iter().map(|&s| u8::from(s != 1)).collect();
+        Ok(qubo.evaluate(&x))
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl<'a, C: Coupling> LocalFieldState<'a, C> {
 
     /// Recompute fields and energy from scratch (testing aid; also heals
     /// accumulated floating-point drift on very long runs).
-    pub fn rebuild(&mut self) {
+    fn rebuild(&mut self) {
         self.fields = self.coupling().local_fields(&self.spins);
         let mut energy = 0.0;
         for (&si, &li) in self.spins.as_slice().iter().zip(&self.fields) {

@@ -50,7 +50,7 @@ mod qubo;
 mod spin;
 
 pub use coupling::{Coupling, CsrCoupling, DenseCoupling, IsingModel};
-pub use decompose::{impact_windows, spin_objective, SubQubo};
+pub use decompose::{impact_windows, SubQubo};
 pub use energy::LocalFieldState;
 pub use error::IsingError;
 pub use problems::{

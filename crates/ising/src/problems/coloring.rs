@@ -94,6 +94,7 @@ impl GraphColoring {
 
     /// Number of constraint violations: vertices without exactly one color
     /// plus monochromatic edges.
+    // audit:allow(dead-pub): COP diagnostic: solver_features checks the solved colouring with it
     pub fn violation_count(&self, spins: &SpinVector) -> usize {
         let colors = self.decode(spins);
         let mut violations = colors.iter().filter(|c| c.is_none()).count();

@@ -87,7 +87,7 @@ impl Knapsack {
     }
 
     /// Number of slack bits in the encoding.
-    pub fn slack_bit_count(&self) -> usize {
+    fn slack_bit_count(&self) -> usize {
         self.slack_coeffs.len()
     }
 
@@ -111,7 +111,7 @@ impl Knapsack {
     }
 
     /// Total value of the selection.
-    pub fn selection_value(&self, spins: &SpinVector) -> u64 {
+    fn selection_value(&self, spins: &SpinVector) -> u64 {
         self.selected_items(spins)
             .iter()
             .map(|&i| self.values[i])

@@ -48,13 +48,13 @@ impl MaxIndependentSet {
     }
 
     /// Vertices selected by `spins`.
-    pub fn selected(&self, spins: &SpinVector) -> Vec<usize> {
+    fn selected(&self, spins: &SpinVector) -> Vec<usize> {
         let x = spins.to_binaries();
         (0..self.n).filter(|&i| x[i] == 1).collect()
     }
 
     /// Number of edges with both endpoints selected.
-    pub fn conflict_count(&self, spins: &SpinVector) -> usize {
+    fn conflict_count(&self, spins: &SpinVector) -> usize {
         let x = spins.to_binaries();
         self.edges
             .iter()

@@ -75,7 +75,7 @@ pub enum ObjectiveSense {
 
 impl ObjectiveSense {
     /// `true` if `a` is strictly better than `b` under this sense.
-    pub fn is_better(self, a: f64, b: f64) -> bool {
+    fn is_better(self, a: f64, b: f64) -> bool {
         match self {
             ObjectiveSense::Maximize => a > b,
             ObjectiveSense::Minimize => a < b,

@@ -18,7 +18,7 @@ use crate::spin::SpinVector;
 /// let p = NumberPartitioning::new(vec![3.0, 1.0, 1.0, 2.0, 2.0, 1.0])?;
 /// // Perfect partition: {3,2} vs {1,1,2,1}.
 /// let s = SpinVector::from_signs(&[1, -1, -1, 1, -1, -1]);
-/// assert_eq!(p.imbalance(&s), 0.0);
+/// assert_eq!(p.native_objective(&s), 0.0);
 /// # Ok::<(), fecim_ising::IsingError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,7 +51,7 @@ impl NumberPartitioning {
     }
 
     /// Absolute difference of the two group sums under `spins`.
-    pub fn imbalance(&self, spins: &SpinVector) -> f64 {
+    fn imbalance(&self, spins: &SpinVector) -> f64 {
         assert_eq!(spins.len(), self.numbers.len(), "dimension mismatch");
         self.numbers
             .iter()

@@ -58,7 +58,7 @@ impl SherringtonKirkpatrick {
 
     /// Energy density `E/n` of a configuration under the SK normalization
     /// (where `σᵀJσ` counts each pair twice).
-    pub fn energy_density(&self, spins: &SpinVector) -> f64 {
+    fn energy_density(&self, spins: &SpinVector) -> f64 {
         // audit:allow(panic-path): the generator emits finite off-diagonal couplings over 0..n, so to_ising's validation cannot fail
         let model = self.to_ising().expect("valid by construction");
         model.energy(spins) / self.n as f64

@@ -60,7 +60,7 @@ impl TravellingSalesman {
     }
 
     /// Distance between cities `i` and `j`.
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
+    fn distance(&self, i: usize, j: usize) -> f64 {
         self.distances[i * self.n + j]
     }
 
@@ -93,6 +93,7 @@ impl TravellingSalesman {
     }
 
     /// Length of a decoded tour (closed cycle).
+    // audit:allow(dead-pub): COP diagnostic: solver_features checks the decoded tour with it
     pub fn tour_length(&self, tour: &[usize]) -> f64 {
         let mut len = 0.0;
         for t in 0..tour.len() {

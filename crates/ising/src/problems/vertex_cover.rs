@@ -48,13 +48,13 @@ impl VertexCover {
     }
 
     /// Vertices selected into the cover by `spins`.
-    pub fn cover(&self, spins: &SpinVector) -> Vec<usize> {
+    fn cover(&self, spins: &SpinVector) -> Vec<usize> {
         let x = spins.to_binaries();
         (0..self.n).filter(|&i| x[i] == 1).collect()
     }
 
     /// Number of edges with neither endpoint in the cover.
-    pub fn uncovered_count(&self, spins: &SpinVector) -> usize {
+    fn uncovered_count(&self, spins: &SpinVector) -> usize {
         let x = spins.to_binaries();
         self.edges
             .iter()

@@ -50,27 +50,9 @@ impl Spin {
     /// # Panics
     ///
     /// Panics if `v == 0`, which is not a valid Ising spin.
-    pub fn from_sign(v: i64) -> Spin {
+    fn from_sign(v: i64) -> Spin {
         assert!(v != 0, "spin value must be nonzero");
         if v > 0 {
-            Spin::Up
-        } else {
-            Spin::Down
-        }
-    }
-
-    /// Map to the QUBO binary convention `x = (1 - σ)/2`, i.e. `Up → 0`,
-    /// `Down → 1` (the paper's Eq. σ = 1 − 2x).
-    pub fn to_binary(self) -> u8 {
-        match self {
-            Spin::Up => 0,
-            Spin::Down => 1,
-        }
-    }
-
-    /// Inverse of [`Spin::to_binary`].
-    pub fn from_binary(x: u8) -> Spin {
-        if x == 0 {
             Spin::Up
         } else {
             Spin::Down
@@ -98,7 +80,7 @@ impl fmt::Display for Spin {
 /// use fecim_ising::SpinVector;
 /// let s = SpinVector::all_up(4);
 /// assert_eq!(s.len(), 4);
-/// assert_eq!(s.magnetization(), 1.0);
+/// assert!(s.iter().all(|x| x == 1));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SpinVector {
@@ -107,13 +89,9 @@ pub struct SpinVector {
 
 impl SpinVector {
     /// All spins up (`+1`).
+    // audit:allow(dead-pub): test seam: the unit, integration and doc tests start from the all-up state
     pub fn all_up(n: usize) -> SpinVector {
         SpinVector { spins: vec![1; n] }
-    }
-
-    /// All spins down (`-1`).
-    pub fn all_down(n: usize) -> SpinVector {
-        SpinVector { spins: vec![-1; n] }
     }
 
     /// Uniformly random configuration drawn from `rng`.
@@ -140,6 +118,7 @@ impl SpinVector {
     }
 
     /// Build from QUBO binaries via `σ_i = 1 − 2 x_i`.
+    // audit:allow(dead-pub): test seam: the COP and QUBO tests enumerate binary assignments through it
     pub fn from_binaries(bits: &[u8]) -> SpinVector {
         SpinVector {
             spins: bits.iter().map(|&b| if b == 0 { 1 } else { -1 }).collect(),
@@ -198,13 +177,6 @@ impl SpinVector {
         self.spins[i] = -self.spins[i];
     }
 
-    /// Flip every spin listed in `indices` in place.
-    pub fn flip_all(&mut self, indices: &[usize]) {
-        for &i in indices {
-            self.flip(i);
-        }
-    }
-
     /// A copy with the spins in `mask` flipped: `σ_new = σ ∘ (1 − 2 σ_f)`
     /// (paper Alg. 1, line 4).
     pub fn flipped_by(&self, mask: &FlipMask) -> SpinVector {
@@ -213,28 +185,6 @@ impl SpinVector {
             out.flip(i);
         }
         out
-    }
-
-    /// Mean spin value in `[-1, 1]`.
-    pub fn magnetization(&self) -> f64 {
-        if self.spins.is_empty() {
-            return 0.0;
-        }
-        self.spins.iter().map(|&s| s as f64).sum::<f64>() / self.spins.len() as f64
-    }
-
-    /// Number of positions where `self` and `other` differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn hamming_distance(&self, other: &SpinVector) -> usize {
-        assert_eq!(self.len(), other.len(), "length mismatch");
-        self.spins
-            .iter()
-            .zip(other.spins.iter())
-            .filter(|(a, b)| a != b)
-            .count()
     }
 
     /// The changed-spin vector `σ_c = σ_new ∘ σ_f`: keeps the *new* values of
@@ -374,11 +324,6 @@ impl FlipMask {
         self.n
     }
 
-    /// `|F|`: how many spins are flipped.
-    pub fn flip_count(&self) -> usize {
-        self.indices.len()
-    }
-
     /// `true` when no spin is flipped.
     pub fn is_empty(&self) -> bool {
         self.indices.is_empty()
@@ -414,13 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn spin_binary_roundtrip() {
-        for s in [Spin::Up, Spin::Down] {
-            assert_eq!(Spin::from_binary(s.to_binary()), s);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "nonzero")]
     fn spin_from_zero_panics() {
         let _ = Spin::from_sign(0);
@@ -429,7 +367,6 @@ mod tests {
     #[test]
     fn vector_constructors() {
         assert_eq!(SpinVector::all_up(3).as_slice(), &[1, 1, 1]);
-        assert_eq!(SpinVector::all_down(2).as_slice(), &[-1, -1]);
         let v = SpinVector::from_signs(&[1, -1, 1]);
         assert_eq!(v.get(1), -1);
     }
@@ -455,31 +392,13 @@ mod tests {
         let mut v = SpinVector::all_up(4);
         v.flip(2);
         assert_eq!(v.as_slice(), &[1, 1, -1, 1]);
-        v.flip_all(&[0, 2]);
-        assert_eq!(v.as_slice(), &[-1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn magnetization_values() {
-        assert_eq!(SpinVector::all_up(5).magnetization(), 1.0);
-        assert_eq!(SpinVector::all_down(5).magnetization(), -1.0);
-        let v = SpinVector::from_signs(&[1, -1]);
-        assert_eq!(v.magnetization(), 0.0);
-        assert_eq!(SpinVector::from_signs(&[]).magnetization(), 0.0);
-    }
-
-    #[test]
-    fn hamming_distance_counts_differences() {
-        let a = SpinVector::from_signs(&[1, -1, 1, 1]);
-        let b = SpinVector::from_signs(&[1, 1, 1, -1]);
-        assert_eq!(a.hamming_distance(&b), 2);
     }
 
     #[test]
     fn mask_sorts_and_dedups() {
         let m = FlipMask::new(vec![3, 1, 3], 5);
         assert_eq!(m.indices(), &[1, 3]);
-        assert_eq!(m.flip_count(), 2);
+        assert_eq!(m.indices().len(), 2);
         assert!(m.contains(3));
         assert!(!m.contains(0));
     }
@@ -495,7 +414,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         for t in 0..=10 {
             let m = FlipMask::random(t, 10, &mut rng);
-            assert_eq!(m.flip_count(), t);
+            assert_eq!(m.indices().len(), t);
         }
     }
 

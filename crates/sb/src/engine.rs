@@ -132,7 +132,7 @@ impl PressureSchedule {
 /// Goto's `c₀ = 0.5/(σ̄·√N)` written in terms of the stored nonzeros
 /// (`σ̄·√N = rms_nonzero · √(mean degree)`), so sparse and dense
 /// instances normalize alike. Falls back to `1.0` for empty couplings.
-pub fn suggest_coupling_strength<C: Coupling + ?Sized>(coupling: &C) -> f64 {
+fn suggest_coupling_strength<C: Coupling + ?Sized>(coupling: &C) -> f64 {
     let n = coupling.dimension();
     if n == 0 {
         return 1.0;
@@ -166,8 +166,8 @@ pub struct SbEngine {
     pub dt: f64,
     /// Bifurcation-pressure ramp.
     pub pressure: PressureSchedule,
-    /// Coupling prefactor `c₀` override (`None` = problem-adapted
-    /// [`suggest_coupling_strength`]).
+    /// Coupling prefactor `c₀` override (`None` = the problem-adapted
+    /// `c₀ = 0.5 / (rms(J) · √deg)`).
     pub coupling_strength: Option<f64>,
     /// Trace sampling.
     pub trace: TraceMode,

@@ -37,5 +37,5 @@
 mod engine;
 mod mvm;
 
-pub use engine::{suggest_coupling_strength, PressureSchedule, SbEngine, SbVariant};
+pub use engine::{PressureSchedule, SbEngine, SbVariant};
 pub use mvm::{DeviceMvm, ExactMvm, MvmSource, MAX_IN_BITS};

@@ -50,6 +50,7 @@ impl SubmitOptions {
     }
 
     /// Set the deadline hint, milliseconds from submission.
+    // audit:allow(dead-pub): test seam: the scheduler deadline tests and serde_roundtrips set deadlines through it
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> SubmitOptions {
         self.deadline_ms = Some(deadline_ms);
         self

@@ -211,6 +211,7 @@ impl TcpServer {
     /// flight on the wire when shutdown begins may go unanswered — but
     /// an idle client that keeps its connection open can never stall
     /// shutdown.
+    // audit:allow(dead-pub): test seam: serve_transport stops its in-process servers through it
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
