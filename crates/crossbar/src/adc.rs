@@ -95,7 +95,7 @@ impl MuxAssignment {
     }
 
     /// Number of ADCs instantiated.
-    pub fn adc_count(&self) -> usize {
+    fn adc_count(&self) -> usize {
         self.groups.div_ceil(self.mux_ratio)
     }
 

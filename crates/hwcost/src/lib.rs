@@ -21,10 +21,8 @@
 
 mod accounting;
 mod annealers;
-mod area;
 mod components;
 
 pub use accounting::{energy_of, time_of, EnergyReport, TimeReport};
 pub use annealers::{AnnealerKind, IterationProfile};
-pub use area::{annealer_area, AreaModel, AreaReport};
 pub use components::{CostModel, EventCost, ExpUnit};

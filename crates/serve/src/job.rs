@@ -194,6 +194,8 @@ pub(crate) struct JobState {
     pub(crate) finished_event: Option<u64>,
     /// Terminal outcome; present exactly when `status.is_terminal()`.
     pub(crate) outcome: Option<Result<SolveResponse, SchedulerError>>,
+    /// Run once by `Core::finalize` (see [`JobHandle::on_settle`]).
+    pub(crate) on_settle: Option<Box<dyn FnOnce() + Send>>,
 }
 
 impl Job {
@@ -220,6 +222,7 @@ impl Job {
                 started_event: None,
                 finished_event: None,
                 outcome: None,
+                on_settle: None,
             }),
             done_cv: Condvar::new(),
             cancel_flag: AtomicBool::new(false),
@@ -324,6 +327,19 @@ impl JobHandle {
                 .done_cv
                 .wait(st)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
+    /// Run `hook` once the job settles: from `Core::finalize` after the
+    /// outcome is stored, or now if it already has. It runs under the
+    /// job's state lock and must capture no `JobHandle` (the job would
+    /// hold itself alive).
+    pub(crate) fn on_settle(&self, hook: impl FnOnce() + Send + 'static) {
+        let mut st = lock(&self.job.state);
+        if st.outcome.is_some() {
+            hook();
+        } else {
+            st.on_settle = Some(Box::new(hook));
         }
     }
 

@@ -54,7 +54,7 @@
 //!
 //! [`JobHandle::wait`]: crate::JobHandle::wait
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::io::{BufRead, Read as _, Write};
 
 use serde::{Deserialize, Serialize};
@@ -335,7 +335,9 @@ pub fn run_jsonl(
         ..config
     });
     let mut summary = JsonlSummary::default();
-    // (id, handle) in submission order; duplicate ids become failures.
+    // (id, handle) in submission order; a duplicate id (of a job or a
+    // campaign) has no handle and is answered by a `Failed` line.
+    let mut ids: HashSet<String> = HashSet::new();
     let mut jobs: Vec<(String, Option<crate::JobHandle>)> = Vec::new();
     // Campaigns are staged too, but execute only after every staged job
     // settles: their rounds are sequential submit→wait cycles, which
@@ -366,24 +368,14 @@ pub fn run_jsonl(
                 request,
                 options,
             } => {
-                if jobs.iter().any(|(existing, _)| existing == &id)
-                    || campaigns.iter().any(|(existing, _)| existing == &id)
-                {
-                    // Answered by a `Failed` line in submission order.
-                    jobs.push((id, None));
-                    continue;
-                }
-                let handle = scheduler.submit_named(Some(&id), request, options);
-                jobs.push((id, Some(handle)));
+                let handle = ids
+                    .insert(id.clone())
+                    .then(|| scheduler.submit_named(Some(&id), request, options));
+                jobs.push((id, handle));
             }
             RequestLine::Campaign { id, spec, options } => {
-                if jobs.iter().any(|(existing, _)| existing == &id)
-                    || campaigns.iter().any(|(existing, _)| existing == &id)
-                {
-                    campaigns.push((id, None));
-                    continue;
-                }
-                campaigns.push((id, Some((spec, options))));
+                let staged = ids.insert(id.clone()).then_some((spec, options));
+                campaigns.push((id, staged));
             }
             RequestLine::Cancel { id } => cancels.push(id),
             // Point-in-time queries are answered where they stand in
@@ -402,10 +394,7 @@ pub fn run_jsonl(
                     }
                     _ => {
                         summary.failed += 1;
-                        ResponseLine::Failed {
-                            error: format!("status for unknown id `{id}`"),
-                            id,
-                        }
+                        unknown_id("status", id)
                     }
                 };
                 write_line(&mut output, &response)?;
@@ -421,10 +410,7 @@ pub fn run_jsonl(
                     }
                     _ => {
                         summary.failed += 1;
-                        ResponseLine::Failed {
-                            error: format!("progress for unknown id `{id}`"),
-                            id,
-                        }
+                        unknown_id("progress", id)
                     }
                 };
                 write_line(&mut output, &response)?;
@@ -434,13 +420,13 @@ pub fn run_jsonl(
     // The whole stream is staged before execution starts, so a cancel
     // applies wherever it appears relative to its submission; only ids
     // the stream never submits are errors.
-    let mut errors: Vec<(String, String)> = Vec::new();
+    let mut errors: Vec<ResponseLine> = Vec::new();
     for id in cancels {
         match jobs.iter().find(|(existing, _)| existing == &id) {
             Some((_, Some(handle))) => {
                 handle.cancel();
             }
-            _ => errors.push((id.clone(), format!("cancel for unknown id `{id}`"))),
+            _ => errors.push(unknown_id("cancel", id)),
         }
     }
 
@@ -450,10 +436,7 @@ pub fn run_jsonl(
         let response = match handle {
             None => {
                 summary.failed += 1;
-                ResponseLine::Failed {
-                    error: format!("duplicate submission id `{id}`"),
-                    id,
-                }
+                duplicate_id(id)
             }
             Some(handle) => terminal_line(id, handle.wait(), &mut summary),
         };
@@ -466,10 +449,7 @@ pub fn run_jsonl(
         let response = match staged {
             None => {
                 summary.failed += 1;
-                ResponseLine::Failed {
-                    error: format!("duplicate submission id `{id}`"),
-                    id,
-                }
+                duplicate_id(id)
             }
             Some((spec, options)) => match run_campaign(&scheduler, &spec, &options) {
                 Ok(outcome) => {
@@ -487,12 +467,30 @@ pub fn run_jsonl(
         };
         write_line(&mut output, &response)?;
     }
-    for (id, error) in errors {
+    for error in errors {
         summary.failed += 1;
-        write_line(&mut output, &ResponseLine::Failed { id, error })?;
+        write_line(&mut output, &error)?;
     }
     scheduler.join();
     Ok(summary)
+}
+
+/// The `Failed` line for a `what` (`cancel`, `status` or `progress`)
+/// naming an id its asker never submitted. Shared by both transports.
+pub(crate) fn unknown_id(what: &str, id: String) -> ResponseLine {
+    ResponseLine::Failed {
+        error: format!("{what} for unknown id `{id}`"),
+        id,
+    }
+}
+
+/// The `Failed` line for a reused submission id. Shared by both
+/// transports.
+pub(crate) fn duplicate_id(id: String) -> ResponseLine {
+    ResponseLine::Failed {
+        error: format!("duplicate submission id `{id}`"),
+        id,
+    }
 }
 
 fn write_line(output: &mut impl Write, response: &ResponseLine) -> Result<(), JsonlError> {

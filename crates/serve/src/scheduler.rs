@@ -215,9 +215,10 @@ impl Core {
     }
 
     /// Finalize under the job's state lock: record the outcome, stamp
-    /// the event ordinal, wake waiters, and release the job's slot in
-    /// the open-job count. (Lock order: `job.state` may be held while
-    /// taking `queue`, never the reverse.)
+    /// the event ordinal, wake waiters, release the job's slot in the
+    /// open-job count, then run the job's settle hook, if any. (Lock
+    /// order: `job.state` may be held while taking `queue`, never the
+    /// reverse.)
     fn finalize(
         &self,
         job: &Job,
@@ -248,6 +249,9 @@ impl Core {
         drop(q);
         lock(&self.jobs).remove(&job.id);
         self.work_cv.notify_all();
+        if let Some(hook) = st.on_settle.take() {
+            hook();
+        }
     }
 
     fn journal(&self, record: &JournalRecord) {

@@ -1,9 +1,9 @@
 //! The streaming TCP transport: the [`jsonl`] protocol
 //! over a real wire (`fecim-serve serve --listen ADDR`).
 //!
-//! One OS thread per connection reads [`RequestLine`]s as they arrive
-//! and executes them against a scheduler shared by every connection.
-//! Unlike the staged stdin transport, execution is *live*:
+//! Each connection executes its [`RequestLine`]s as they arrive against
+//! a scheduler shared by every connection. Unlike the staged stdin
+//! transport, execution is *live*:
 //!
 //! * terminal [`ResponseLine`]s are emitted **as jobs finish**, tagged
 //!   by id, not in submission order;
@@ -24,6 +24,13 @@
 //!   arrival; its per-round sub-jobs then enter the queue directly
 //!   (each round keeps at most one window-set in flight).
 //!
+//! A connection runs on two threads, plus one per `Campaign` in flight.
+//! Its reader only reads and parses request lines. Its event loop owns
+//! the rest — the write side, the ids it submitted, every response line
+//! — and takes one event at a time from one channel: a parsed line, a
+//! job's settle (sent by a hook the scheduler runs as the job
+//! finalizes, so no thread waits on a job) or a campaign's answer.
+//!
 //! On the wire, each response line is one `write_all` of the JSON and
 //! its `\n` together, and every accepted socket has `TCP_NODELAY` set.
 //! Written as two pieces with Nagle on, the newline would wait for the
@@ -36,11 +43,9 @@
 //!
 //! A connection answers `Status`, `Progress` and `Cancel` for every id
 //! it submitted, for as long as it is open, but it does not keep a
-//! settled job alive for that. Each waiter thread, having written its
-//! job's terminal line, reports the id on a per-connection channel.
-//! Before each request line the connection drains the channel, joins
-//! the reported waiters, and keeps of each settled job only the status
-//! and progress its queries keep answering.
+//! settled job alive for that: in the step that writes a job's terminal
+//! line, the event loop drops its handle and keeps only the status and
+//! progress its queries answer.
 //!
 //! A connection's jobs keep running after the client stops sending;
 //! the server half-closes only after every job submitted on that
@@ -54,16 +59,18 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+
+use fecim::SolveRequest;
 
 use crate::campaign;
 use crate::jsonl::{
     self, CappedLine, JsonlSummary, RequestLine, ResponseLine, MAX_REQUEST_LINE_BYTES,
 };
 use crate::scheduler::{lock, Scheduler, SchedulerConfig};
-use crate::{JobHandle, JobProgress, JobStatus};
+use crate::{JobHandle, JobProgress, JobStatus, SubmitOptions};
 
 /// Configuration of a [`TcpServer`].
 #[derive(Debug, Clone, Default)]
@@ -82,7 +89,7 @@ pub struct TcpServerConfig {
 struct Shared {
     scheduler: Scheduler,
     max_open_jobs: Option<usize>,
-    /// Connection threads, joined at shutdown.
+    /// Connection threads; the accept loop joins the finished ones.
     conns: Mutex<Vec<JoinHandle<()>>>,
     /// One clone per live connection socket, keyed by connection id;
     /// shutdown half-closes their read sides so a reader blocked on an
@@ -99,7 +106,7 @@ struct Shared {
     submitted: Mutex<HashSet<String>>,
 }
 
-/// A running TCP front-end: an accept loop plus one thread per
+/// A running TCP front-end: an accept loop plus two threads per
 /// connection, all sharing one [`Scheduler`].
 ///
 /// ```no_run
@@ -200,9 +207,10 @@ impl TcpServer {
         self.recovered
     }
 
-    /// Open jobs on the shared scheduler right now.
-    pub fn open_jobs(&self) -> usize {
-        self.shared.scheduler.open_jobs()
+    /// Start executing on a server whose scheduler was configured
+    /// paused ([`SchedulerConfig::paused`]); a no-op otherwise.
+    pub fn resume(&self) {
+        self.shared.scheduler.resume();
     }
 
     /// Stop accepting, half-close every connection's read side, wait
@@ -219,24 +227,16 @@ impl TcpServer {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        // The accept loop has exited, so the socket list is final.
-        // Half-close each read side: readers blocked on clients that
-        // never half-closed see EOF and fall through to the waiter
-        // joins, which still deliver every in-flight job's response
-        // over the (untouched) write sides.
+        // The accept loop has exited, so the socket and thread lists are
+        // final. Half-close each read side: readers blocked on idle
+        // clients see EOF, and each event loop still delivers every
+        // in-flight job's response over the (untouched) write side.
         for sock in lock(&self.shared.socks).values() {
             let _ = sock.shutdown(Shutdown::Read);
         }
-        loop {
-            // Connection threads may still be registering; drain until
-            // the list stays empty.
-            let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.shared.conns));
-            if conns.is_empty() {
-                break;
-            }
-            for conn in conns {
-                let _ = conn.join();
-            }
+        let conns = std::mem::take(&mut *lock(&self.shared.conns));
+        for conn in conns {
+            let _ = conn.join();
         }
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => shared.scheduler.join(),
@@ -267,43 +267,51 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
             .spawn(move || handle_connection(stream, &shared_for_conn, conn_id))
             // audit:allow(panic-path): thread spawn fails only on OS resource exhaustion; the accept loop has no error channel to the peer, and limping on with a silently dropped connection is worse than aborting
             .expect("spawn connection thread");
-        lock(&shared.conns).push(conn);
+        // Join the connections that have finished (at once: their threads
+        // have exited), so a long-running server keeps only live ones.
+        let mut conns = lock(&shared.conns);
+        for finished in conns.extract_if(.., |conn| conn.is_finished()) {
+            let _ = finished.join();
+        }
+        conns.push(conn);
     }
 }
 
-/// One response line as it goes on the wire: the JSON and its `\n`,
-/// written with one `write_all` (a separate `\n` write would be a
-/// second segment; see the module doc).
-fn encode(line: &ResponseLine) -> String {
-    // audit:allow(panic-path): ResponseLine is plain structs/enums with string keys throughout, so serialization is infallible by construction
-    let mut json = serde_json::to_string(line).expect("response lines serialize");
-    json.push('\n');
-    json
-}
-
-/// Serialize and send one line; a failed write means the peer is gone,
-/// which is not the server's problem — jobs keep running (and, with a
-/// journal, stay replayable).
-fn send(writer: &Mutex<TcpStream>, line: &ResponseLine) {
-    let json = encode(line);
-    let _ = lock(writer).write_all(json.as_bytes());
-}
-
-/// [`send`] a waiter's terminal line, then report its id on `settled`
-/// before releasing the writer. Every later line waits for the writer,
-/// so a request line the client sends after reading any later line
-/// finds the report when the connection drains the channel.
-fn send_settled(writer: &Mutex<TcpStream>, line: &ResponseLine, settled: &Sender<String>) {
-    let json = encode(line);
-    let mut stream = lock(writer);
-    let _ = stream.write_all(json.as_bytes());
-    // The connection thread may have gone, and its receiver with it.
-    let _ = settled.send(line.id().to_string());
+/// Admit a `Submit` (with its `job`) or a `Campaign` under the
+/// server-wide `submitted` lock. A duplicate id fails, on any connection
+/// (ids key the journal). At `max_open_jobs` the id is `Rejected` and
+/// never enters the queue or the registries, so the client may retry it.
+/// Otherwise the id is burned and `job` submitted under the same lock, so
+/// racing connections cannot each pass the check and overshoot the limit.
+fn admit_id(
+    shared: &Shared,
+    id: &str,
+    job: Option<(SolveRequest, SubmitOptions)>,
+) -> Result<Option<JobHandle>, Box<ResponseLine>> {
+    let mut submitted = lock(&shared.submitted);
+    if submitted.contains(id) {
+        return Err(Box::new(jsonl::duplicate_id(id.to_string())));
+    }
+    if let Some(limit) = shared.max_open_jobs {
+        let open_jobs = shared.scheduler.open_jobs();
+        if open_jobs >= limit {
+            return Err(Box::new(ResponseLine::Rejected {
+                id: id.to_string(),
+                open_jobs,
+                limit,
+            }));
+        }
+    }
+    let handle =
+        job.map(|(request, options)| shared.scheduler.submit_named(Some(id), request, options));
+    submitted.insert(id.to_string());
+    Ok(handle)
 }
 
 /// What a connection keeps of an id it submitted.
 enum Submitted {
-    /// The job has not settled, or its waiter has not reported yet.
+    /// The job has not settled, or a failed trial settled it while
+    /// sibling trials still run (their ends still move its progress).
     Live(JobHandle),
     /// The job settled: the status and progress its queries answer from
     /// now on. Neither changes once a settled job has no trial in
@@ -311,258 +319,221 @@ enum Submitted {
     Settled(JobStatus, JobProgress),
 }
 
-/// Join every waiter that reported on `settled` and keep of its job
-/// only what its queries answer, dropping the handle and with it the
-/// job's request and response. A trial that fails settles its job while
-/// sibling trials may still run, and their ends still move its progress;
-/// such a job keeps its handle.
-fn settle(
-    settled: &Receiver<String>,
-    waiters: &mut BTreeMap<String, JoinHandle<()>>,
-    registry: &mut HashMap<String, Submitted>,
-) {
-    for id in settled.try_iter() {
-        if let Some(waiter) = waiters.remove(&id) {
-            let _ = waiter.join();
-        }
-        let Some(entry) = registry.get_mut(&id) else {
-            continue;
+/// What a connection's event loop acts on, in arrival order.
+enum Event {
+    /// A parsed request line.
+    Request(Box<RequestLine>),
+    /// The `Failed` line answering a line that did not parse.
+    Unparsable(ResponseLine),
+    /// The job submitted under this id settled.
+    Settled(String),
+    /// A campaign finished with this `Campaign` or `Failed` line.
+    CampaignDone(ResponseLine),
+    /// The client closed its write side, or the connection died.
+    Eof,
+}
+
+/// The reader thread: send each capped request line, parsed, then `Eof`.
+/// A bad line gets a synthesized id and serving goes on (peers' jobs are
+/// already running). Each line takes the one permit of `permits` until
+/// the loop has answered it, so a client that stops reading responses
+/// stalls on its own sends instead of parsed lines piling up here.
+fn read_requests(read_half: TcpStream, events: &Sender<Event>, permits: &SyncSender<()>) {
+    let mut reader = BufReader::new(read_half);
+    let mut line_no = 0;
+    while let Ok(Some(line)) = jsonl::read_capped_line(&mut reader, MAX_REQUEST_LINE_BYTES) {
+        line_no += 1;
+        let failed = |error| ResponseLine::Failed {
+            id: format!("line-{line_no}"),
+            error,
         };
-        if let Submitted::Live(handle) = entry {
-            let (status, progress) = (handle.status(), handle.progress());
-            if progress.in_flight == 0 {
-                *entry = Submitted::Settled(status, progress);
+        let event = match line {
+            CappedLine::TooLong => Event::Unparsable(failed(jsonl::too_long_message())),
+            CappedLine::Text(line) if line.trim().is_empty() => continue,
+            CappedLine::Text(line) => match serde_json::from_str(line.trim()) {
+                Ok(request) => Event::Request(Box::new(request)),
+                Err(e) => Event::Unparsable(failed(format!("unparsable request line: {e}"))),
+            },
+        };
+        if permits.send(()).is_err() || events.send(event).is_err() {
+            return;
+        }
+    }
+    let _ = events.send(Event::Eof);
+}
+
+/// A connection's event loop: the only owner of its write side and of
+/// the ids it submitted. `Cancel`/`Status`/`Progress` are scoped to the
+/// submitting connection, the only place a handle lives; duplicate
+/// detection is server-wide (`Shared::submitted`).
+struct Connection {
+    shared: Arc<Shared>,
+    writer: TcpStream,
+    /// Cloned into each settle hook and campaign thread.
+    events: Sender<Event>,
+    registry: HashMap<String, Submitted>,
+    /// Jobs and campaigns admitted here that have not yet answered.
+    open: usize,
+    /// Running campaign threads by id, each joined when it answers.
+    campaigns: HashMap<String, JoinHandle<()>>,
+}
+
+impl Connection {
+    /// Write the JSON and its `\n` in one `write_all` (see the module
+    /// doc). A failed write means the peer is gone; its jobs keep running
+    /// (and, with a journal, stay replayable).
+    fn send(&mut self, line: &ResponseLine) {
+        // audit:allow(panic-path): ResponseLine is plain structs/enums with string keys throughout, so serialization is infallible by construction
+        let mut json = serde_json::to_string(line).expect("response lines serialize");
+        json.push('\n');
+        let _ = self.writer.write_all(json.as_bytes());
+    }
+
+    /// The status and progress of a job this connection submitted.
+    fn query(&self, id: &str) -> Option<(JobStatus, JobProgress)> {
+        match self.registry.get(id)? {
+            Submitted::Live(handle) => Some((handle.status(), handle.progress())),
+            &Submitted::Settled(status, progress) => Some((status, progress)),
+        }
+    }
+
+    fn request(&mut self, request: RequestLine) {
+        let response = match request {
+            RequestLine::Submit {
+                id,
+                request,
+                options,
+            } => match admit_id(&self.shared, &id, Some((request, options))) {
+                Ok(Some(handle)) => {
+                    self.open += 1;
+                    let (events, settled) = (self.events.clone(), id.clone());
+                    handle.on_settle(move || {
+                        // The loop may have gone, and its receiver with it.
+                        let _ = events.send(Event::Settled(settled));
+                    });
+                    self.registry.insert(id, Submitted::Live(handle));
+                    return;
+                }
+                // Only a campaign is admitted without a job.
+                Ok(None) => return,
+                Err(refusal) => *refusal,
+            },
+            RequestLine::Campaign { id, spec, options } => {
+                // The id is burned even though campaigns have no handle
+                // (they cannot be cancelled or queried).
+                if let Err(refusal) = admit_id(&self.shared, &id, None) {
+                    return self.send(&refusal);
+                }
+                self.open += 1;
+                let (shared, events) = (Arc::clone(&self.shared), self.events.clone());
+                let key = id.clone();
+                let thread = std::thread::Builder::new()
+                    .name("fecim-serve-campaign".into())
+                    .spawn(move || {
+                        let response =
+                            match campaign::run_campaign(&shared.scheduler, &spec, &options) {
+                                Ok(outcome) => ResponseLine::Campaign { id, outcome },
+                                Err(e) => ResponseLine::Failed {
+                                    id,
+                                    error: e.to_string(),
+                                },
+                            };
+                        let _ = events.send(Event::CampaignDone(response));
+                    })
+                    // audit:allow(panic-path): thread spawn fails only on OS resource exhaustion; the id is already burned in `submitted`, so limping on would silently swallow the campaign's response
+                    .expect("spawn campaign thread");
+                self.campaigns.insert(key, thread);
+                return;
             }
+            RequestLine::Cancel { id } => match self.registry.get(&id) {
+                // The job's terminal line (Cancelled, or Completed if
+                // the cancel lost the race) is the response.
+                Some(Submitted::Live(handle)) => {
+                    handle.cancel();
+                    return;
+                }
+                // That line is already out.
+                Some(Submitted::Settled(..)) => return,
+                None => jsonl::unknown_id("cancel", id),
+            },
+            RequestLine::Status { id } => match self.query(&id) {
+                Some((status, _)) => ResponseLine::Status { id, status },
+                None => jsonl::unknown_id("status", id),
+            },
+            RequestLine::Progress { id } => match self.query(&id) {
+                Some((_, progress)) => ResponseLine::Progress { id, progress },
+                None => jsonl::unknown_id("progress", id),
+            },
+        };
+        self.send(&response);
+    }
+
+    /// Write the job's terminal line and, unless a trial is still in
+    /// flight, drop its handle for what its queries answer.
+    fn settled(&mut self, id: String) {
+        self.open -= 1;
+        let Some(Submitted::Live(handle)) = self.registry.get(&id) else {
+            return;
+        };
+        // The hook fires only after the outcome is stored.
+        let (outcome, status, progress) = (handle.outcome(), handle.status(), handle.progress());
+        if progress.in_flight == 0 {
+            self.registry
+                .insert(id.clone(), Submitted::Settled(status, progress));
+        }
+        if let Some(outcome) = outcome {
+            let mut tally = JsonlSummary::default();
+            self.send(&jsonl::terminal_line(id, outcome, &mut tally));
         }
     }
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let writer = Arc::new(Mutex::new(stream));
-    // Every id this connection submitted, kept for the connection's
-    // lifetime so queries keep working after a job finishes: the handle
-    // until the job settles, then what its queries answer. Duplicate
-    // detection is server-wide (`Shared::submitted`);
-    // `Cancel`/`Status`/`Progress` remain scoped to the submitting
-    // connection, which is the only place the handle lives.
-    let mut registry: HashMap<String, Submitted> = HashMap::new();
-    // One waiter thread per submission delivers its terminal line the
-    // moment the job settles — completion order, not submission order —
-    // and then reports its id on `settled`.
-    let mut waiters: BTreeMap<String, JoinHandle<()>> = BTreeMap::new();
-    let (settled_tx, settled) = mpsc::channel();
-    let mut reader = BufReader::new(read_half);
-    let mut line_no = 0;
-    while let Ok(Some(line)) = jsonl::read_capped_line(&mut reader, MAX_REQUEST_LINE_BYTES) {
-        line_no += 1;
-        settle(&settled, &mut waiters, &mut registry);
-        // Streaming cannot abort the whole stream on one bad line
-        // (peers' jobs are already running): synthesize an id and keep
-        // serving.
-        let line = match line {
-            CappedLine::Text(line) => line,
-            CappedLine::TooLong => {
-                send(
-                    &writer,
-                    &ResponseLine::Failed {
-                        id: format!("line-{line_no}"),
-                        error: jsonl::too_long_message(),
-                    },
-                );
-                continue;
-            }
+    let (events, inbox) = mpsc::channel();
+    let (permit, permits) = mpsc::sync_channel(1);
+    let reader = stream.try_clone().and_then(|read_half| {
+        let events = events.clone();
+        std::thread::Builder::new()
+            .name("fecim-serve-reader".into())
+            .spawn(move || read_requests(read_half, &events, &permit))
+    });
+    if let Ok(reader) = reader {
+        let mut conn = Connection {
+            shared: Arc::clone(shared),
+            writer: stream,
+            events,
+            registry: HashMap::new(),
+            open: 0,
+            campaigns: HashMap::new(),
         };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let parsed: RequestLine = match serde_json::from_str(trimmed) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                send(
-                    &writer,
-                    &ResponseLine::Failed {
-                        id: format!("line-{line_no}"),
-                        error: format!("unparsable request line: {e}"),
-                    },
-                );
-                continue;
-            }
-        };
-        match parsed {
-            RequestLine::Submit {
-                id,
-                request,
-                options,
-            } => {
-                // Duplicate detection and admission both run under the
-                // server-wide `submitted` lock: a duplicate id on a
-                // DIFFERENT connection is as much a duplicate as one on
-                // this connection (ids key the journal), and holding
-                // the lock across the check and the submit makes
-                // `max_open_jobs` a hard limit — N racing connections
-                // cannot each pass the check and overshoot.
-                let mut submitted = lock(&shared.submitted);
-                if submitted.contains(&id) {
-                    drop(submitted);
-                    send(
-                        &writer,
-                        &ResponseLine::Failed {
-                            error: format!("duplicate submission id `{id}`"),
-                            id,
-                        },
-                    );
-                    continue;
-                }
-                if let Some(limit) = shared.max_open_jobs {
-                    let open_jobs = shared.scheduler.open_jobs();
-                    if open_jobs >= limit {
-                        drop(submitted);
-                        // Backpressure: the id never enters the queue
-                        // (or the registries — the client may retry it).
-                        send(
-                            &writer,
-                            &ResponseLine::Rejected {
-                                id,
-                                open_jobs,
-                                limit,
-                            },
-                        );
-                        continue;
+        // After `Eof`, deliver what is still in flight, then let the
+        // socket close. `conn` holds a sender, so `recv` never fails.
+        let mut eof = false;
+        while !(eof && conn.open == 0) {
+            let Ok(event) = inbox.recv() else { break };
+            let is_line = matches!(event, Event::Request(_) | Event::Unparsable(_));
+            match event {
+                Event::Request(request) => conn.request(*request),
+                Event::Unparsable(failed) => conn.send(&failed),
+                Event::Settled(id) => conn.settled(id),
+                Event::CampaignDone(line) => {
+                    conn.open -= 1;
+                    if let Some(thread) = conn.campaigns.remove(line.id()) {
+                        let _ = thread.join();
                     }
+                    conn.send(&line);
                 }
-                let handle = shared.scheduler.submit_named(Some(&id), request, options);
-                submitted.insert(id.clone());
-                drop(submitted);
-                registry.insert(id.clone(), Submitted::Live(handle.clone()));
-                let (writer, settled) = (Arc::clone(&writer), settled_tx.clone());
-                waiters.insert(
-                    id.clone(),
-                    std::thread::Builder::new()
-                        .name("fecim-serve-waiter".into())
-                        .spawn(move || {
-                            let outcome = handle.wait();
-                            let mut tally = JsonlSummary::default();
-                            let line = jsonl::terminal_line(id, outcome, &mut tally);
-                            send_settled(&writer, &line, &settled);
-                        })
-                        // audit:allow(panic-path): thread spawn fails only on OS resource exhaustion; the job is already submitted and journaled, so limping on without a waiter would silently swallow its terminal line
-                        .expect("spawn waiter thread"),
-                );
+                Event::Eof => eof = true,
             }
-            RequestLine::Campaign { id, spec, options } => {
-                // Same server-wide duplicate + admission discipline as
-                // `Submit`; the id is burned even though campaigns have
-                // no handle (they cannot be cancelled or queried).
-                let mut submitted = lock(&shared.submitted);
-                if submitted.contains(&id) {
-                    drop(submitted);
-                    send(
-                        &writer,
-                        &ResponseLine::Failed {
-                            error: format!("duplicate submission id `{id}`"),
-                            id,
-                        },
-                    );
-                    continue;
-                }
-                if let Some(limit) = shared.max_open_jobs {
-                    let open_jobs = shared.scheduler.open_jobs();
-                    if open_jobs >= limit {
-                        drop(submitted);
-                        send(
-                            &writer,
-                            &ResponseLine::Rejected {
-                                id,
-                                open_jobs,
-                                limit,
-                            },
-                        );
-                        continue;
-                    }
-                }
-                submitted.insert(id.clone());
-                drop(submitted);
-                let (writer, settled) = (Arc::clone(&writer), settled_tx.clone());
-                let shared = Arc::clone(shared);
-                waiters.insert(
-                    id.clone(),
-                    std::thread::Builder::new()
-                        .name("fecim-serve-campaign".into())
-                        .spawn(move || {
-                            let response =
-                                match campaign::run_campaign(&shared.scheduler, &spec, &options) {
-                                    Ok(outcome) => ResponseLine::Campaign { id, outcome },
-                                    Err(e) => ResponseLine::Failed {
-                                        id,
-                                        error: e.to_string(),
-                                    },
-                                };
-                            send_settled(&writer, &response, &settled);
-                        })
-                        // audit:allow(panic-path): thread spawn fails only on OS resource exhaustion; the id is already burned in `submitted`, so limping on would silently swallow the campaign's response
-                        .expect("spawn campaign thread"),
-                );
-            }
-            RequestLine::Cancel { id } => match registry.get(&id) {
-                // The job's terminal line (Cancelled, or Completed if
-                // the cancel lost the race) is the response.
-                Some(Submitted::Live(handle)) => {
-                    handle.cancel();
-                }
-                // That line is already out.
-                Some(Submitted::Settled(..)) => {}
-                None => send(
-                    &writer,
-                    &ResponseLine::Failed {
-                        error: format!("cancel for unknown id `{id}`"),
-                        id,
-                    },
-                ),
-            },
-            RequestLine::Status { id } => {
-                let response = match registry.get(&id) {
-                    Some(Submitted::Live(handle)) => ResponseLine::Status {
-                        id,
-                        status: handle.status(),
-                    },
-                    Some(&Submitted::Settled(status, _)) => ResponseLine::Status { id, status },
-                    None => ResponseLine::Failed {
-                        error: format!("status for unknown id `{id}`"),
-                        id,
-                    },
-                };
-                send(&writer, &response);
-            }
-            RequestLine::Progress { id } => {
-                let response = match registry.get(&id) {
-                    Some(Submitted::Live(handle)) => ResponseLine::Progress {
-                        id,
-                        progress: handle.progress(),
-                    },
-                    Some(&Submitted::Settled(_, progress)) => {
-                        ResponseLine::Progress { id, progress }
-                    }
-                    None => ResponseLine::Failed {
-                        error: format!("progress for unknown id `{id}`"),
-                        id,
-                    },
-                };
-                send(&writer, &response);
+            if is_line {
+                // Release the permit the reader took for this line.
+                let _ = permits.recv();
             }
         }
+        let _ = reader.join();
     }
-    // Client closed its write side (or the connection died): deliver
-    // what is still in flight, then let the socket close.
-    for waiter in waiters.into_values() {
-        let _ = waiter.join();
-    }
-    // Drop the shutdown registry's clone along with the locals below,
-    // so the last fd closes here and the peer sees EOF now, not at
-    // server shutdown.
+    // Drop the shutdown registry's clone last, so the fd closes here and
+    // the peer sees EOF now, not at server shutdown.
     lock(&shared.socks).remove(&conn_id);
 }
 
@@ -725,9 +696,9 @@ mod tests {
         };
         let best_b = Some(response.reports[0].best_energy);
 
-        // The one worker runs `z` only after it let go of the others, and
-        // `z`'s line is written only after their waiters reported, so the
-        // next request line finds every report.
+        // The one worker runs `z` only after the others settled, so the
+        // event loop takes their settles before `z`'s and has dropped
+        // their handles by the time it writes `z`'s line.
         client.send(&submit("z", ring(8, 50, 1)));
         assert!(matches!(
             client.recv_terminal(1)["z"],
@@ -804,11 +775,27 @@ mod tests {
             }
         }
         // Nothing holds the settled jobs any more: not the connection,
-        // not their joined waiters, not the worker or the queue.
+        // not their settle hooks, not the worker or the queue.
         for (job, id) in jobs.iter().zip(["a", "b", "c"]) {
             assert!(job.upgrade().is_none(), "job `{id}` is still held");
         }
         drop(client);
+        server.shutdown();
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let server = TcpServer::bind("127.0.0.1:0", TcpServerConfig::default()).unwrap();
+        for _ in 0..50 {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            // The server closes its side once the connection is done.
+            assert_eq!(std::io::Read::read(&mut stream, &mut [0]).unwrap(), 0);
+        }
+        // Each accept joins the connections that have finished, so only
+        // the last one or two can still be listed.
+        let conns = lock(&server.shared.conns).len();
+        assert!(conns <= 2, "{conns} connection threads still held");
         server.shutdown();
     }
 }

@@ -4,7 +4,7 @@
 //! headline (a QUBO at 2× the grid's stripe capacity solves through
 //! windowed decomposition with a monotone trajectory that is
 //! bit-identical at 1 and 8 workers), the JSONL `Campaign` request
-//! line, and journal compaction (recovery from a compacted journal is
+//! line on both transports, and journal compaction (recovery from a compacted journal is
 //! bit-identical to recovery from the original).
 
 use std::io::BufReader;
@@ -17,9 +17,9 @@ use fecim::BackendPlan;
 use fecim::{CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, SolveResponse, SolverSpec};
 use fecim_ising::{Qubo, SpinVector};
 use fecim_serve::{
-    compact_records, read_journal, run_campaign, run_jsonl, CampaignOutcome, CampaignSpec,
+    compact_records, drive, read_journal, run_campaign, run_jsonl, CampaignOutcome, CampaignSpec,
     DecomposePlan, RequestLine, ResponseLine, ScheduleVariant, Scheduler, SchedulerConfig,
-    SubmitOptions,
+    SubmitOptions, TcpServer, TcpServerConfig,
 };
 
 /// An antiferromagnetic ring as a minimization QUBO: ground state is
@@ -325,6 +325,81 @@ fn duplicate_campaign_ids_fail_without_running() {
     assert!(responses.iter().any(
         |r| matches!(r, ResponseLine::Failed { id, error } if id == "c" && error.contains("duplicate"))
     ));
+}
+
+#[test]
+fn tcp_campaign_lines_answer_like_the_batch_transport() {
+    let spec = CampaignSpec::new(
+        ring_spec(12),
+        2,
+        vec![ScheduleVariant::new(cim(150)).with_trials(2)],
+    )
+    .with_decompose(DecomposePlan::window(6).with_overlap(2))
+    .with_base_seed(4);
+    let campaign = |id: &str| RequestLine::Campaign {
+        id: id.into(),
+        spec: spec.clone(),
+        options: SubmitOptions::default(),
+    };
+    // A campaign beside a job, then its id reused by a campaign and by
+    // a job: both duplicates fail without running.
+    let lines = [
+        RequestLine::Submit {
+            id: "plain".into(),
+            request: SolveRequest::new(ring_spec(8), cim(100))
+                .with_run(RunPlan::Single { seed: 3 }),
+            options: SubmitOptions::default(),
+        },
+        campaign("camp"),
+        campaign("camp"),
+        RequestLine::Submit {
+            id: "camp".into(),
+            request: SolveRequest::new(ring_spec(8), cim(100)),
+            options: SubmitOptions::default(),
+        },
+    ]
+    .map(|line| serde_json::to_string(&line).unwrap())
+    .join("\n");
+
+    let mut batch = Vec::new();
+    run_jsonl(lines.as_bytes(), &mut batch, SchedulerConfig::workers(2)).expect("stream serves");
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        TcpServerConfig {
+            scheduler: SchedulerConfig::workers(2),
+            max_open_jobs: None,
+        },
+    )
+    .unwrap();
+    let mut tcp = Vec::new();
+    assert_eq!(
+        drive(server.local_addr(), lines.as_bytes(), &mut tcp).unwrap(),
+        4
+    );
+    server.shutdown();
+
+    // Same lines modulo order: the TCP server answers as things finish.
+    let sorted = |output: Vec<u8>| {
+        let mut lines: Vec<String> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        lines.sort();
+        lines
+    };
+    let (batch, tcp) = (sorted(batch), sorted(tcp));
+    assert_eq!(batch, tcp);
+    assert_eq!(
+        batch
+            .iter()
+            .filter(|l| l.contains("duplicate submission id"))
+            .count(),
+        2
+    );
+    assert!(batch
+        .iter()
+        .any(|l| l.starts_with("{\"Campaign\":{\"id\":\"camp\"")));
 }
 
 // ---------------------------------------------------------------------

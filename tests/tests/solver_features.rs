@@ -1,11 +1,10 @@
 //! Integration tests for the extended solver features: time-to-target
 //! tracking, the MESA baseline, the full set of
 //! `ising::problems` encodings (TSP, knapsack, coloring, spin glass,
-//! vertex cover), and the area model.
+//! vertex cover).
 
 use fecim::{CimAnnealer, DirectAnnealer, MesaAnnealer, SbAnnealer};
 use fecim_gset::{GeneratorConfig, GsetFamily};
-use fecim_hwcost::{annealer_area, AreaModel};
 use fecim_ising::{
     CopProblem, Coupling, GraphColoring, Knapsack, MaxCut, MaxIndependentSet, NumberPartitioning,
     SherringtonKirkpatrick, TravellingSalesman, VertexCover,
@@ -252,17 +251,5 @@ fn sb_variants_satisfy_the_solver_contract_on_the_standard_fixtures() {
             report.objective.unwrap()
         );
         assert_energy_consistent(&mis, &report);
-    }
-}
-
-#[test]
-fn area_model_favors_the_in_situ_architecture() {
-    let model = AreaModel::node_22nm();
-    for n in [800usize, 3000] {
-        let ours = annealer_area(&model, n, 4, 8, false, true);
-        let base = annealer_area(&model, n, 4, 8, true, false);
-        assert!(ours.total() < base.total(), "n={n}");
-        // Both are mm²-class macros.
-        assert!(ours.total_mm2() > 0.01 && ours.total_mm2() < 50.0);
     }
 }
