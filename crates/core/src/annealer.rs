@@ -9,12 +9,11 @@ use fecim_anneal::{
     run_in_situ, suggest_einc_scale, AnnealConfig, ExactBackend, RunResult, SteppedSchedule,
     TiledBackend,
 };
-use fecim_crossbar::CrossbarConfig;
 use fecim_device::{AnnealFactor, DeviceFactor, FractionalFactor, TableFactor};
-use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
-use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, SpinVector};
+use fecim_hwcost::{AnnealerKind, EnergyReport, TimeReport};
+use fecim_ising::{Coupling, CsrCoupling, SpinVector};
 
-use crate::solver::Solver;
+use crate::solver::{pricing, DeviceArray, Solver};
 
 /// Which annealing-factor implementation drives the acceptance test.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,31 +83,23 @@ pub struct CimAnnealer {
     flips: usize,
     factor: FactorChoice,
     einc_scale: Option<f64>,
-    device_in_loop: Option<CrossbarConfig>,
-    tile_rows: Option<usize>,
     trace_every: Option<usize>,
     target_energy: Option<f64>,
-    quant_bits: u8,
-    mux_ratio: usize,
 }
 
 impl CimAnnealer {
-    /// A solver with the paper's defaults: `t = 2` flips per iteration,
-    /// the analytic fractional factor, software-exact energy evaluation
-    /// (set [`CimAnnealer::with_device_in_loop`] for crossbar-in-the-loop
-    /// simulation), 4-bit weights, 8:1 ADC muxing.
+    /// A solver with the paper's defaults: `t = 2` flips per iteration
+    /// and the analytic fractional factor. Where its energies are
+    /// measured is the request's
+    /// [`BackendPlan`](crate::BackendPlan), not the solver's.
     pub fn new(iterations: usize) -> CimAnnealer {
         CimAnnealer {
             iterations,
             flips: 2,
             factor: FactorChoice::PaperFractional,
             einc_scale: None,
-            device_in_loop: None,
-            tile_rows: None,
             trace_every: None,
             target_energy: None,
-            quant_bits: crate::solver::DEFAULT_QUANT_BITS,
-            mux_ratio: crate::solver::DEFAULT_MUX_RATIO,
         }
     }
 
@@ -152,50 +143,9 @@ impl CimAnnealer {
         self
     }
 
-    /// Route all energy measurements through the simulated DG FeFET
-    /// crossbar (quantization, ADC, variation, activity statistics): one
-    /// monolithic `n`-row array, priced with whole-array wire geometry.
-    pub fn with_device_in_loop(mut self, config: CrossbarConfig) -> CimAnnealer {
-        self.quant_bits = config.quant_bits;
-        self.mux_ratio = config.mux_ratio;
-        self.device_in_loop = Some(config);
-        self
-    }
-
-    /// Route all energy measurements through the *tiled* array
-    /// composition: the coupling matrix is mapped onto fixed-size
-    /// `tile_rows`-row tiles (see `fecim_crossbar::TiledCrossbar`), which
-    /// is how instances larger than one physical array run
-    /// device-in-the-loop. Hardware costs are priced at tile-scale wire
-    /// geometry and per-tile activation counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_rows == 0`.
-    pub fn with_tiled_device_in_loop(
-        mut self,
-        config: CrossbarConfig,
-        tile_rows: usize,
-    ) -> CimAnnealer {
-        assert!(tile_rows > 0, "tile_rows must be positive");
-        self.tile_rows = Some(tile_rows);
-        self.with_device_in_loop(config)
-    }
-
     /// Record a trace point every `every` iterations.
     pub fn with_trace(mut self, every: usize) -> CimAnnealer {
         self.trace_every = Some(every.max(1));
-        self
-    }
-
-    /// Strip any device backend and restore the software-exact defaults
-    /// — the [`Session`](crate::Session) hook that makes the request's
-    /// `BackendPlan` authoritative over knobs already on the solver.
-    pub(crate) fn with_analytic_backend(mut self) -> CimAnnealer {
-        self.device_in_loop = None;
-        self.tile_rows = None;
-        self.quant_bits = crate::solver::DEFAULT_QUANT_BITS;
-        self.mux_ratio = crate::solver::DEFAULT_MUX_RATIO;
         self
     }
 
@@ -205,22 +155,6 @@ impl CimAnnealer {
     pub fn with_target_energy(mut self, target: f64) -> CimAnnealer {
         self.target_energy = Some(target);
         self
-    }
-
-    /// Iterations per run.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Solve a COP: transform to Ising (ancilla-embedding linear terms if
-    /// present), anneal, and score the solution in the problem's native
-    /// objective (convenience wrapper over the [`Solver`] pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors from the problem's Ising transformation.
-    pub fn solve<P: CopProblem>(&self, problem: &P, seed: u64) -> Result<SolveReport, IsingError> {
-        Solver::solve(self, problem, seed)
     }
 
     /// Run the in-situ flow against an energy backend: schedule,
@@ -273,34 +207,34 @@ impl Solver for CimAnnealer {
         self.iterations
     }
 
-    fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
-        match &self.device_in_loop {
+    fn run_engine(
+        &self,
+        coupling: &CsrCoupling,
+        initial: SpinVector,
+        seed: u64,
+        array: Option<&DeviceArray>,
+    ) -> RunResult {
+        match array {
             None => {
                 let mut backend = ExactBackend::new(coupling, initial);
                 self.anneal_with_backend(coupling, &mut backend, seed)
             }
-            Some(xb_config) => {
-                let tile_rows = self.tile_rows.unwrap_or(coupling.dimension());
-                let mut backend =
-                    TiledBackend::new(coupling, initial, xb_config.clone(), tile_rows);
+            Some(array) => {
+                let rows = array.rows(coupling.dimension());
+                let mut backend = TiledBackend::new(coupling, initial, array.config.clone(), rows);
                 self.anneal_with_backend(coupling, &mut backend, seed)
             }
         }
     }
 
-    fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport) {
-        let cost_model = match self.tile_rows {
-            None => CostModel::paper_22nm(spins, self.quant_bits),
-            Some(tr) => CostModel::paper_22nm_tiled(spins, self.quant_bits, tr),
-        };
-        let profile = IterationProfile {
-            spins,
-            quant_bits: self.quant_bits,
-            flips: self.flips,
-            mux_ratio: self.mux_ratio,
-            tile_rows: self.tile_rows,
-            batch_instances: 1,
-        };
+    fn hardware_report(
+        &self,
+        run: &mut RunResult,
+        spins: usize,
+        array: Option<&DeviceArray>,
+    ) -> (EnergyReport, TimeReport) {
+        let profile = pricing(array, spins, self.flips);
+        let cost_model = profile.cost_model();
         // Prefer measured activity (device-in-loop) over the analytic model.
         match &run.activity {
             Some(stats) => (
@@ -340,6 +274,8 @@ pub struct SolveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ideal_ring_trial;
+    use crate::SolverSpec;
     use fecim_ising::MaxCut;
 
     fn ring_problem(n: usize) -> MaxCut {
@@ -361,11 +297,8 @@ mod tests {
 
     #[test]
     fn device_in_loop_produces_measured_activity() {
-        let problem = ring_problem(12);
-        let solver = CimAnnealer::new(300)
-            .with_flips(1)
-            .with_device_in_loop(CrossbarConfig::paper_defaults());
-        let report = solver.solve(&problem, 3).unwrap();
+        let solver = SolverSpec::Cim(CimAnnealer::new(300).with_flips(1));
+        let report = ideal_ring_trial(solver, 12, None, 3);
         let activity = report.run.activity.expect("crossbar runs record stats");
         assert!(activity.adc_conversions > 0);
         assert!(activity.bg_updates as usize >= 300);
@@ -373,22 +306,15 @@ mod tests {
 
     #[test]
     fn tiled_device_in_loop_records_per_tile_activity() {
-        let problem = ring_problem(24);
-        let solver = CimAnnealer::new(200)
-            .with_flips(1)
-            .with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 8);
-        let report = solver.solve(&problem, 3).unwrap();
+        let solver = SolverSpec::Cim(CimAnnealer::new(200).with_flips(1));
+        let report = ideal_ring_trial(solver.clone(), 24, Some(8), 3);
         let activity = report.run.activity.expect("tiled runs record stats");
         assert!(activity.tiles_activated > 0, "per-tile activity recorded");
         assert!(activity.adc_conversions > 0);
         assert!(report.energy.total() > 0.0);
         // Ideal-fidelity tiling is bit-identical to the monolithic read,
         // so the solve trajectory matches the untiled device run exactly.
-        let mono = CimAnnealer::new(200)
-            .with_flips(1)
-            .with_device_in_loop(CrossbarConfig::paper_defaults())
-            .solve(&problem, 3)
-            .unwrap();
+        let mono = ideal_ring_trial(solver, 24, None, 3);
         assert_eq!(report.best_energy, mono.best_energy);
         assert_eq!(report.best_spins, mono.best_spins);
     }

@@ -8,12 +8,10 @@ use fecim_anneal::{
     run_direct, suggest_einc_scale, Acceptance, AnnealConfig, ExactBackend, GeometricSchedule,
     RunResult, TiledBackend,
 };
-use fecim_crossbar::CrossbarConfig;
-use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, ExpUnit, IterationProfile, TimeReport};
-use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, SpinVector};
+use fecim_hwcost::{AnnealerKind, EnergyReport, ExpUnit, TimeReport};
+use fecim_ising::{Coupling, CsrCoupling, SpinVector};
 
-use crate::annealer::SolveReport;
-use crate::solver::Solver;
+use crate::solver::{pricing, DeviceArray, Solver};
 
 /// Baseline direct-E CiM annealer (conventional FeFET crossbar + digital
 /// Metropolis acceptance with a hardware `eˣ` unit).
@@ -25,12 +23,8 @@ pub struct DirectAnnealer {
     acceptance: Acceptance,
     t0: Option<f64>,
     t_end_fraction: f64,
-    device_in_loop: Option<CrossbarConfig>,
-    tile_rows: Option<usize>,
     trace_every: Option<usize>,
     target_energy: Option<f64>,
-    quant_bits: u8,
-    mux_ratio: usize,
 }
 
 impl DirectAnnealer {
@@ -53,20 +47,8 @@ impl DirectAnnealer {
             acceptance: Acceptance::Metropolis,
             t0: None,
             t_end_fraction: 1e-2,
-            device_in_loop: None,
-            tile_rows: None,
             trace_every: None,
             target_energy: None,
-            quant_bits: crate::solver::DEFAULT_QUANT_BITS,
-            mux_ratio: crate::solver::DEFAULT_MUX_RATIO,
-        }
-    }
-
-    /// The architecture tag of this baseline.
-    pub fn kind(&self) -> AnnealerKind {
-        match self.exp_unit {
-            ExpUnit::Fpga => AnnealerKind::CimFpga,
-            ExpUnit::Asic => AnnealerKind::CimAsic,
         }
     }
 
@@ -100,45 +82,9 @@ impl DirectAnnealer {
         self
     }
 
-    /// Route energy measurements through the simulated crossbar.
-    pub fn with_device_in_loop(mut self, config: CrossbarConfig) -> DirectAnnealer {
-        self.quant_bits = config.quant_bits;
-        self.mux_ratio = config.mux_ratio;
-        self.device_in_loop = Some(config);
-        self
-    }
-
-    /// Route energy measurements through the tiled array composition
-    /// (fixed-size `tile_rows`-row tiles; see
-    /// `fecim_crossbar::TiledCrossbar`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_rows == 0`.
-    pub fn with_tiled_device_in_loop(
-        mut self,
-        config: CrossbarConfig,
-        tile_rows: usize,
-    ) -> DirectAnnealer {
-        assert!(tile_rows > 0, "tile_rows must be positive");
-        self.tile_rows = Some(tile_rows);
-        self.with_device_in_loop(config)
-    }
-
     /// Record a trace point every `every` iterations.
     pub fn with_trace(mut self, every: usize) -> DirectAnnealer {
         self.trace_every = Some(every.max(1));
-        self
-    }
-
-    /// Strip any device backend and restore the software-exact defaults
-    /// — the [`Session`](crate::Session) hook that makes the request's
-    /// `BackendPlan` authoritative over knobs already on the solver.
-    pub(crate) fn with_analytic_backend(mut self) -> DirectAnnealer {
-        self.device_in_loop = None;
-        self.tile_rows = None;
-        self.quant_bits = crate::solver::DEFAULT_QUANT_BITS;
-        self.mux_ratio = crate::solver::DEFAULT_MUX_RATIO;
         self
     }
 
@@ -148,21 +94,6 @@ impl DirectAnnealer {
     pub fn with_target_energy(mut self, target: f64) -> DirectAnnealer {
         self.target_energy = Some(target);
         self
-    }
-
-    /// Iterations per run.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Solve a COP with the baseline flow (convenience wrapper over the
-    /// [`Solver`] pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors from the problem's Ising transformation.
-    pub fn solve<P: CopProblem>(&self, problem: &P, seed: u64) -> Result<SolveReport, IsingError> {
-        Solver::solve(self, problem, seed)
     }
 }
 
@@ -175,14 +106,23 @@ impl Solver for DirectAnnealer {
     }
 
     fn kind(&self) -> AnnealerKind {
-        DirectAnnealer::kind(self)
+        match self.exp_unit {
+            ExpUnit::Fpga => AnnealerKind::CimFpga,
+            ExpUnit::Asic => AnnealerKind::CimAsic,
+        }
     }
 
     fn iterations(&self) -> usize {
         self.iterations
     }
 
-    fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
+    fn run_engine(
+        &self,
+        coupling: &CsrCoupling,
+        initial: SpinVector,
+        seed: u64,
+        array: Option<&DeviceArray>,
+    ) -> RunResult {
         let n = coupling.dimension();
         // Default T0: a few times the typical |ΔE| of a t-flip move, so
         // the Metropolis walk starts hot (the classical SA prescription).
@@ -203,38 +143,32 @@ impl Solver for DirectAnnealer {
         if let Some(target) = self.target_energy {
             config = config.with_target_energy(target);
         }
-        match &self.device_in_loop {
+        match array {
             None => {
                 let mut backend = ExactBackend::new(coupling, initial);
                 run_direct(&mut backend, &schedule, self.acceptance, config)
             }
-            Some(xb_config) => {
-                let tile_rows = self.tile_rows.unwrap_or(n);
+            Some(array) => {
                 let mut backend =
-                    TiledBackend::new(coupling, initial, xb_config.clone(), tile_rows);
+                    TiledBackend::new(coupling, initial, array.config.clone(), array.rows(n));
                 run_direct(&mut backend, &schedule, self.acceptance, config)
             }
         }
     }
 
-    fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport) {
+    fn hardware_report(
+        &self,
+        run: &mut RunResult,
+        spins: usize,
+        array: Option<&DeviceArray>,
+    ) -> (EnergyReport, TimeReport) {
         // The baseline evaluates eˣ once per iteration (Fig. 1b digital
         // computation); stamp it into measured activity when present.
         if let Some(stats) = run.activity.as_mut() {
             stats.exp_evaluations = run.iterations as u64;
         }
-        let cost_model = match self.tile_rows {
-            None => CostModel::paper_22nm(spins, self.quant_bits),
-            Some(tr) => CostModel::paper_22nm_tiled(spins, self.quant_bits, tr),
-        };
-        let profile = IterationProfile {
-            spins,
-            quant_bits: self.quant_bits,
-            flips: self.flips,
-            mux_ratio: self.mux_ratio,
-            tile_rows: self.tile_rows,
-            batch_instances: 1,
-        };
+        let profile = pricing(array, spins, self.flips);
+        let cost_model = profile.cost_model();
         match &run.activity {
             Some(stats) => (
                 fecim_hwcost::energy_of(stats, &cost_model, self.exp_unit),
@@ -251,6 +185,8 @@ impl Solver for DirectAnnealer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ideal_ring_trial;
+    use crate::SolverSpec;
     use fecim_ising::MaxCut;
 
     fn ring_problem(n: usize) -> MaxCut {
@@ -291,11 +227,8 @@ mod tests {
 
     #[test]
     fn device_in_loop_counts_exp_evaluations() {
-        let problem = ring_problem(10);
-        let solver = DirectAnnealer::cim_asic(50)
-            .with_flips(1)
-            .with_device_in_loop(CrossbarConfig::paper_defaults());
-        let report = solver.solve(&problem, 7).unwrap();
+        let solver = SolverSpec::Direct(DirectAnnealer::cim_asic(50).with_flips(1));
+        let report = ideal_ring_trial(solver, 10, None, 7);
         let stats = report.run.activity.unwrap();
         assert_eq!(stats.exp_evaluations, 50);
         assert!(report.energy.exp > 0.0);

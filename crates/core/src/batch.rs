@@ -12,11 +12,12 @@
 //! in the hardware time of roughly one.
 //!
 //! Nothing physical is shared, so a batched trial IS a tiled
-//! device-in-the-loop trial on its own silicon: the session wires the
-//! solver with `with_tiled_device_in_loop(config.for_trial(seed),
-//! tile_rows)` and runs it through the same trial pipeline as every
-//! other route. Batching is a placement change, not an algorithm
-//! change; this module only summarizes the placement.
+//! device-in-the-loop trial on its own silicon: the session runs the
+//! job's one solver through the same trial pipeline as every other
+//! route, measuring on a [`DeviceArray`](crate::DeviceArray) programmed
+//! from `config.for_trial(seed)` at the plan's `tile_rows`. Batching is
+//! a placement change, not an algorithm change; this module only
+//! summarizes the placement.
 
 use serde::{Deserialize, Serialize};
 

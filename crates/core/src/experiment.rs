@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use fecim_anneal::{multi_start_local_search, success_rate, Aggregate};
 use fecim_gset::{paper_suite, quick_suite, SizeGroup, SuiteInstance};
-use fecim_hwcost::{AnnealerKind, CostModel, IterationProfile};
+use fecim_hwcost::{AnnealerKind, IterationProfile};
 use fecim_ising::{CopProblem, IsingError};
 
 use crate::annealer::CimAnnealer;
@@ -326,17 +326,12 @@ fn run_group(
         }
     };
 
-    let (cost_model, profile) = match config.tile_rows {
-        None => (
-            CostModel::paper_22nm(spins, 4),
-            IterationProfile::paper(spins),
-        ),
-        Some(tr) => (
-            CostModel::paper_22nm_tiled(spins, 4, tr),
-            IterationProfile::paper_tiled(spins, tr),
-        ),
-    };
-    let profile = profile.batched(config.batch_instances.max(1));
+    let profile = match config.tile_rows {
+        None => IterationProfile::paper(spins),
+        Some(tr) => IterationProfile::paper_tiled(spins, tr),
+    }
+    .batched(config.batch_instances.max(1));
+    let cost_model = profile.cost_model();
     let hardware = AnnealerKind::all()
         .into_iter()
         .map(|kind| HardwareCost {
@@ -378,8 +373,8 @@ pub struct TrendPoint {
 /// (paper: `n = 1000`, sweep 0..1000).
 pub fn cost_trend(spins: usize, max_iterations: usize, points: usize) -> Vec<TrendPoint> {
     assert!(points >= 2, "need at least two points");
-    let cost_model = CostModel::paper_22nm(spins, 4);
     let profile = IterationProfile::paper(spins);
+    let cost_model = profile.cost_model();
     (0..points)
         .map(|k| {
             let iterations = max_iterations * k / (points - 1);

@@ -125,7 +125,7 @@ pub use request::{
 };
 pub use sb_solver::SbAnnealer;
 pub use session::{NormalizedTrial, PreparedJob, RunSummary, Session, SessionError, SolveResponse};
-pub use solver::Solver;
+pub use solver::{DeviceArray, Solver};
 
 pub use fecim_anneal as anneal;
 pub use fecim_crossbar as crossbar;

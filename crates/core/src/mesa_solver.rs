@@ -5,11 +5,10 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::{run_mesa, suggest_einc_scale, MesaConfig, RunResult};
-use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, ExpUnit, IterationProfile, TimeReport};
-use fecim_ising::{CopProblem, CsrCoupling, IsingError, SpinVector};
+use fecim_hwcost::{AnnealerKind, EnergyReport, ExpUnit, IterationProfile, TimeReport};
+use fecim_ising::{CsrCoupling, SpinVector};
 
-use crate::annealer::SolveReport;
-use crate::solver::Solver;
+use crate::solver::{DeviceArray, Solver};
 
 /// The MESA baseline solver (ref \[7\]'s enhanced SA on direct-E hardware).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -40,21 +39,6 @@ impl MesaAnnealer {
         self.epochs = epochs;
         self
     }
-
-    /// Total iterations across all epochs.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Solve a COP with MESA (convenience wrapper over the [`Solver`]
-    /// pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors from the problem's Ising transformation.
-    pub fn solve<P: CopProblem>(&self, problem: &P, seed: u64) -> Result<SolveReport, IsingError> {
-        Solver::solve(self, problem, seed)
-    }
 }
 
 impl Solver for MesaAnnealer {
@@ -70,7 +54,15 @@ impl Solver for MesaAnnealer {
         self.iterations
     }
 
-    fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
+    /// MESA runs only on the analytic backend (the session rejects a
+    /// device plan), so `array` is always `None`.
+    fn run_engine(
+        &self,
+        coupling: &CsrCoupling,
+        initial: SpinVector,
+        seed: u64,
+        _array: Option<&DeviceArray>,
+    ) -> RunResult {
         let t0 = 16.0 * suggest_einc_scale(coupling, 1);
         let mut config = MesaConfig::new(self.iterations, t0, seed);
         config.epochs = self.epochs;
@@ -85,11 +77,16 @@ impl Solver for MesaAnnealer {
         run_mesa(coupling, initial, config)
     }
 
-    fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport) {
+    fn hardware_report(
+        &self,
+        run: &mut RunResult,
+        spins: usize,
+        _array: Option<&DeviceArray>,
+    ) -> (EnergyReport, TimeReport) {
         // Same direct-E hardware as the ASIC baseline (one exp unit, full
         // array reads each iteration).
-        let cost_model = CostModel::paper_22nm(spins, 4);
         let profile = IterationProfile::paper(spins);
+        let cost_model = profile.cost_model();
         let mut activity = profile.activity(AnnealerKind::CimAsic);
         let iters = run.iterations as u64;
         activity.array_ops *= iters;

@@ -20,6 +20,7 @@ use crate::annealer::CimAnnealer;
 use crate::baselines::DirectAnnealer;
 use crate::mesa_solver::MesaAnnealer;
 use crate::sb_solver::SbAnnealer;
+use crate::solver::Solver;
 
 /// Longest request line a transport buffers, in bytes, newline
 /// excluded. The largest lines in the benchmark ledger are raw dense
@@ -159,9 +160,9 @@ impl ProblemSpec {
 ///
 /// Each variant embeds the full solver configuration (iterations, flips,
 /// annealing factor, schedule knobs, …) — the same builder types the
-/// library API uses, which already serialize. Device-backend settings on
-/// the embedded solver are ignored: the request's [`BackendPlan`] is the
-/// single authority on where energy measurements come from.
+/// library API uses, which already serialize. A solver carries no device
+/// settings: the request's [`BackendPlan`] is the single authority on
+/// where energy measurements come from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SolverSpec {
     /// The proposed ferroelectric CiM in-situ annealer.
@@ -177,20 +178,18 @@ pub enum SolverSpec {
 }
 
 impl SolverSpec {
-    /// Human-readable architecture name (mirrors
-    /// [`Solver::name`](crate::Solver::name)).
+    /// Human-readable architecture name ([`Solver::name`]).
     pub fn name(&self) -> &str {
+        self.as_solver().name()
+    }
+
+    /// The embedded solver behind the [`Solver`] interface.
+    pub(crate) fn as_solver(&self) -> &dyn Solver {
         match self {
-            SolverSpec::Cim(_) => "in-situ (this work)",
-            SolverSpec::Direct(s) => match s.kind() {
-                fecim_hwcost::AnnealerKind::CimFpga => "CiM/FPGA direct-E baseline",
-                _ => "CiM/ASIC direct-E baseline",
-            },
-            SolverSpec::Mesa(_) => "MESA multi-epoch baseline",
-            SolverSpec::Sb(s) => match s.variant() {
-                fecim_sb::SbVariant::Ballistic => "simulated bifurcation (bSB)",
-                fecim_sb::SbVariant::Discrete => "simulated bifurcation (dSB)",
-            },
+            SolverSpec::Cim(solver) => solver,
+            SolverSpec::Direct(solver) => solver,
+            SolverSpec::Mesa(solver) => solver,
+            SolverSpec::Sb(solver) => solver,
         }
     }
 }
@@ -547,8 +546,44 @@ mod tests {
     }
 
     #[test]
+    fn requests_with_retired_solver_device_keys_still_parse() {
+        // Wire backward compatibility: solvers used to carry their own
+        // device settings. An older client's keys are skipped, and the
+        // backend plan alone decides where energies are measured.
+        let mut device = fecim_crossbar::CrossbarConfig::paper_defaults();
+        device.fidelity = Fidelity::DeviceAccurate;
+        let retired = format!(
+            "\"device_in_loop\":{},\"tile_rows\":3,\"quant_bits\":6,\"mux_ratio\":2,",
+            serde_json::to_string(&device).expect("config serializes")
+        );
+        let ring = ProblemSpec::MaxCut {
+            vertices: 6,
+            edges: (0..6).map(|i| (i, (i + 1) % 6, 1.0)).collect(),
+        };
+        let session = crate::Session::new();
+        let respond = |request: &SolveRequest| {
+            let response = session.run(request).expect("a ring solves");
+            serde_json::to_string(&response).expect("response serializes")
+        };
+        for (tag, solver) in [
+            ("Cim", SolverSpec::Cim(CimAnnealer::new(40))),
+            ("Direct", SolverSpec::Direct(DirectAnnealer::cim_asic(40))),
+            ("Sb", SolverSpec::Sb(SbAnnealer::discrete(40))),
+        ] {
+            let request =
+                SolveRequest::new(ring.clone(), solver).with_run(RunPlan::Single { seed: 4 });
+            let wire = request.to_json().expect("serializes");
+            let open = format!("{{\"{tag}\":{{");
+            let legacy = wire.replacen(&open, &format!("{open}{retired}"), 1);
+            assert_ne!(legacy, wire, "fixture must actually carry the keys");
+            let parsed = SolveRequest::from_json(&legacy).expect("legacy JSON parses");
+            assert_eq!(parsed, request, "{tag}");
+            assert_eq!(respond(&parsed), respond(&request), "{tag}");
+        }
+    }
+
+    #[test]
     fn solver_spec_names_match_solver_trait() {
-        use crate::Solver;
         let cim = CimAnnealer::new(10);
         assert_eq!(SolverSpec::Cim(cim.clone()).name(), Solver::name(&cim));
         let fpga = DirectAnnealer::cim_fpga(10);

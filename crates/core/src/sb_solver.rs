@@ -6,13 +6,12 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::RunResult;
-use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
-use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
-use fecim_ising::{CopProblem, CsrCoupling, IsingError, SpinVector};
+use fecim_crossbar::TiledCrossbar;
+use fecim_hwcost::{AnnealerKind, EnergyReport, TimeReport};
+use fecim_ising::{CsrCoupling, SpinVector};
 use fecim_sb::{DeviceMvm, ExactMvm, PressureSchedule, SbEngine, SbVariant, MAX_IN_BITS};
 
-use crate::annealer::SolveReport;
-use crate::solver::Solver;
+use crate::solver::{pricing, DeviceArray, Solver};
 
 /// Default input-DAC resolution of the ballistic variant's bit-serial
 /// continuous drive (matches the array's 4-bit weight quantization).
@@ -33,20 +32,16 @@ pub struct SbAnnealer {
     pressure_schedule: PressureSchedule,
     coupling_strength: Option<f64>,
     in_bits: u8,
-    device_in_loop: Option<CrossbarConfig>,
-    tile_rows: Option<usize>,
     trace_every: Option<usize>,
     target_energy: Option<f64>,
-    quant_bits: u8,
-    mux_ratio: usize,
 }
 
 impl SbAnnealer {
     /// An SB solver with the engine defaults: `dt = 0.25`, a linear
-    /// pressure ramp to `1.0`, problem-adapted coupling strength, 4-bit
-    /// input DAC, software-exact MVM (set
-    /// [`SbAnnealer::with_device_in_loop`] for crossbar-in-the-loop
-    /// simulation).
+    /// pressure ramp to `1.0`, problem-adapted coupling strength and a
+    /// 4-bit input DAC. Whether its MVMs run software-exact or on the
+    /// simulated crossbar is the request's
+    /// [`BackendPlan`](crate::BackendPlan), not the solver's.
     pub fn new(variant: SbVariant, steps: usize) -> SbAnnealer {
         SbAnnealer {
             variant,
@@ -55,12 +50,8 @@ impl SbAnnealer {
             pressure_schedule: PressureSchedule::linear(),
             coupling_strength: None,
             in_bits: DEFAULT_IN_BITS,
-            device_in_loop: None,
-            tile_rows: None,
             trace_every: None,
             target_energy: None,
-            quant_bits: crate::solver::DEFAULT_QUANT_BITS,
-            mux_ratio: crate::solver::DEFAULT_MUX_RATIO,
         }
     }
 
@@ -132,47 +123,6 @@ impl SbAnnealer {
         self
     }
 
-    /// Route every coupling MVM through the simulated DG FeFET crossbar
-    /// (quantization, ADC conversion, activity statistics, and — in
-    /// device-accurate fidelity — variation and counter-based read
-    /// noise).
-    pub fn with_device_in_loop(mut self, config: CrossbarConfig) -> SbAnnealer {
-        self.quant_bits = config.quant_bits;
-        self.mux_ratio = config.mux_ratio;
-        self.device_in_loop = Some(config);
-        self
-    }
-
-    /// Route every coupling MVM through the *tiled* array composition
-    /// (fixed-size `tile_rows`-row tiles — how beyond-array-size
-    /// instances run device-in-the-loop). In Ideal fidelity the tiled
-    /// read is bit-identical to the monolithic one, so the whole SB
-    /// trajectory is placement-invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_rows == 0`.
-    pub fn with_tiled_device_in_loop(
-        mut self,
-        config: CrossbarConfig,
-        tile_rows: usize,
-    ) -> SbAnnealer {
-        assert!(tile_rows > 0, "tile_rows must be positive");
-        self.tile_rows = Some(tile_rows);
-        self.with_device_in_loop(config)
-    }
-
-    /// Strip any device backend and restore the software-exact defaults
-    /// — the [`Session`](crate::Session) hook that makes the request's
-    /// `BackendPlan` authoritative over knobs already on the solver.
-    pub(crate) fn with_analytic_backend(mut self) -> SbAnnealer {
-        self.device_in_loop = None;
-        self.tile_rows = None;
-        self.quant_bits = crate::solver::DEFAULT_QUANT_BITS;
-        self.mux_ratio = crate::solver::DEFAULT_MUX_RATIO;
-        self
-    }
-
     /// Record a trace point every `every` steps.
     pub fn with_trace(mut self, every: usize) -> SbAnnealer {
         self.trace_every = Some(every.max(1));
@@ -185,16 +135,6 @@ impl SbAnnealer {
     pub fn with_target_energy(mut self, target: f64) -> SbAnnealer {
         self.target_energy = Some(target);
         self
-    }
-
-    /// Which update variant this solver runs.
-    pub fn variant(&self) -> SbVariant {
-        self.variant
-    }
-
-    /// Symplectic Euler steps per run.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 
     /// Full-array reads one SB step issues on the device path: `in_bits`
@@ -248,17 +188,6 @@ impl SbAnnealer {
         Ok(())
     }
 
-    /// Solve a COP: transform to Ising, run the SB dynamics, and score
-    /// the solution in the problem's native objective (convenience
-    /// wrapper over the [`Solver`] pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors from the problem's Ising transformation.
-    pub fn solve<P: CopProblem>(&self, problem: &P, seed: u64) -> Result<SolveReport, IsingError> {
-        Solver::solve(self, problem, seed)
-    }
-
     /// The configured `fecim-sb` engine.
     pub(crate) fn engine(&self) -> SbEngine {
         let mut engine = SbEngine::new(self.variant, self.steps)
@@ -296,17 +225,23 @@ impl Solver for SbAnnealer {
         self.steps
     }
 
-    fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
+    fn run_engine(
+        &self,
+        coupling: &CsrCoupling,
+        initial: SpinVector,
+        seed: u64,
+        array: Option<&DeviceArray>,
+    ) -> RunResult {
         let engine = self.engine();
-        match &self.device_in_loop {
+        match array {
             None => {
                 let mut source = ExactMvm::new(coupling);
                 engine.run(coupling, &mut source, &initial, seed)
             }
-            Some(xb_config) => {
-                let tile_rows = self.tile_rows.unwrap_or(initial.len());
+            Some(array) => {
+                let rows = array.rows(initial.len());
                 let mut source = DeviceMvm::new(
-                    TiledCrossbar::program(coupling, xb_config.clone(), tile_rows),
+                    TiledCrossbar::program(coupling, array.config.clone(), rows),
                     self.in_bits,
                 );
                 engine.run(coupling, &mut source, &initial, seed)
@@ -314,21 +249,16 @@ impl Solver for SbAnnealer {
         }
     }
 
-    fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport) {
-        let cost_model = match self.tile_rows {
-            None => CostModel::paper_22nm(spins, self.quant_bits),
-            Some(tr) => CostModel::paper_22nm_tiled(spins, self.quant_bits, tr),
-        };
-        let profile = IterationProfile {
-            spins,
-            quant_bits: self.quant_bits,
-            // SB updates every spin per step; `flips` has no SB meaning
-            // and only feeds the annealer arms of the profile.
-            flips: 1,
-            mux_ratio: self.mux_ratio,
-            tile_rows: self.tile_rows,
-            batch_instances: 1,
-        };
+    fn hardware_report(
+        &self,
+        run: &mut RunResult,
+        spins: usize,
+        array: Option<&DeviceArray>,
+    ) -> (EnergyReport, TimeReport) {
+        // SB updates every spin per step; `flips` has no SB meaning and
+        // only feeds the annealer arms of the profile.
+        let profile = pricing(array, spins, 1);
+        let cost_model = profile.cost_model();
         // Prefer measured activity (device-in-loop) over the analytic model.
         match &run.activity {
             Some(stats) => (
@@ -346,6 +276,8 @@ impl Solver for SbAnnealer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ideal_ring_trial;
+    use crate::SolverSpec;
     use fecim_ising::MaxCut;
 
     fn ring_problem(n: usize) -> MaxCut {
@@ -368,10 +300,7 @@ mod tests {
 
     #[test]
     fn device_in_loop_produces_measured_activity() {
-        let problem = ring_problem(12);
-        let solver =
-            SbAnnealer::discrete(200).with_device_in_loop(CrossbarConfig::paper_defaults());
-        let report = solver.solve(&problem, 3).unwrap();
+        let report = ideal_ring_trial(SolverSpec::Sb(SbAnnealer::discrete(200)), 12, None, 3);
         let activity = report.run.activity.expect("device runs record stats");
         assert_eq!(activity.array_ops, 200, "one MVM read per dSB step");
         assert!(report.energy.total() > 0.0);
@@ -379,16 +308,12 @@ mod tests {
 
     #[test]
     fn tiled_device_run_matches_monolithic_bit_for_bit() {
-        let problem = ring_problem(24);
-        for steps in [0usize, 150] {
-            let mono = SbAnnealer::ballistic(steps)
-                .with_device_in_loop(CrossbarConfig::paper_defaults())
-                .solve(&problem, 5)
-                .unwrap();
-            let tiled = SbAnnealer::ballistic(steps)
-                .with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 8)
-                .solve(&problem, 5)
-                .unwrap();
+        // A request for zero SB steps is rejected; the engine's zero-step
+        // echo is pinned in `fecim_sb`.
+        for steps in [1usize, 150] {
+            let solver = SolverSpec::Sb(SbAnnealer::ballistic(steps));
+            let mono = ideal_ring_trial(solver.clone(), 24, None, 5);
+            let tiled = ideal_ring_trial(solver, 24, Some(8), 5);
             assert_eq!(mono.best_energy, tiled.best_energy, "steps={steps}");
             assert_eq!(mono.best_spins, tiled.best_spins, "steps={steps}");
         }

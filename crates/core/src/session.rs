@@ -1,21 +1,25 @@
 //! The [`Session`] facade: one execution entry point for every
 //! [`SolveRequest`], a single `run(request) -> SolveResponse` surface.
 //!
-//! A session wires the request's solver for its typed [`BackendPlan`]
-//! and runs every trial through the one [`Solver`] trial pipeline:
+//! A session resolves the request's typed [`BackendPlan`] into the
+//! [`DeviceArray`] its trials measure on, and runs every trial of the
+//! request's solver through the one [`Solver`](crate::Solver) trial
+//! pipeline:
 //!
-//! * [`BackendPlan::Analytic`] — software-exact measurements;
-//! * [`BackendPlan::DeviceInLoop`] — the (optionally tiled) simulated
+//! * [`BackendPlan::Analytic`] — no array: software-exact measurements;
+//! * [`BackendPlan::DeviceInLoop`] — one (optionally tiled) simulated
 //!   crossbar in the measurement loop;
 //! * [`BackendPlan::Batched`] — each trial is a tiled device-in-the-loop
 //!   trial on its own array, programmed from
 //!   [`CrossbarConfig::for_trial`]; the replicas are summarized as
 //!   shared physical tile grids.
 //!
-//! The `session_api` equivalence tests pin each route against the
-//! configured solver's own [`Solver::solve`]. Read noise is
-//! counter-based and batched silicon follows the trial seed, so results
-//! are a pure function of the request in every fidelity.
+//! The `session_api` equivalence tests pin the analytic route against
+//! the solver's own [`Solver::solve`](crate::Solver::solve), the
+//! batched route against per-seed tiled device trials, and tiled
+//! against monolithic arrays. Read noise is counter-based and batched
+//! silicon follows the trial seed, so results are a pure function of
+//! the request in every fidelity.
 //!
 //! ## Trial-level execution: [`PreparedJob`]
 //!
@@ -43,7 +47,7 @@ use crate::batch::BatchGridSummary;
 use crate::request::{
     check_generated, BackendPlan, ProblemSpec, RunPlan, SolveRequest, SolverSpec,
 };
-use crate::solver::{run_trial, Solver};
+use crate::solver::{run_trial, DeviceArray};
 
 /// Error raised while validating or executing a [`SolveRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -229,12 +233,7 @@ impl Session {
     /// encode.
     pub fn run(&self, request: &SolveRequest) -> Result<SolveResponse, SessionError> {
         let job = self.prepare(request)?;
-        let reports = job
-            .run
-            .to_ensemble()
-            .run(|seed| job.run_trial_seeded(seed))
-            .into_iter()
-            .collect::<Result<Vec<_>, SessionError>>()?;
+        let reports = job.run.to_ensemble().run(|seed| job.run_trial_seeded(seed));
         // Batched replicas pack `instances` at a time onto successive
         // physical grids, in trial order.
         let grids = match &job.route {
@@ -246,13 +245,13 @@ impl Session {
                 .chunks(*instances)
                 .map(|chunk| BatchGridSummary::of(chunk, *tile_rows, job.quadratic().dimension()))
                 .collect(),
-            PreparedRoute::Solver(_) => Vec::new(),
+            PreparedRoute::Array(_) => Vec::new(),
         };
         job.finish(reports, grids)
     }
 
     /// Validate a request and build everything its trials share — the
-    /// problem, the configured solver or shared-grid plan — without
+    /// problem, the solver and the array or shared-grid plan — without
     /// running anything. The returned [`PreparedJob`] runs trials one at
     /// a time; [`Session::run`] is a loop over it, and the `fecim-serve`
     /// scheduler interleaves trials of *different* prepared jobs on
@@ -319,14 +318,24 @@ impl Session {
         let model = problem.to_ising()?;
         let quadratic = (!model.is_quadratic_only()).then(|| model.to_quadratic_only());
         let route = match request.backend {
-            BackendPlan::Analytic => PreparedRoute::Solver(wire_solver(&request.solver, None)?),
+            BackendPlan::Analytic => PreparedRoute::Array(None),
             BackendPlan::DeviceInLoop {
                 fidelity,
                 tile_rows,
-            } => PreparedRoute::Solver(wire_solver(
-                &request.solver,
-                Some((self.crossbar_for(fidelity), tile_rows)),
-            )?),
+            } => {
+                if matches!(request.solver, SolverSpec::Mesa(_)) {
+                    return Err(invalid(
+                        "the MESA baseline runs only on the analytic backend",
+                    ));
+                }
+                if tile_rows == Some(0) {
+                    return Err(invalid("device backend needs tile_rows > 0"));
+                }
+                PreparedRoute::Array(Some(DeviceArray {
+                    config: self.crossbar_for(fidelity),
+                    tile_rows,
+                }))
+            }
             // The grid programs the session's crossbar override verbatim
             // (paper defaults otherwise): the Batched plan carries no
             // fidelity of its own.
@@ -334,7 +343,6 @@ impl Session {
                 tile_rows,
                 instances,
             } => PreparedRoute::Batched {
-                spec: request.solver.clone(),
                 config: self
                     .crossbar
                     .clone()
@@ -347,10 +355,10 @@ impl Session {
             problem,
             model,
             quadratic,
+            solver: request.solver.clone(),
             route,
             run: request.run,
             reference: request.reference,
-            solver_name: request.solver.name().to_string(),
             initial,
         })
     }
@@ -372,105 +380,42 @@ impl Session {
     }
 }
 
-/// The device-backend knobs shared by the two device-capable annealers —
-/// lets [`Session`] wire either architecture through one code path.
-trait DeviceBackendKnobs: Solver + Sized + 'static {
-    /// Strip device knobs back to the software-exact defaults.
-    fn analytic(self) -> Self;
-    /// Route measurements through the monolithic simulated crossbar.
-    fn device_in_loop(self, config: CrossbarConfig) -> Self;
-    /// Route measurements through the tiled array composition.
-    fn tiled_device_in_loop(self, config: CrossbarConfig, tile_rows: usize) -> Self;
+/// One Ideal device-in-the-loop trial of `solver` on an `n`-vertex unit
+/// ring, on the paper's crossbar tiled at `tile_rows` (`None` for the
+/// monolithic array): the solver unit tests' device route.
+#[cfg(test)]
+pub(crate) fn ideal_ring_trial(
+    solver: SolverSpec,
+    n: usize,
+    tile_rows: Option<usize>,
+    seed: u64,
+) -> SolveReport {
+    let ring = ProblemSpec::MaxCut {
+        vertices: n,
+        edges: (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect(),
+    };
+    let request = SolveRequest::new(ring, solver)
+        .with_backend(BackendPlan::DeviceInLoop {
+            fidelity: Fidelity::Ideal,
+            tile_rows,
+        })
+        .with_run(RunPlan::Single { seed });
+    let mut response = Session::new().run(&request).expect("a ring encodes");
+    response.reports.remove(0)
 }
 
-impl DeviceBackendKnobs for crate::CimAnnealer {
-    fn analytic(self) -> Self {
-        self.with_analytic_backend()
-    }
-    fn device_in_loop(self, config: CrossbarConfig) -> Self {
-        self.with_device_in_loop(config)
-    }
-    fn tiled_device_in_loop(self, config: CrossbarConfig, tile_rows: usize) -> Self {
-        self.with_tiled_device_in_loop(config, tile_rows)
-    }
-}
-
-impl DeviceBackendKnobs for crate::SbAnnealer {
-    fn analytic(self) -> Self {
-        self.with_analytic_backend()
-    }
-    fn device_in_loop(self, config: CrossbarConfig) -> Self {
-        self.with_device_in_loop(config)
-    }
-    fn tiled_device_in_loop(self, config: CrossbarConfig, tile_rows: usize) -> Self {
-        self.with_tiled_device_in_loop(config, tile_rows)
-    }
-}
-
-impl DeviceBackendKnobs for crate::DirectAnnealer {
-    fn analytic(self) -> Self {
-        self.with_analytic_backend()
-    }
-    fn device_in_loop(self, config: CrossbarConfig) -> Self {
-        self.with_device_in_loop(config)
-    }
-    fn tiled_device_in_loop(self, config: CrossbarConfig, tile_rows: usize) -> Self {
-        self.with_tiled_device_in_loop(config, tile_rows)
-    }
-}
-
-/// Wire `spec` to its measurement source: software-exact (`None`) or a
-/// simulated crossbar `(config, tile_rows)`, monolithic when
-/// `tile_rows` is `None`. Any device knobs already on the embedded
-/// solver are cleared first, so the plan is the single authority. Every
-/// route wires through here, a batched trial with its own array.
-fn wire_solver(
-    spec: &SolverSpec,
-    array: Option<(CrossbarConfig, Option<usize>)>,
-) -> Result<Box<dyn Solver>, SessionError> {
-    match spec {
-        SolverSpec::Cim(solver) => wire_device(solver.clone(), array),
-        SolverSpec::Direct(solver) => wire_device(solver.clone(), array),
-        SolverSpec::Sb(solver) => wire_device(solver.clone(), array),
-        SolverSpec::Mesa(solver) => match array {
-            None => Ok(Box::new(*solver)),
-            Some(_) => Err(invalid(
-                "the MESA baseline runs only on the analytic backend",
-            )),
-        },
-    }
-}
-
-/// [`wire_solver`] for the device-capable architectures.
-fn wire_device<S: DeviceBackendKnobs>(
-    solver: S,
-    array: Option<(CrossbarConfig, Option<usize>)>,
-) -> Result<Box<dyn Solver>, SessionError> {
-    let solver = solver.analytic();
-    Ok(match array {
-        None => Box::new(solver),
-        Some((config, None)) => Box::new(solver.device_in_loop(config)),
-        Some((_, Some(0))) => return Err(invalid("device backend needs tile_rows > 0")),
-        Some((config, Some(rows))) => Box::new(solver.tiled_device_in_loop(config, rows)),
-    })
-}
-
-/// How a [`PreparedJob`]'s trials execute.
-// One allocation per prepared job: the size skew between the two
-// variants is irrelevant, boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
+/// Where a [`PreparedJob`]'s trials measure their energies.
 enum PreparedRoute {
-    /// Analytic / device-in-the-loop: one configured solver shared by
-    /// every trial.
-    Solver(Box<dyn Solver>),
-    /// Shared-grid batching: each trial wires `spec` as a tiled
-    /// device-in-the-loop solver on its own array, programmed from
-    /// `config.for_trial(seed)`; the caller places the replicas on a
+    /// Analytic (`None`) or device-in-the-loop: every trial measures on
+    /// the same array.
+    Array(Option<DeviceArray>),
+    /// Shared-grid batching: each trial measures on its own
+    /// `tile_rows`-row array, programmed from `config.for_trial(seed)`;
+    /// the caller places the replicas on a
     /// [`TileGrid`](fecim_crossbar::TileGrid) (chunked grids under
     /// [`Session::run`], live admission under the `fecim-serve`
     /// scheduler).
     Batched {
-        spec: SolverSpec,
         config: CrossbarConfig,
         tile_rows: usize,
         instances: usize,
@@ -493,10 +438,10 @@ pub struct PreparedJob {
     /// has fields; `None` when `model` is quadratic-only already. See
     /// [`PreparedJob::quadratic`].
     quadratic: Option<IsingModel>,
+    solver: SolverSpec,
     route: PreparedRoute,
     run: RunPlan,
     reference: Option<f64>,
-    solver_name: String,
     /// Validated warm-start spins (original space), shared by every
     /// trial when the request carries `initial_spins`.
     initial: Option<SpinVector>,
@@ -506,11 +451,11 @@ impl fmt::Debug for PreparedJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PreparedJob")
             .field("problem", &self.problem.name())
-            .field("solver", &self.solver_name)
+            .field("solver", &self.solver.name())
             .field(
                 "route",
                 &match self.route {
-                    PreparedRoute::Solver(_) => "solver",
+                    PreparedRoute::Array(_) => "array",
                     PreparedRoute::Batched { .. } => "batched",
                 },
             )
@@ -536,11 +481,6 @@ impl PreparedJob {
         self.run.base_seed().wrapping_add(trial as u64)
     }
 
-    /// The solver architecture's human-readable name.
-    pub fn solver_name(&self) -> &str {
-        &self.solver_name
-    }
-
     /// Whether trials run as shared-grid replicas
     /// ([`BackendPlan::Batched`]).
     pub fn is_batched(&self) -> bool {
@@ -549,13 +489,13 @@ impl PreparedJob {
 
     /// Where a batched replica sits on a grid: `(tile_rows, dimension)`,
     /// its tile height and the quadratic spin count of its block
-    /// (`None` for solver routes).
+    /// (`None` for unbatched routes).
     pub fn batch_placement(&self) -> Option<(usize, usize)> {
         match &self.route {
             PreparedRoute::Batched { tile_rows, .. } => {
                 Some((*tile_rows, self.quadratic().dimension()))
             }
-            PreparedRoute::Solver(_) => None,
+            PreparedRoute::Array(_) => None,
         }
     }
 
@@ -573,31 +513,32 @@ impl PreparedJob {
                 self.trials()
             )));
         }
-        self.run_trial_seeded(self.seed(trial))
+        Ok(self.run_trial_seeded(self.seed(trial)))
     }
 
-    fn run_trial_seeded(&self, seed: u64) -> Result<SolveReport, SessionError> {
-        let trial = |solver: &dyn Solver| {
-            run_trial(
-                solver,
-                self.problem.as_ref(),
-                &self.model,
-                self.quadratic(),
-                self.initial.as_ref(),
-                seed,
-            )
-        };
-        Ok(match &self.route {
-            PreparedRoute::Solver(solver) => trial(solver.as_ref()),
+    fn run_trial_seeded(&self, seed: u64) -> SolveReport {
+        let replica;
+        let array = match &self.route {
+            PreparedRoute::Array(array) => array.as_ref(),
             PreparedRoute::Batched {
-                spec,
-                config,
-                tile_rows,
-                ..
+                config, tile_rows, ..
             } => {
-                trial(wire_solver(spec, Some((config.for_trial(seed), Some(*tile_rows))))?.as_ref())
+                replica = DeviceArray {
+                    config: config.for_trial(seed),
+                    tile_rows: Some(*tile_rows),
+                };
+                Some(&replica)
             }
-        })
+        };
+        run_trial(
+            self.solver.as_solver(),
+            self.problem.as_ref(),
+            &self.model,
+            self.quadratic(),
+            self.initial.as_ref(),
+            array,
+            seed,
+        )
     }
 
     /// Normalize and summarize finished trials into the job's
@@ -614,7 +555,7 @@ impl PreparedJob {
         reports: Vec<SolveReport>,
         grids: Vec<BatchGridSummary>,
     ) -> Result<SolveResponse, SessionError> {
-        let normalized = normalized_trials(self.reference, &self.solver_name, &reports)?;
+        let normalized = normalized_trials(self.reference, self.solver.name(), &reports)?;
         let summary = summarize(self.problem.objective_sense(), &reports);
         Ok(SolveResponse {
             reports,
@@ -690,7 +631,7 @@ fn summarize(sense: ObjectiveSense, reports: &[SolveReport]) -> RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CimAnnealer, DirectAnnealer, MesaAnnealer};
+    use crate::{CimAnnealer, DirectAnnealer, MesaAnnealer, Solver};
     use fecim_gset::{GeneratorConfig, GsetFamily};
 
     fn ring_spec(n: usize) -> ProblemSpec {
@@ -740,22 +681,6 @@ mod tests {
         }
         let pairs = response.normalized_pairs().unwrap();
         assert_eq!(pairs.len(), 4);
-    }
-
-    #[test]
-    fn backend_plan_overrides_solver_device_knobs() {
-        // A solver that *carries* device-in-loop settings, run under an
-        // Analytic plan: the plan wins, so results match the plain solver.
-        let configured = CimAnnealer::new(150)
-            .with_flips(1)
-            .with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 4);
-        let request = SolveRequest::new(ring_spec(10), SolverSpec::Cim(configured))
-            .with_run(RunPlan::Single { seed: 3 });
-        let response = Session::new().run(&request).unwrap();
-        assert!(
-            response.reports[0].run.activity.is_none(),
-            "analytic plan must strip the device backend"
-        );
     }
 
     #[test]

@@ -15,17 +15,24 @@
 //! 5. attach hardware energy/time costs for the architecture.
 //!
 //! Step 1 happens once per job; steps 2–5 are one function here,
-//! `run_trial`, which every trial of every request route runs (a
-//! batched replica is a tiled device-in-the-loop trial on its own
-//! array). Implementors supply only the two architecture-specific hooks
+//! `run_trial`, which every trial of every request route runs.
+//! Implementors supply only the two architecture-specific hooks
 //! [`Solver::run_engine`] (step 3) and [`Solver::hardware_report`]
 //! (step 5's costing rule). Experiment drivers dispatch over
 //! `&dyn Solver`, so adding a fourth architecture never touches them.
+//!
+//! A solver's configuration says how to anneal, never where the
+//! energies are measured. That is the job's [`DeviceArray`], which
+//! [`Session::prepare`](crate::Session::prepare) resolves once from the
+//! request's [`BackendPlan`](crate::BackendPlan) and `run_trial` hands
+//! to both hooks: `None` measures software-exact, `Some` on the
+//! simulated crossbar (a batched replica on its own array).
 
 use rand::SeedableRng;
 
 use fecim_anneal::RunResult;
-use fecim_hwcost::{AnnealerKind, EnergyReport, TimeReport};
+use fecim_crossbar::CrossbarConfig;
+use fecim_hwcost::{AnnealerKind, EnergyReport, IterationProfile, TimeReport};
 use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, IsingModel, SpinVector};
 
 use crate::annealer::SolveReport;
@@ -35,12 +42,43 @@ use crate::annealer::SolveReport;
 /// streams of the same user seed.
 pub(crate) const INIT_SEED_SALT: u64 = 0xA5A5_5A5A;
 
-/// The paper's default coupling quantization (Fig. 6d) — the value a
-/// solver prices when no device backend overrides it.
-pub(crate) const DEFAULT_QUANT_BITS: u8 = 4;
+/// The simulated crossbar a trial measures its energies on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeviceArray {
+    /// The array's configuration: fidelity, quantization, ADC and
+    /// variation.
+    pub config: CrossbarConfig,
+    /// Physical tile height. `None` is one monolithic array, priced with
+    /// whole-array wire geometry.
+    pub tile_rows: Option<usize>,
+}
 
-/// The paper's default ADC column multiplexing ratio.
-pub(crate) const DEFAULT_MUX_RATIO: usize = 8;
+impl DeviceArray {
+    /// Rows per tile for an `n`-spin coupling: `n` for the monolithic
+    /// array.
+    pub(crate) fn rows(&self, n: usize) -> usize {
+        self.tile_rows.unwrap_or(n)
+    }
+}
+
+/// The profile a run over `spins` spins with `flips`-spin proposals is
+/// priced with: the array's quantization, ADC muxing and tile height,
+/// or the paper's operating point when energies were measured exactly.
+pub(crate) fn pricing(array: Option<&DeviceArray>, spins: usize, flips: usize) -> IterationProfile {
+    let paper = IterationProfile {
+        flips,
+        ..IterationProfile::paper(spins)
+    };
+    match array {
+        None => paper,
+        Some(array) => IterationProfile {
+            quant_bits: array.config.quant_bits,
+            mux_ratio: array.config.mux_ratio,
+            tile_rows: array.tile_rows,
+            ..paper
+        },
+    }
+}
 
 /// A combinatorial-optimization solver with hardware-cost accounting —
 /// the common face of the paper's three annealer architectures.
@@ -59,19 +97,31 @@ pub trait Solver: Send + Sync {
     fn iterations(&self) -> usize;
 
     /// Architecture hook: anneal a prepared quadratic coupling from the
-    /// given start configuration. `seed` drives the engine's proposal
-    /// stream.
-    fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult;
+    /// given start configuration, measuring energies on `array` (exactly
+    /// when `None`). `seed` drives the engine's proposal stream.
+    fn run_engine(
+        &self,
+        coupling: &CsrCoupling,
+        initial: SpinVector,
+        seed: u64,
+        array: Option<&DeviceArray>,
+    ) -> RunResult;
 
     /// Architecture hook: the hardware energy/time of a finished run over
-    /// `spins` logical spins. Receives the run mutably so architectures
-    /// can stamp architecture-implied activity (e.g. the baselines' one
-    /// `eˣ` evaluation per iteration) before costing.
-    fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport);
+    /// `spins` logical spins, priced for the geometry of the `array` it
+    /// ran on. Receives the run mutably so architectures can stamp
+    /// architecture-implied activity (e.g. the baselines' one `eˣ`
+    /// evaluation per iteration) before costing.
+    fn hardware_report(
+        &self,
+        run: &mut RunResult,
+        spins: usize,
+        array: Option<&DeviceArray>,
+    ) -> (EnergyReport, TimeReport);
 
     /// Solve a COP: transform to Ising, anneal from the seeded random
-    /// start, score the best solution in the problem's native objective
-    /// and attach hardware costs.
+    /// start with software-exact energies, score the best solution in the
+    /// problem's native objective and attach hardware costs.
     ///
     /// # Errors
     ///
@@ -80,13 +130,15 @@ pub trait Solver: Send + Sync {
         let model = problem.to_ising()?;
         let quadratic = (!model.is_quadratic_only()).then(|| model.to_quadratic_only());
         let quadratic = quadratic.as_ref().unwrap_or(&model);
-        Ok(run_trial(self, problem, &model, quadratic, None, seed))
+        Ok(run_trial(
+            self, problem, &model, quadratic, None, None, seed,
+        ))
     }
 }
 
 /// One trial of `solver` on `problem`, whose Ising form is `model` and
-/// whose ancilla-embedded quadratic-only form is `quadratic` — the one
-/// pipeline every route of every request runs:
+/// whose ancilla-embedded quadratic-only form is `quadratic`, measured
+/// on `array` — the one pipeline every route of every request runs:
 ///
 /// 1. start from `start` embedded into the quadratic space (warm start),
 ///    or from the spins drawn from `seed ^ INIT_SEED_SALT`;
@@ -100,6 +152,7 @@ pub(crate) fn run_trial<S: Solver + ?Sized>(
     model: &IsingModel,
     quadratic: &IsingModel,
     start: Option<&SpinVector>,
+    array: Option<&DeviceArray>,
     seed: u64,
 ) -> SolveReport {
     let coupling = quadratic.couplings();
@@ -110,7 +163,7 @@ pub(crate) fn run_trial<S: Solver + ?Sized>(
             SpinVector::random(coupling.dimension(), &mut rng)
         }
     };
-    let mut run = solver.run_engine(coupling, initial, seed);
+    let mut run = solver.run_engine(coupling, initial, seed, array);
     let spins = if model.is_quadratic_only() {
         run.best_spins.clone()
     } else {
@@ -118,7 +171,7 @@ pub(crate) fn run_trial<S: Solver + ?Sized>(
     };
     let objective = problem.native_objective(&spins);
     let feasible = problem.is_feasible(&spins);
-    let (energy, time) = solver.hardware_report(&mut run, model.dimension());
+    let (energy, time) = solver.hardware_report(&mut run, model.dimension(), array);
     SolveReport {
         kind: solver.kind(),
         best_energy: run.best_energy,
@@ -178,17 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn trait_solve_matches_inherent_solve() {
-        let problem = ring_problem(10);
-        let solver = CimAnnealer::new(500).with_flips(1);
-        let inherent = solver.solve(&problem, 3).unwrap();
-        let dynamic = Solver::solve(&solver, &problem, 3).unwrap();
-        assert_eq!(inherent.best_energy, dynamic.best_energy);
-        assert_eq!(inherent.best_spins, dynamic.best_spins);
-        assert_eq!(inherent.energy.total(), dynamic.energy.total());
-    }
-
-    #[test]
     fn unencodable_problems_error_instead_of_panicking() {
         use fecim_ising::ObjectiveSense;
 
@@ -237,7 +279,7 @@ mod tests {
     ) -> SolveReport {
         let model = problem.to_ising().unwrap();
         let quadratic = model.to_quadratic_only();
-        run_trial(solver, problem, &model, &quadratic, Some(start), seed)
+        run_trial(solver, problem, &model, &quadratic, Some(start), None, seed)
     }
 
     #[test]

@@ -127,6 +127,15 @@ impl IterationProfile {
         self
     }
 
+    /// The 22 nm cost model of this profile's geometry: whole-array wire
+    /// lengths for the monolithic mapping, tile-length ones otherwise.
+    pub fn cost_model(&self) -> CostModel {
+        match self.tile_rows {
+            None => CostModel::paper_22nm(self.spins, self.quant_bits),
+            Some(rows) => CostModel::paper_22nm_tiled(self.spins, self.quant_bits, rows),
+        }
+    }
+
     /// Tile grid implied by the mapping: `(row_bands, column_stripes)`,
     /// `(1, 1)` for the monolithic array.
     pub fn tile_grid(&self) -> (usize, usize) {
@@ -438,6 +447,18 @@ mod tests {
         );
         // ADC energy (activity-count based) is unchanged by the mapping.
         assert_eq!(e_tiled.adc, e_mono.adc);
+    }
+
+    #[test]
+    fn cost_model_follows_the_profile_geometry() {
+        let mono = IterationProfile::paper(800);
+        assert_eq!(mono.cost_model(), CostModel::paper_22nm(800, 4));
+        let tiled = IterationProfile {
+            quant_bits: 6,
+            ..IterationProfile::paper_tiled(800, 256)
+        };
+        assert_eq!(tiled.cost_model(), CostModel::paper_22nm_tiled(800, 6, 256));
+        assert_ne!(tiled.cost_model(), mono.cost_model());
     }
 
     #[test]

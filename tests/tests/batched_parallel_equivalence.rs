@@ -295,7 +295,6 @@ fn batched_gset_scale_ensemble_matches_unbatched_solves() {
         .with_family(fecim_gset::GsetFamily::RandomUnit)
         .with_mean_degree(6.0)
         .generate();
-    let problem = graph.to_max_cut();
     let solver = CimAnnealer::new(30).with_flips(2);
     let base_seed = 77u64;
     let batched = Session::new()
@@ -320,14 +319,29 @@ fn batched_gset_scale_ensemble_matches_unbatched_solves() {
     let grid = &batched.grids[0];
     assert_eq!(grid.instances, 3);
     assert_eq!(grid.grid, (4, 12), "three 4x4 blocks side by side");
-    let unbatched = solver.with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 256);
     for (i, report) in batched.reports.iter().enumerate() {
-        let solo = unbatched
-            .solve(&problem, base_seed + i as u64)
-            .expect("max-cut encodes");
+        let solo = Session::new()
+            .run(
+                &SolveRequest::new(
+                    ProblemSpec::from_graph(&graph),
+                    SolverSpec::Cim(solver.clone()),
+                )
+                .with_backend(BackendPlan::DeviceInLoop {
+                    fidelity: Fidelity::Ideal,
+                    tile_rows: Some(256),
+                })
+                .with_run(RunPlan::Single {
+                    seed: base_seed + i as u64,
+                }),
+            )
+            .expect("max-cut encodes")
+            .reports
+            .remove(0);
         assert_eq!(report.best_energy, solo.best_energy, "trial {i}");
         assert_eq!(report.best_spins, solo.best_spins, "trial {i}");
         assert_eq!(report.run.accepted, solo.run.accepted, "trial {i}");
+        assert_eq!(report.run.activity, solo.run.activity, "trial {i}");
+        assert_eq!(report.energy.total(), solo.energy.total(), "trial {i}");
     }
     // Sharing really happened: one grid, per-replica attribution intact.
     assert!(grid.concurrent_utilization > 0.0);

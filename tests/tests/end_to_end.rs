@@ -1,8 +1,11 @@
 //! End-to-end integration: COP → Ising → annealer → solution, across the
 //! public API of the whole workspace.
 
-use fecim::{CimAnnealer, DirectAnnealer, FactorChoice};
-use fecim_crossbar::CrossbarConfig;
+use fecim::{
+    BackendPlan, CimAnnealer, DirectAnnealer, FactorChoice, ProblemSpec, RunPlan, Session,
+    SolveRequest, Solver, SolverSpec,
+};
+use fecim_crossbar::Fidelity;
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{Knapsack, MaxCut, NumberPartitioning};
 
@@ -133,10 +136,16 @@ fn device_in_loop_matches_software_quality_within_tolerance() {
         .generate();
     let problem = graph.to_max_cut();
     let software = CimAnnealer::new(1500).solve(&problem, 2).unwrap();
-    let hardware = CimAnnealer::new(1500)
-        .with_device_in_loop(CrossbarConfig::paper_defaults())
-        .solve(&problem, 2)
-        .unwrap();
+    let request = SolveRequest::new(
+        ProblemSpec::from_graph(&graph),
+        SolverSpec::Cim(CimAnnealer::new(1500)),
+    )
+    .with_backend(BackendPlan::DeviceInLoop {
+        fidelity: Fidelity::Ideal,
+        tile_rows: None,
+    })
+    .with_run(RunPlan::Single { seed: 2 });
+    let hardware = Session::new().run(&request).unwrap().reports.remove(0);
     let s = software.objective.unwrap();
     let h = hardware.objective.unwrap();
     assert!(

@@ -4,23 +4,58 @@
 //! pool — because every trial derives all randomness from its own seed
 //! and outcomes are returned in trial order.
 
-use fecim::{CimAnnealer, DirectAnnealer, MesaAnnealer, SbAnnealer, Solver};
+use fecim::{
+    BackendPlan, CimAnnealer, DirectAnnealer, MesaAnnealer, ProblemSpec, RunPlan, SbAnnealer,
+    Session, SolveRequest, Solver, SolverSpec,
+};
 use fecim_anneal::Ensemble;
 use fecim_crossbar::{CrossbarConfig, Fidelity};
 use fecim_device::VariationConfig;
-use fecim_gset::{GeneratorConfig, GsetFamily};
+use fecim_gset::{GeneratorConfig, Graph, GsetFamily};
 use fecim_ising::MaxCut;
 
-fn test_problem() -> MaxCut {
+fn test_graph() -> Graph {
     GeneratorConfig::new(96, 4242)
         .with_family(GsetFamily::RandomUnit)
         .with_mean_degree(8.0)
         .generate()
-        .to_max_cut()
+}
+
+fn test_problem() -> MaxCut {
+    test_graph().to_max_cut()
 }
 
 fn best_energies(solver: &dyn Solver, problem: &MaxCut, ensemble: &Ensemble) -> Vec<f64> {
     ensemble.run(|seed| solver.solve(problem, seed).expect("valid").best_energy)
+}
+
+/// Per-trial best energies of a `trials`-trial ensemble of `solver` on
+/// the test graph, measured on a device-accurate crossbar with typical
+/// variation through 32-row tiles, at worker cap `threads`.
+fn device_best_energies(
+    solver: &SolverSpec,
+    trials: usize,
+    base_seed: u64,
+    threads: Option<usize>,
+) -> Vec<f64> {
+    let mut cfg = CrossbarConfig::paper_defaults();
+    cfg.fidelity = Fidelity::DeviceAccurate;
+    cfg.variation = VariationConfig::typical();
+    let request = SolveRequest::new(ProblemSpec::from_graph(&test_graph()), solver.clone())
+        .with_backend(BackendPlan::DeviceInLoop {
+            fidelity: Fidelity::DeviceAccurate,
+            tile_rows: Some(32),
+        })
+        .with_run(RunPlan::Ensemble {
+            trials,
+            base_seed,
+            threads,
+        });
+    let response = Session::new()
+        .with_crossbar(cfg)
+        .run(&request)
+        .expect("valid");
+    response.reports.iter().map(|r| r.best_energy).collect()
 }
 
 #[test]
@@ -97,25 +132,10 @@ fn tiled_device_accurate_backend_is_ensemble_deterministic() {
     // the loop — per-tile variation maps, shared read-noise RNG, IR drop —
     // must still be bit-identical across thread counts, because every
     // trial programs its own array from its own seed.
-    let problem = test_problem();
-    let mut cfg = CrossbarConfig::paper_defaults();
-    cfg.fidelity = Fidelity::DeviceAccurate;
-    cfg.variation = VariationConfig::typical();
-    let solver = CimAnnealer::new(150)
-        .with_flips(1)
-        .with_tiled_device_in_loop(cfg, 32);
-
-    let default_threads = best_energies(&solver, &problem, &Ensemble::new(6, 314));
-    let capped = best_energies(
-        &solver,
-        &problem,
-        &Ensemble::new(6, 314).with_max_threads(2),
-    );
-    let sequential = best_energies(
-        &solver,
-        &problem,
-        &Ensemble::new(6, 314).with_max_threads(1),
-    );
+    let solver = SolverSpec::Cim(CimAnnealer::new(150).with_flips(1));
+    let default_threads = device_best_energies(&solver, 6, 314, None);
+    let capped = device_best_energies(&solver, 6, 314, Some(2));
+    let sequential = device_best_energies(&solver, 6, 314, Some(1));
     assert_eq!(default_threads, sequential, "bit-identical under tiling");
     assert_eq!(default_threads, capped);
     // The RAYON_NUM_THREADS env path is covered by the dedicated CI step
@@ -148,23 +168,10 @@ fn sb_device_accurate_tiled_backend_is_ensemble_deterministic() {
     // variation maps and counter-based read noise per MVM ordinal —
     // must stay bit-identical across thread counts because every trial
     // programs its own array from its own seed.
-    let problem = test_problem();
-    let mut cfg = CrossbarConfig::paper_defaults();
-    cfg.fidelity = Fidelity::DeviceAccurate;
-    cfg.variation = VariationConfig::typical();
-    let solver = SbAnnealer::discrete(100).with_tiled_device_in_loop(cfg, 32);
-
-    let default_threads = best_energies(&solver, &problem, &Ensemble::new(6, 515));
-    let capped = best_energies(
-        &solver,
-        &problem,
-        &Ensemble::new(6, 515).with_max_threads(2),
-    );
-    let sequential = best_energies(
-        &solver,
-        &problem,
-        &Ensemble::new(6, 515).with_max_threads(1),
-    );
+    let solver = SolverSpec::Sb(SbAnnealer::discrete(100));
+    let default_threads = device_best_energies(&solver, 6, 515, None);
+    let capped = device_best_energies(&solver, 6, 515, Some(2));
+    let sequential = device_best_energies(&solver, 6, 515, Some(1));
     assert_eq!(default_threads, sequential, "bit-identical under tiling");
     assert_eq!(default_threads, capped);
 }

@@ -176,15 +176,24 @@ fn tiled_device_accurate_probe_matches_golden() {
         .with_family(GsetFamily::RandomUnit)
         .with_mean_degree(8.0)
         .generate();
-    let problem = graph.to_max_cut();
     let mut cfg = CrossbarConfig::paper_defaults();
     cfg.fidelity = Fidelity::DeviceAccurate;
     cfg.variation = VariationConfig::typical();
-    let report = CimAnnealer::new(150)
-        .with_flips(2)
-        .with_tiled_device_in_loop(cfg, 32)
-        .solve(&problem, 2025)
-        .expect("max-cut always encodes");
+    let request = SolveRequest::new(
+        ProblemSpec::from_graph(&graph),
+        SolverSpec::Cim(CimAnnealer::new(150).with_flips(2)),
+    )
+    .with_backend(BackendPlan::DeviceInLoop {
+        fidelity: Fidelity::DeviceAccurate,
+        tile_rows: Some(32),
+    })
+    .with_run(RunPlan::Single { seed: 2025 });
+    let report = Session::new()
+        .with_crossbar(cfg)
+        .run(&request)
+        .expect("max-cut always encodes")
+        .reports
+        .remove(0);
     let activity = report.run.activity.expect("device runs record activity");
     let snapshot = serde_json::json!({
         "best_energy": report.best_energy,
@@ -399,7 +408,7 @@ fn engine_runs_match_golden() {
     // on the exact and the 16-row tiled Ideal backends; plus
     // zero-iteration solves, which must echo their start.
     use fecim::sb::{DeviceMvm, ExactMvm, SbEngine, SbVariant};
-    use fecim::{DirectAnnealer, MesaAnnealer};
+    use fecim::{DirectAnnealer, MesaAnnealer, Solver};
     use fecim_anneal::{
         run_direct, run_in_situ, run_mesa, suggest_einc_scale, Acceptance, AnnealConfig,
         ExactBackend, GeometricSchedule, MesaConfig, RunResult, SteppedSchedule, TiledBackend,

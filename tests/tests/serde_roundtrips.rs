@@ -195,7 +195,7 @@ fn experiment_config_roundtrip() {
 fn solve_report_serializes_for_artifacts() {
     // End-to-end: a real report must serialize (the harness writes these).
     let mc = MaxCut::new(6, (0..6).map(|i| (i, (i + 1) % 6, 1.0)).collect()).unwrap();
-    let report = fecim::CimAnnealer::new(200).solve(&mc, 1).unwrap();
+    let report = fecim::Solver::solve(&fecim::CimAnnealer::new(200), &mc, 1).unwrap();
     let json = serde_json::to_value(&report).expect("report serializes");
     assert!(json.get("best_energy").is_some());
     assert!(json.get("energy").is_some());

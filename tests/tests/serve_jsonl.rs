@@ -79,9 +79,18 @@ fn fixture_path() -> PathBuf {
         .join("serve_smoke.jsonl")
 }
 
-/// The committed fixture must stay in sync with the protocol types.
-/// Regenerate with `FIXTURE_REGEN=1 cargo test -p fecim-tests --test
-/// serve_jsonl` after an intentional protocol change.
+/// Solver keys the protocol no longer writes. The committed fixture
+/// keeps them on purpose: serving it pins that an older client's lines
+/// still decode, because the decoder skips unknown keys.
+const RETIRED_SOLVER_KEYS: [&str; 2] = [
+    "\"device_in_loop\":null,\"tile_rows\":null,",
+    ",\"quant_bits\":4,\"mux_ratio\":8",
+];
+
+/// The committed fixture must stay in sync with the protocol types,
+/// up to the [`RETIRED_SOLVER_KEYS`] it carries. Regenerate with
+/// `FIXTURE_REGEN=1 cargo test -p fecim-tests --test serve_jsonl` after
+/// an intentional protocol change.
 #[test]
 fn committed_smoke_fixture_matches_protocol() {
     let mut expected = String::new();
@@ -103,7 +112,10 @@ fn committed_smoke_fixture_matches_protocol() {
             path.display()
         )
     });
-    assert_eq!(committed, expected, "fixture drifted from the protocol");
+    let current = RETIRED_SOLVER_KEYS
+        .iter()
+        .fold(committed.clone(), |text, key| text.replace(key, ""));
+    assert_eq!(current, expected, "fixture drifted from the protocol");
     // And every committed line parses back to the builder's value.
     for (line, built) in committed.lines().zip(fixture_lines()) {
         let parsed: RequestLine = serde_json::from_str(line).expect("fixture parses");

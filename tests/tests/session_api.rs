@@ -6,9 +6,9 @@
 
 use fecim::{
     BackendPlan, CimAnnealer, DirectAnnealer, MesaAnnealer, ProblemSpec, RunPlan, Session,
-    SessionError, SolveRequest, SolveResponse, Solver, SolverSpec,
+    SessionError, SolveReport, SolveRequest, SolveResponse, Solver, SolverSpec,
 };
-use fecim_crossbar::{CrossbarConfig, Fidelity};
+use fecim_crossbar::Fidelity;
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::MaxCut;
 
@@ -165,33 +165,42 @@ fn session_single_run_matches_legacy_solve_for_all_architectures() {
     }
 }
 
+/// One Ideal device-in-the-loop trial of `solver` on `graph` through
+/// `tile_rows`-row tiles (`None` = one monolithic array).
+fn ideal_device_trial(
+    graph: &fecim_gset::Graph,
+    solver: CimAnnealer,
+    tile_rows: Option<usize>,
+    seed: u64,
+) -> SolveReport {
+    let request = SolveRequest::new(ProblemSpec::from_graph(graph), SolverSpec::Cim(solver))
+        .with_backend(BackendPlan::DeviceInLoop {
+            fidelity: Fidelity::Ideal,
+            tile_rows,
+        })
+        .with_run(RunPlan::Single { seed });
+    let mut response = Session::new().run(&request).expect("max-cut encodes");
+    response.reports.remove(0)
+}
+
 #[test]
-fn session_device_in_loop_matches_legacy_tiled_solve() {
+fn session_tiled_device_plan_matches_monolithic_trajectory() {
+    // The plan's tile height reaches both the array and the pricing: an
+    // Ideal tiled read equals the monolithic one, so the trajectory is
+    // the same, while activity and hardware cost follow the tiles.
     let graph = gset_graph(48, 0xD1CE);
-    let problem = graph.to_max_cut();
-    let response = Session::new()
-        .run(
-            &SolveRequest::new(
-                ProblemSpec::from_graph(&graph),
-                SolverSpec::Cim(CimAnnealer::new(120).with_flips(1)),
-            )
-            .with_backend(BackendPlan::DeviceInLoop {
-                fidelity: Fidelity::Ideal,
-                tile_rows: Some(16),
-            })
-            .with_run(RunPlan::Single { seed: 2025 }),
-        )
-        .expect("max-cut encodes");
-    let expected = CimAnnealer::new(120)
-        .with_flips(1)
-        .with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 16)
-        .solve(&problem, 2025)
-        .expect("max-cut encodes");
-    assert_eq!(response.reports[0].best_energy, expected.best_energy);
-    assert_eq!(response.reports[0].best_spins, expected.best_spins);
-    assert_eq!(
-        response.reports[0].run.activity, expected.run.activity,
-        "measured per-tile activity must match"
+    let solver = CimAnnealer::new(120).with_flips(1);
+    let tiled = ideal_device_trial(&graph, solver.clone(), Some(16), 2025);
+    let mono = ideal_device_trial(&graph, solver, None, 2025);
+    assert_eq!(tiled.best_energy, mono.best_energy);
+    assert_eq!(tiled.best_spins, mono.best_spins);
+    assert_eq!(tiled.run.accepted, mono.run.accepted);
+    let tiles = |report: &SolveReport| report.run.activity.expect("device runs").tiles_activated;
+    assert!(tiles(&tiled) > tiles(&mono), "per-tile activity recorded");
+    assert_ne!(
+        tiled.energy.total(),
+        mono.energy.total(),
+        "tile-scale pricing"
     );
 }
 
@@ -237,7 +246,6 @@ fn session_normalized_scores_match_per_trial_solves() {
 #[test]
 fn session_batched_backend_matches_unbatched_tiled_solves() {
     let graph = gset_graph(32, 0xCAFE);
-    let problem = graph.to_max_cut();
     let solver = CimAnnealer::new(80).with_flips(1);
     let trials = 3;
     let base_seed = 55u64;
@@ -260,12 +268,9 @@ fn session_batched_backend_matches_unbatched_tiled_solves() {
         .expect("max-cut encodes");
     // Trial for trial, the shared grid must reproduce the unbatched
     // tiled device-in-the-loop run (the Ideal-fidelity contract).
-    let unbatched = solver.with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 8);
     assert_eq!(response.reports.len(), trials);
     for (i, got) in response.reports.iter().enumerate() {
-        let want = unbatched
-            .solve(&problem, base_seed + i as u64)
-            .expect("max-cut encodes");
+        let want = ideal_device_trial(&graph, solver.clone(), Some(8), base_seed + i as u64);
         assert_eq!(got.best_energy, want.best_energy, "trial {i}");
         assert_eq!(got.best_spins, want.best_spins, "trial {i}");
         assert_eq!(got.run.accepted, want.run.accepted, "trial {i}");

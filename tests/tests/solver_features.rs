@@ -3,7 +3,7 @@
 //! `ising::problems` encodings (TSP, knapsack, coloring, spin glass,
 //! vertex cover).
 
-use fecim::{CimAnnealer, DirectAnnealer, MesaAnnealer, SbAnnealer};
+use fecim::{CimAnnealer, DirectAnnealer, MesaAnnealer, SbAnnealer, Solver};
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{
     CopProblem, Coupling, GraphColoring, Knapsack, MaxCut, MaxIndependentSet, NumberPartitioning,

@@ -28,12 +28,14 @@ mod oracle;
 
 use proptest::prelude::*;
 
-use fecim::CimAnnealer;
+use fecim::{
+    BackendPlan, CimAnnealer, ProblemSpec, RunPlan, Session, SolveReport, SolveRequest, SolverSpec,
+};
 use fecim_crossbar::{
     ActivityStats, CrossbarConfig, Fidelity, QuantizedCoupling, SensingMode, TiledCrossbar,
 };
 use fecim_device::VariationConfig;
-use fecim_gset::{GeneratorConfig, GsetFamily};
+use fecim_gset::{GeneratorConfig, Graph, GsetFamily};
 use fecim_ising::{CsrCoupling, DenseCoupling, FlipMask, SpinVector};
 use fecim_sb::{DeviceMvm, MvmSource};
 use oracle::Oracle;
@@ -424,6 +426,29 @@ fn dense_n896_noisy_parallel_vmv_matches_sequential() {
     assert_eq!(parallel.vmv(spins.as_slice()).to_bits(), second.to_bits());
 }
 
+/// One Ideal device-in-the-loop trial of the `t = 2` in-situ annealer
+/// on `graph`, through `tile_rows`-row tiles (`None` = monolithic).
+fn device_trial(
+    graph: &Graph,
+    iterations: usize,
+    tile_rows: Option<usize>,
+    seed: u64,
+) -> SolveReport {
+    let request = SolveRequest::new(
+        ProblemSpec::from_graph(graph),
+        SolverSpec::Cim(CimAnnealer::new(iterations).with_flips(2)),
+    )
+    .with_backend(BackendPlan::DeviceInLoop {
+        fidelity: Fidelity::Ideal,
+        tile_rows,
+    })
+    .with_run(RunPlan::Single { seed });
+    let mut response = Session::new()
+        .run(&request)
+        .expect("max-cut always encodes");
+    response.reports.remove(0)
+}
+
 #[test]
 fn gset_scale_instance_runs_through_256_row_tiles() {
     // The acceptance run: the paper's smallest G-set group (n = 800)
@@ -434,11 +459,7 @@ fn gset_scale_instance_runs_through_256_row_tiles() {
         .with_family(GsetFamily::RandomUnit)
         .with_mean_degree(6.0)
         .generate();
-    let problem = graph.to_max_cut();
-    let solver = CimAnnealer::new(40)
-        .with_flips(2)
-        .with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 256);
-    let report = solver.solve(&problem, 7).expect("max-cut always encodes");
+    let report = device_trial(&graph, 40, Some(256), 7);
     let activity = report.run.activity.expect("device runs record activity");
     assert!(report.feasible);
     assert!(activity.tiles_activated > 0, "tiles activated");
@@ -465,17 +486,8 @@ fn non_divisible_gset_scale_tiling_matches_monolithic_solve() {
         .with_family(GsetFamily::RandomUnit)
         .with_mean_degree(4.0)
         .generate();
-    let problem = graph.to_max_cut();
-    let tiled = CimAnnealer::new(25)
-        .with_flips(2)
-        .with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 256)
-        .solve(&problem, 3)
-        .unwrap();
-    let mono = CimAnnealer::new(25)
-        .with_flips(2)
-        .with_device_in_loop(CrossbarConfig::paper_defaults())
-        .solve(&problem, 3)
-        .unwrap();
+    let tiled = device_trial(&graph, 25, Some(256), 3);
+    let mono = device_trial(&graph, 25, None, 3);
     assert_eq!(tiled.best_energy, mono.best_energy);
     assert_eq!(tiled.best_spins, mono.best_spins);
     assert_eq!(tiled.run.accepted, mono.run.accepted);
