@@ -16,7 +16,8 @@
 //!   emitted as DOT/JSON and failed on cycles.
 //! * **Dead public API** (`dead-pub`): a bare `pub` item in library code
 //!   that no shipped code outside its file names — public API that only
-//!   its own tests call.
+//!   its own tests call. A `fn name` definition is no use of `name`, and
+//!   an item of an inherent `impl T` counts only while `T` does.
 //!
 //! Violations are either fixed or waived inline with
 //! `// audit:allow(<rule>): <reason>`; a waiver without a reason, naming

@@ -18,9 +18,13 @@
 //!   acquisition in a `for`/`if`/`match` head holds through the block.
 //! * Acquisitions propagate through intra-crate calls to a fixpoint, so
 //!   `fn a` holding `L` and calling `fn b` that takes `M` yields
-//!   `L -> M`. Dotted calls whose method name collides with a std method
-//!   (`wait`, `join`, `spawn`, …) are not resolved, which avoids
-//!   fabricating edges through `Condvar::wait` or `JoinHandle::join`.
+//!   `L -> M`. `Type::name(`, and `Self::name(` or `self.name(` inside
+//!   `impl Type`, resolve to `Type`'s own `name` first; any other call
+//!   resolves only when the crate has one fn of that name, so a
+//!   same-named method of another type never lends its locks. Dotted
+//!   calls whose method name collides with a std method (`wait`, `join`,
+//!   `spawn`, …) are not resolved, which avoids fabricating edges through
+//!   `Condvar::wait` or `JoinHandle::join`.
 //! * Self-edges (`A -> A`) are dropped: with name-granularity nodes they
 //!   are almost always re-entry on a *different* instance.
 //!
@@ -145,6 +149,8 @@ const NEVER_RESOLVE: &[&str] = &[
 #[derive(Debug, Clone)]
 struct FnDef {
     name: String,
+    /// Self type of the `impl` block it is a method of.
+    owner: Option<String>,
     file_idx: usize,
     /// Byte span of the body including braces.
     body: (usize, usize),
@@ -336,6 +342,7 @@ fn constructor_binding_before(bytes: &[u8], marker_at: usize) -> Option<String> 
 /// Find every `fn` definition (with a body) in a file.
 fn collect_fns(code: &str, file_idx: usize, out: &mut Vec<FnDef>) {
     let bytes = code.as_bytes();
+    let impls = crate::rules::impl_blocks(code);
     let mut from = 0usize;
     while let Some(rel) = code[from..].find("fn ") {
         let at = from + rel;
@@ -402,8 +409,18 @@ fn collect_fns(code: &str, file_idx: usize, out: &mut Vec<FnDef>) {
         let takes_lock_param = params.contains("Mutex<") || params.contains("RwLock<");
         let is_helper = takes_lock_param
             && (body.contains(".lock()") || body.contains(".read()") || body.contains(".write()"));
+        // A fn nested in another fn's body is no method.
+        let nested = out
+            .iter()
+            .any(|f| f.file_idx == file_idx && f.body.0 < at && at < f.body.1);
+        let owner = impls
+            .iter()
+            .rev()
+            .find(|b| !nested && b.body.contains(&at))
+            .map(|b| b.self_ty.clone());
         out.push(FnDef {
             name,
+            owner,
             file_idx,
             body: (open, close + 1),
             is_helper,
@@ -448,24 +465,50 @@ enum Event {
     /// Acquire the named lock at this offset; `binds` carries the `let`
     /// pattern decision made by the scanner in pass 2.
     Acquire { lock: String, at: usize },
-    /// Call a crate function by name at this offset.
-    Call { callee: String, at: usize },
+    /// Call the crate functions `targets` (indices into the crate's fn
+    /// table), all named `callee`, at this offset.
+    Call {
+        callee: String,
+        targets: Vec<usize>,
+        at: usize,
+    },
+}
+
+/// The crate fns a call of `name` reaches: `ty`'s own when the call
+/// names a type (`Type::`, `Self::`, `self.`) that has one, else the
+/// crate's only fn of that name, else none.
+fn resolve(fns: &[FnDef], name: &str, ty: Option<&str>) -> Vec<usize> {
+    let named: Vec<usize> = (0..fns.len())
+        .filter(|&k| !fns[k].is_helper && fns[k].name == name)
+        .collect();
+    let own: Vec<usize> = named
+        .iter()
+        .copied()
+        .filter(|&k| ty.is_some() && fns[k].owner.as_deref() == ty)
+        .collect();
+    match (own.is_empty(), named.len()) {
+        (false, _) => own,
+        (true, 1) => named,
+        _ => Vec::new(),
+    }
 }
 
 struct BodyScan {
     events: Vec<Event>,
 }
 
-/// Scan a function body, producing acquisition and call events in source
-/// order. Used by both the fixpoint pass and the edge-emission pass.
+/// Scan the body of `fns[caller]`, producing acquisition and call
+/// events in source order. Used by both the fixpoint pass and the
+/// edge-emission pass.
 fn scan_body(
     code: &str,
-    span: (usize, usize),
+    fns: &[FnDef],
+    caller: usize,
     lock_names: &BTreeSet<String>,
     condvars: &BTreeSet<String>,
     helpers: &BTreeSet<String>,
-    fn_names: &BTreeSet<String>,
 ) -> BodyScan {
+    let span = fns[caller].body;
     let bytes = code.as_bytes();
     let mut events = Vec::new();
     let mut i = span.0;
@@ -514,13 +557,30 @@ fn scan_body(
             }
             continue;
         }
-        // Intra-crate call.
-        if fn_names.contains(ident)
-            && !NEVER_RESOLVE.contains(&ident)
-            && !(dotted && SKIP_METHODS.contains(&ident))
-        {
+        // Intra-crate call: `self.name(`, `Self::name(` and `Type::name(`
+        // name the type whose fn to prefer.
+        if NEVER_RESOLVE.contains(&ident) || (dotted && SKIP_METHODS.contains(&ident)) {
+            continue;
+        }
+        let own = fns[caller].owner.as_deref();
+        let ty = if dotted {
+            receiver_before(bytes, start - 1)
+                .filter(|r| r == "self")
+                .and(own)
+        } else if start >= 2 && &bytes[start - 2..start] == b"::" {
+            match receiver_before(bytes, start - 2) {
+                Some(q) if q == "Self" => own,
+                Some(q) => Some(&code[start - 2 - q.len()..start - 2]),
+                None => None,
+            }
+        } else {
+            None
+        };
+        let targets = resolve(fns, ident, ty);
+        if !targets.is_empty() {
             events.push(Event::Call {
                 callee: ident.to_string(),
+                targets,
                 at: start,
             });
         }
@@ -596,57 +656,42 @@ impl LockGraph {
             .filter(|f| f.is_helper)
             .map(|f| f.name.clone())
             .collect();
-        let fn_names: BTreeSet<String> = fns
-            .iter()
-            .filter(|f| !f.is_helper)
-            .map(|f| f.name.clone())
-            .collect();
 
         // Pass 1: per-fn events, then propagate acquisitions through
-        // calls to a fixpoint (union over same-named fns).
-        let scans: Vec<BodyScan> = fns
-            .iter()
-            .map(|f| {
+        // resolved calls to a fixpoint.
+        let scans: Vec<BodyScan> = (0..fns.len())
+            .map(|k| {
                 scan_body(
-                    &files[f.file_idx].code,
-                    f.body,
+                    &files[fns[k].file_idx].code,
+                    &fns,
+                    k,
                     &lock_names,
                     &condvars,
                     &helpers,
-                    &fn_names,
                 )
             })
             .collect();
-        let mut acquires: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut calls: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for (f, scan) in fns.iter().zip(&scans) {
-            let acc = acquires.entry(f.name.clone()).or_default();
-            let cal = calls.entry(f.name.clone()).or_default();
+        let mut acquires: Vec<BTreeSet<String>> = vec![BTreeSet::new(); fns.len()];
+        let mut calls: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); fns.len()];
+        for (k, scan) in scans.iter().enumerate() {
             for ev in &scan.events {
                 match ev {
                     Event::Acquire { lock, .. } => {
-                        acc.insert(lock.clone());
+                        acquires[k].insert(lock.clone());
                     }
-                    Event::Call { callee, .. } => {
-                        cal.insert(callee.clone());
-                    }
+                    Event::Call { targets, .. } => calls[k].extend(targets),
                 }
             }
         }
         loop {
             let mut changed = false;
-            let names: Vec<String> = acquires.keys().cloned().collect();
-            for name in names {
-                let callees = calls.get(&name).cloned().unwrap_or_default();
-                let mut add = BTreeSet::new();
-                for callee in callees {
-                    if let Some(set) = acquires.get(&callee) {
-                        add.extend(set.iter().cloned());
-                    }
-                }
-                let entry = acquires.entry(name).or_default();
+            for k in 0..fns.len() {
+                let add: BTreeSet<String> = calls[k]
+                    .iter()
+                    .flat_map(|&t| acquires[t].iter().cloned())
+                    .collect();
                 for lock in add {
-                    changed |= entry.insert(lock);
+                    changed |= acquires[k].insert(lock);
                 }
             }
             if !changed {
@@ -704,20 +749,22 @@ impl LockGraph {
                                     stmt_locks.push(lock.clone());
                                 }
                             }
-                            Some(Event::Call { callee, at }) => {
-                                if let Some(acquired) = acquires.get(callee) {
-                                    for t in acquired {
-                                        nodes.insert(t.clone());
-                                        for h in &held {
-                                            if h != t {
-                                                edges.entry((h.clone(), t.clone())).or_insert(
-                                                    EdgeSite {
-                                                        file: files[f.file_idx].path.clone(),
-                                                        line: line_of(starts, *at),
-                                                        via: format!("{} -> {}", f.name, callee),
-                                                    },
-                                                );
-                                            }
+                            Some(Event::Call {
+                                callee,
+                                targets,
+                                at,
+                            }) => {
+                                for t in targets.iter().flat_map(|&k| &acquires[k]) {
+                                    nodes.insert(t.clone());
+                                    for h in &held {
+                                        if h != t {
+                                            edges.entry((h.clone(), t.clone())).or_insert(
+                                                EdgeSite {
+                                                    file: files[f.file_idx].path.clone(),
+                                                    line: line_of(starts, *at),
+                                                    via: format!("{} -> {}", f.name, callee),
+                                                },
+                                            );
                                         }
                                     }
                                 }

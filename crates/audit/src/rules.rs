@@ -457,6 +457,8 @@ pub struct PubItem {
     /// Byte range of its signature: a fn up to its body, any other item
     /// through its end (fields, variants, trait methods, const type).
     pub signature: std::ops::Range<usize>,
+    /// The type of the inherent `impl` block it sits in, if any.
+    pub owner: Option<String>,
 }
 
 /// Every bare `pub` fn, method, struct, enum, union, trait, const,
@@ -471,6 +473,7 @@ pub fn pub_items(code: &str) -> Vec<PubItem> {
         let (prev, text) = toks[k - 1];
         code[prev + text.len()..toks[k].0].trim().is_empty()
     };
+    let impls = impl_blocks(code);
     let mut items = Vec::new();
     for (k, &(at, tok)) in toks.iter().enumerate() {
         if tok != "pub" || k + 2 >= toks.len() || !adjacent(k + 1) {
@@ -506,9 +509,99 @@ pub fn pub_items(code: &str) -> Vec<PubItem> {
             name: name.to_string(),
             line,
             signature: at..end,
+            owner: impls
+                .iter()
+                .rev()
+                .find(|b| !b.trait_impl && b.body.contains(&at))
+                .map(|b| b.self_ty.clone()),
         });
     }
     items
+}
+
+/// An `impl` block in scrubbed code.
+#[derive(Debug, Clone)]
+pub(crate) struct ImplBlock {
+    /// Byte span from the end of the header through the body's `}`.
+    pub(crate) body: std::ops::Range<usize>,
+    /// Last path segment of the self type (`TiledBackend` for
+    /// `impl<C> TiledBackend<C>`, `Job` for `impl Drop for Job`).
+    pub(crate) self_ty: String,
+    /// `impl Trait for Type`, not an inherent `impl Type`.
+    pub(crate) trait_impl: bool,
+}
+
+/// Every `impl` block of scrubbed code, in source order. An `impl`
+/// counts only in item position (after `}`, `;`, `{`, an attribute's
+/// `]`, or `unsafe`), so `-> impl Trait` is not a block.
+pub(crate) fn impl_blocks(code: &str) -> Vec<ImplBlock> {
+    let bytes = code.as_bytes();
+    let toks: Vec<(usize, &str)> = idents(code).collect();
+    let mut out = Vec::new();
+    for (k, &(at, tok)) in toks.iter().enumerate() {
+        let prev = code[..at].trim_end();
+        let item_position = prev.is_empty()
+            || prev.ends_with(['}', ';', '{', ']'])
+            || (k > 0 && toks[k - 1].1 == "unsafe" && prev.ends_with("unsafe"));
+        if tok != "impl" || !item_position {
+            continue;
+        }
+        // The header runs to the first `{` outside angle brackets; the
+        // self type is the last path segment outside them.
+        let mut depth = 0usize;
+        let mut i = at + tok.len();
+        let mut self_ty = None;
+        let mut trait_impl = false;
+        while i < bytes.len() && !(bytes[i] == b'{' && depth == 0) {
+            match bytes[i] {
+                b'<' => depth += 1,
+                b'>' if bytes[i - 1] != b'-' => depth = depth.saturating_sub(1),
+                b if is_ident_byte(b) && !is_ident_byte(bytes[i - 1]) => {
+                    let start = i;
+                    while i < bytes.len() && is_ident_byte(bytes[i]) {
+                        i += 1;
+                    }
+                    match &code[start..i] {
+                        "for" if depth == 0 => trait_impl = true,
+                        "where" if depth == 0 => break,
+                        name if depth == 0 && bytes[start - 1] != b'\'' => {
+                            self_ty = Some(name.to_string());
+                        }
+                        _ => {}
+                    }
+                    continue;
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        if let (Some(self_ty), Some(end)) = (self_ty, block_end(bytes, i)) {
+            out.push(ImplBlock {
+                body: i..end,
+                self_ty,
+                trait_impl,
+            });
+        }
+    }
+    out
+}
+
+/// One past the `}` closing the block that opens at `open`.
+fn block_end(bytes: &[u8], open: usize) -> Option<usize> {
+    let mut braces = 0usize;
+    for (k, b) in bytes.iter().enumerate().skip(open) {
+        match b {
+            b'{' => braces += 1,
+            b'}' => {
+                braces -= 1;
+                if braces == 0 {
+                    return Some(k + 1);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// End of an item's signature, scanning from its name: the body's `{`
@@ -522,23 +615,11 @@ fn signature_end(bytes: &[u8], from: usize, is_fn: bool) -> usize {
             b')' | b']' => depth -= 1,
             b';' if depth == 0 => return i + 1,
             b'{' if depth == 0 => {
-                if is_fn {
-                    return i;
-                }
-                let mut braces = 0usize;
-                for (k, b) in bytes.iter().enumerate().skip(i) {
-                    match b {
-                        b'{' => braces += 1,
-                        b'}' => {
-                            braces -= 1;
-                            if braces == 0 {
-                                return k + 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                return bytes.len();
+                return if is_fn {
+                    i
+                } else {
+                    block_end(bytes, i).unwrap_or(bytes.len())
+                };
             }
             _ => {}
         }

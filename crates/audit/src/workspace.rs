@@ -1,6 +1,6 @@
 //! Workspace walking, scope classification and finding aggregation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -229,19 +229,37 @@ fn scan_crate(root: &Path, crate_dir: &Path) -> Result<Vec<ScannedFile>, AuditEr
         .collect())
 }
 
-/// Identifier counts of one file's shipped code, `pub use` lines blanked.
+/// Identifier counts of one file's shipped code, `pub use` lines
+/// blanked. The name right after `fn` is a definition, not a use.
 fn token_counts(code: &str) -> BTreeMap<String, usize> {
     let mut counts = BTreeMap::new();
+    let mut after_fn = false;
     for (_, tok) in rules::idents(&rules::blank_reexports(code)) {
-        *counts.entry(tok.to_string()).or_insert(0usize) += 1;
+        if !after_fn {
+            *counts.entry(tok.to_string()).or_insert(0usize) += 1;
+        }
+        after_fn = tok == "fn";
     }
     counts
+}
+
+/// One library `pub` item under the `dead-pub` fixpoint.
+struct Candidate<'a> {
+    file: usize,
+    item: rules::PubItem,
+    /// Signature identifiers.
+    names: BTreeSet<&'a str>,
+    /// Shipped code outside its file names it.
+    named: bool,
+    /// A `dead-pub` waiver keeps it.
+    kept: bool,
 }
 
 /// `dead-pub` findings for the library files among `files`. An item is
 /// used when its name occurs as a token outside its own file, in the
 /// shipped code of `files` (bins included) or of `users`, or in the
-/// signature of a used or waived item of its own file.
+/// signature of a used or waived item of its own file. An item of an
+/// inherent `impl T` block is used only while `T` is used or waived.
 fn dead_pub(files: &[&ScannedFile], users: &[ScannedFile]) -> Vec<Finding> {
     let per_file: Vec<BTreeMap<String, usize>> =
         files.iter().map(|f| token_counts(&f.code)).collect();
@@ -252,59 +270,79 @@ fn dead_pub(files: &[&ScannedFile], users: &[ScannedFile]) -> Vec<Finding> {
             *total.entry(tok).or_insert(0) += n;
         }
     }
-    let mut out = Vec::new();
-    for (file, own) in files.iter().zip(&per_file) {
+    let count = |map: &BTreeMap<String, usize>, name: &str| map.get(name).copied().unwrap_or(0);
+    let mut items = Vec::new();
+    for (fi, (file, own)) in files.iter().zip(&per_file).enumerate() {
         if file.scope != FileScope::Library {
             continue;
         }
-        let items = rules::pub_items(&file.code);
-        let count = |map: &BTreeMap<String, usize>, name: &str| map.get(name).copied().unwrap_or(0);
-        let mut live: Vec<bool> = items
-            .iter()
-            .map(|item| count(&total, &item.name) > count(own, &item.name))
-            .collect();
-        // A used or deliberately kept item's signature keeps the types
-        // it names, to a fixpoint.
-        let kept: Vec<bool> = items
-            .iter()
-            .map(|item| {
-                file.waivers
+        for item in rules::pub_items(&file.code) {
+            items.push(Candidate {
+                file: fi,
+                names: rules::idents(&file.code[item.signature.clone()])
+                    .map(|(_, tok)| tok)
+                    .collect(),
+                named: count(&total, &item.name) > count(own, &item.name),
+                kept: file
+                    .waivers
                     .iter()
-                    .any(|w| w.covers(Rule::DeadPub.name(), item.line))
-            })
-            .collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (y, keeper) in items.iter().enumerate() {
-                if !live[y] && !kept[y] {
-                    continue;
-                }
-                for (_, tok) in rules::idents(&file.code[keeper.signature.clone()]) {
-                    for (x, item) in items.iter().enumerate() {
-                        if x != y && !live[x] && item.name == tok {
-                            live[x] = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        let orig_lines: Vec<&str> = file.original.lines().collect();
-        for (item, _) in items.iter().zip(live).filter(|(_, live)| !live) {
-            out.push(Finding {
-                rule: Rule::DeadPub,
-                file: file.rel_path.clone(),
-                line: item.line,
-                excerpt: orig_lines
-                    .get(item.line - 1)
-                    .map(|l| l.trim().to_string())
-                    .unwrap_or_default(),
-                waived: None,
+                    .any(|w| w.covers(Rule::DeadPub.name(), item.line)),
+                item,
             });
         }
     }
-    out
+    // Least fixpoint: nothing is live until a use outside its file, or a
+    // live or kept signature, reaches it through a live owner.
+    let mut live = vec![false; items.len()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for x in 0..items.len() {
+            let it = &items[x];
+            if live[x] {
+                continue;
+            }
+            // An owner the audit does not track (private, or outside
+            // the library files) never blocks its items.
+            let owner_live = it.item.owner.as_ref().is_none_or(|ty| {
+                let owners: Vec<usize> = (0..items.len())
+                    .filter(|&o| items[o].item.owner.is_none() && items[o].item.name == *ty)
+                    .collect();
+                owners.is_empty() || owners.iter().any(|&o| live[o] || items[o].kept)
+            });
+            let used = it.named
+                || items.iter().enumerate().any(|(y, keeper)| {
+                    y != x
+                        && keeper.file == it.file
+                        && (live[y] || keeper.kept)
+                        && keeper.names.contains(it.item.name.as_str())
+                });
+            if owner_live && used {
+                live[x] = true;
+                changed = true;
+            }
+        }
+    }
+    items
+        .iter()
+        .zip(live)
+        .filter(|(_, live)| !live)
+        .map(|(it, _)| {
+            let file = files[it.file];
+            Finding {
+                rule: Rule::DeadPub,
+                file: file.rel_path.clone(),
+                line: it.item.line,
+                excerpt: file
+                    .original
+                    .lines()
+                    .nth(it.item.line - 1)
+                    .map(|l| l.trim().to_string())
+                    .unwrap_or_default(),
+                waived: None,
+            }
+        })
+        .collect()
 }
 
 /// Aggregate one crate's findings and lock graph. `dead` holds the

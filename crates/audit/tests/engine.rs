@@ -354,6 +354,68 @@ impl S {
 }
 
 #[test]
+fn same_named_methods_resolve_to_their_own_impl() {
+    // `Pool::admit` takes no lock and `Server::admit` takes two. Calls
+    // that name the type (`self.`, `Self::`, `Type::`) reach only that
+    // type's `admit`; a call on another receiver, with two candidates,
+    // reaches neither.
+    let src = r#"
+use std::sync::Mutex;
+pub struct Pool {
+    grids: Mutex<u64>,
+}
+pub struct Server {
+    conns: Mutex<u64>,
+    submitted: Mutex<u64>,
+    queue: Mutex<u64>,
+}
+impl Pool {
+    pub fn by_self(&self) {
+        let g = self.grids.lock();
+        self.admit();
+    }
+    pub fn by_self_path(&self) {
+        let g = self.grids.lock();
+        Self::admit(self);
+    }
+    pub fn by_type_path(&self) {
+        let g = self.grids.lock();
+        Pool::admit(self);
+    }
+    pub fn ambiguous(&self, server: &Server) {
+        let g = self.grids.lock();
+        server.admit();
+    }
+    fn admit(&self) {}
+}
+impl Server {
+    fn admit(&self) {
+        let s = self.submitted.lock();
+        let q = self.queue.lock();
+    }
+    pub fn serve(&self) {
+        let c = self.conns.lock();
+        Server::admit(self);
+    }
+}
+"#;
+    let graph = graph_of(src);
+    let edges: Vec<(&str, &str)> = graph
+        .edges
+        .keys()
+        .map(|(from, to)| (from.as_str(), to.as_str()))
+        .collect();
+    assert_eq!(
+        edges,
+        [
+            ("conns", "queue"),
+            ("conns", "submitted"),
+            ("submitted", "queue")
+        ]
+    );
+}
+
+#[test]
 fn dot_and_json_render_the_graph() {
     let graph = graph_of(INVERSION);
     let dot = graph.to_dot();
@@ -452,6 +514,12 @@ fn fixture_dead_pub_cases() {
             (Rule::DeadPub, "pub fn test_only_helper() -> u64 {", true),
             // Waived.
             (Rule::DeadPub, "pub fn kept_on_purpose() -> u64 {", false),
+            // Kept only by its own constructor, whose bare name `new`
+            // the bin calls on another type.
+            (Rule::DeadPub, "pub struct SelfKept;", true),
+            (Rule::DeadPub, "pub fn new() -> SelfKept {", true),
+            // Named outside its file only by a same-named definition.
+            (Rule::DeadPub, "pub fn defined_twice() -> u64 {", true),
             // A `dead-pub` waiver on an item the bin uses.
             (
                 Rule::StaleWaiver,
@@ -461,8 +529,16 @@ fn fixture_dead_pub_cases() {
         ]
     );
     // `live_entry` (bin-called) and `SignatureOnly` (named only in its
-    // signature) are used; `crate_only` is not public API.
-    for live in ["live_entry", "SignatureOnly", "crate_only"] {
+    // signature) are used, as are `Built` (returned by the bin-called
+    // `build`) and its bin-called `size`; `crate_only` is not public API.
+    for live in [
+        "live_entry",
+        "SignatureOnly",
+        "Built",
+        "build",
+        "size",
+        "crate_only",
+    ] {
         assert!(!audit.findings.iter().any(|f| f.excerpt.contains(live)));
     }
 }

@@ -4,6 +4,11 @@ pub fn only_reexported() -> u64 {
     4
 }
 
+/// Shares its name with `crate::defined_twice` without using it.
+pub(crate) fn defined_twice() -> u64 {
+    7
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -203,10 +203,6 @@ impl Solver for CimAnnealer {
         AnnealerKind::InSitu
     }
 
-    fn iterations(&self) -> usize {
-        self.iterations
-    }
-
     fn run_engine(
         &self,
         coupling: &CsrCoupling,
@@ -321,14 +317,14 @@ mod tests {
 
     #[test]
     fn handles_problems_with_linear_terms() {
-        // Knapsack-like field model via a tiny partition problem is pure
-        // quadratic; use MIS (has linear terms) to exercise the ancilla.
-        let problem = fecim_ising::MaxIndependentSet::new(4, vec![(0, 1), (1, 2), (2, 3)]).unwrap();
+        // Knapsack's capacity penalty has linear fields, exercising the
+        // ancilla embedding.
+        let problem = fecim_ising::Knapsack::new(vec![6, 5, 4], vec![3, 2, 2], 4).unwrap();
         let solver = CimAnnealer::new(1500).with_flips(1);
         let report = solver.solve(&problem, 5).unwrap();
         assert!(report.feasible);
-        // MIS of a path of 4 vertices has size 2.
-        assert!(report.objective.unwrap() >= 2.0);
+        // Items 1 and 2 fill the capacity for the optimum value 9.
+        assert_eq!(report.objective.unwrap(), 9.0);
     }
 
     #[test]

@@ -112,10 +112,6 @@ impl Solver for DirectAnnealer {
         }
     }
 
-    fn iterations(&self) -> usize {
-        self.iterations
-    }
-
     fn run_engine(
         &self,
         coupling: &CsrCoupling,

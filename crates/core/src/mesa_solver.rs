@@ -50,10 +50,6 @@ impl Solver for MesaAnnealer {
         AnnealerKind::CimAsic
     }
 
-    fn iterations(&self) -> usize {
-        self.iterations
-    }
-
     /// MESA runs only on the analytic backend (the session rejects a
     /// device plan), so `array` is always `None`.
     fn run_engine(

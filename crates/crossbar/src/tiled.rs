@@ -1891,8 +1891,9 @@ mod tests {
     }
 
     /// The per-entry device evaluation every read used before the
-    /// per-read constants were hoisted: a fresh DG FeFET per entry,
-    /// programmed with the entry's offset, read through `sl_current`.
+    /// per-read constants were hoisted: a fresh DG FeFET per entry, its
+    /// own read bias evaluated at the entry's offset (what `sl_current`
+    /// does for a cell carrying that offset).
     fn reference_cell_current(
         xb: &TiledCrossbar,
         vth_offset: f32,
@@ -1900,12 +1901,13 @@ mod tests {
         attenuation: f64,
         noise_gain: f64,
     ) -> f64 {
-        let mut programmed = DgFefet::new(xb.config.device);
+        let params = xb.config.device;
+        let mut programmed = DgFefet::new(params);
         programmed.program(StoredBit::One);
-        programmed.set_vth_offset(f64::from(vth_offset));
-        let i = programmed.sl_current(true, true, vbg);
-        let leak = xb.config.device.front.i_leak;
-        let base = ((i - leak) / xb.full_scale_current).max(0.0);
+        let i = programmed
+            .bias(params.v_read, params.v_drain, vbg)
+            .current(f64::from(vth_offset));
+        let base = ((i - params.front.i_leak) / xb.full_scale_current).max(0.0);
         base * attenuation * noise_gain
     }
 

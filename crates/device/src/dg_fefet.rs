@@ -100,27 +100,11 @@ impl DgFefet {
         &self.params
     }
 
-    /// Currently stored bit `G`.
-    pub fn stored(&self) -> StoredBit {
-        self.state
-    }
-
     /// Program the ferroelectric state. Back-gate biasing never changes the
     /// stored state (the paper's key device property), only programming
     /// pulses do.
     pub fn program(&mut self, bit: StoredBit) {
         self.state = bit;
-    }
-
-    /// Apply a static threshold offset (device variation).
-    pub fn set_vth_offset(&mut self, offset: f64) {
-        self.vth_offset = offset;
-    }
-
-    /// Effective threshold voltage under back-gate bias `v_bg`:
-    /// `V_TH,eff = V_TH,FE − γ·V_BG + offset`.
-    pub fn effective_vth(&self, v_bg: f64) -> f64 {
-        self.biased_vth(v_bg) + self.vth_offset
     }
 
     /// `V_TH,FE − γ·V_BG`: the threshold before the cell's own offset.
@@ -234,7 +218,7 @@ mod tests {
             (true, true, &zero),
         ] {
             let i = cell.sl_current(x, y, v);
-            assert!(i < on * 1e-2, "x={x} y={y} stored={:?}: {i}", cell.stored());
+            assert!(i < on * 1e-2, "x={x} y={y} stored={:?}: {i}", cell.state);
         }
     }
 
@@ -268,7 +252,7 @@ mod tests {
         let c = cell_storing(StoredBit::One);
         let _ = c.sl_current(true, true, 0.7);
         let _ = c.sl_current(true, true, 0.0);
-        assert_eq!(c.stored(), StoredBit::One);
+        assert_eq!(c.state, StoredBit::One);
     }
 
     #[test]
@@ -288,8 +272,8 @@ mod tests {
     fn effective_vth_follows_coupling_ratio() {
         let c = cell_storing(StoredBit::One);
         let g = c.params().bg_coupling;
-        let v0 = c.effective_vth(0.0);
-        let v1 = c.effective_vth(1.0);
+        let v0 = c.biased_vth(0.0);
+        let v1 = c.biased_vth(1.0);
         assert!((v0 - v1 - g).abs() < 1e-12);
     }
 
@@ -307,7 +291,7 @@ mod tests {
         let p = cell.params();
         let (v_fg, v_ds) = (p.v_read, p.v_drain);
         let phi = 2.0 * p.front.ideality * THERMAL_VOLTAGE;
-        let x = (v_fg - cell.effective_vth(v_bg)) / phi;
+        let x = (v_fg - (cell.biased_vth(v_bg) + cell.vth_offset)) / phi;
         if v_ds <= 0.0 {
             return (x, p.front.i_leak);
         }
@@ -336,7 +320,7 @@ mod tests {
                     // -3 V pushes x past the linear branch (x > 30), +2 V
                     // deep below threshold (x ≪ 0).
                     for offset in [-3.0, -0.3, 0.0, 0.02, 0.5, 2.0] {
-                        cell.set_vth_offset(offset);
+                        cell.vth_offset = offset;
                         let (x, want) = reference_sl_current(&cell, v_bg);
                         saw_linear |= x > 30.0;
                         saw_deep_off |= x < -20.0;
@@ -356,7 +340,7 @@ mod tests {
     #[test]
     fn full_scale_current_ignores_state_and_offset() {
         let mut c = cell_storing(StoredBit::Zero);
-        c.set_vth_offset(0.2);
+        c.vth_offset = 0.2;
         let one = cell_storing(StoredBit::One);
         assert!((c.full_scale_current() - one.full_scale_current()).abs() < 1e-18);
     }

@@ -114,25 +114,10 @@ impl Fefet {
         &self.params
     }
 
-    /// Currently stored bit.
-    pub fn stored(&self) -> StoredBit {
-        self.state
-    }
-
     /// Program the ferroelectric state (ideal full-switching pulse; for
     /// partial switching dynamics use [`crate::preisach::PreisachFefet`]).
     pub fn program(&mut self, bit: StoredBit) {
         self.state = bit;
-    }
-
-    /// Apply a static threshold-voltage offset (device-to-device variation).
-    pub fn set_vth_offset(&mut self, offset: f64) {
-        self.vth_offset = offset;
-    }
-
-    /// Effective threshold voltage of the current state.
-    pub fn effective_vth(&self) -> f64 {
-        self.programmed_vth() + self.vth_offset
     }
 
     /// Threshold voltage of the stored state, before the static offset.
@@ -288,9 +273,9 @@ mod tests {
     fn vth_offset_shifts_current() {
         let mut d = Fefet::new(FefetParams::paper_reference());
         let base = d.drain_current(0.5, 1.0);
-        d.set_vth_offset(0.1);
+        d.vth_offset = 0.1;
         assert!(d.drain_current(0.5, 1.0) < base);
-        d.set_vth_offset(-0.1);
+        d.vth_offset = -0.1;
         assert!(d.drain_current(0.5, 1.0) > base);
     }
 }

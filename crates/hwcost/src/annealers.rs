@@ -138,7 +138,7 @@ impl IterationProfile {
 
     /// Tile grid implied by the mapping: `(row_bands, column_stripes)`,
     /// `(1, 1)` for the monolithic array.
-    pub fn tile_grid(&self) -> (usize, usize) {
+    fn tile_grid(&self) -> (usize, usize) {
         match self.tile_rows {
             None => (1, 1),
             Some(tr) => {

@@ -388,19 +388,6 @@ impl CsrCoupling {
         CsrCoupling::from_triplets(n, &triplets).expect("dense matrix is always valid")
     }
 
-    /// Densify (for crossbar mapping of small models).
-    pub fn to_dense(&self) -> DenseCoupling {
-        let mut d = DenseCoupling::zeros(self.n);
-        for i in 0..self.n {
-            self.for_each_in_row(i, |j, v| {
-                if i < j {
-                    d.set(i, j, v);
-                }
-            });
-        }
-        d
-    }
-
     /// Neighbours `(j, J_ij)` of spin `i` as a slice pair.
     pub fn row_entries(&self, i: usize) -> (&[usize], &[f64]) {
         let lo = self.row_ptr[i];
@@ -666,7 +653,6 @@ mod tests {
         }
         let s = SpinVector::random(20, &mut rng);
         assert!((csr.energy(&s) - dense.energy(&s)).abs() < 1e-9);
-        assert_eq!(csr.to_dense(), dense);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   qbsolv-style windowed sub-QUBO extraction for beyond-capacity
 //!   instances;
 //! * [`problems`] — Max-Cut (the paper's evaluation workload), graph
-//!   coloring, knapsack, number partitioning, MIS and TSP encodings.
+//!   coloring, knapsack, the SK spin glass and raw Ising encodings; any
+//!   other COP arrives as a [`Qubo`].
 //!
 //! ## Quick example
 //!
@@ -54,8 +55,7 @@ pub use decompose::{impact_windows, SubQubo};
 pub use energy::LocalFieldState;
 pub use error::IsingError;
 pub use problems::{
-    CopProblem, GraphColoring, Knapsack, MaxCut, MaxIndependentSet, NumberPartitioning,
-    ObjectiveSense, RawIsing, SherringtonKirkpatrick, TravellingSalesman, VertexCover,
+    CopProblem, GraphColoring, Knapsack, MaxCut, ObjectiveSense, RawIsing, SherringtonKirkpatrick,
 };
 pub use qubo::Qubo;
 pub use spin::{FlipMask, Spin, SpinVector};

@@ -70,7 +70,7 @@ impl GraphColoring {
     }
 
     /// Spin index of variable `x_{v,c}`.
-    pub fn variable_index(&self, v: usize, c: usize) -> usize {
+    fn variable_index(&self, v: usize, c: usize) -> usize {
         v * self.k + c
     }
 

@@ -11,22 +11,14 @@ use crate::spin::SpinVector;
 mod coloring;
 mod knapsack;
 mod max_cut;
-mod mis;
-mod partition;
 mod raw;
 mod spin_glass;
-mod tsp;
-mod vertex_cover;
 
 pub use coloring::GraphColoring;
 pub use knapsack::Knapsack;
 pub use max_cut::MaxCut;
-pub use mis::MaxIndependentSet;
-pub use partition::NumberPartitioning;
 pub use raw::RawIsing;
 pub use spin_glass::SherringtonKirkpatrick;
-pub use tsp::TravellingSalesman;
-pub use vertex_cover::VertexCover;
 
 /// A combinatorial optimization problem that can be solved through an Ising
 /// annealer.
@@ -69,7 +61,8 @@ pub trait CopProblem {
 pub enum ObjectiveSense {
     /// Larger native objective values are better (e.g. Max-Cut).
     Maximize,
-    /// Smaller native objective values are better (e.g. TSP tour length).
+    /// Smaller native objective values are better (e.g. graph-colouring
+    /// violations).
     Minimize,
 }
 

@@ -333,15 +333,6 @@ impl FlipMask {
     pub fn contains(&self, i: usize) -> bool {
         self.indices.binary_search(&i).is_ok()
     }
-
-    /// Dense `σ_f` as 0/1 values.
-    pub fn to_dense(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.n];
-        for &i in &self.indices {
-            out[i] = 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@ use fecim_crossbar::{ActivityStats, CrossbarConfig, TiledCrossbar};
 use fecim_device::{DgFefet, Fefet, FractionalFactor, PreisachFefet};
 use fecim_gset::{Graph, GraphError, SuiteInstance};
 use fecim_ising::{
-    CopProblem, CsrCoupling, DenseCoupling, IsingError, IsingModel, MaxCut, MaxIndependentSet,
-    NumberPartitioning, ObjectiveSense, SpinVector,
+    CopProblem, CsrCoupling, DenseCoupling, GraphColoring, IsingError, IsingModel, Knapsack,
+    MaxCut, ObjectiveSense, SpinVector,
 };
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -152,27 +152,33 @@ fn solver_contract_holds_on_ring_max_cut() {
 }
 
 #[test]
-fn solver_contract_holds_on_number_partitioning() {
-    let numbers = vec![7.0, 11.0, 5.0, 8.0, 9.0, 10.0, 6.0, 4.0];
-    let total: f64 = numbers.iter().sum();
-    let problem = NumberPartitioning::new(numbers).unwrap();
+fn solver_contract_holds_on_graph_coloring() {
+    // 3-colouring a 6-cycle: a minimized objective, and a one-hot
+    // encoding with a constant offset.
+    let n = 6;
+    let problem = GraphColoring::new(n, 3, (0..n).map(|i| (i, (i + 1) % n)).collect()).unwrap();
     assert_eq!(problem.objective_sense(), ObjectiveSense::Minimize);
     for (label, solver) in all_solvers(2000) {
         let report = solver.solve(&problem, 11).unwrap();
-        // The imbalance of a two-way split is between 0 and the total sum.
-        assert_report_contract(label, solver.as_ref(), &problem, &report, (0.0, total));
+        // Violations: at most one per uncoloured vertex plus one per edge.
+        assert_report_contract(
+            label,
+            solver.as_ref(),
+            &problem,
+            &report,
+            (0.0, 2.0 * n as f64),
+        );
     }
 }
 
 #[test]
-fn solver_contract_holds_on_mis() {
-    // A path of 6 vertices: the maximum independent set has size 3, and
-    // the MIS encoding carries linear terms (exercises the ancilla path).
-    let n = 6;
-    let problem = MaxIndependentSet::new(n, (0..n - 1).map(|i| (i, i + 1)).collect()).unwrap();
+fn solver_contract_holds_on_knapsack() {
+    // The capacity penalty carries linear terms (exercises the ancilla
+    // path); a feasible selection scores at most the optimum, 23.
+    let problem = Knapsack::new(vec![10, 13, 7, 8], vec![3, 4, 2, 3], 7).unwrap();
     for (label, solver) in all_solvers(3000) {
         let report = solver.solve(&problem, 3).unwrap();
-        assert_report_contract(label, solver.as_ref(), &problem, &report, (0.0, 3.0));
+        assert_report_contract(label, solver.as_ref(), &problem, &report, (0.0, 23.0));
     }
 }
 

@@ -125,7 +125,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let csr = CsrCoupling::from_triplets(n, &triplets).unwrap();
-        let dense = csr.to_dense();
+        let mut dense = DenseCoupling::zeros(n);
+        for i in 0..n {
+            csr.for_each_in_row(i, |j, v| dense.set(i, j, v));
+        }
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let spins = SpinVector::random(n, &mut rng);
