@@ -20,11 +20,6 @@
 pub trait Schedule {
     /// Temperature at `iteration` (0-based).
     fn temperature(&self, iteration: usize) -> f64;
-
-    /// Initial temperature.
-    fn initial(&self) -> f64 {
-        self.temperature(0)
-    }
 }
 
 /// Geometric cooling `T_k = T_0 · α^k` (see the module doc for how `α^k`

@@ -9,7 +9,7 @@ use fecim_anneal::{
     run_in_situ, suggest_einc_scale, AnnealConfig, ExactBackend, RunResult, SteppedSchedule,
     TiledBackend,
 };
-use fecim_device::{AnnealFactor, DeviceFactor, FractionalFactor, TableFactor};
+use fecim_device::{AnnealFactor, CurveError, DeviceFactor, FractionalFactor, TableFactor};
 use fecim_hwcost::{AnnealerKind, EnergyReport, TimeReport};
 use fecim_ising::{Coupling, CsrCoupling, SpinVector};
 
@@ -41,42 +41,24 @@ pub enum FactorChoice {
 }
 
 impl FactorChoice {
-    /// Check that this choice can actually produce a factor — in
-    /// particular that a [`FactorChoice::Table`] curve has enough
-    /// strictly-increasing, non-negative samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns the curve's [`fecim_device::CurveError`] when it cannot
-    /// define an annealing factor.
-    pub fn validate(&self) -> Result<(), fecim_device::CurveError> {
-        if let FactorChoice::Table(points) = self {
-            TableFactor::try_new(points.clone())?;
-        }
-        Ok(())
-    }
-
-    fn build(&self) -> Box<dyn AnnealFactor> {
-        match self {
+    /// Build the factor, or the curve's [`CurveError`] when this choice
+    /// cannot define one.
+    fn build(&self) -> Result<Box<dyn AnnealFactor>, CurveError> {
+        Ok(match self {
             FactorChoice::PaperFractional => Box::new(FractionalFactor::paper()),
             FactorChoice::Device => Box::new(DeviceFactor::paper()),
             FactorChoice::Fractional { a, b, c, d, t_max } => {
-                Box::new(FractionalFactor::new(*a, *b, *c, *d, *t_max))
+                Box::new(FractionalFactor::try_new(*a, *b, *c, *d, *t_max)?)
             }
-            FactorChoice::Table(points) => Box::new(TableFactor::new(points.clone())),
-        }
-    }
-
-    fn t_max(&self) -> f64 {
-        match self {
-            FactorChoice::PaperFractional | FactorChoice::Device => 700.0,
-            FactorChoice::Fractional { t_max, .. } => *t_max,
-            FactorChoice::Table(points) => points.last().map(|p| p.0).unwrap_or(700.0),
-        }
+            FactorChoice::Table(points) => Box::new(TableFactor::try_new(points.clone())?),
+        })
     }
 }
 
 /// Configuration of the CiM in-situ annealer.
+///
+/// The builders are plain setters: [`Session::prepare`](crate::Session::prepare)
+/// checks the whole configuration before anything runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CimAnnealer {
     iterations: usize,
@@ -103,42 +85,21 @@ impl CimAnnealer {
         }
     }
 
-    /// Override the flip-set size `t = |F|`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flips == 0`.
+    /// Override the flip-set size `t = |F|` (at least 1).
     pub fn with_flips(mut self, flips: usize) -> CimAnnealer {
-        assert!(flips > 0, "need at least one flip");
         self.flips = flips;
         self
     }
 
     /// Select the annealing-factor implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the curve's [`fecim_device::CurveError`] description
-    /// when a [`FactorChoice::Table`] calibration curve is empty,
-    /// unsorted, or negative — the misconfiguration surfaces here, at
-    /// build time, instead of deep inside a run.
     pub fn with_factor(mut self, factor: FactorChoice) -> CimAnnealer {
-        if let Err(e) = factor.validate() {
-            // audit:allow(panic-path): documented `# Panics` contract — builder misconfiguration fails loudly at build time, not mid-run
-            panic!("invalid annealing factor: {e}");
-        }
         self.factor = factor;
         self
     }
 
-    /// Fix the `E_inc` normalization (default: problem-adapted
-    /// [`suggest_einc_scale`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale <= 0`.
+    /// Fix the positive `E_inc` normalization (default:
+    /// problem-adapted [`suggest_einc_scale`]).
     pub fn with_einc_scale(mut self, scale: f64) -> CimAnnealer {
-        assert!(scale > 0.0, "scale must be positive");
         self.einc_scale = Some(scale);
         self
     }
@@ -157,6 +118,24 @@ impl CimAnnealer {
         self
     }
 
+    /// Check this configuration against everything the in-situ engine
+    /// asserts on: at least one flip, a buildable annealing factor and a
+    /// positive `E_inc` scale.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.flips == 0 {
+            return Err("the CiM annealer needs at least one flip per iteration".to_string());
+        }
+        self.factor
+            .build()
+            .map_err(|e| format!("invalid annealing factor: {e}"))?;
+        match self.einc_scale {
+            Some(scale) if scale.is_nan() || scale <= 0.0 => {
+                Err(format!("the E_inc scale must be positive (got {scale})"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Run the in-situ flow against an energy backend: schedule,
     /// annealing factor and `E_inc` normalization come from this
     /// solver's configuration; the backend decides where the
@@ -168,11 +147,14 @@ impl CimAnnealer {
         seed: u64,
     ) -> RunResult {
         let n = coupling.dimension();
-        let factor = self.factor.build();
+        let factor = self
+            .factor
+            .build()
+            // audit:allow(panic-path): engine contract — `validate` builds this same factor in `Session::prepare`, so only an unvalidated `Solver::solve` reaches the error, as it reaches the engines' asserts
+            .unwrap_or_else(|e| panic!("invalid annealing factor: {e}"));
         // A zero-iteration run (warm-start verbatim contract) never
         // samples the schedule, but the constructor insists on ≥ 1.
-        let schedule =
-            SteppedSchedule::over_iterations(self.factor.t_max(), 70, self.iterations.max(1));
+        let schedule = SteppedSchedule::over_iterations(factor.t_max(), 70, self.iterations.max(1));
         // Default normalization: 1/80 of the typical |σ_rᵀJσ_c|. The
         // division is the one-time full-scale calibration a hardware
         // bring-up performs on the ADC reference; 80 places the sweep's
@@ -338,21 +320,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_table_curve_fails_at_configuration_time_with_context() {
-        let err = std::panic::catch_unwind(|| {
-            let _ = CimAnnealer::new(100).with_factor(FactorChoice::Table(Vec::new()));
-        })
-        .expect_err("empty curve must be rejected");
-        let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            message.contains("at least 2 points"),
-            "descriptive message, got: {message}"
-        );
-        assert!(FactorChoice::Table(Vec::new()).validate().is_err());
-        assert!(FactorChoice::PaperFractional.validate().is_ok());
-        assert!(FactorChoice::Table(vec![(0.0, 0.1), (700.0, 1.0)])
-            .validate()
-            .is_ok());
+    fn empty_table_curve_fails_at_prepare_time_with_context() {
+        use crate::{ProblemSpec, Session, SessionError, SolveRequest};
+        let prepare = |factor| {
+            Session::new().prepare(&SolveRequest::new(
+                ProblemSpec::MaxCut {
+                    vertices: 4,
+                    edges: (0..4).map(|i| (i, (i + 1) % 4, 1.0)).collect(),
+                },
+                SolverSpec::Cim(CimAnnealer::new(100).with_factor(factor)),
+            ))
+        };
+        match prepare(FactorChoice::Table(Vec::new())) {
+            Err(SessionError::InvalidRequest(message)) => assert!(
+                message.contains("at least 2 points"),
+                "descriptive message, got: {message}"
+            ),
+            _ => panic!("an empty curve must be an invalid request"),
+        }
+        assert!(prepare(FactorChoice::PaperFractional).is_ok());
+        assert!(prepare(FactorChoice::Table(vec![(0.0, 0.1), (700.0, 1.0)])).is_ok());
     }
 
     #[test]

@@ -15,6 +15,10 @@ use crate::solver::{pricing, DeviceArray, Solver};
 
 /// Baseline direct-E CiM annealer (conventional FeFET crossbar + digital
 /// Metropolis acceptance with a hardware `eˣ` unit).
+///
+/// The builders are plain setters: [`Session::prepare`](crate::Session::prepare)
+/// checks the whole configuration before anything runs. The acceptance
+/// rule, a fixed `T0` and the end fraction are wire fields only.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DirectAnnealer {
     iterations: usize,
@@ -52,33 +56,9 @@ impl DirectAnnealer {
         }
     }
 
-    /// Override the flip-set size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flips == 0`.
+    /// Override the flip-set size (at least 1).
     pub fn with_flips(mut self, flips: usize) -> DirectAnnealer {
-        assert!(flips > 0, "need at least one flip");
         self.flips = flips;
-        self
-    }
-
-    /// Override the acceptance rule (ablations).
-    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
-    pub fn with_acceptance(mut self, acceptance: Acceptance) -> DirectAnnealer {
-        self.acceptance = acceptance;
-        self
-    }
-
-    /// Fix the initial temperature (default: problem-adapted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t0 <= 0`.
-    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
-    pub fn with_t0(mut self, t0: f64) -> DirectAnnealer {
-        assert!(t0 > 0.0, "t0 must be positive");
-        self.t0 = Some(t0);
         self
     }
 
@@ -94,6 +74,32 @@ impl DirectAnnealer {
     pub fn with_target_energy(mut self, target: f64) -> DirectAnnealer {
         self.target_energy = Some(target);
         self
+    }
+
+    /// Check this configuration against everything the direct-E engine
+    /// asserts on: at least one flip, and a geometric schedule with
+    /// `0 < T_end < T0` where `T_end = T0 · t_end_fraction`.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.flips == 0 {
+            return Err("the direct-E baseline needs at least one flip per iteration".to_string());
+        }
+        if let Some(t0) = self.t0.filter(|t0| !t0.is_finite() || *t0 <= 0.0) {
+            return Err(format!(
+                "the direct-E T0 must be finite and positive (got {t0})"
+            ));
+        }
+        // The default T0 is problem-adapted, finite and positive, so only
+        // a fixed one can be multiplied out here; 1 stands in for it,
+        // which checks 0 < t_end_fraction < 1.
+        let t0 = self.t0.unwrap_or(1.0);
+        let t_end = t0 * self.t_end_fraction;
+        if !(t_end > 0.0 && t_end < t0) {
+            return Err(format!(
+                "the direct-E t_end_fraction must put T_end strictly between 0 and T0 (got {})",
+                self.t_end_fraction
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -233,16 +239,20 @@ mod tests {
     #[test]
     fn greedy_ablation_differs_from_metropolis() {
         let problem = ring_problem(20);
-        let greedy = DirectAnnealer::cim_asic(300)
-            .with_acceptance(Acceptance::Greedy)
-            .solve(&problem, 5)
-            .unwrap();
+        let greedy = DirectAnnealer {
+            acceptance: Acceptance::Greedy,
+            ..DirectAnnealer::cim_asic(300)
+        }
+        .solve(&problem, 5)
+        .unwrap();
         // Greedy accepts only downhill: over the same iterations it must
         // accept fewer moves than a hot Metropolis run.
-        let metro = DirectAnnealer::cim_asic(300)
-            .with_t0(50.0)
-            .solve(&problem, 5)
-            .unwrap();
+        let metro = DirectAnnealer {
+            t0: Some(50.0),
+            ..DirectAnnealer::cim_asic(300)
+        }
+        .solve(&problem, 5)
+        .unwrap();
         assert_eq!(greedy.run.iterations, metro.run.iterations);
         assert!(greedy.run.accepted < metro.run.accepted);
     }

@@ -11,6 +11,10 @@ use fecim_ising::{CsrCoupling, SpinVector};
 use crate::solver::{DeviceArray, Solver};
 
 /// The MESA baseline solver (ref \[7\]'s enhanced SA on direct-E hardware).
+///
+/// The epoch count and re-heat factor are wire fields only;
+/// [`Session::prepare`](crate::Session::prepare) checks them before
+/// anything runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MesaAnnealer {
     iterations: usize,
@@ -28,16 +32,13 @@ impl MesaAnnealer {
         }
     }
 
-    /// Override the epoch count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epochs == 0`.
-    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
-    pub fn with_epochs(mut self, epochs: usize) -> MesaAnnealer {
-        assert!(epochs > 0, "need at least one epoch");
-        self.epochs = epochs;
-        self
+    /// Check this configuration against everything the MESA engine
+    /// asserts on: at least one epoch.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.epochs == 0 {
+            return Err("MESA needs at least one epoch".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -122,14 +123,18 @@ mod tests {
     #[test]
     fn epoch_override() {
         let problem = ring_problem(12);
-        let a = MesaAnnealer::new(1000)
-            .with_epochs(2)
-            .solve(&problem, 7)
-            .unwrap();
-        let b = MesaAnnealer::new(1000)
-            .with_epochs(5)
-            .solve(&problem, 7)
-            .unwrap();
+        let a = MesaAnnealer {
+            epochs: 2,
+            ..MesaAnnealer::new(1000)
+        }
+        .solve(&problem, 7)
+        .unwrap();
+        let b = MesaAnnealer {
+            epochs: 5,
+            ..MesaAnnealer::new(1000)
+        }
+        .solve(&problem, 7)
+        .unwrap();
         // Different epoch structure → different trajectories (almost surely).
         assert!(a.best_energy != b.best_energy || a.run.accepted != b.run.accepted);
     }

@@ -183,6 +183,20 @@ impl SolverSpec {
         self.as_solver().name()
     }
 
+    /// Check the embedded solver's configuration: every value its engine
+    /// would assert on is an error (as is a zero SB step count). The one
+    /// gate for solver parameters, which
+    /// [`Session::prepare`](crate::Session::prepare) runs for every
+    /// request.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        match self {
+            SolverSpec::Cim(solver) => solver.validate(),
+            SolverSpec::Direct(solver) => solver.validate(),
+            SolverSpec::Mesa(solver) => solver.validate(),
+            SolverSpec::Sb(solver) => solver.validate(),
+        }
+    }
+
     /// The embedded solver behind the [`Solver`] interface.
     pub(crate) fn as_solver(&self) -> &dyn Solver {
         match self {

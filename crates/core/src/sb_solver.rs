@@ -24,6 +24,11 @@ const DEFAULT_IN_BITS: u8 = 4;
 /// sense: the ballistic variant drives the continuous positions through
 /// an `in_bits`-pass bit-serial DAC decomposition, the discrete variant
 /// reads one sign vector per step.
+///
+/// `dt`, the pressure schedule, a fixed coupling strength and the input
+/// DAC width are wire fields only;
+/// [`Session::prepare`](crate::Session::prepare) checks them before
+/// anything runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SbAnnealer {
     variant: SbVariant,
@@ -65,66 +70,6 @@ impl SbAnnealer {
         SbAnnealer::new(SbVariant::Discrete, steps)
     }
 
-    /// Override the integration time step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not finite and strictly positive.
-    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
-    pub fn with_dt(mut self, dt: f64) -> SbAnnealer {
-        assert!(dt.is_finite() && dt > 0.0, "dt must be finite and positive");
-        self.dt = dt;
-        self
-    }
-
-    /// Override the bifurcation-pressure ramp.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the schedule's parameters are invalid (see
-    /// [`PressureSchedule::validate`]).
-    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
-    pub fn with_pressure_schedule(mut self, schedule: PressureSchedule) -> SbAnnealer {
-        if let Err(e) = schedule.validate() {
-            // audit:allow(panic-path): documented `# Panics` contract — builder misconfiguration fails loudly at build time, not mid-run
-            panic!("invalid pressure schedule: {e}");
-        }
-        self.pressure_schedule = schedule;
-        self
-    }
-
-    /// Fix the coupling prefactor `c₀` (default: the problem-adapted
-    /// `c₀ = 0.5 / (rms(J) · √deg)` of [`fecim_sb::SbEngine`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c0` is not finite and strictly positive.
-    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
-    pub fn with_coupling_strength(mut self, c0: f64) -> SbAnnealer {
-        assert!(
-            c0.is_finite() && c0 > 0.0,
-            "coupling strength must be finite and positive"
-        );
-        self.coupling_strength = Some(c0);
-        self
-    }
-
-    /// Override the input-DAC resolution of the ballistic bit-serial
-    /// drive (ignored by the discrete variant's sign reads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `in_bits` is 0 or above [`fecim_sb::MAX_IN_BITS`].
-    // audit:allow(dead-pub): test seam: serde_roundtrips sets this wire field through it
-    pub fn with_in_bits(mut self, in_bits: u8) -> SbAnnealer {
-        assert!(
-            (1..=MAX_IN_BITS).contains(&in_bits),
-            "the input DAC needs 1..={MAX_IN_BITS} bits (got {in_bits})"
-        );
-        self.in_bits = in_bits;
-        self
-    }
-
     /// Record a trace point every `every` steps.
     pub fn with_trace(mut self, every: usize) -> SbAnnealer {
         self.trace_every = Some(every.max(1));
@@ -149,21 +94,12 @@ impl SbAnnealer {
         }
     }
 
-    /// Check a (possibly wire-deserialized) configuration the builders
-    /// would have rejected: the builder panics never run for JSON
-    /// payloads, so [`Session::prepare`](crate::Session::prepare) calls
-    /// this instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when `steps` is zero, `dt` is not finite
-    /// and positive, the pressure schedule is invalid, the input DAC has
-    /// zero bits or more than [`fecim_sb::MAX_IN_BITS`], or a fixed
-    /// coupling strength is not finite and
-    /// positive. (Zero-step warm-start echoes remain an engine-level
-    /// contract — [`fecim_sb::SbEngine::run`] supports them — but a
-    /// *request* for zero SB steps is a misconfiguration.)
-    pub fn validate(&self) -> Result<(), String> {
+    /// Check this configuration: `steps`, `dt`, the pressure schedule,
+    /// the input DAC width and a fixed coupling strength must be usable.
+    /// (Zero-step warm-start echoes remain an engine-level contract —
+    /// [`fecim_sb::SbEngine::run`] supports them — but a *request* for
+    /// zero SB steps is a misconfiguration.)
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.steps == 0 {
             return Err("SB solver needs at least one step".to_string());
         }

@@ -226,9 +226,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`SessionError::InvalidRequest`] when the request combines
-    /// unsupported options (batched backend with a baseline solver, a
-    /// device backend with MESA, zero trials/tiles/instances);
+    /// [`SessionError::InvalidRequest`] when a solver parameter is unusable
+    /// (zero flips, an undefined annealing factor, an empty schedule, …)
+    /// or the request combines unsupported options (batched backend with
+    /// a baseline solver, a device backend with MESA, zero
+    /// trials/tiles/instances);
     /// [`SessionError::Problem`] when the problem spec fails to build or
     /// encode.
     pub fn run(&self, request: &SolveRequest) -> Result<SolveResponse, SessionError> {
@@ -260,9 +262,9 @@ impl Session {
     /// # Errors
     ///
     /// Exactly the validation errors of [`Session::run`]:
-    /// [`SessionError::InvalidRequest`] for unsupported combinations and
-    /// [`SessionError::Problem`] when the problem fails to build or
-    /// encode.
+    /// [`SessionError::InvalidRequest`] for unusable solver parameters or
+    /// unsupported combinations and [`SessionError::Problem`] when the
+    /// problem fails to build or encode.
     pub fn prepare(&self, request: &SolveRequest) -> Result<PreparedJob, SessionError> {
         if request.run.trials() == 0 {
             return Err(invalid("run plan must schedule at least one trial"));
@@ -270,12 +272,9 @@ impl Session {
         if request.run.threads() == Some(0) {
             return Err(invalid("thread cap must be at least one worker"));
         }
-        if let SolverSpec::Sb(sb) = &request.solver {
-            // Builder panics never run for wire-deserialized payloads;
-            // reject unusable SB parameters (non-finite dt/schedule, …)
-            // here, on every route.
-            sb.validate().map_err(invalid)?;
-        }
+        // The one gate for solver parameters: builders are plain setters
+        // and wire payloads never run them.
+        request.solver.validate().map_err(invalid)?;
         if let ProblemSpec::Generated(config) = &request.problem {
             check_generated(config).map_err(invalid)?;
         }

@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 use crate::dg_fefet::DgFefet;
 use crate::fefet::StoredBit;
 
-/// Error raised when a sampled calibration curve cannot define an
-/// annealing factor.
+/// Error raised when a calibration curve or a fractional form cannot
+/// define an annealing factor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CurveError {
     /// Empty or single-point curve: interpolation needs at least two
@@ -33,6 +33,12 @@ pub enum CurveError {
     /// The factor replaces a positive Metropolis quantity; the entry at
     /// this index is negative.
     NegativeFactor(usize),
+    /// The temperature range `[0, t_max]` is empty: `t_max` is not
+    /// positive.
+    EmptyRange,
+    /// The fractional form's denominator `bT + c` reaches zero on
+    /// `[0, t_max]`, so the factor would blow up mid-anneal.
+    PoleInRange,
 }
 
 impl fmt::Display for CurveError {
@@ -49,6 +55,13 @@ impl fmt::Display for CurveError {
             CurveError::NegativeFactor(i) => write!(
                 f,
                 "calibration curve factors must be non-negative (violated at index {i})"
+            ),
+            CurveError::EmptyRange => {
+                write!(f, "the temperature range [0, t_max] needs t_max > 0")
+            }
+            CurveError::PoleInRange => write!(
+                f,
+                "the denominator bT + c must not change sign over [0, t_max]"
             ),
         }
     }
@@ -77,36 +90,42 @@ pub struct FractionalFactor {
 }
 
 impl FractionalFactor {
-    /// Build a validated factor.
+    /// Build a factor whose denominator keeps one sign over `[0, t_max]`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the denominator changes sign on `[0, t_max]` (the factor
-    /// would blow up mid-anneal) or if `f` goes negative beyond a small
-    /// tolerance.
-    pub fn new(a: f64, b: f64, c: f64, d: f64, t_max: f64) -> FractionalFactor {
-        assert!(t_max > 0.0, "t_max must be positive");
-        let d0 = c;
-        let d1 = b * t_max + c;
-        assert!(
-            d0 * d1 > 0.0,
-            "denominator must not change sign over [0, t_max]"
-        );
-        let f = FractionalFactor { a, b, c, d, t_max };
-        for k in 0..=100 {
-            let t = t_max * k as f64 / 100.0;
-            assert!(
-                f.factor(t) >= -1e-9,
-                "f(T) must be non-negative (violated at T={t})"
-            );
+    /// [`CurveError::EmptyRange`] unless `t_max > 0`,
+    /// [`CurveError::PoleInRange`] when `bT + c` is zero or changes sign
+    /// on `[0, t_max]`.
+    pub fn try_new(
+        a: f64,
+        b: f64,
+        c: f64,
+        d: f64,
+        t_max: f64,
+    ) -> Result<FractionalFactor, CurveError> {
+        if t_max.is_nan() || t_max <= 0.0 {
+            return Err(CurveError::EmptyRange);
         }
-        f
+        // `bT + c` is linear in T: one sign at both ends means one sign
+        // on the whole range.
+        let ends = c * (b * t_max + c);
+        if ends.is_nan() || ends <= 0.0 {
+            return Err(CurveError::PoleInRange);
+        }
+        Ok(FractionalFactor { a, b, c, d, t_max })
     }
 
     /// The constants the paper reads off the DG FeFET curve:
     /// `f(T) ≈ 1/(−0.006·T + 5) − 0.2` on `T ∈ [0, 700]` (Fig. 6c).
     pub fn paper() -> FractionalFactor {
-        FractionalFactor::new(1.0, -0.006, 5.0, -0.2, 700.0)
+        FractionalFactor {
+            a: 1.0,
+            b: -0.006,
+            c: 5.0,
+            d: -0.2,
+            t_max: 700.0,
+        }
     }
 }
 
@@ -199,7 +218,9 @@ impl TableFactor {
     ///
     /// [`CurveError::TooFewPoints`] for an empty or single-point curve,
     /// [`CurveError::NotIncreasing`] for unsorted temperatures,
-    /// [`CurveError::NegativeFactor`] for a negative factor sample.
+    /// [`CurveError::NegativeFactor`] for a negative factor sample,
+    /// [`CurveError::EmptyRange`] when the last temperature is not
+    /// positive.
     pub fn try_new(points: Vec<(f64, f64)>) -> Result<TableFactor, CurveError> {
         if points.len() < 2 {
             return Err(CurveError::TooFewPoints(points.len()));
@@ -214,20 +235,11 @@ impl TableFactor {
                 return Err(CurveError::NegativeFactor(i));
             }
         }
+        let t_max = points[points.len() - 1].0;
+        if t_max.is_nan() || t_max <= 0.0 {
+            return Err(CurveError::EmptyRange);
+        }
         Ok(TableFactor { points })
-    }
-
-    /// [`TableFactor::try_new`] for call sites with statically valid
-    /// curves.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`CurveError`] description if the curve is
-    /// invalid.
-    pub fn new(points: Vec<(f64, f64)>) -> TableFactor {
-        TableFactor::try_new(points)
-            // audit:allow(panic-path): documented `# Panics` contract — the infallible constructor for statically valid curves; try_new is the fallible path
-            .unwrap_or_else(|e| panic!("invalid annealing-factor curve: {e}"))
     }
 }
 
@@ -281,10 +293,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sign")]
     fn pole_inside_range_is_rejected() {
         // Denominator 5 − 0.01·T crosses zero at T = 500 < 700.
-        let _ = FractionalFactor::new(1.0, -0.01, 5.0, -0.2, 700.0);
+        assert_eq!(
+            FractionalFactor::try_new(1.0, -0.01, 5.0, -0.2, 700.0),
+            Err(CurveError::PoleInRange)
+        );
+        // A pole exactly at an end is rejected too; the paper's constants
+        // pass the same check.
+        assert_eq!(
+            FractionalFactor::try_new(1.0, -0.01, 5.0, -0.2, 500.0),
+            Err(CurveError::PoleInRange)
+        );
+        assert_eq!(
+            FractionalFactor::try_new(1.0, -0.006, 5.0, -0.2, 700.0),
+            Ok(FractionalFactor::paper())
+        );
+        for t_max in [0.0, -1.0, f64::NAN] {
+            assert_eq!(
+                FractionalFactor::try_new(1.0, -0.006, 5.0, -0.2, t_max),
+                Err(CurveError::EmptyRange)
+            );
+        }
     }
 
     #[test]
@@ -319,7 +349,7 @@ mod tests {
 
     #[test]
     fn table_factor_interpolates_and_clamps() {
-        let t = TableFactor::new(vec![(0.0, 0.0), (10.0, 1.0)]);
+        let t = TableFactor::try_new(vec![(0.0, 0.0), (10.0, 1.0)]).unwrap();
         assert_eq!(t.factor(-5.0), 0.0);
         assert_eq!(t.factor(5.0), 0.5);
         assert_eq!(t.factor(20.0), 1.0);
@@ -327,9 +357,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "increasing")]
     fn table_factor_requires_sorted_points() {
-        let _ = TableFactor::new(vec![(1.0, 0.0), (0.0, 1.0)]);
+        let err = TableFactor::try_new(vec![(1.0, 0.0), (0.0, 1.0)]).expect_err("unsorted");
+        assert_eq!(err, CurveError::NotIncreasing(1));
+        assert!(err.to_string().contains("increasing"), "{err}");
     }
 
     #[test]
@@ -348,6 +379,11 @@ mod tests {
         assert_eq!(
             TableFactor::try_new(vec![(0.0, 1.0), (1.0, -0.5)]),
             Err(CurveError::NegativeFactor(1))
+        );
+        // The range [0, t_max] must not be empty.
+        assert_eq!(
+            TableFactor::try_new(vec![(-2.0, 0.0), (0.0, 1.0)]),
+            Err(CurveError::EmptyRange)
         );
         // A valid curve still builds.
         assert!(TableFactor::try_new(vec![(0.0, 0.0), (1.0, 1.0)]).is_ok());

@@ -82,7 +82,6 @@ impl Default for DgFefetParams {
 pub struct DgFefet {
     params: DgFefetParams,
     state: StoredBit,
-    vth_offset: f64,
 }
 
 impl DgFefet {
@@ -91,7 +90,6 @@ impl DgFefet {
         DgFefet {
             params,
             state: StoredBit::One,
-            vth_offset: 0.0,
         }
     }
 
@@ -107,7 +105,7 @@ impl DgFefet {
         self.state = bit;
     }
 
-    /// `V_TH,FE − γ·V_BG`: the threshold before the cell's own offset.
+    /// `V_TH,FE − γ·V_BG`: the threshold before any static offset.
     fn biased_vth(&self, v_bg: f64) -> f64 {
         let base = match self.state {
             StoredBit::One => self.params.front.vth_low,
@@ -118,7 +116,7 @@ impl DgFefet {
 
     /// Raw drain current for arbitrary terminal voltages (Fig. 2d curves).
     pub fn drain_current(&self, v_fg: f64, v_ds: f64, v_bg: f64) -> f64 {
-        self.bias(v_fg, v_ds, v_bg).current(self.vth_offset)
+        self.bias(v_fg, v_ds, v_bg).current(0.0)
     }
 
     /// The terminal bias of a read, shared by every cell of this stored
@@ -180,7 +178,6 @@ impl DgFefet {
     pub fn full_scale_current(&self) -> f64 {
         let mut probe = self.clone();
         probe.program(StoredBit::One);
-        probe.vth_offset = 0.0;
         probe.sl_current(true, true, self.params.vbg_max)
     }
 
@@ -287,11 +284,11 @@ mod tests {
     }
 
     /// The channel equation as a cell evaluates it alone, term by term.
-    fn reference_sl_current(cell: &DgFefet, v_bg: f64) -> (f64, f64) {
+    fn reference_sl_current(cell: &DgFefet, v_bg: f64, vth_offset: f64) -> (f64, f64) {
         let p = cell.params();
         let (v_fg, v_ds) = (p.v_read, p.v_drain);
         let phi = 2.0 * p.front.ideality * THERMAL_VOLTAGE;
-        let x = (v_fg - (cell.biased_vth(v_bg) + cell.vth_offset)) / phi;
+        let x = (v_fg - (cell.biased_vth(v_bg) + vth_offset)) / phi;
         if v_ds <= 0.0 {
             return (x, p.front.i_leak);
         }
@@ -317,16 +314,18 @@ mod tests {
                     let mut cell = DgFefet::new(params);
                     cell.program(bit);
                     let bias = cell.bias(params.v_read, params.v_drain, v_bg);
+                    assert_eq!(
+                        bias.current(0.0).to_bits(),
+                        cell.sl_current(true, true, v_bg).to_bits()
+                    );
                     // -3 V pushes x past the linear branch (x > 30), +2 V
                     // deep below threshold (x ≪ 0).
                     for offset in [-3.0, -0.3, 0.0, 0.02, 0.5, 2.0] {
-                        cell.vth_offset = offset;
-                        let (x, want) = reference_sl_current(&cell, v_bg);
+                        let (x, want) = reference_sl_current(&cell, v_bg, offset);
                         saw_linear |= x > 30.0;
                         saw_deep_off |= x < -20.0;
                         let got = bias.current(offset);
                         assert_eq!(got.to_bits(), want.to_bits(), "{bit:?} {v_bg} {offset}");
-                        assert_eq!(got.to_bits(), cell.sl_current(true, true, v_bg).to_bits());
                         if params.v_drain == 0.0 {
                             assert_eq!(got, params.front.i_leak);
                         }
@@ -339,9 +338,14 @@ mod tests {
 
     #[test]
     fn full_scale_current_ignores_state_and_offset() {
-        let mut c = cell_storing(StoredBit::Zero);
-        c.vth_offset = 0.2;
+        let c = cell_storing(StoredBit::Zero);
         let one = cell_storing(StoredBit::One);
         assert!((c.full_scale_current() - one.full_scale_current()).abs() < 1e-18);
+        // The reference is the nominal cell's: a threshold offset of the
+        // kind the crossbar draws per cell shifts a read, never it.
+        let p = one.params();
+        let bias = one.bias(p.v_read, p.v_drain, p.vbg_max);
+        assert_eq!(c.full_scale_current(), bias.current(0.0));
+        assert_ne!(c.full_scale_current(), bias.current(0.2));
     }
 }

@@ -94,9 +94,6 @@ impl Default for FefetParams {
 pub struct Fefet {
     params: FefetParams,
     state: StoredBit,
-    /// Additional threshold shift from device variation (see
-    /// [`crate::variation`]).
-    vth_offset: f64,
 }
 
 impl Fefet {
@@ -105,7 +102,6 @@ impl Fefet {
         Fefet {
             params,
             state: StoredBit::One,
-            vth_offset: 0.0,
         }
     }
 
@@ -131,7 +127,7 @@ impl Fefet {
     /// Drain current at gate voltage `v_g` and drain-source voltage `v_ds`
     /// (both volts), in amperes.
     pub fn drain_current(&self, v_g: f64, v_ds: f64) -> f64 {
-        ChannelBias::new(v_g, v_ds, self.programmed_vth(), &self.params).current(self.vth_offset)
+        ChannelBias::new(v_g, v_ds, self.programmed_vth(), &self.params).current(0.0)
     }
 
     /// Sample the `I_D–V_G` transfer curve (paper Fig. 2b) over
@@ -271,11 +267,11 @@ mod tests {
 
     #[test]
     fn vth_offset_shifts_current() {
-        let mut d = Fefet::new(FefetParams::paper_reference());
-        let base = d.drain_current(0.5, 1.0);
-        d.vth_offset = 0.1;
-        assert!(d.drain_current(0.5, 1.0) < base);
-        d.vth_offset = -0.1;
-        assert!(d.drain_current(0.5, 1.0) > base);
+        let d = Fefet::new(FefetParams::paper_reference());
+        let bias = ChannelBias::new(0.5, 1.0, d.programmed_vth(), d.params());
+        let base = bias.current(0.0);
+        assert_eq!(base, d.drain_current(0.5, 1.0));
+        assert!(bias.current(0.1) < base);
+        assert!(bias.current(-0.1) > base);
     }
 }

@@ -16,6 +16,38 @@ where
     serde_json::from_str(&json).expect("deserializes")
 }
 
+/// The field at `path` in a parsed map tree (the shim's `Value` has no
+/// JSON-pointer helpers).
+fn field_mut<'a>(value: &'a mut serde_json::Value, path: &[&str]) -> &'a mut serde_json::Value {
+    let mut current = value;
+    for key in path {
+        current = match current {
+            serde_json::Value::Map(entries) => {
+                &mut entries
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .unwrap_or_else(|| panic!("field `{key}` exists"))
+                    .1
+            }
+            _ => panic!("expected an object at `{key}`"),
+        };
+    }
+    current
+}
+
+/// `value` with the named wire fields replaced: how a client sets the
+/// solver fields that have no builder.
+fn with_wire_fields<T>(value: &T, fields: &[(&str, serde_json::Value)]) -> T
+where
+    T: serde::Serialize + serde::de::DeserializeOwned,
+{
+    let mut tree = serde_json::to_value(value).expect("serializes");
+    for (key, replacement) in fields {
+        *field_mut(&mut tree, &[key]) = replacement.clone();
+    }
+    serde_json::from_value(&tree).expect("deserializes")
+}
+
 #[test]
 fn spin_vector_roundtrip() {
     let v = SpinVector::from_signs(&[1, -1, 1, 1, -1]);
@@ -210,16 +242,21 @@ fn sb_solve_request_roundtrips_and_replays_bit_identically() {
             vertices: 12,
             edges: (0..12).map(|i| (i, (i + 1) % 12, 1.0)).collect(),
         },
-        SolverSpec::Sb(
-            SbAnnealer::new(SbVariant::Discrete, 150)
-                .with_dt(0.2)
-                .with_pressure_schedule(PressureSchedule::DelayedLinear {
-                    onset: 0.1,
-                    end: 1.0,
-                })
-                .with_coupling_strength(1.25)
-                .with_in_bits(5),
-        ),
+        SolverSpec::Sb(with_wire_fields(
+            &SbAnnealer::new(SbVariant::Discrete, 150),
+            &[
+                ("dt", serde_json::json!(0.2f64)),
+                (
+                    "pressure_schedule",
+                    serde_json::json!(PressureSchedule::DelayedLinear {
+                        onset: 0.1,
+                        end: 1.0,
+                    }),
+                ),
+                ("coupling_strength", serde_json::json!(1.25f64)),
+                ("in_bits", serde_json::json!(5u8)),
+            ],
+        )),
     )
     .with_backend(BackendPlan::DeviceInLoop {
         fidelity: fecim_crossbar::Fidelity::Ideal,
@@ -244,67 +281,86 @@ fn sb_solve_request_roundtrips_and_replays_bit_identically() {
 }
 
 #[test]
-fn wire_deserialized_sb_misconfigurations_are_rejected_as_invalid_requests() {
+fn wire_deserialized_solver_misconfigurations_are_rejected_as_invalid_requests() {
     use fecim::{
-        BackendPlan, ProblemSpec, SbAnnealer, Session, SessionError, SolveRequest, SolverSpec,
+        BackendPlan, CimAnnealer, DirectAnnealer, MesaAnnealer, ProblemSpec, SbAnnealer, Session,
+        SessionError, SolveRequest, SolverSpec,
     };
-    // Device-in-the-loop, so the input-DAC width reaches the bit-serial
-    // drive if validation lets it through.
-    let valid = SolveRequest::new(
-        ProblemSpec::MaxCut {
-            vertices: 6,
-            edges: (0..6).map(|i| (i, (i + 1) % 6, 1.0)).collect(),
+    use serde_json::json;
+    let request = |solver| {
+        SolveRequest::new(
+            ProblemSpec::MaxCut {
+                vertices: 6,
+                edges: (0..6).map(|i| (i, (i + 1) % 6, 1.0)).collect(),
+            },
+            solver,
+        )
+    };
+    // Device-in-the-loop for SB, so the input-DAC width reaches the
+    // bit-serial drive if validation lets it through.
+    let sb = request(SolverSpec::Sb(SbAnnealer::ballistic(50))).with_backend(
+        BackendPlan::DeviceInLoop {
+            fidelity: fecim_crossbar::Fidelity::Ideal,
+            tile_rows: None,
         },
-        SolverSpec::Sb(SbAnnealer::ballistic(50)),
-    )
-    .with_backend(BackendPlan::DeviceInLoop {
-        fidelity: fecim_crossbar::Fidelity::Ideal,
-        tile_rows: None,
-    });
-    // Navigate the parsed map tree to a named field (the shim's `Value`
-    // has no JSON-pointer helpers).
-    fn field_mut<'a>(value: &'a mut serde_json::Value, path: &[&str]) -> &'a mut serde_json::Value {
-        let mut current = value;
-        for key in path {
-            current = match current {
-                serde_json::Value::Map(entries) => {
-                    &mut entries
-                        .iter_mut()
-                        .find(|(k, _)| k == key)
-                        .unwrap_or_else(|| panic!("field `{key}` exists"))
-                        .1
-                }
-                _ => panic!("expected an object at `{key}`"),
-            };
-        }
-        current
-    }
-
-    let json = valid.to_json().expect("serializes");
+    );
+    let cim = request(SolverSpec::Cim(CimAnnealer::new(50)));
+    let direct = request(SolverSpec::Direct(DirectAnnealer::cim_asic(50)));
+    let mesa = request(SolverSpec::Mesa(MesaAnnealer::new(50)));
     let session = Session::new();
-    // The builders panic on these values, but wire payloads never run
-    // the builders — `Session::prepare` re-validates instead. (JSON has
-    // no NaN/Infinity literal, so the non-finite schedule case arrives
-    // as an out-of-domain finite value.)
-    let cases: Vec<(&[&str], serde_json::Value)> = vec![
-        (&["solver", "Sb", "steps"], serde_json::json!(0u64)),
-        (&["solver", "Sb", "dt"], serde_json::json!(-0.5f64)),
-        (&["solver", "Sb", "in_bits"], serde_json::json!(0u64)),
+    for base in [&sb, &cim, &direct, &mesa] {
+        session.run(base).expect("the unmutated request is valid");
+    }
+    // Wire payloads never run the builders (which are plain setters
+    // anyway): `Session::prepare` is the one gate, and each of these
+    // values would trip an engine assertion past it. (JSON has no
+    // NaN/Infinity literal, so the non-finite schedule case arrives as
+    // an out-of-domain finite value.)
+    let cases: Vec<(&SolveRequest, &[&str], serde_json::Value)> = vec![
+        (&sb, &["solver", "Sb", "steps"], json!(0u64)),
+        (&sb, &["solver", "Sb", "dt"], json!(-0.5f64)),
+        (&sb, &["solver", "Sb", "in_bits"], json!(0u64)),
         // Wider than the 31-bit input code: `1 << in_bits` would wrap.
-        (&["solver", "Sb", "in_bits"], serde_json::json!(32u64)),
-        (&["solver", "Sb", "in_bits"], serde_json::json!(40u64)),
-        (&["solver", "Sb", "in_bits"], serde_json::json!(255u64)),
+        (&sb, &["solver", "Sb", "in_bits"], json!(32u64)),
+        (&sb, &["solver", "Sb", "in_bits"], json!(40u64)),
+        (&sb, &["solver", "Sb", "in_bits"], json!(255u64)),
+        (&sb, &["solver", "Sb", "coupling_strength"], json!(-2.0f64)),
         (
-            &["solver", "Sb", "coupling_strength"],
-            serde_json::json!(-2.0f64),
-        ),
-        (
+            &sb,
             &["solver", "Sb", "pressure_schedule"],
-            serde_json::json!({"DelayedLinear": serde_json::json!({"onset": 1.5f64, "end": 1.0f64})}),
+            json!({"DelayedLinear": json!({"onset": 1.5f64, "end": 1.0f64})}),
         ),
+        (&cim, &["solver", "Cim", "flips"], json!(0u64)),
+        (
+            &cim,
+            &["solver", "Cim", "factor"],
+            json!({"Table": json!([])}),
+        ),
+        // The denominator 1 − T crosses zero at T = 1 < 700.
+        (
+            &cim,
+            &["solver", "Cim", "factor"],
+            json!({"Fractional": json!({"a": 1.0f64, "b": -1.0f64, "c": 1.0f64, "d": 0.0f64, "t_max": 700.0f64})}),
+        ),
+        (&cim, &["solver", "Cim", "einc_scale"], json!(-1.0f64)),
+        (&direct, &["solver", "Direct", "flips"], json!(0u64)),
+        (&direct, &["solver", "Direct", "t0"], json!(-2.5f64)),
+        (
+            &direct,
+            &["solver", "Direct", "t_end_fraction"],
+            json!(-1.0f64),
+        ),
+        // The boundary: T_end = T0 does not cool at all.
+        (
+            &direct,
+            &["solver", "Direct", "t_end_fraction"],
+            json!(1.0f64),
+        ),
+        (&mesa, &["solver", "Mesa", "epochs"], json!(0u64)),
     ];
-    for (path, bad) in cases {
-        let mut tree: serde_json::Value = serde_json::from_str(&json).expect("parses");
+    for (base, path, bad) in cases {
+        let mut tree: serde_json::Value =
+            serde_json::from_str(&base.to_json().expect("serializes")).expect("parses");
         *field_mut(&mut tree, path) = bad;
         let mutated = serde_json::to_string(&tree).expect("tree serializes");
         let request = SolveRequest::from_json(&mutated).expect("mutation still parses");
@@ -386,6 +442,8 @@ mod corpus {
     };
     use serde::de::DeserializeOwned;
     use serde::Serialize;
+
+    use super::with_wire_fields;
 
     /// A struct whose fields each show one decoding rule: a float, an
     /// optional and a required integer, a sequence and a nested struct.
@@ -484,20 +542,30 @@ mod corpus {
                     .with_trace(10)
                     .with_target_energy(-3.0),
             ),
-            SolverSpec::Direct(
-                DirectAnnealer::cim_fpga(30)
-                    .with_acceptance(Acceptance::LinearApprox)
-                    .with_t0(2.5),
-            ),
-            SolverSpec::Mesa(MesaAnnealer::new(30).with_epochs(2)),
-            SolverSpec::Sb(
-                SbAnnealer::new(SbVariant::Discrete, 20)
-                    .with_pressure_schedule(PressureSchedule::DelayedLinear {
-                        onset: 0.1,
-                        end: 1.0,
-                    })
-                    .with_in_bits(5),
-            ),
+            SolverSpec::Direct(with_wire_fields(
+                &DirectAnnealer::cim_fpga(30),
+                &[
+                    ("acceptance", serde_json::json!(Acceptance::LinearApprox)),
+                    ("t0", serde_json::json!(2.5f64)),
+                ],
+            )),
+            SolverSpec::Mesa(with_wire_fields(
+                &MesaAnnealer::new(30),
+                &[("epochs", serde_json::json!(2u64))],
+            )),
+            SolverSpec::Sb(with_wire_fields(
+                &SbAnnealer::new(SbVariant::Discrete, 20),
+                &[
+                    (
+                        "pressure_schedule",
+                        serde_json::json!(PressureSchedule::DelayedLinear {
+                            onset: 0.1,
+                            end: 1.0,
+                        }),
+                    ),
+                    ("in_bits", serde_json::json!(5u8)),
+                ],
+            )),
         ];
         let backends = [
             BackendPlan::Analytic,

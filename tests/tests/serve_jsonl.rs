@@ -506,6 +506,52 @@ fn unusable_generated_specs_fail_their_own_line_and_the_next_is_served() {
 }
 
 #[test]
+fn invalid_solver_configs_fail_their_own_line_and_the_next_is_served() {
+    // Eight solver configs that each trip an engine assertion if they
+    // get past `Session::prepare` (zero flips, an empty table, a pole in
+    // the fractional factor's range, a negative E_inc scale, T0 or end
+    // fraction, zero MESA epochs), then one valid ring. A panic would
+    // take down the only worker and hang the stream, so the stream runs
+    // on a helper thread and the test fails after a timeout instead.
+    let fixture = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("fixtures")
+            .join("serve_invalid_solvers.jsonl"),
+    )
+    .expect("fixture committed");
+    let (sender, receiver) = std::sync::mpsc::channel();
+    let input = fixture.clone();
+    std::thread::spawn(move || {
+        let mut output = Vec::new();
+        let summary = run_jsonl(
+            BufReader::new(input.as_bytes()),
+            &mut output,
+            SchedulerConfig::workers(1),
+        );
+        let _ = sender.send((summary, output));
+    });
+    let (summary, output) = receiver
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the stream is answered instead of hanging");
+    let summary = summary.expect("stream serves");
+    assert_eq!((summary.completed, summary.failed), (1, 8));
+    let responses = check_responses_against(
+        BufReader::new(fixture.as_bytes()),
+        BufReader::new(output.as_slice()),
+    )
+    .expect("one terminal line per submission");
+    let failed = responses
+        .iter()
+        .filter(|line| matches!(line, ResponseLine::Failed { .. }))
+        .count();
+    assert_eq!(failed, 8, "{responses:?}");
+    assert!(
+        matches!(responses.last(), Some(ResponseLine::Completed { id, .. }) if id == "valid-ring"),
+        "{responses:?}"
+    );
+}
+
+#[test]
 fn status_and_progress_are_answered_at_stage_time() {
     // The batch transport stages before executing, so point-in-time
     // queries deterministically observe `Queued` for earlier-submitted

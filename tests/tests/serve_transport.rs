@@ -557,6 +557,57 @@ fn over_long_request_line_fails_by_position_and_the_connection_keeps_serving() {
     ));
 }
 
+#[test]
+fn invalid_solver_configs_fail_their_own_line_and_the_connection_keeps_serving() {
+    // The fixture's eight solver configs would each trip an engine
+    // assertion past `Session::prepare`; its ninth, valid line follows
+    // them on the same connection. A panic would take down the only
+    // worker and leave the client waiting, so the client runs on a
+    // helper thread and the test fails after a timeout instead.
+    let fixture = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("fixtures")
+            .join("serve_invalid_solvers.jsonl"),
+    )
+    .expect("fixture committed");
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        TcpServerConfig {
+            scheduler: SchedulerConfig::workers(1),
+            max_open_jobs: None,
+        },
+    )
+    .expect("server binds");
+    let (sender, receiver) = std::sync::mpsc::channel();
+    let (address, input) = (server.local_addr(), fixture.clone());
+    std::thread::spawn(move || {
+        let mut output = Vec::new();
+        let received = drive(address, BufReader::new(input.as_bytes()), &mut output);
+        let _ = sender.send((received, output));
+    });
+    let (received, output) = receiver
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the connection is answered instead of hanging");
+    server.shutdown();
+    assert_eq!(received.expect("drive round-trips"), 9);
+    let responses = check_responses_against(
+        BufReader::new(fixture.as_bytes()),
+        BufReader::new(output.as_slice()),
+    )
+    .expect("one terminal line per submission");
+    let failed = responses
+        .iter()
+        .filter(|line| matches!(line, ResponseLine::Failed { .. }))
+        .count();
+    assert_eq!(failed, 8, "{responses:?}");
+    assert!(
+        responses
+            .iter()
+            .any(|line| matches!(line, ResponseLine::Completed { id, .. } if id == "valid-ring")),
+        "{responses:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Journal durability
 // ---------------------------------------------------------------------
